@@ -25,9 +25,9 @@
  * path is exercised even on a single-core CI box — oversubscription
  * is harmless to the identity gate, which is the point of the row).
  * --queue restricts the whole grid to one backend. --out writes the
- * rows as JSON (the CI artifact BENCH_datacenter.json), including the
- * events/sec delta against the PR 9 single-threaded shard loop
- * baseline recorded on the reference CI container.
+ * rows as JSON (the CI artifact BENCH_datacenter.json). Events/sec are
+ * host timings of this machine only; compare them across commits on
+ * the same machine, never against a figure recorded elsewhere.
  */
 
 #include <algorithm>
@@ -51,16 +51,6 @@ using namespace skipsim;
 
 namespace
 {
-
-/**
- * Simulated-events/sec of the PR 9 engine (inbox-draining merge loop,
- * binary heap, single-threaded) on this benchmark's default grid,
- * measured on the reference CI container. The JSON artifact reports
- * the current fastest row against this so the hot-path rework's win
- * is tracked as a number, not a narrative.
- */
-constexpr double kPr9EventsPerSecQuick = 722262.0;
-constexpr double kPr9EventsPerSecFull = 390853.0;
 
 struct Config
 {
@@ -125,7 +115,7 @@ main(int argc, char **argv)
         : std::max(2, std::min({4, static_cast<int>(hw == 0 ? 1 : hw),
                                 static_cast<int>(max_shards)}));
 
-    // The grid: the single-threaded heap axis (the PR 9 shape), then
+    // The grid: the single-threaded heap axis, then
     // a threaded rider on the largest shard count, then the calendar
     // backend sequentially and threaded. --queue collapses the
     // backend axis to the requested one.
@@ -195,10 +185,6 @@ main(int argc, char **argv)
     double fastest = 0.0;
     for (const Row &row : rows)
         fastest = std::max(fastest, row.eventsPerSec);
-    double pr9_baseline =
-        flags.quick ? kPr9EventsPerSecQuick : kPr9EventsPerSecFull;
-    double delta_pct =
-        100.0 * (fastest - pr9_baseline) / pr9_baseline;
 
     TextTable table(strprintf(
         "Sharded datacenter run: %s x%zu replicas, %.0f rps, "
@@ -226,9 +212,7 @@ main(int argc, char **argv)
                stdout);
     std::printf("\nreports byte-identical across the grid: %s\n",
                 identical ? "yes" : "NO");
-    std::printf("fastest row %.0f events/s vs PR 9 baseline %.0f "
-                "(%+.1f%%)\n",
-                fastest, pr9_baseline, delta_pct);
+    std::printf("fastest row %.0f events/s\n", fastest);
 
     if (flags.wantOut()) {
         json::Object doc;
@@ -238,9 +222,7 @@ main(int argc, char **argv)
         doc.set("rate-per-replica", rate_per_replica);
         doc.set("seed", static_cast<double>(flags.seed));
         doc.set("identical", identical);
-        doc.set("pr9-baseline-events-per-sec", pr9_baseline);
         doc.set("fastest-events-per-sec", fastest);
-        doc.set("delta-vs-pr9-pct", delta_pct);
         json::Value::Array grid_rows;
         for (const Row &row : rows) {
             json::Object entry;
@@ -284,9 +266,6 @@ main(int argc, char **argv)
     std::puts("\nKey takeaway: sharding, threaded shard execution and "
               "the calendar-queue backend are pure execution-topology "
               "changes — a thousand-replica, million-session run "
-              "produces the same bytes on every row of the grid, "
-              "while the lock-free mailbox and merge-loop rework buy "
-              "back single-thread throughput against the PR 9 "
-              "baseline.");
+              "produces the same bytes on every row of the grid.");
     return 0;
 }

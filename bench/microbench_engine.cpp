@@ -9,10 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "check/invariants.hh"
@@ -88,21 +90,74 @@ BM_SimulateNoJitterAblation(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateNoJitterAblation)->Arg(0)->Arg(1);
 
+/**
+ * A Kineto-shaped trace of at least `events` events: back-to-back
+ * copies of one simulated GPT2 step, timestamps and correlation ids
+ * offset, written track by track (CPU operators, runtime calls, then
+ * each GPU stream) as Kineto exports are. Ids therefore end out of time
+ * order once the trace is sorted, as on a real profiler file.
+ */
+trace::Trace
+kinetoShapedTrace(std::size_t events)
+{
+    trace::Trace step =
+        sim::Simulator(hw::platforms::intelH100()).run(gpt2Graph(1)).trace;
+    std::vector<trace::TraceEvent> all;
+    std::int64_t offset_ns = 0;
+    std::uint64_t corr_offset = 0;
+    while (all.size() < events) {
+        std::uint64_t max_corr = 0;
+        for (trace::TraceEvent event : step.events()) {
+            max_corr = std::max(max_corr, event.correlationId);
+            event.tsBeginNs += offset_ns;
+            if (event.correlationId != 0)
+                event.correlationId += corr_offset;
+            all.push_back(std::move(event));
+        }
+        offset_ns += step.endNs() + 1000;
+        corr_offset += max_corr;
+    }
+    auto track = [](const trace::TraceEvent &event) {
+        return std::make_tuple(
+            event.onGpu() ? 2 : event.kind == trace::EventKind::Runtime,
+            event.onGpu() ? event.streamId : event.tid, event.tsBeginNs);
+    };
+    std::stable_sort(all.begin(), all.end(),
+                     [&](const trace::TraceEvent &a,
+                         const trace::TraceEvent &b) {
+                         return track(a) < track(b);
+                     });
+    trace::Trace out;
+    for (trace::TraceEvent &event : all)
+        out.add(std::move(event));
+    return out;
+}
+
 void
 BM_DependencyGraphBuild(benchmark::State &state)
 {
-    auto graph = gpt2Graph(1);
-    sim::Simulator simulator(hw::platforms::intelH100());
-    auto result = simulator.run(graph);
+    // The build is a radix time sort plus linear passes, so ns/event
+    // (the inverse of items_per_second) stays flat while the trace fits
+    // in cache. The 1M row adds the cost of a DRAM-bound working set.
+    trace::Trace kineto =
+        kinetoShapedTrace(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
-        auto dep = skip::DependencyGraph::build(result.trace);
+        state.PauseTiming();
+        trace::Trace copy = kineto;
+        state.ResumeTiming();
+        auto dep = skip::DependencyGraph::build(std::move(copy));
         benchmark::DoNotOptimize(dep.kernels().size());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(result.trace.size()));
+        static_cast<std::int64_t>(kineto.size()));
+    state.counters["events"] = static_cast<double>(kineto.size());
 }
-BENCHMARK(BM_DependencyGraphBuild);
+BENCHMARK(BM_DependencyGraphBuild)
+    ->Arg(8 << 10)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ComputeMetrics(benchmark::State &state)
@@ -382,9 +437,9 @@ BENCHMARK(BM_ClusterSpanOverhead)
 
 // google-benchmark rejects flags it does not recognize, so a custom
 // main translates the repo-wide --quick convention (see the ext_*
-// drivers) into a filter + short measurement budget for CI: just the
-// event-queue and span-overhead rows, enough to catch gross
-// regressions.
+// drivers) into a filter + short measurement budget for CI: the
+// event-queue, span-overhead and 8K/64K dependency-graph rows, enough
+// to catch gross regressions (the 1M-event row is left to full runs).
 int
 main(int argc, char **argv)
 {
@@ -399,7 +454,8 @@ main(int argc, char **argv)
     static std::string filter =
         "--benchmark_filter=BM_EventQueueThroughput|"
         "BM_CalendarVsHeap|BM_MailboxThroughput|"
-        "BM_ShardedMerge|BM_ClusterSpanOverhead";
+        "BM_ShardedMerge|BM_ClusterSpanOverhead|"
+        "BM_DependencyGraphBuild/(8192|65536)$";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {
         args.push_back(filter.data());

@@ -779,18 +779,11 @@ Fuzzer::runCase(const FuzzCase &c) const
                 }
             };
             std::pair<bool, std::string> first = ingest();
-            if (!first.first) {
-                const std::string &msg = first.second;
-                std::size_t at = msg.find("event ");
-                if (at != std::string::npos &&
-                    (at + 6 >= msg.size() ||
-                     !std::isdigit(static_cast<unsigned char>(
-                         msg[at + 6]))))
-                    problems.push_back(strprintf(
-                        "oracle: ingestion error blames an event "
-                        "without naming its index: %s",
-                        msg.c_str()));
-            }
+            if (!first.first && blamesEventWithoutIndex(first.second))
+                problems.push_back(strprintf(
+                    "oracle: ingestion error blames an event "
+                    "without naming its index: %s",
+                    first.second.c_str()));
             if (ingest() != first)
                 problems.push_back(
                     "oracle: trace ingestion is non-deterministic "
@@ -803,6 +796,30 @@ Fuzzer::runCase(const FuzzCase &c) const
             strprintf("engine: unexpected exception: %s", e.what()));
     }
     return problems;
+}
+
+bool
+blamesEventWithoutIndex(const std::string &message)
+{
+    auto word_char = [](char ch) {
+        return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
+    };
+    for (std::size_t at = message.find("event"); at != std::string::npos;
+         at = message.find("event", at + 1)) {
+        std::size_t end = at + 5;
+        if ((at > 0 && word_char(message[at - 1])) ||
+            (end < message.size() && word_char(message[end])))
+            continue; // part of a longer word: "events", "traceEvents"
+        std::size_t next = message.find_first_not_of(' ', end);
+        if (next == std::string::npos)
+            return true;
+        if (std::isdigit(static_cast<unsigned char>(message[next])))
+            continue; // "event 12: ..."
+        if (message.compare(next, 5, "array") == 0)
+            continue; // the document's event array, not one record
+        return true;
+    }
+    return false;
 }
 
 namespace

@@ -116,6 +116,14 @@ struct FuzzCase
     static FuzzCase fromJson(const json::Value &doc);
 };
 
+/**
+ * Trace-ingestion oracle on one reader diagnostic: true when the
+ * message blames an event record without naming its index
+ * ("event <N>"). A document-level diagnostic that mentions the event
+ * array the document should hold blames no record.
+ */
+bool blamesEventWithoutIndex(const std::string &message);
+
 /** Campaign configuration. */
 struct FuzzOptions
 {

@@ -71,7 +71,11 @@ struct ChainCandidate
 
 /**
  * Mines kernel chains of a single execution sequence.
- * Kernel names are interned internally; mining is O(N * L) per length.
+ * Kernel names are interned internally. Every length-L window gets an
+ * exact integer rank by prefix doubling over the interned ids (two
+ * overlapping power-of-two halves for other L), so mining one length
+ * costs O(N log L) and a sweep shares the doubling levels: O(N) per
+ * level plus O(N) per length, with no window copies.
  */
 class ProximityAnalyzer
 {
@@ -120,10 +124,6 @@ class ProximityAnalyzer
     std::vector<std::size_t> _kernelFreq;  ///< per interned id
 
     int internedId(const std::string &name) const;
-
-    /** Frequency map over all length-L windows (interned windows). */
-    std::map<std::vector<int>, std::size_t>
-    windowCounts(std::size_t length) const;
 };
 
 /** Default chain-length sweep used by the paper's Figs. 7-9. */

@@ -1,7 +1,7 @@
 #include "skip/dep_graph.hh"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -16,53 +16,63 @@ DependencyGraph::build(trace::Trace trace)
     trace.sortByTime();
     g._trace = std::move(trace);
 
+    // Trace ids are dense, so every per-event table is indexed by id.
     const auto &events = g._trace.events();
-    std::size_t max_id = 0;
-    for (const auto &ev : events)
-        max_id = std::max<std::size_t>(max_id, ev.id);
-    g._parents.assign(max_id + 1, std::nullopt);
-    g._children.assign(max_id + 1, {});
+    g._parents.assign(events.size(), std::nullopt);
+    g._children.assign(events.size(), {});
+    std::vector<std::uint64_t> roots(events.size());
 
-    // --- CPU containment per thread -------------------------------
-    // Events are processed in (begin asc, end desc) order so that a
-    // parent precedes children sharing its begin timestamp.
-    std::vector<const trace::TraceEvent *> cpu_events;
-    for (const auto &ev : events) {
-        if (ev.onCpu())
-            cpu_events.push_back(&ev);
-    }
-    std::stable_sort(cpu_events.begin(), cpu_events.end(),
-                     [](const trace::TraceEvent *a,
-                        const trace::TraceEvent *b) {
-                         if (a->tsBeginNs != b->tsBeginNs)
-                             return a->tsBeginNs < b->tsBeginNs;
-                         return a->tsEndNs() > b->tsEndNs();
-                     });
-
-    std::map<int, std::vector<const trace::TraceEvent *>> stacks;
-    for (const auto *ev : cpu_events) {
-        auto &stack = stacks[ev->tid];
-        while (!stack.empty() && stack.back()->tsEndNs() <= ev->tsBeginNs)
-            stack.pop_back();
-        if (!stack.empty() && ev->tsEndNs() <= stack.back()->tsEndNs()) {
-            g._parents[ev->id] = stack.back()->id;
-            g._children[stack.back()->id].push_back(ev->id);
+    // --- CPU containment per thread, launch index -----------------
+    // Events arrive in (begin, id) order. Within a run of equal begin
+    // timestamps CPU events are visited by end descending, so a parent
+    // precedes the children sharing its begin timestamp.
+    std::unordered_map<int, std::vector<const trace::TraceEvent *>> stacks;
+    std::unordered_map<std::uint64_t, const trace::TraceEvent *> launches;
+    std::vector<const trace::TraceEvent *> run;
+    for (std::size_t i = 0; i < events.size();) {
+        run.clear();
+        std::size_t j = i;
+        for (; j < events.size() &&
+             events[j].tsBeginNs == events[i].tsBeginNs; ++j) {
+            const trace::TraceEvent &ev = events[j];
+            if (!ev.onCpu())
+                continue;
+            run.push_back(&ev);
+            // A reused correlation id resolves to its latest launch.
+            if (ev.kind == trace::EventKind::Runtime &&
+                ev.correlationId != 0)
+                launches[ev.correlationId] = &ev;
         }
-        stack.push_back(ev);
-
-        if (!g._parents[ev->id] &&
-            ev->kind == trace::EventKind::Operator) {
-            g._rootOps.push_back(ev->id);
+        i = j;
+        if (run.size() > 1) {
+            std::stable_sort(run.begin(), run.end(),
+                             [](const trace::TraceEvent *a,
+                                const trace::TraceEvent *b) {
+                                 return a->tsEndNs() > b->tsEndNs();
+                             });
+        }
+        for (const auto *ev : run) {
+            auto &stack = stacks[ev->tid];
+            while (!stack.empty() &&
+                   stack.back()->tsEndNs() <= ev->tsBeginNs)
+                stack.pop_back();
+            roots[ev->id] = ev->id;
+            if (!stack.empty() &&
+                ev->tsEndNs() <= stack.back()->tsEndNs()) {
+                std::uint64_t parent = stack.back()->id;
+                g._parents[ev->id] = parent;
+                g._children[parent].push_back(ev->id);
+                roots[ev->id] = roots[parent];
+            } else if (ev->kind == trace::EventKind::Operator) {
+                g._rootOps.push_back(ev->id);
+            }
+            stack.push_back(ev);
         }
     }
 
     // --- Kernel linkage via correlation ids -----------------------
-    std::map<std::uint64_t, const trace::TraceEvent *> launches;
-    for (const auto &ev : events) {
-        if (ev.kind == trace::EventKind::Runtime && ev.correlationId != 0)
-            launches[ev.correlationId] = &ev;
-    }
-
+    // GPU events are visited in (begin, id) order, which is stream
+    // (execution) order with ties kept in id order.
     for (const auto &ev : events) {
         if (!ev.onGpu())
             continue;
@@ -75,23 +85,17 @@ DependencyGraph::build(trace::Trace trace)
                 static_cast<unsigned long long>(ev.id),
                 static_cast<unsigned long long>(ev.correlationId)));
         }
+        const trace::TraceEvent &launch = *it->second;
         KernelLink link;
         link.kernelId = ev.id;
-        link.runtimeId = it->second->id;
-        link.launchToStartNs = ev.tsBeginNs - it->second->tsBeginNs;
-        if (auto parent = g._parents[it->second->id]) {
+        link.runtimeId = launch.id;
+        link.launchToStartNs = ev.tsBeginNs - launch.tsBeginNs;
+        if (auto parent = g._parents[launch.id]) {
             link.leafOpId = parent;
-            link.rootOpId = g.rootAncestorOf(*parent);
+            link.rootOpId = roots[*parent];
         }
         g._kernels.push_back(link);
     }
-
-    // Stream (execution) order.
-    std::stable_sort(g._kernels.begin(), g._kernels.end(),
-                     [&](const KernelLink &a, const KernelLink &b) {
-                         return g._trace.byId(a.kernelId).tsBeginNs <
-                             g._trace.byId(b.kernelId).tsBeginNs;
-                     });
     return g;
 }
 

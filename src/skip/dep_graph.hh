@@ -45,14 +45,17 @@ struct KernelLink
 };
 
 /**
- * The dependency graph over one trace. Owns a time-sorted copy of the
- * trace; all ids refer to TraceEvent::id.
+ * The dependency graph over one trace. Owns the trace, sorted by time;
+ * all ids refer to TraceEvent::id. Building it costs one time sort plus
+ * two linear passes; parentOf and childrenOf are O(1), rootAncestorOf
+ * walks the containment chain.
  */
 class DependencyGraph
 {
   public:
     /**
-     * Build the graph from a trace.
+     * Build the graph from a trace. Pass the trace by move to skip the
+     * copy.
      * @throws skipsim::FatalError when a GPU event's correlation id
      *         cannot be resolved to a runtime call.
      */

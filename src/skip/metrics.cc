@@ -110,8 +110,10 @@ computeMetrics(const DependencyGraph &graph)
     bool have_kernel = false;
     std::vector<double> launch_latencies;
 
-    for (const auto &link : graph.computeKernelsOnly()) {
+    for (const auto &link : graph.kernels()) {
         const trace::TraceEvent &k = trace.byId(link.kernelId);
+        if (k.kind != trace::EventKind::Kernel)
+            continue;
         report.tklqtNs += static_cast<double>(link.launchToStartNs);
         launch_latencies.push_back(
             static_cast<double>(link.launchToStartNs));

@@ -2,12 +2,72 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
 
 namespace skipsim::trace
 {
+
+namespace
+{
+
+/**
+ * Positions of `events` in (tsBeginNs, id) order: a stable LSD radix
+ * sort of the begin timestamps, 11 bits a pass. Events that share a
+ * timestamp already sit in id order (add() appends the largest id last
+ * and a sort leaves ties in id order), so stability gives the id
+ * tie-break. Linear in the event count; the pass count grows with
+ * log2 of the time span.
+ */
+std::vector<std::size_t>
+timeOrder(const std::vector<TraceEvent> &events)
+{
+    const std::size_t n = events.size();
+    if (n == 0)
+        return {};
+    std::int64_t lo = events.front().tsBeginNs;
+    std::int64_t hi = lo;
+    for (const auto &ev : events) {
+        lo = std::min(lo, ev.tsBeginNs);
+        hi = std::max(hi, ev.tsBeginNs);
+    }
+    // Unsigned offsets from the earliest begin: any int64 span fits.
+    auto offset = [lo](std::int64_t ts) {
+        return static_cast<std::uint64_t>(ts) -
+            static_cast<std::uint64_t>(lo);
+    };
+    using Key = std::pair<std::uint64_t, std::size_t>; // (offset, pos)
+    std::vector<Key> keys(n);
+    std::vector<Key> next(n);
+    for (std::size_t pos = 0; pos < n; ++pos)
+        keys[pos] = {offset(events[pos].tsBeginNs), pos};
+
+    constexpr unsigned kBits = 11;
+    constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
+    std::vector<std::size_t> bucket(kMask + 1);
+    const std::uint64_t span = offset(hi);
+    for (unsigned shift = 0; shift < 64 && (span >> shift) != 0;
+         shift += kBits) {
+        std::fill(bucket.begin(), bucket.end(), 0);
+        for (const Key &key : keys)
+            ++bucket[(key.first >> shift) & kMask];
+        std::size_t start = 0;
+        for (std::size_t &b : bucket)
+            start += std::exchange(b, start);
+        for (const Key &key : keys)
+            next[bucket[(key.first >> shift) & kMask]++] = key;
+        keys.swap(next);
+    }
+
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = keys[i].second;
+    return order;
+}
+
+} // namespace
 
 void
 Trace::setMeta(const std::string &key, const std::string &value)
@@ -35,6 +95,7 @@ std::uint64_t
 Trace::add(TraceEvent event)
 {
     event.id = _events.size();
+    _posOfId.push_back(_events.size());
     _events.push_back(std::move(event));
     return _events.back().id;
 }
@@ -54,12 +115,21 @@ Trace::addInstant(InstantEvent instant)
 void
 Trace::sortByTime()
 {
-    std::stable_sort(_events.begin(), _events.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         if (a.tsBeginNs != b.tsBeginNs)
-                             return a.tsBeginNs < b.tsBeginNs;
-                         return a.id < b.id;
-                     });
+    auto before = [](const TraceEvent &a, const TraceEvent &b) {
+        if (a.tsBeginNs != b.tsBeginNs)
+            return a.tsBeginNs < b.tsBeginNs;
+        return a.id < b.id;
+    };
+    if (!std::is_sorted(_events.begin(), _events.end(), before)) {
+        // Move every event once, in the order the compact keys give.
+        std::vector<TraceEvent> sorted;
+        sorted.reserve(_events.size());
+        for (std::size_t pos : timeOrder(_events))
+            sorted.push_back(std::move(_events[pos]));
+        _events = std::move(sorted);
+        for (std::size_t i = 0; i < _events.size(); ++i)
+            _posOfId[_events[i].id] = i;
+    }
     std::stable_sort(_counters.begin(), _counters.end(),
                      [](const CounterEvent &a, const CounterEvent &b) {
                          return a.tsNs < b.tsNs;
@@ -73,13 +143,8 @@ Trace::sortByTime()
 const TraceEvent &
 Trace::byId(std::uint64_t id) const
 {
-    // Events may be reordered by sortByTime(); search for the id.
-    if (id < _events.size() && _events[id].id == id)
-        return _events[id];
-    for (const auto &ev : _events) {
-        if (ev.id == id)
-            return ev;
-    }
+    if (id < _posOfId.size())
+        return _events[_posOfId[id]];
     fatal(strprintf("Trace: no event with id %llu",
                     static_cast<unsigned long long>(id)));
 }

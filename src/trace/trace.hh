@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace container: owns TraceEvents in insertion order, assigns ids,
- * and offers kind-filtered views and basic integrity validation.
+ * keeps an id -> position index, and offers kind-filtered views and
+ * basic integrity validation.
  */
 
 #ifndef SKIPSIM_TRACE_TRACE_HH
@@ -65,7 +66,7 @@ class Trace
 
     /**
      * Stable-sort events by (tsBeginNs, id); counters and instants
-     * stable-sort by timestamp.
+     * stable-sort by timestamp. Rebuilds the id index in one pass.
      */
     void sortByTime();
 
@@ -74,7 +75,10 @@ class Trace
 
     const std::vector<TraceEvent> &events() const { return _events; }
 
-    /** Event lookup by dense id. @throws skipsim::FatalError when absent. */
+    /**
+     * Event lookup by dense id, O(1) in any event order.
+     * @throws skipsim::FatalError when absent.
+     */
     const TraceEvent &byId(std::uint64_t id) const;
 
     /** Copies of all events of one kind, in current order. */
@@ -99,6 +103,7 @@ class Trace
 
   private:
     std::vector<TraceEvent> _events;
+    std::vector<std::size_t> _posOfId; ///< _events[_posOfId[id]].id == id
     std::vector<CounterEvent> _counters;
     std::vector<InstantEvent> _instants;
     std::vector<std::pair<std::string, std::string>> _meta;

@@ -467,6 +467,43 @@ TEST(Fuzzer, HealthyEnginesSurviveAQuickCampaign)
     EXPECT_EQ(report.reproPath, "");
 }
 
+TEST(Fuzzer, TraceOracleAcceptsDocumentLevelErrors)
+{
+    // The reader's own document-level diagnostics blame no record.
+    for (const char *doc : {"{}", "{\"traceEvents\": 3}", "7"}) {
+        try {
+            trace::fromChromeText(doc);
+            ADD_FAILURE() << "accepted " << doc;
+        } catch (const FatalError &err) {
+            EXPECT_FALSE(blamesEventWithoutIndex(err.what())) << err.what();
+        }
+    }
+    EXPECT_FALSE(blamesEventWithoutIndex(
+        "chrome trace: missing 'traceEvents' member (and the document "
+        "is not a bare event array)"));
+    EXPECT_FALSE(blamesEventWithoutIndex(
+        "chrome trace: event 12: json: missing key 'ts'"));
+
+    // Seed 2, case 1681 of the quick campaign hit that message.
+    FuzzOptions opts;
+    opts.seed = 2;
+    opts.quick = true;
+    Fuzzer fuzzer(opts);
+    FuzzCase c = fuzzer.generate(1681);
+    ASSERT_EQ(c.kind, FuzzKind::Trace);
+    std::vector<std::string> problems = fuzzer.runCase(c);
+    EXPECT_TRUE(problems.empty()) << problems.front();
+}
+
+TEST(Fuzzer, TraceOracleFlagsUnindexedEventBlame)
+{
+    EXPECT_TRUE(blamesEventWithoutIndex("event is not a JSON object"));
+    EXPECT_TRUE(blamesEventWithoutIndex("chrome trace: event: bad 'ts'"));
+    EXPECT_TRUE(blamesEventWithoutIndex("chrome trace: bad event"));
+    EXPECT_TRUE(blamesEventWithoutIndex(
+        "chrome trace: event array ok, but event lacks 'ph'"));
+}
+
 /** Corrupt a trace the way a broken engine would: append a kernel
  *  with a negative duration and a bogus correlation id. */
 void

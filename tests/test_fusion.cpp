@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "common/logging.hh"
 #include "fusion/proximity.hh"
 #include "fusion/recommend.hh"
@@ -283,6 +287,194 @@ TEST(DefaultLengths, MatchPaperSweep)
     ASSERT_EQ(lengths.size(), 8u);
     EXPECT_EQ(lengths.front(), 2u);
     EXPECT_EQ(lengths.back(), 256u);
+}
+
+// ------------------------------------------------- map-based oracle (diff)
+
+/**
+ * Reference miner: copies every length-L window into an ordered map, as
+ * ProximityAnalyzer did before it ranked windows by prefix doubling.
+ */
+std::map<std::vector<std::string>, std::size_t>
+oracleWindowCounts(const std::vector<std::string> &seq, std::size_t length)
+{
+    std::map<std::vector<std::string>, std::size_t> counts;
+    if (length == 0 || length > seq.size())
+        return counts;
+    for (std::size_t i = 0; i + length <= seq.size(); ++i)
+        ++counts[{seq.begin() + static_cast<long>(i),
+                  seq.begin() + static_cast<long>(i + length)}];
+    return counts;
+}
+
+std::size_t
+oracleFrequency(const std::vector<std::string> &seq, const std::string &k)
+{
+    return static_cast<std::size_t>(std::count(seq.begin(), seq.end(), k));
+}
+
+ChainStats
+oracleAnalyze(const std::vector<std::string> &seq, std::size_t length)
+{
+    ChainStats stats;
+    stats.length = length;
+    stats.kEager = seq.size();
+    std::set<std::vector<std::string>> deterministic;
+    for (const auto &[window, freq] : oracleWindowCounts(seq, length)) {
+        ++stats.uniqueChains;
+        stats.totalInstances += freq;
+        if (freq == oracleFrequency(seq, window.front()))
+            deterministic.insert(window);
+    }
+    stats.deterministicChains = deterministic.size();
+    std::size_t i = 0;
+    while (i + length <= seq.size()) {
+        std::vector<std::string> window(
+            seq.begin() + static_cast<long>(i),
+            seq.begin() + static_cast<long>(i + length));
+        if (deterministic.count(window)) {
+            ++stats.fusedChains;
+            i += length;
+        } else {
+            ++i;
+        }
+    }
+    stats.kernelsFused = stats.fusedChains * length;
+    stats.kFused = stats.kEager - stats.fusedChains * (length - 1);
+    stats.idealSpeedup = stats.kFused > 0
+        ? static_cast<double>(stats.kEager) /
+            static_cast<double>(stats.kFused)
+        : 1.0;
+    return stats;
+}
+
+std::vector<ChainCandidate>
+oracleCandidates(const std::vector<std::string> &seq, std::size_t length,
+                 double threshold)
+{
+    std::vector<ChainCandidate> out;
+    for (const auto &[window, freq] : oracleWindowCounts(seq, length)) {
+        double ps = static_cast<double>(freq) /
+            static_cast<double>(oracleFrequency(seq, window.front()));
+        if (ps + 1e-12 < threshold)
+            continue;
+        out.push_back({window, freq, ps});
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const ChainCandidate &a, const ChainCandidate &b) {
+                         if (a.frequency != b.frequency)
+                             return a.frequency > b.frequency;
+                         return a.kernels < b.kernels;
+                     });
+    return out;
+}
+
+void
+expectSameStats(const ChainStats &got, const ChainStats &want)
+{
+    EXPECT_EQ(got.length, want.length);
+    EXPECT_EQ(got.uniqueChains, want.uniqueChains);
+    EXPECT_EQ(got.totalInstances, want.totalInstances);
+    EXPECT_EQ(got.deterministicChains, want.deterministicChains);
+    EXPECT_EQ(got.fusedChains, want.fusedChains);
+    EXPECT_EQ(got.kernelsFused, want.kernelsFused);
+    EXPECT_EQ(got.kEager, want.kEager);
+    EXPECT_EQ(got.kFused, want.kFused);
+    EXPECT_EQ(got.idealSpeedup, want.idealSpeedup);
+}
+
+/**
+ * Random sequences: a period-`period` pattern where each kernel is
+ * replaced with probability 1/`noise` by one of `alphabet` letters.
+ */
+std::vector<std::string>
+noisyPeriodic(std::size_t n, std::size_t period, std::size_t alphabet,
+              std::uint64_t noise, std::uint64_t seed)
+{
+    std::vector<std::string> out;
+    std::uint64_t state = seed;
+    auto next = [&] {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return state >> 33;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t letter = i % period;
+        if (next() % noise == 0)
+            letter = next() % alphabet;
+        out.emplace_back(1, static_cast<char>('A' + letter % 52));
+    }
+    return out;
+}
+
+TEST(RankOracle, AnalyzeAndCandidatesMatchMapOracle)
+{
+    struct Case
+    {
+        std::size_t n, period, alphabet;
+        std::uint64_t noise;
+    };
+    const Case cases[] = {
+        {0, 1, 1, 1},    {1, 1, 1, 1},     {7, 3, 3, 2},
+        {64, 4, 2, 1},   {150, 5, 5, 9},   {300, 1, 1, 1000000},
+        {300, 7, 7, 13}, {300, 12, 40, 4}, {300, 64, 52, 40},
+    };
+    std::uint64_t seed = 1;
+    for (const Case &c : cases) {
+        auto seq = noisyPeriodic(c.n, c.period, c.alphabet, c.noise, ++seed);
+        ProximityAnalyzer pa(seq);
+        std::vector<std::size_t> lengths;
+        for (std::size_t length = 2; length <= 300;
+             length += length < 20 ? 1 : 7)
+            lengths.push_back(length);
+        for (std::size_t length : {31, 32, 33, 63, 64, 65, 127, 128, 129,
+                                   255, 256, 257, 299, 300})
+            lengths.push_back(length);
+        lengths.push_back(c.n);
+        lengths.push_back(c.n + 1);
+        for (std::size_t length : lengths) {
+            if (length < 2)
+                continue;
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << c.n << " period=" << c.period
+                         << " L=" << length);
+            expectSameStats(pa.analyze(length), oracleAnalyze(seq, length));
+            for (double threshold : {0.0, 0.5, 1.0}) {
+                auto got = pa.candidates(length, threshold);
+                auto want = oracleCandidates(seq, length, threshold);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].kernels, want[i].kernels);
+                    EXPECT_EQ(got[i].frequency, want[i].frequency);
+                    EXPECT_EQ(got[i].proximityScore,
+                              want[i].proximityScore);
+                }
+            }
+        }
+        // Width 0 and 1 candidates: nothing, and every single kernel.
+        EXPECT_TRUE(pa.candidates(0, 0.0).empty());
+        auto singles = pa.candidates(1, 0.0);
+        auto want_singles = oracleCandidates(seq, 1, 0.0);
+        ASSERT_EQ(singles.size(), want_singles.size());
+        for (std::size_t i = 0; i < singles.size(); ++i)
+            EXPECT_EQ(singles[i].kernels, want_singles[i].kernels);
+    }
+}
+
+TEST(RankOracle, SweepSharesLevelsInAnyLengthOrder)
+{
+    auto seq = noisyPeriodic(300, 6, 9, 11, 42);
+    ProximityAnalyzer pa(seq);
+    // Unsorted, repeated and non-power-of-two lengths, one past N.
+    std::vector<std::size_t> lengths = {256, 3, 64, 2, 301, 17, 64, 300,
+                                        5, 128, 4, 100};
+    auto sweep = pa.sweep(lengths);
+    ASSERT_EQ(sweep.size(), lengths.size());
+    for (std::size_t i = 0; i < lengths.size(); ++i) {
+        SCOPED_TRACE(lengths[i]);
+        expectSameStats(sweep[i], oracleAnalyze(seq, lengths[i]));
+    }
+    EXPECT_THROW(pa.sweep({4, 1, 8}), FatalError);
+    EXPECT_TRUE(pa.sweep({}).empty());
 }
 
 // --------------------------------------------- property-style parameterized

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "hw/catalog.hh"
+#include "json/writer.hh"
 #include "skip/dep_graph.hh"
 #include "skip/metrics.hh"
 #include "skip/profile.hh"
@@ -142,6 +145,24 @@ TEST(DepGraph, ChildrenListsPopulated)
     EXPECT_EQ(kids[1], 4u);
 }
 
+TEST(DepGraph, SharedBeginParentPrecedesChild)
+{
+    // The child is recorded first and starts with its parent: the
+    // longer event must still become the parent.
+    Trace trace;
+    trace.add(ev(EventKind::Operator, "aten::child", 10, 20));
+    trace.add(ev(EventKind::Runtime, "cudaLaunchKernel", 10, 5, 1));
+    trace.add(ev(EventKind::Operator, "aten::parent", 10, 50));
+    trace.add(ev(EventKind::Kernel, "k", 40, 5, 1));
+    DependencyGraph graph = DependencyGraph::build(std::move(trace));
+    EXPECT_EQ(graph.parentOf(0), std::optional<std::uint64_t>(2));
+    EXPECT_EQ(graph.parentOf(1), std::optional<std::uint64_t>(0));
+    EXPECT_EQ(graph.rootOps(), std::vector<std::uint64_t>{2});
+    ASSERT_EQ(graph.kernels().size(), 1u);
+    EXPECT_EQ(graph.kernels()[0].leafOpId, std::optional<std::uint64_t>(0));
+    EXPECT_EQ(graph.kernels()[0].rootOpId, std::optional<std::uint64_t>(2));
+}
+
 TEST(DepGraph, SeparateThreadsDoNotNest)
 {
     Trace trace;
@@ -164,6 +185,100 @@ TEST(DepGraph, MemcpyExcludedFromKernelsOnly)
     DependencyGraph graph = DependencyGraph::build(std::move(trace));
     EXPECT_EQ(graph.kernels().size(), 4u);
     EXPECT_EQ(graph.computeKernelsOnly().size(), 3u);
+}
+
+/**
+ * Re-add a trace's events in the given order, so ids follow that order.
+ * @param[out] old_id old_id[new id] = the event's id in `events`.
+ */
+Trace
+renumbered(const std::vector<TraceEvent> &events,
+           std::vector<std::uint64_t> &old_id)
+{
+    Trace out;
+    old_id.clear();
+    for (const TraceEvent &event : events) {
+        old_id.push_back(event.id);
+        out.add(event);
+    }
+    return out;
+}
+
+std::optional<std::uint64_t>
+remapped(std::optional<std::uint64_t> id,
+         const std::vector<std::uint64_t> &old_id)
+{
+    if (!id)
+        return std::nullopt;
+    return old_id[*id];
+}
+
+TEST(DepGraph, KinetoTrackOrderMatchesTimeOrderAfterRemap)
+{
+    for (int batch : {1, 16}) {
+        ProfileResult run = profilePrefill(
+            workload::gpt2(), hw::platforms::amdA100(), batch, 128);
+        Trace sorted = run.trace;
+        sorted.sortByTime();
+
+        // Ids in time order: id == position after the sort.
+        std::vector<std::uint64_t> time_src;
+        Trace by_time = renumbered(sorted.events(), time_src);
+
+        // Ids track by track as Kineto writes them: CPU operators, then
+        // runtime calls, then each GPU stream.
+        std::vector<TraceEvent> tracks = by_time.events();
+        auto track = [](const TraceEvent &e) {
+            return std::make_pair(
+                e.onGpu() ? 2 : e.kind == EventKind::Runtime,
+                e.onGpu() ? e.streamId : e.tid);
+        };
+        std::stable_sort(tracks.begin(), tracks.end(),
+                         [&](const TraceEvent &a, const TraceEvent &b) {
+                             return track(a) < track(b);
+                         });
+        std::vector<std::uint64_t> to_time; // kineto id -> time id
+        Trace kineto = renumbered(tracks, to_time);
+        bool out_of_order = false;
+        for (std::uint64_t id = 0; id < to_time.size(); ++id)
+            out_of_order |= to_time[id] != id;
+        ASSERT_TRUE(out_of_order);
+
+        DependencyGraph a = DependencyGraph::build(by_time);
+        DependencyGraph b = DependencyGraph::build(kineto);
+        ASSERT_EQ(a.trace().size(), b.trace().size());
+
+        std::vector<std::uint64_t> to_kineto(to_time.size());
+        for (std::uint64_t id = 0; id < to_time.size(); ++id)
+            to_kineto[to_time[id]] = id;
+        for (std::uint64_t id = 0; id < to_time.size(); ++id) {
+            std::uint64_t k = to_kineto[id];
+            EXPECT_EQ(a.parentOf(id), remapped(b.parentOf(k), to_time));
+            std::vector<std::uint64_t> kids;
+            for (std::uint64_t child : b.childrenOf(k))
+                kids.push_back(to_time[child]);
+            EXPECT_EQ(a.childrenOf(id), kids);
+        }
+
+        std::vector<std::uint64_t> roots;
+        for (std::uint64_t root : b.rootOps())
+            roots.push_back(to_time[root]);
+        EXPECT_EQ(a.rootOps(), roots);
+
+        ASSERT_EQ(a.kernels().size(), b.kernels().size());
+        for (std::size_t i = 0; i < a.kernels().size(); ++i) {
+            const KernelLink &x = a.kernels()[i];
+            const KernelLink &y = b.kernels()[i];
+            EXPECT_EQ(x.kernelId, to_time[y.kernelId]);
+            EXPECT_EQ(x.runtimeId, to_time[y.runtimeId]);
+            EXPECT_EQ(x.leafOpId, remapped(y.leafOpId, to_time));
+            EXPECT_EQ(x.rootOpId, remapped(y.rootOpId, to_time));
+            EXPECT_EQ(x.launchToStartNs, y.launchToStartNs);
+        }
+
+        EXPECT_EQ(json::write(computeMetrics(a).toJson()),
+                  json::write(computeMetrics(b).toJson()));
+    }
 }
 
 // ----------------------------------------------------------------- metrics

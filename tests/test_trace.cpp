@@ -93,6 +93,61 @@ TEST(Trace, ByIdWorksAfterSorting)
     trace.add(makeEvent(EventKind::Operator, "y", 1, 1));
     trace.sortByTime();
     EXPECT_EQ(trace.byId(id).name, "x");
+
+    // A full permutation: insertion order is a stride through time, so
+    // no id matches its position after the sort.
+    Trace permuted;
+    const std::uint64_t n = 97;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::int64_t ts = static_cast<std::int64_t>((i * 37) % n);
+        permuted.add(makeEvent(EventKind::Operator, std::to_string(i), ts,
+                               1));
+    }
+    permuted.sortByTime();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const TraceEvent &ev = permuted.byId(i);
+        EXPECT_EQ(ev.id, i);
+        EXPECT_EQ(ev.name, std::to_string(i));
+    }
+    EXPECT_THROW(permuted.byId(n), FatalError);
+
+    // Re-sorting a sorted trace with later ties: positions no longer
+    // follow ids, yet ties must still break by id.
+    for (std::uint64_t i = 0; i < n; ++i)
+        permuted.add(makeEvent(EventKind::Kernel, "tie",
+                               static_cast<std::int64_t>(n - 1 - i), 1));
+    permuted.sortByTime();
+    const auto &events = permuted.events();
+    for (std::size_t i = 1; i < events.size(); ++i) {
+        EXPECT_TRUE(events[i - 1].tsBeginNs < events[i].tsBeginNs ||
+                    (events[i - 1].tsBeginNs == events[i].tsBeginNs &&
+                     events[i - 1].id < events[i].id))
+            << "position " << i;
+    }
+    for (std::uint64_t id = 0; id < 2 * n; ++id)
+        EXPECT_EQ(permuted.byId(id).id, id);
+}
+
+TEST(Trace, ByIdSurvivesCopyAndLaterAdds)
+{
+    Trace trace;
+    trace.add(makeEvent(EventKind::Operator, "late", 100, 1));
+    trace.add(makeEvent(EventKind::Operator, "early", 1, 1));
+    trace.sortByTime();
+
+    Trace copy = trace;
+    std::uint64_t added = copy.add(makeEvent(EventKind::Kernel, "k", 50, 1));
+    EXPECT_EQ(copy.byId(0).name, "late");
+    EXPECT_EQ(copy.byId(1).name, "early");
+    EXPECT_EQ(copy.byId(added).name, "k");
+    copy.sortByTime();
+    EXPECT_EQ(copy.events()[1].name, "k");
+    EXPECT_EQ(copy.byId(added).name, "k");
+    EXPECT_EQ(copy.byId(0).name, "late");
+
+    // The source keeps its own index.
+    EXPECT_EQ(trace.byId(0).name, "late");
+    EXPECT_THROW(trace.byId(added), FatalError);
 }
 
 TEST(Trace, ByIdUnknownThrows)
