@@ -10,21 +10,16 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "check/invariants.hh"
 #include "cluster/cluster.hh"
 #include "common/random.hh"
-#include "core/any_queue.hh"
 #include "core/engine.hh"
 #include "core/event_queue.hh"
-#include "core/mpsc_queue.hh"
-#include "core/sharded_engine.hh"
 #include "fusion/proximity.hh"
 #include "hw/catalog.hh"
 #include "obs/span.hh"
@@ -253,126 +248,6 @@ BENCHMARK(BM_EventQueueThroughput)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_CalendarVsHeap(benchmark::State &state)
-{
-    // The same push/drain workload as BM_EventQueueThroughput run
-    // through AnyQueue so both backends pay the identical dispatch:
-    // Arg(0) = binary heap, Arg(1) = calendar queue. The comparison
-    // is the point — the calendar's O(1) amortized ops only win once
-    // the pending set is large and time-ordered-ish, which is exactly
-    // the shape of a serving/cluster run.
-    const bool calendar = state.range(0) != 0;
-    const std::size_t n = 1 << 17;
-    Rng rng(42);
-    std::vector<double> times(n);
-    std::vector<int> prios(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        times[i] = rng.uniform(0.0, 1e9);
-        prios[i] = static_cast<int>(rng.below(4));
-    }
-    for (auto _ : state) {
-        core::AnyQueue queue(calendar ? core::QueueKind::Calendar
-                                      : core::QueueKind::Heap);
-        for (std::size_t i = 0; i < n; ++i)
-            queue.schedule(times[i], prios[i], nullptr);
-        while (!queue.empty()) {
-            core::Event ev = queue.pop();
-            benchmark::DoNotOptimize(ev.timeNs);
-        }
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CalendarVsHeap)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_MailboxThroughput(benchmark::State &state)
-{
-    // Cross-shard mailbox hot path: Arg producers blast sequenced
-    // messages through one bounded MPSC ring while the consumer
-    // drains, the exact traffic shape of a parallel window's
-    // cross-shard posts. Throughput here bounds how fast threaded
-    // shard execution can communicate.
-    const std::size_t producers =
-        static_cast<std::size_t>(state.range(0));
-    const std::size_t per_producer = 1 << 14;
-    for (auto _ : state) {
-        core::MpscQueue<std::uint64_t> queue(1024);
-        std::atomic<bool> go{false};
-        std::vector<std::thread> threads;
-        threads.reserve(producers);
-        for (std::size_t p = 0; p < producers; ++p)
-            threads.emplace_back([&queue, &go, p] {
-                while (!go.load(std::memory_order_acquire))
-                    std::this_thread::yield();
-                for (std::size_t i = 0; i < per_producer; ++i) {
-                    std::uint64_t v = (p << 32) | i;
-                    while (!queue.tryPush(std::move(v)))
-                        std::this_thread::yield();
-                }
-            });
-        go.store(true, std::memory_order_release);
-        std::size_t drained = 0;
-        const std::size_t total = producers * per_producer;
-        std::uint64_t out = 0;
-        while (drained < total) {
-            if (queue.tryPop(out)) {
-                benchmark::DoNotOptimize(out);
-                ++drained;
-            }
-        }
-        for (std::thread &t : threads)
-            t.join();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(producers * per_producer));
-}
-BENCHMARK(BM_MailboxThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_ShardedMerge(benchmark::State &state)
-{
-    // Deterministic K-way merge throughput of the sharded engine on
-    // the same 1M-event workload as BM_EventQueueThroughput: events
-    // land round-robin on the shard queues and the run loop pays the
-    // argmin scan plus window bookkeeping per event. Arg = shard
-    // count; the Arg(1) row is the single-queue baseline the merge
-    // overhead is judged against.
-    const std::size_t shards = static_cast<std::size_t>(state.range(0));
-    const std::size_t n = 1 << 20;
-    Rng rng(42);
-    std::vector<double> times(n);
-    std::vector<int> prios(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        times[i] = rng.uniform(0.0, 1e9);
-        prios[i] = static_cast<int>(rng.below(4));
-    }
-    for (auto _ : state) {
-        core::ShardedEngine engine(shards);
-        for (std::size_t i = 0; i < n; ++i)
-            engine.shard(i % shards).at(times[i], prios[i], nullptr);
-        benchmark::DoNotOptimize(engine.run());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ShardedMerge)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_EngineEventChurn(benchmark::State &state)
 {
     // Engine run-loop overhead under self-rescheduling handlers — the
@@ -453,8 +328,7 @@ main(int argc, char **argv)
     }
     static std::string filter =
         "--benchmark_filter=BM_EventQueueThroughput|"
-        "BM_CalendarVsHeap|BM_MailboxThroughput|"
-        "BM_ShardedMerge|BM_ClusterSpanOverhead|"
+        "BM_ClusterSpanOverhead|"
         "BM_DependencyGraphBuild/(8192|65536)$";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {

@@ -14,15 +14,13 @@
  *                    [--max-batch N] [--slo-ms MS]
  *                    [--obs-out obs.json] [--obs-trace obs_trace.json]
  *                    [--obs-interval-ms MS]
- *   skipctl cluster  --spec cluster.json [--jobs N] [--shards N]
- *                    [--shard-threads N] [--queue heap|calendar]
+ *   skipctl cluster  --spec cluster.json [--jobs N]
  *                    [--out report.json]
  *                    [--obs-out obs.json] [--obs-trace obs_trace.json]
  *                    [--obs-interval-ms MS]
  *                    [--harness-trace harness.json]
  *   skipctl run      --scenario NAME [--spec params.json] [--quick]
- *                    [--jobs N] [--shards N] [--shard-threads N]
- *                    [--queue heap|calendar] [--out report.json]
+ *                    [--jobs N] [--out report.json]
  *                    [--obs-out obs.json] [--obs-trace obs_trace.json]
  *                    [--obs-format json|openmetrics]
  *                    [--obs-interval-ms MS] [--span-out spans.json]
@@ -48,10 +46,7 @@
  * analysis (see `skipctl analyses`). `cluster --spec` runs a
  * multi-replica cluster scenario (optionally a rate sweep, fanned
  * across --jobs workers) and reports SLO attainment and goodput —
- * the report is byte-identical at any --jobs count. --shards N
- * partitions each run's replicas across N engine shards
- * (deterministic time-windowed synchronization, docs/core.md); the
- * report stays byte-identical at any shard count.
+ * the report is byte-identical at any --jobs count.
  *
  * Scenarios (docs/scenarios.md): `run --scenario NAME` builds a full
  * cluster run from the scenario registry — production-shaped traffic
@@ -106,7 +101,6 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/table.hh"
-#include "core/any_queue.hh"
 #include "exec/pool.hh"
 #include "exec/registry.hh"
 #include "exec/runner.hh"
@@ -184,7 +178,7 @@ pickSpec(const CliArgs &args)
         .batch(static_cast<int>(args.getInt("batch", 1)))
         .seqLen(static_cast<int>(args.getInt("seq", 512)))
         .mode(args.getString("mode", "eager"))
-        .seed(static_cast<std::uint64_t>(args.getInt("seed", 42)));
+        .seed(args.getUint64("seed", 42));
 }
 
 int
@@ -385,33 +379,11 @@ cmdServe(const CliArgs &args)
  * write the requested report/obs/trace outputs. Every cluster-shaped
  * entry point — `skipctl cluster`, `skipctl run --scenario NAME` —
  * ends here, so their outputs share one determinism contract
- * (byte-identical at any jobs count and any --shards count: shards
- * partition one run's event loop, the pool fans across runs).
+ * (byte-identical at any jobs count).
  */
 int
-runClusterSpec(cluster::ClusterSpec spec, const RunFlags &flags)
+runClusterSpec(const cluster::ClusterSpec &spec, const RunFlags &flags)
 {
-    // --shards overrides the spec's execution topology; the report is
-    // byte-identical at any shard count (the spec echo never carries
-    // it), so the flag only changes how the run executes.
-    if (flags.shards > 0) {
-        if (static_cast<std::size_t>(flags.shards) >
-            spec.replicas.size())
-            fatal(strprintf("option --shards %d exceeds the fleet's "
-                            "%zu replica(s)",
-                            flags.shards, spec.replicas.size()));
-        spec.shards = flags.shards;
-    }
-    // --shard-threads likewise: pure execution topology (a worker
-    // team advancing one run's shards), byte-identical output.
-    if (flags.shardThreads > 0)
-        spec.shardThreads = flags.shardThreads;
-    // --queue swaps the engines' pending-set implementation process-
-    // wide; both kinds share the (time, priority, seq) order, so this
-    // too never changes output.
-    if (!flags.queue.empty())
-        core::setDefaultQueueKind(core::queueKindFromName(flags.queue));
-
     // The cost models simulate a batch grid per distinct platform —
     // the expensive part — so build them once, serially, and share
     // them read-only across scenario workers.
@@ -591,8 +563,7 @@ cmdCluster(const CliArgs &args)
     if (!args.has("spec")) {
         std::fprintf(stderr,
                      "usage: skipctl cluster --spec cluster.json "
-                     "[--jobs N] [--shards N] [--shard-threads N] "
-                     "[--queue heap|calendar] [--out report.json] "
+                     "[--jobs N] [--out report.json] "
                      "[--obs-out obs.json] [--obs-trace trace.json] "
                      "[--obs-interval-ms MS] "
                      "[--harness-trace harness.json]\n");
@@ -619,7 +590,6 @@ cmdRun(const CliArgs &args)
         std::fprintf(stderr,
                      "usage: skipctl run --scenario NAME "
                      "[--spec params.json] [--quick] [--jobs N] "
-                     "[--shards N] "
                      "[--out report.json] [--obs-out obs.json] "
                      "[--obs-trace trace.json] [--obs-interval-ms MS] "
                      "[--obs-format json|openmetrics] "
@@ -783,7 +753,7 @@ cmdCheck(const CliArgs &args)
         check::FuzzOptions opts;
         opts.cases =
             static_cast<std::size_t>(args.getInt("fuzz", 100));
-        opts.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+        opts.seed = args.getUint64("seed", 1);
         RunFlags flags = parseRunFlags(args);
         opts.jobs = flags.jobs;
         opts.quick = flags.quick;

@@ -5,9 +5,6 @@
 # (--span-out) — byte for byte. A (scenario, params) pair must fully
 # determine both regardless of worker count — this is the contract
 # that makes parallel sweeps (and span-based attribution) trustworthy.
-# A second pass byte-diffs --shards 1 vs --shards 4 on a 4-replica
-# fleet per scenario: partitioning one run's event loop across engine
-# shards must be equally invisible in every output.
 #
 # Usage: check_scenarios.sh [path/to/skipctl] [workdir]
 #
@@ -75,39 +72,4 @@ for NAME in $NAMES; do
     fi
 done
 
-# Shard-identity pass: same gate, but the axis is the engine shard
-# count. The default fleets are smaller than 4 replicas (and --shards
-# must not exceed the fleet), so every scenario gets a params file
-# raising the fleet to 4; the raw "cluster" scenario drives the
-# 4-replica fault+dispatch spec, and disagg splits its pools 2:2.
-printf '{"replicas": 4}\n' > "$WORKDIR/shard_params.json"
-printf '{"prefill-replicas": 2, "decode-replicas": 2}\n' \
-    > "$WORKDIR/shard_params_disagg.json"
-for NAME in $NAMES; do
-    SPEC_ARGS="--spec $WORKDIR/shard_params.json"
-    if [ "$NAME" = "cluster" ]; then
-        SPEC_ARGS="--spec tests/data/cluster_shard.json"
-    elif [ "$NAME" = "disagg" ]; then
-        SPEC_ARGS="--spec $WORKDIR/shard_params_disagg.json"
-    fi
-    for SHARDS in 1 4; do
-        "$SKIPCTL" run --scenario "$NAME" $SPEC_ARGS --quick \
-            --shards "$SHARDS" \
-            --out "$WORKDIR/$NAME.shards$SHARDS.json" \
-            --span-out "$WORKDIR/$NAME.shardspans$SHARDS.json" |
-            grep -v -e "scenario(s) ->" -e "span trace" \
-            > "$WORKDIR/$NAME.shards$SHARDS.txt"
-    done
-    if cmp -s "$WORKDIR/$NAME.shards1.json" \
-              "$WORKDIR/$NAME.shards4.json" &&
-       cmp -s "$WORKDIR/$NAME.shardspans1.json" \
-              "$WORKDIR/$NAME.shardspans4.json" &&
-       cmp -s "$WORKDIR/$NAME.shards1.txt" \
-              "$WORKDIR/$NAME.shards4.txt"; then
-        echo "scenario $NAME: --shards 1 == --shards 4 (report + spans + table)"
-    else
-        echo "scenario $NAME: --shards 1 and --shards 4 outputs DIFFER" >&2
-        STATUS=1
-    fi
-done
 exit $STATUS

@@ -10,8 +10,7 @@ cd "$(dirname "$0")/.."
 cmake -B build-tsan -S . -DSKIPSIM_TSAN=ON
 cmake --build build-tsan -j --target test_exec --target test_cluster \
     --target test_obs --target test_core --target test_check \
-    --target test_scenario --target test_span --target test_shard \
-    --target test_concurrent --target skipctl
+    --target test_scenario --target test_span --target skipctl
 ctest --test-dir build-tsan -L "exec|core|check" --output-on-failure "$@"
 # A fuzz campaign fanned over 8 workers: every case re-runs its engine
 # on exec::Pool workers and byte-compares, so TSan sees the full

@@ -340,8 +340,7 @@ FuzzCase::fromJson(const json::Value &doc)
     const json::Object &obj = doc.asObject();
     FuzzCase c;
     c.kind = fuzzKindByName(obj.at("kind").asString());
-    c.seed = static_cast<std::uint64_t>(
-        obj.get("seed", json::Value(0)).asDouble());
+    c.seed = obj.has("seed") ? json::uint64Member(obj, "seed") : 0;
     switch (c.kind) {
     case FuzzKind::Sim: {
         const json::Object &sim = obj.at("sim").asObject();
@@ -357,8 +356,7 @@ FuzzCase::fromJson(const json::Value &doc)
         c.serving.maxBatch =
             static_cast<int>(s.at("max_batch").asInt());
         c.serving.maxWaitNs = s.at("max_wait_ns").asDouble();
-        c.serving.seed =
-            static_cast<std::uint64_t>(s.at("seed").asDouble());
+        c.serving.seed = json::uint64Member(s, "seed");
         c.latencyBaseNs = s.at("latency_base_ns").asDouble();
         c.latencySlopeNs = s.at("latency_slope_ns").asDouble();
         break;

@@ -9,7 +9,6 @@
 #include "check/span_check.hh"
 #include "cluster/cluster.hh"
 #include "common/strutil.hh"
-#include "core/sharded_engine.hh"
 #include "hw/catalog.hh"
 #include "json/writer.hh"
 #include "kv/tier.hh"
@@ -632,128 +631,6 @@ buildCatalog()
                                             a.size())
                                 : "collapsed disagg report diverged "
                                   "from the co-located report");
-        });
-
-    add("cluster.shard-identity", "cluster",
-        "partitioning one run across engine shards is a pure "
-        "execution-topology change: a fault-injected disaggregated "
-        "spec with an explicit dispatch hop produces byte-identical "
-        "reports at --shards 1 and --shards 4",
-        [] {
-            // Adversarial shape on purpose: a prefill/decode split
-            // (cross-shard KV handoffs), a dispatch hop (non-zero
-            // lookahead windows), and a mid-run crash (detect/heal
-            // traffic through the router's shard).
-            cluster::ClusterSpec spec = clusterBase();
-            cluster::ReplicaSpec prefill = spec.replicas.front();
-            prefill.role = cluster::ReplicaRole::Prefill;
-            cluster::ReplicaSpec decode = prefill;
-            decode.role = cluster::ReplicaRole::Decode;
-            spec.replicas = {prefill, decode, decode, decode};
-            spec.dispatchUs = 5.0;
-            cluster::FaultSpec fault;
-            fault.atSec = 4.0;
-            fault.replica = 2;
-            fault.kind = cluster::FaultKind::Crash;
-            spec.faults.push_back(fault);
-
-            cluster::ClusterSpec sharded = spec;
-            sharded.shards = 4;
-            core::ShardStats stats;
-            std::string a = json::write(
-                cluster::simulateCluster(spec, sharedCosts())
-                    .toJson());
-            std::string b = json::write(
-                cluster::simulateCluster(sharded, sharedCosts(),
-                                         nullptr, nullptr, &stats)
-                    .toJson());
-            bool passed = a == b && stats.shards == 4 &&
-                stats.crossShardMessages > 0 &&
-                stats.lookaheadViolations == 0;
-            std::string detail;
-            if (a != b)
-                detail = "sharded report diverged from the "
-                         "single-shard report";
-            else if (stats.crossShardMessages == 0)
-                detail = "no cross-shard traffic: the partition "
-                         "exercised nothing";
-            else if (stats.lookaheadViolations != 0)
-                detail = strprintf("%llu lookahead violations",
-                                   static_cast<unsigned long long>(
-                                       stats.lookaheadViolations));
-            else
-                detail = strprintf(
-                    "identical %zu-byte reports; %llu events over "
-                    "%llu windows, %llu cross-shard messages",
-                    a.size(),
-                    static_cast<unsigned long long>(stats.events),
-                    static_cast<unsigned long long>(stats.windows),
-                    static_cast<unsigned long long>(
-                        stats.crossShardMessages));
-            return judge("cluster.shard-identity", "cluster",
-                         static_cast<double>(a.size()),
-                         static_cast<double>(b.size()), passed,
-                         detail);
-        });
-
-    add("cluster.threaded-shard-identity", "cluster",
-        "advancing the shards with a worker team is a pure execution "
-        "change: the same adversarial spec produces byte-identical "
-        "reports at --shard-threads 1 and --shard-threads 4, with at "
-        "least one window actually executed in parallel",
-        [] {
-            // Same adversarial shape as cluster.shard-identity (the
-            // disaggregated split plus dispatch hop plus crash), now
-            // stressing the threaded window scheduler: worker-team
-            // fan-out, survivor mailbox, and barrier replay.
-            cluster::ClusterSpec spec = clusterBase();
-            cluster::ReplicaSpec prefill = spec.replicas.front();
-            prefill.role = cluster::ReplicaRole::Prefill;
-            cluster::ReplicaSpec decode = prefill;
-            decode.role = cluster::ReplicaRole::Decode;
-            spec.replicas = {prefill, decode, decode, decode};
-            spec.dispatchUs = 5.0;
-            cluster::FaultSpec fault;
-            fault.atSec = 4.0;
-            fault.replica = 2;
-            fault.kind = cluster::FaultKind::Crash;
-            spec.faults.push_back(fault);
-            spec.shards = 4;
-
-            cluster::ClusterSpec threaded = spec;
-            threaded.shardThreads = 4;
-            core::ShardStats stats;
-            std::string a = json::write(
-                cluster::simulateCluster(spec, sharedCosts())
-                    .toJson());
-            std::string b = json::write(
-                cluster::simulateCluster(threaded, sharedCosts(),
-                                         nullptr, nullptr, &stats)
-                    .toJson());
-            bool passed = a == b && stats.threads == 4 &&
-                stats.parallelWindows > 0 && stats.parallelEvents > 0;
-            std::string detail;
-            if (a != b)
-                detail = "threaded report diverged from the "
-                         "single-threaded report";
-            else if (stats.parallelWindows == 0 ||
-                     stats.parallelEvents == 0)
-                detail = "no parallel windows: the worker team "
-                         "exercised nothing";
-            else
-                detail = strprintf(
-                    "identical %zu-byte reports; %llu of %llu events "
-                    "in %llu parallel windows",
-                    a.size(),
-                    static_cast<unsigned long long>(
-                        stats.parallelEvents),
-                    static_cast<unsigned long long>(stats.events),
-                    static_cast<unsigned long long>(
-                        stats.parallelWindows));
-            return judge("cluster.threaded-shard-identity", "cluster",
-                         static_cast<double>(a.size()),
-                         static_cast<double>(b.size()), passed,
-                         detail);
         });
 
     add("cluster.span-attribution-jobs", "cluster",

@@ -131,10 +131,6 @@ ClusterSpec::toJson() const
             axis.push_back(json::Value(rate));
         doc.set("rates", json::Value(std::move(axis)));
     }
-    // "shards" and "shard-threads" are deliberately never emitted:
-    // they are execution topology, not scenario identity, and reports
-    // embedding the spec must stay byte-identical at any shard or
-    // thread count.
     if (dispatchUs > 0.0)
         doc.set("dispatch-us", dispatchUs);
     if (stagedDispatch)
@@ -201,11 +197,6 @@ ClusterSpec::fromJson(const json::Value &value)
         for (const json::Value &rate : obj.at("rates").asArray())
             spec.rates.push_back(rate.asDouble());
     }
-    if (obj.has("shards"))
-        spec.shards = static_cast<int>(obj.at("shards").asInt());
-    if (obj.has("shard-threads"))
-        spec.shardThreads =
-            static_cast<int>(obj.at("shard-threads").asInt());
     if (obj.has("dispatch-us"))
         spec.dispatchUs = obj.at("dispatch-us").asDouble();
     if (obj.has("staged-dispatch"))
@@ -226,13 +217,8 @@ ClusterSpec::fromJson(const json::Value &value)
         spec.e2eSloMs = obj.at("e2e-slo-ms").asDouble();
     if (obj.has("jitter-frac"))
         spec.jitterFrac = obj.at("jitter-frac").asDouble();
-    if (obj.has("seed")) {
-        // Via double, not asInt: JSON numbers are doubles, and seeds
-        // in the upper uint64 range (e.g. mixSeed output) would
-        // saturate an int64 conversion and break the round trip.
-        spec.seed =
-            static_cast<std::uint64_t>(obj.at("seed").asDouble());
-    }
+    if (obj.has("seed"))
+        spec.seed = json::uint64Member(obj, "seed");
     if (obj.has("faults")) {
         for (const json::Value &fault : obj.at("faults").asArray())
             spec.faults.push_back(faultFromJson(fault));

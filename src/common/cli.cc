@@ -1,7 +1,9 @@
 #include "common/cli.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
-#include <thread>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -61,6 +63,28 @@ CliArgs::getInt(const std::string &key, long def) const
     return v;
 }
 
+std::uint64_t
+CliArgs::getUint64(const std::string &key, std::uint64_t def) const
+{
+    auto it = _options.find(key);
+    if (it == _options.end())
+        return def;
+    const std::string &text = it->second;
+    // Digits only: strtoull alone would accept a sign ("-1" wraps to
+    // 2^64 - 1) and leading blanks.
+    const bool digits = !text.empty() &&
+        std::all_of(text.begin(), text.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+        });
+    errno = 0;
+    const unsigned long long v =
+        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE)
+        fatal("option --" + key + " expects an integer in [0, 2^64), "
+              "got '" + text + "'");
+    return v;
+}
+
 double
 CliArgs::getDouble(const std::string &key, double def) const
 {
@@ -109,32 +133,7 @@ parseRunFlags(const CliArgs &args, int defaultJobs,
 {
     RunFlags flags;
     flags.jobs = static_cast<int>(args.getInt("jobs", defaultJobs));
-    flags.shards = static_cast<int>(args.getInt("shards", 0));
-    if (args.has("shards") && flags.shards <= 0)
-        fatal("option --shards expects a positive shard count, got " +
-              args.getString("shards"));
-    flags.shardThreads =
-        static_cast<int>(args.getInt("shard-threads", 0));
-    if (args.has("shard-threads")) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        const int cap = hw == 0 ? 1 : static_cast<int>(hw);
-        if (flags.shardThreads < 1)
-            fatal("option --shard-threads expects a positive thread "
-                  "count, got " +
-                  args.getString("shard-threads"));
-        if (flags.shardThreads > cap)
-            fatal(strprintf("option --shard-threads expects at most "
-                            "the machine's %d hardware thread(s), "
-                            "got %d",
-                            cap, flags.shardThreads));
-    }
-    flags.queue = args.getString("queue");
-    if (!flags.queue.empty() && flags.queue != "heap" &&
-        flags.queue != "calendar")
-        fatal("option --queue expects 'heap' or 'calendar', got '" +
-              flags.queue + "'");
-    flags.seed = static_cast<std::uint64_t>(
-        args.getDouble("seed", 42.0));
+    flags.seed = args.getUint64("seed", 42);
     flags.quick = args.getBool("quick");
     flags.csv = args.getBool("csv");
     flags.out = args.getString("out");

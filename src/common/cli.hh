@@ -39,6 +39,14 @@ class CliArgs
     /** Integer option with default. @throws FatalError on bad format. */
     long getInt(const std::string &key, long def) const;
 
+    /**
+     * Unsigned 64-bit option with default (RNG seeds), parsed from
+     * its decimal digits so every value below 2^64 is exact.
+     * @throws FatalError on signs, fractions, exponents or overflow.
+     */
+    std::uint64_t getUint64(const std::string &key,
+                            std::uint64_t def) const;
+
     /** Floating-point option with default. @throws FatalError on bad format. */
     double getDouble(const std::string &key, double def) const;
 
@@ -71,21 +79,6 @@ struct RunFlags
 {
     /** Worker threads (--jobs); semantics of 0 are caller-defined. */
     int jobs = 1;
-
-    /** Engine shards per cluster run (--shards); 0 means "unset, use
-     *  the spec's ClusterSpec::shards". Composes with --jobs: shards
-     *  partition one run, the pool fans across runs. */
-    int shards = 0;
-
-    /** Worker threads advancing one cluster run's shards in parallel
-     *  (--shard-threads); 0 means "unset, use the spec's
-     *  ClusterSpec::shardThreads". Bounded by the machine's hardware
-     *  concurrency at parse time. */
-    int shardThreads = 0;
-
-    /** Engine pending-set implementation (--queue): "heap" or
-     *  "calendar"; empty means "unset, keep the process default". */
-    std::string queue;
 
     std::uint64_t seed = 42;
 

@@ -16,63 +16,40 @@
 #define SKIPSIM_CORE_ENGINE_HH
 
 #include <cstdint>
+#include <utility>
 
-#include "core/any_queue.hh"
 #include "core/clock.hh"
 #include "core/event_queue.hh"
 
 namespace skipsim::core
 {
 
-/**
- * Scheduling surface shared by Engine and ShardedEngine shards: where
- * a Process posts its follow-up events. Processes hold a Scheduler&
- * rather than an Engine&, so the same actor code runs unchanged inside
- * a single-queue engine or pinned to one shard of a partitioned run —
- * the scheduler decides which queue (and, for shards, which mailbox)
- * the event lands in.
- */
-class Scheduler
+/** Clock + queue + run loop; see file comment. */
+class Engine
 {
   public:
-    Scheduler() = default;
-    Scheduler(const Scheduler &) = delete;
-    Scheduler &operator=(const Scheduler &) = delete;
-    virtual ~Scheduler() = default;
+    Engine() = default;
+    Engine(const Engine &) = delete;
+    Engine &operator=(const Engine &) = delete;
 
-    virtual double nowNs() const = 0;
+    double nowNs() const { return _clock.nowNs(); }
+    const Clock &clock() const { return _clock; }
 
     /**
      * Schedule @p fn at absolute time @p tNs (>= now; the queue would
      * regress the clock otherwise, which panics at pop time).
      */
-    virtual void at(double tNs, int priority, EventFn fn) = 0;
+    void
+    at(double tNs, int priority, EventFn fn)
+    {
+        _queue.schedule(tNs, priority, std::move(fn));
+    }
 
     /** Schedule @p fn @p delayNs after now. */
     void
     after(double delayNs, int priority, EventFn fn)
     {
         at(nowNs() + delayNs, priority, std::move(fn));
-    }
-};
-
-/** Clock + queue + run loop; see file comment. */
-class Engine final : public Scheduler
-{
-  public:
-    /** Pending set of the process-wide default queue kind. */
-    Engine() = default;
-
-    /** Pending set of an explicit kind (e.g. QueueKind::Calendar). */
-    explicit Engine(QueueKind kind) : _queue(kind) {}
-
-    double nowNs() const override { return _clock.nowNs(); }
-    const Clock &clock() const { return _clock; }
-
-    void
-    at(double tNs, int priority, EventFn fn) override
-    {
-        _queue.schedule(tNs, priority, std::move(fn));
     }
 
     /**
@@ -105,7 +82,7 @@ class Engine final : public Scheduler
     bool step();
 
     Clock _clock;
-    AnyQueue _queue;
+    EventQueue _queue;
     EventFn _beforeEvent;
     std::uint64_t _processed = 0;
 };
@@ -121,31 +98,29 @@ class Engine final : public Scheduler
 class Process
 {
   public:
-    explicit Process(Scheduler &scheduler) : _scheduler(scheduler) {}
+    explicit Process(Engine &engine) : _engine(engine) {}
     Process(const Process &) = delete;
     Process &operator=(const Process &) = delete;
 
   protected:
     ~Process() = default;
 
-    Scheduler &scheduler() { return _scheduler; }
-    const Scheduler &scheduler() const { return _scheduler; }
-    double nowNs() const { return _scheduler.nowNs(); }
+    double nowNs() const { return _engine.nowNs(); }
 
     void
     at(double tNs, int priority, EventFn fn)
     {
-        _scheduler.at(tNs, priority, std::move(fn));
+        _engine.at(tNs, priority, std::move(fn));
     }
 
     void
     after(double delayNs, int priority, EventFn fn)
     {
-        _scheduler.after(delayNs, priority, std::move(fn));
+        _engine.after(delayNs, priority, std::move(fn));
     }
 
   private:
-    Scheduler &_scheduler;
+    Engine &_engine;
 };
 
 } // namespace skipsim::core

@@ -33,23 +33,6 @@ EventQueue::schedule(double timeNs, int priority, EventFn fn)
     std::push_heap(_heap.begin(), _heap.end(), after);
 }
 
-void
-EventQueue::push(Event ev)
-{
-    if (std::isnan(ev.timeNs))
-        panic("core::EventQueue: NaN event time");
-    _heap.push_back(std::move(ev));
-    std::push_heap(_heap.begin(), _heap.end(), after);
-}
-
-const Event &
-EventQueue::peek() const
-{
-    if (_heap.empty())
-        panic("core::EventQueue: peek on empty queue");
-    return _heap.front();
-}
-
 double
 EventQueue::nextTimeNs() const
 {

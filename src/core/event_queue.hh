@@ -38,15 +38,6 @@ class EventQueue
     /** Schedule @p fn at @p timeNs. Events never execute here. */
     void schedule(double timeNs, int priority, EventFn fn);
 
-    /**
-     * Insert a fully-formed event, keeping its pre-assigned @p seq
-     * rather than stamping the queue's own push serial. ShardedEngine
-     * uses this to merge mailbox events into per-shard queues while a
-     * single global serial keeps the cross-shard (time, priority, seq)
-     * order identical to the one-queue run.
-     */
-    void push(Event ev);
-
     bool empty() const { return _heap.empty(); }
     std::size_t size() const { return _heap.size(); }
 
@@ -55,10 +46,6 @@ class EventQueue
 
     /** Priority of the next event. @throws PanicError when empty. */
     int nextPriority() const;
-
-    /** The next event without removing it. @throws PanicError when
-     *  empty. The reference is invalidated by any mutation. */
-    const Event &peek() const;
 
     /** Remove and return the next event (time, then priority, then
      *  scheduling order); queue must be non-empty. */

@@ -1,13 +1,11 @@
 /**
  * @file
- * Fixed-size worker pool with chunked work-stealing over an index
- * range. Built for experiment fan-out: every unit of work is one
- * independent grid point that writes only its own result slot, so the
- * pool needs no result synchronization beyond the final join. Each
- * worker owns a deque of index chunks; it pops from the back of its
- * own deque (cache-friendly LIFO) and steals from the front of a
- * victim's deque (FIFO, taking the oldest — largest remaining — work)
- * when it runs dry, which keeps skewed per-point costs balanced.
+ * Fixed-size worker pool over an index range. Built for experiment
+ * fan-out: every unit of work is one independent grid point that
+ * writes only its own result slot, so the pool needs no result
+ * synchronization beyond the final join. Workers claim indices one at
+ * a time from a shared atomic cursor; a point is a whole simulation,
+ * so the claim is noise and skewed per-point costs still balance.
  */
 
 #ifndef SKIPSIM_EXEC_POOL_HH
@@ -44,9 +42,9 @@ class Pool
     /**
      * Execute fn(i) for every i in [0, n), fanned across the workers.
      * Blocks until all indices complete. With one worker the indices
-     * run inline on the calling thread in order. The index space is
-     * split into chunks (several per worker) that workers steal from
-     * each other, so heavily skewed per-index costs still balance.
+     * run inline on the calling thread in order. Otherwise each
+     * worker claims the next unclaimed index until none remain, so
+     * heavily skewed per-index costs still balance.
      *
      * Exceptions thrown by fn are captured; the first one (in worker
      * encounter order) is rethrown on the calling thread after every
@@ -54,19 +52,8 @@ class Pool
      */
     void run(std::size_t n, const std::function<void(std::size_t)> &fn) const;
 
-    /** Work-stealing counters of the most recent run() (test hook). */
-    struct RunStats
-    {
-        std::size_t chunks = 0; ///< chunks the index range was split into
-        std::size_t steals = 0; ///< chunks executed by a non-owner worker
-    };
-
-    /** Stats of the last completed run() on this pool object. */
-    RunStats lastRunStats() const;
-
   private:
     int _workers = 1;
-    mutable RunStats _lastStats;
 };
 
 } // namespace skipsim::exec

@@ -211,12 +211,8 @@ RunSpec::fromJson(const json::Value &doc)
         spec.seqLen(static_cast<int>(obj.at("seq").asInt()));
     if (obj.has("mode"))
         spec.mode(obj.at("mode").asString());
-    if (obj.has("seed")) {
-        // Via double so seeds in the upper uint64 range survive the
-        // round trip instead of saturating an int64 conversion.
-        spec.seed(
-            static_cast<std::uint64_t>(obj.at("seed").asDouble()));
-    }
+    if (obj.has("seed"))
+        spec.seed(json::uint64Member(obj, "seed"));
     if (obj.has("jitter"))
         spec._jitter = obj.at("jitter").asBool();
     if (obj.has("jitter_frac"))

@@ -171,12 +171,8 @@ SweepSpec::fromJson(const json::Value &doc)
                 workload::execModeByName(entry.asString()));
     }
 
-    if (obj.has("seed")) {
-        // Via double so seeds in the upper uint64 range survive the
-        // round trip instead of saturating an int64 conversion.
-        spec.baseSeed =
-            static_cast<std::uint64_t>(obj.at("seed").asDouble());
-    }
+    if (obj.has("seed"))
+        spec.baseSeed = json::uint64Member(obj, "seed");
     if (obj.has("jitter"))
         spec.jitter = obj.at("jitter").asBool();
     if (obj.has("jitter_frac"))

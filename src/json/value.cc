@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/strutil.hh"
 
 namespace skipsim::json
 {
@@ -117,6 +118,23 @@ Value::mutableObject()
     if (!isObject())
         _data = Object{};
     return std::get<Object>(_data);
+}
+
+std::uint64_t
+uint64Member(const Object &obj, const std::string &key)
+{
+    const Value &value = obj.at(key);
+    if (!value.isNumber())
+        fatal(strprintf("json: '%s' must be a number", key.c_str()));
+    // 2^64 is exact as a double, and every integral double below it
+    // converts to uint64_t without overflow.
+    constexpr double kTwo64 = 18446744073709551616.0;
+    const double d = value.asDouble();
+    if (!(d >= 0.0 && d < kTwo64) || d != std::floor(d))
+        fatal(strprintf("json: '%s' must be an integer in [0, 2^64), "
+                        "got %.17g",
+                        key.c_str(), d));
+    return static_cast<std::uint64_t>(d);
 }
 
 } // namespace skipsim::json

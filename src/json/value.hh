@@ -101,6 +101,15 @@ class Value
         _data;
 };
 
+/**
+ * Member @p key of @p obj as an unsigned 64-bit integer (RNG seeds).
+ * JSON numbers are doubles, so values above 2^53 arrive rounded; the
+ * check makes the conversion defined, not exact.
+ * @throws FatalError naming @p key unless the member is a finite,
+ *         non-negative integer below 2^64.
+ */
+std::uint64_t uint64Member(const Object &obj, const std::string &key);
+
 } // namespace skipsim::json
 
 #endif // SKIPSIM_JSON_VALUE_HH

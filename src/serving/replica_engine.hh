@@ -194,9 +194,8 @@ class ReplicaEngine : private core::Process
         std::function<double(double baseNs)> scaleDuration;
     };
 
-    /** @p scheduler is the engine (or shard) this replica's
-     *  iteration-end events run on. */
-    ReplicaEngine(core::Scheduler &scheduler, const Config &config,
+    /** @p engine runs this replica's iteration-end events. */
+    ReplicaEngine(core::Engine &engine, const Config &config,
                   Callbacks callbacks);
 
     /**

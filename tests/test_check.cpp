@@ -452,6 +452,10 @@ TEST(Fuzzer, GraphJsonRejectsMalformedDocuments)
     EXPECT_THROW(
         FuzzCase::fromJson(json::parse(R"({"kind":"warp"})")),
         FatalError);
+    // A repro seed no uint64_t holds fails cleanly instead of casting.
+    EXPECT_THROW(
+        FuzzCase::fromJson(json::parse(R"({"kind":"sim","seed":-1})")),
+        FatalError);
 }
 
 TEST(Fuzzer, HealthyEnginesSurviveAQuickCampaign)

@@ -242,6 +242,49 @@ TEST(CliArgs, BadDoubleThrows)
     EXPECT_THROW(args.getDouble("frac", 0.0), FatalError);
 }
 
+TEST(CliArgs, Uint64ParsesEveryDigitExactly)
+{
+    // 2^53 + 1 has no double: a parse through strtod would land on
+    // 2^53. The digits path keeps it, and the top of the range too.
+    const char *argv[] = {"prog", "--seed", "9007199254740993", "--max",
+                          "18446744073709551615"};
+    CliArgs args(5, argv);
+    EXPECT_EQ(args.getUint64("seed", 0), 9007199254740993ull);
+    EXPECT_EQ(args.getUint64("max", 0), 18446744073709551615ull);
+    EXPECT_EQ(args.getUint64("missing", 42), 42u);
+}
+
+TEST(CliArgs, Uint64RejectsSignsFractionsAndOverflow)
+{
+    for (const char *bad :
+         {"-1", "+1", "1.5", "1e3", "inf", "nan", " 7", "7x", "",
+          "18446744073709551616", "99999999999999999999999"}) {
+        const char *argv[] = {"prog", "--seed", bad};
+        CliArgs args(3, argv);
+        try {
+            args.getUint64("seed", 0);
+            FAIL() << "accepted '" << bad << "'";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("--seed"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
+TEST(RunFlags, SeedIsExactAndValidated)
+{
+    const char *exact[] = {"prog", "--seed", "9007199254740993"};
+    EXPECT_EQ(parseRunFlags(CliArgs(3, exact)).seed,
+              9007199254740993ull);
+    const char *none[] = {"prog"};
+    EXPECT_EQ(parseRunFlags(CliArgs(1, none)).seed, 42u);
+    const char *negative[] = {"prog", "--seed", "-1"};
+    EXPECT_THROW(parseRunFlags(CliArgs(3, negative)), FatalError);
+    const char *huge[] = {"prog", "--seed=1e20"};
+    EXPECT_THROW(parseRunFlags(CliArgs(2, huge)), FatalError);
+}
+
 // ------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSameSeed)

@@ -30,8 +30,6 @@
 #include "cluster/cluster.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "core/any_queue.hh"
-#include "core/calendar_queue.hh"
 #include "core/clock.hh"
 #include "core/engine.hh"
 #include "core/event_queue.hh"
@@ -407,124 +405,6 @@ TEST(CoreEventQueue, EmptyAccessorsPanicInsteadOfUb)
     queue.pop();
     EXPECT_THROW(queue.nextTimeNs(), PanicError);
     EXPECT_THROW(queue.pop(), PanicError);
-}
-
-TEST(CoreCalendarQueue, CollidingTimestampsMatchEventQueueOrder)
-{
-    // The adversarial collision scenario from CoreEventQueue above,
-    // replayed on the calendar queue: the pop sequence contract is
-    // shared verbatim.
-    core::CalendarQueue queue;
-    std::vector<int> order;
-    auto record = [&order](int tag) {
-        return [&order, tag](double) { order.push_back(tag); };
-    };
-    queue.schedule(100.0, 2, record(20));
-    queue.schedule(100.0, 1, record(10));
-    queue.schedule(100.0, 0, record(0));
-    queue.schedule(100.0, 2, record(21));
-    queue.schedule(100.0, 1, record(11));
-    queue.schedule(100.0, 0, record(1));
-    queue.schedule(100.5, 0, record(99));
-
-    while (!queue.empty()) {
-        core::Event ev = queue.pop();
-        ev.fn(ev.timeNs);
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21, 99}));
-}
-
-TEST(CoreCalendarQueue, RandomizedDifferentialOracleMatchesHeap)
-{
-    // Drive the heap and the calendar with an identical randomized
-    // push/pop stream shaped like an engine run — mostly near-future
-    // pushes off the last popped time, colliding quantized offsets,
-    // occasional far-future jumps that lap the calendar ring — and
-    // assert byte-equal pop order under (time, priority, seq). The
-    // population swing forces both grow and shrink rebuilds, which is
-    // where day-width re-estimation could break the order.
-    std::size_t resizes_seen = 0;
-    for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-        core::EventQueue heap;
-        core::CalendarQueue calendar;
-        Rng rng(mixSeed(987, seed));
-        double last_pop = 0.0;
-        auto pop_both = [&]() {
-            core::Event a = heap.pop();
-            core::Event b = calendar.pop();
-            ASSERT_EQ(a.timeNs, b.timeNs) << "seed " << seed;
-            ASSERT_EQ(a.priority, b.priority) << "seed " << seed;
-            ASSERT_EQ(a.seq, b.seq) << "seed " << seed;
-            last_pop = a.timeNs;
-        };
-        for (int step = 0; step < 4000; ++step) {
-            if (calendar.empty() || rng.below(3) != 0) {
-                double t = last_pop;
-                switch (rng.below(4)) {
-                case 0: // collision-prone quantized near future
-                    t += 1.0 + 50.0 * double(rng.below(16));
-                    break;
-                case 1: // exact collisions with in-flight events
-                    t += double(rng.below(4));
-                    break;
-                case 2: // one lookahead ahead
-                    t += 1000.0 + 50.0 * double(rng.below(8));
-                    break;
-                default: // far-future jump: laps the calendar ring
-                    t += 1e5 * double(1 + rng.below(3));
-                    break;
-                }
-                int priority = int(rng.below(3));
-                heap.schedule(t, priority, nullptr);
-                calendar.schedule(t, priority, nullptr);
-            } else {
-                ASSERT_EQ(heap.nextTimeNs(), calendar.nextTimeNs());
-                ASSERT_EQ(heap.nextPriority(),
-                          calendar.nextPriority());
-                pop_both();
-                if (HasFatalFailure())
-                    return;
-            }
-        }
-        while (!calendar.empty()) {
-            pop_both();
-            if (HasFatalFailure())
-                return;
-        }
-        EXPECT_TRUE(heap.empty());
-        resizes_seen += calendar.resizes();
-    }
-    EXPECT_GT(resizes_seen, 0u)
-        << "the oracle never exercised a calendar rebuild";
-}
-
-TEST(CoreCalendarQueue, EmptyAccessorsPanicInsteadOfUb)
-{
-    core::CalendarQueue queue;
-    EXPECT_THROW(queue.nextTimeNs(), PanicError);
-    EXPECT_THROW(queue.nextPriority(), PanicError);
-    EXPECT_THROW(queue.pop(), PanicError);
-    queue.schedule(1.0, 0, nullptr);
-    queue.pop();
-    EXPECT_THROW(queue.nextTimeNs(), PanicError);
-    EXPECT_THROW(queue.pop(), PanicError);
-}
-
-TEST(CoreAnyQueue, KindSelectionAndProcessDefault)
-{
-    EXPECT_EQ(core::queueKindFromName("heap"), core::QueueKind::Heap);
-    EXPECT_EQ(core::queueKindFromName("calendar"),
-              core::QueueKind::Calendar);
-    EXPECT_THROW(core::queueKindFromName("splay"), FatalError);
-
-    core::QueueKind saved = core::defaultQueueKind();
-    core::setDefaultQueueKind(core::QueueKind::Calendar);
-    EXPECT_EQ(core::defaultQueueKind(), core::QueueKind::Calendar);
-    core::AnyQueue queue; // picks up the process default
-    queue.schedule(1.0, 0, nullptr);
-    EXPECT_EQ(queue.nextTimeNs(), 1.0);
-    core::setDefaultQueueKind(saved);
-    EXPECT_EQ(core::defaultQueueKind(), saved);
 }
 
 TEST(CoreClock, AdvancesMonotonically)

@@ -62,9 +62,9 @@ TEST(Pool, ZeroAndSingleIndexRuns)
 
 TEST(Pool, StealsUnderSkewedPointCosts)
 {
-    // 16 single-index chunks round-robin onto 4 workers; worker 0's
-    // indices (0, 4, 8, 12) carry all the cost, so the other workers
-    // drain instantly and must steal worker 0's backlog.
+    // Indices 0, 4, 8 and 12 carry all the cost; whichever workers
+    // draw them, the others claim the cheap rest, and every index
+    // still runs exactly once.
     Pool pool(4);
     std::vector<std::atomic<int>> hits(16);
     pool.run(16, [&](std::size_t i) {
@@ -74,8 +74,6 @@ TEST(Pool, StealsUnderSkewedPointCosts)
     });
     for (const auto &hit : hits)
         EXPECT_EQ(hit.load(), 1);
-    EXPECT_GE(pool.lastRunStats().steals, 1u);
-    EXPECT_EQ(pool.lastRunStats().chunks, 16u);
 }
 
 TEST(Pool, PropagatesFirstException)
@@ -219,6 +217,22 @@ TEST(SweepSpec, JsonRoundTrip)
     EXPECT_EQ(json::write(back.toJson()), json::write(grid.toJson()));
     EXPECT_EQ(back.size(), grid.size());
     EXPECT_EQ(back.at(2).seed(), grid.at(2).seed());
+}
+
+TEST(RunSpec, RejectsSeedsNoUint64Holds)
+{
+    for (double bad : {-1.0, 0.5, 1e20}) {
+        json::Object obj = RunSpec::of("GPT2").toJson().asObject();
+        obj.set("seed", bad);
+        EXPECT_THROW(RunSpec::fromJson(json::Value(std::move(obj))),
+                     FatalError)
+            << bad;
+        json::Object grid = smallGrid().toJson().asObject();
+        grid.set("seed", bad);
+        EXPECT_THROW(SweepSpec::fromJson(json::Value(std::move(grid))),
+                     FatalError)
+            << bad;
+    }
 }
 
 TEST(SweepSpec, FromJsonRejectsMissingAxes)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/logging.hh"
 #include "json/parser.hh"
 #include "json/value.hh"
@@ -42,6 +45,43 @@ TEST(JsonValue, IntegersPreserved)
 TEST(JsonValue, AsIntRejectsFractions)
 {
     EXPECT_THROW(Value(1.5).asInt(), FatalError);
+}
+
+TEST(JsonValue, Uint64MemberAcceptsIntegersBelowTwoTo64)
+{
+    Object obj;
+    obj.set("seed", 0.0);
+    EXPECT_EQ(uint64Member(obj, "seed"), 0u);
+    obj.set("seed", 9007199254740992.0); // 2^53
+    EXPECT_EQ(uint64Member(obj, "seed"), 9007199254740992ull);
+    obj.set("seed", 18446744073709549568.0); // largest double < 2^64
+    EXPECT_EQ(uint64Member(obj, "seed"), 18446744073709549568ull);
+}
+
+TEST(JsonValue, Uint64MemberRejectsValuesNoUint64Holds)
+{
+    // Each of these made the old double-to-uint64 cast undefined or
+    // silently truncating; now each fails naming the field.
+    for (double bad : {-1.0, 1.5, 1e20, 18446744073709551616.0,
+                       std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        Object obj;
+        obj.set("seed", bad);
+        try {
+            uint64Member(obj, "seed");
+            FAIL() << "accepted " << bad;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("'seed'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    Object text;
+    text.set("seed", "42");
+    EXPECT_THROW(uint64Member(text, "seed"), FatalError);
+    EXPECT_THROW(uint64Member(parse("{\"seed\": -1}").asObject(),
+                              "seed"),
+                 FatalError);
 }
 
 TEST(JsonValue, KindMismatchThrows)

@@ -192,6 +192,22 @@ TEST(ScenarioBuilders, BadSchemaVersionIsRejected)
                  FatalError);
 }
 
+TEST(ScenarioBuilders, SeedsNoUint64HoldsAreRejected)
+{
+    for (double bad : {-1.0, 0.5, 1e20}) {
+        json::Object params = quickParams();
+        params.set("seed", bad);
+        try {
+            scenario::buildScenario("steady-poisson", params);
+            FAIL() << "accepted seed " << bad;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("'seed'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
 TEST(ScenarioBuilders, ReportsAreDeterministic)
 {
     // Same (scenario, params) -> byte-identical report, simulated
