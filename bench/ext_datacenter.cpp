@@ -9,8 +9,8 @@
  *                       [--out report.json]
  *
  * --quick shrinks the horizon and per-replica rate for CI smoke runs
- * but keeps the full 1024-replica fleet, so the router scan and the
- * event heap still see fleet-scale depth. --out writes the row as
+ * but keeps the full 1024-replica fleet, so the router's min-tree and
+ * the event heap still see fleet-scale depth. --out writes the row as
  * JSON (the CI artifact BENCH_datacenter.json). Events/sec are host
  * timings of this machine only; compare them across commits on the
  * same machine, never against a figure recorded elsewhere.

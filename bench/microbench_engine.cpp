@@ -17,6 +17,7 @@
 
 #include "check/invariants.hh"
 #include "cluster/cluster.hh"
+#include "cluster/router.hh"
 #include "common/random.hh"
 #include "core/engine.hh"
 #include "core/event_queue.hh"
@@ -271,6 +272,32 @@ BM_EngineEventChurn(benchmark::State &state)
 BENCHMARK(BM_EngineEventChurn)->Arg(1 << 16);
 
 void
+BM_RouterPick(benchmark::State &state)
+{
+    // One least-outstanding dispatch per iteration at fleet size N:
+    // pick, onDispatch, and the onSettled of the request dispatched N
+    // iterations earlier, so each replica holds about one request and
+    // loads tie the way they do in a balanced fleet.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    cluster::Router router(cluster::RouterPolicy::LeastOutstanding,
+                           std::vector<double>(n, 1.0));
+    std::vector<std::size_t> lagged(n, cluster::Router::npos());
+    const std::vector<std::size_t> none;
+    std::size_t slot = 0;
+    for (auto _ : state) {
+        if (lagged[slot] != cluster::Router::npos())
+            router.onSettled(lagged[slot]);
+        std::size_t replica = router.pick(0, none);
+        router.onDispatch(replica);
+        lagged[slot] = replica;
+        slot = slot + 1 == n ? 0 : slot + 1;
+        benchmark::DoNotOptimize(replica);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RouterPick)->Arg(16)->Arg(1024)->Arg(16384);
+
+void
 BM_ClusterSpanOverhead(benchmark::State &state)
 {
     // Cost of per-request lifecycle span recording (obs::SpanLog) on
@@ -313,8 +340,9 @@ BENCHMARK(BM_ClusterSpanOverhead)
 // google-benchmark rejects flags it does not recognize, so a custom
 // main translates the repo-wide --quick convention (see the ext_*
 // drivers) into a filter + short measurement budget for CI: the
-// event-queue, span-overhead and 8K/64K dependency-graph rows, enough
-// to catch gross regressions (the 1M-event row is left to full runs).
+// event-queue, span-overhead, 1024-replica router-pick and 8K/64K
+// dependency-graph rows, enough to catch gross regressions (the
+// 1M-event and 16K-replica rows are left to full runs).
 int
 main(int argc, char **argv)
 {
@@ -329,6 +357,7 @@ main(int argc, char **argv)
     static std::string filter =
         "--benchmark_filter=BM_EventQueueThroughput|"
         "BM_ClusterSpanOverhead|"
+        "BM_RouterPick/1024$|"
         "BM_DependencyGraphBuild/(8192|65536)$";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {

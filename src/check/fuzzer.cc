@@ -7,6 +7,7 @@
 
 #include "analysis/sweep.hh"
 #include "check/invariants.hh"
+#include "check/scan_router.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/strutil.hh"
@@ -468,15 +469,24 @@ Fuzzer::generate(std::uint64_t index) const
         c.cluster.model = workload::gpt2();
         c.cluster.promptLen = 64;
         c.cluster.genTokens = 2 + static_cast<int>(rng.below(10));
-        std::size_t replicas = 1 + rng.below(3);
+        std::size_t replicas = 1 + rng.below(5);
         for (std::size_t i = 0; i < replicas; ++i) {
             cluster::ReplicaSpec replica;
             replica.platform = hw::platforms::gh200();
             replica.maxActive = 2 + static_cast<int>(rng.below(14));
+            // Distinct clocks give distinct capacity weights, so the
+            // weighted router sees more than outstanding counts.
+            replica.clock = 0.6 + 0.8 * rng.uniform();
             if (rng.below(3) == 0)
                 replica.maxQueue = 4 + static_cast<int>(rng.below(12));
             c.cluster.replicas.push_back(replica);
         }
+        const cluster::RouterPolicy routers[] = {
+            cluster::RouterPolicy::RoundRobin,
+            cluster::RouterPolicy::LeastOutstanding,
+            cluster::RouterPolicy::WeightedThroughput,
+            cluster::RouterPolicy::SessionAffinity};
+        c.cluster.router = routers[rng.below(4)];
         c.cluster.arrivalRatePerSec =
             5.0 + rng.uniform() * (_options.quick ? 25.0 : 50.0);
         c.cluster.horizonSec = _options.quick
@@ -759,6 +769,12 @@ Fuzzer::runCase(const FuzzCase &c) const
                     break;
                 }
             }
+
+            std::string routing =
+                diffRouters(c.seed, c.cluster.router,
+                            c.cluster.replicas.size(), 400);
+            if (!routing.empty())
+                problems.push_back("oracle: " + routing);
             break;
         }
         case FuzzKind::Trace: {
@@ -953,6 +969,14 @@ proposeEdits(const FuzzCase &c)
             if (t.cluster.jitterFrac == 0.0)
                 return false;
             t.cluster.jitterFrac = 0.0;
+            return true;
+        });
+        edits.push_back([](FuzzCase &t) {
+            const cluster::RouterPolicy fallback =
+                cluster::ClusterSpec().router;
+            if (t.cluster.router == fallback)
+                return false;
+            t.cluster.router = fallback;
             return true;
         });
         break;

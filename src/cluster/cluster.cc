@@ -84,6 +84,25 @@ ClusterSpec::disaggregated() const
     return false;
 }
 
+namespace
+{
+
+/**
+ * The JSON reader turns 1e999 into +inf, and the sign checks below
+ * let infinities (and NaN) through; an infinite rate or horizon never
+ * finishes. @throws FatalError naming @p field unless @p value is
+ * finite.
+ */
+void
+requireFinite(double value, const std::string &field)
+{
+    if (!std::isfinite(value))
+        fatal(strprintf("ClusterSpec: %s must be finite, got %g",
+                        field.c_str(), value));
+}
+
+} // namespace
+
 void
 ClusterSpec::validate() const
 {
@@ -95,6 +114,7 @@ ClusterSpec::validate() const
             fatal(strprintf("ClusterSpec: replica %zu maxActive must be "
                             "positive",
                             r));
+        requireFinite(rep.clock, strprintf("replica %zu clock", r));
         if (rep.clock <= 0.0)
             fatal(strprintf("ClusterSpec: replica %zu clock must be "
                             "positive",
@@ -103,6 +123,27 @@ ClusterSpec::validate() const
             fatal(strprintf("ClusterSpec: replica %zu maxQueue must be "
                             "non-negative",
                             r));
+    }
+    requireFinite(arrivalRatePerSec, "rate");
+    for (std::size_t i = 0; i < rates.size(); ++i)
+        requireFinite(rates[i], strprintf("sweep rate %zu", i));
+    requireFinite(horizonSec, "horizon-sec");
+    requireFinite(dispatchUs, "dispatch-us");
+    requireFinite(detectDelaySec * 1e3, "detect-ms");
+    requireFinite(jitterFrac, "jitter-frac");
+    requireFinite(ttftSloMs, "ttft-slo-ms");
+    requireFinite(e2eSloMs, "e2e-slo-ms");
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        requireFinite(tenants[i].ttftSloMs,
+                      strprintf("tenant %zu ttft-slo-ms", i));
+        requireFinite(tenants[i].e2eSloMs,
+                      strprintf("tenant %zu e2e-slo-ms", i));
+    }
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        requireFinite(faults[i].atSec, strprintf("fault %zu at-sec", i));
+        requireFinite(faults[i].factor, strprintf("fault %zu factor", i));
+        requireFinite(faults[i].healSec,
+                      strprintf("fault %zu heal-sec", i));
     }
     if (traffic != nullptr) {
         traffic->validate();

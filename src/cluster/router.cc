@@ -1,6 +1,8 @@
 #include "cluster/router.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -47,17 +49,30 @@ routerPolicyNames()
     return {"round-robin", "least-outstanding", "weighted", "affinity"};
 }
 
+namespace
+{
+
+constexpr double kIneligible = std::numeric_limits<double>::infinity();
+
+} // namespace
+
 Router::Router(RouterPolicy policy, std::vector<double> weights)
     : _policy(policy), _weights(std::move(weights))
 {
     if (_weights.empty())
         fatal("Router: need at least one replica");
     for (double w : _weights) {
-        if (w <= 0.0)
-            fatal("Router: replica weights must be positive");
+        // The trees use +inf to mean "ineligible"; a finite positive
+        // weight keeps every load/weight key meaningful next to it.
+        if (!std::isfinite(w) || w <= 0.0)
+            fatal("Router: replica weights must be positive and finite");
     }
     _outstanding.assign(_weights.size(), 0);
     _down.assign(_weights.size(), false);
+    if (_policy != RouterPolicy::RoundRobin) {
+        _trees.emplace_back();
+        buildTree(_trees.back());
+    }
 }
 
 std::size_t
@@ -72,6 +87,19 @@ Router::setClasses(std::vector<unsigned> classes)
     if (!classes.empty() && classes.size() != _weights.size())
         fatal("Router: class mask count must match the replica count");
     _classes = std::move(classes);
+    // Per-class trees are built again on their next pick; the
+    // class-blind one does not read the masks.
+    if (!_trees.empty())
+        _trees.resize(1);
+}
+
+bool
+Router::serves(std::size_t replica, unsigned klass) const
+{
+    if (_down[replica])
+        return false;
+    return klass == kAnyClass || _classes.empty() ||
+        (_classes[replica] & klass) != 0;
 }
 
 bool
@@ -79,33 +107,93 @@ Router::eligible(std::size_t replica,
                  const std::vector<std::size_t> &exclude,
                  unsigned klass) const
 {
-    if (_down[replica])
-        return false;
-    if (klass != kAnyClass && !_classes.empty() &&
-        (_classes[replica] & klass) == 0)
-        return false;
-    return std::find(exclude.begin(), exclude.end(), replica) ==
+    return serves(replica, klass) &&
+        std::find(exclude.begin(), exclude.end(), replica) ==
         exclude.end();
+}
+
+double
+Router::treeKey(std::size_t replica, unsigned klass) const
+{
+    if (!serves(replica, klass))
+        return kIneligible;
+    double load = static_cast<double>(_outstanding[replica]);
+    if (_policy == RouterPolicy::WeightedThroughput)
+        load /= _weights[replica];
+    return load;
+}
+
+Router::MinTree &
+Router::treeFor(unsigned klass) const
+{
+    if (klass == kAnyClass || _classes.empty())
+        return _trees.front();
+    for (MinTree &tree : _trees) {
+        if (tree.klass == klass)
+            return tree;
+    }
+    _trees.emplace_back();
+    _trees.back().klass = klass;
+    buildTree(_trees.back());
+    return _trees.back();
+}
+
+void
+Router::MinTree::pull(std::size_t node)
+{
+    std::uint32_t left = win[2 * node];
+    std::uint32_t right = win[2 * node + 1];
+    win[node] = keys[right] < keys[left] ? right : left;
+}
+
+void
+Router::MinTree::setLeaf(std::size_t leaf, double key)
+{
+    keys[leaf] = key;
+    for (std::size_t node = (keys.size() + leaf) / 2; node >= 1; node /= 2)
+        pull(node);
+}
+
+void
+Router::buildTree(MinTree &tree) const
+{
+    std::size_t width = std::bit_ceil(_weights.size());
+    tree.keys.assign(width, kIneligible);
+    for (std::size_t r = 0; r < _weights.size(); ++r)
+        tree.keys[r] = treeKey(r, tree.klass);
+    tree.win.assign(2 * width, 0);
+    for (std::size_t leaf = 0; leaf < width; ++leaf)
+        tree.win[width + leaf] = static_cast<std::uint32_t>(leaf);
+    for (std::size_t node = width - 1; node >= 1; --node)
+        tree.pull(node);
+}
+
+void
+Router::refresh(std::size_t replica)
+{
+    for (MinTree &tree : _trees)
+        tree.setLeaf(replica, treeKey(replica, tree.klass));
 }
 
 std::size_t
 Router::leastLoaded(const std::vector<std::size_t> &exclude,
-                    bool weighted, unsigned klass) const
+                    unsigned klass) const
 {
-    std::size_t best = npos();
-    double best_load = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < _weights.size(); ++r) {
-        if (!eligible(r, exclude, klass))
-            continue;
-        double load = static_cast<double>(_outstanding[r]);
-        if (weighted)
-            load /= _weights[r];
-        if (load < best_load) {
-            best_load = load;
-            best = r;
-        }
+    MinTree &tree = treeFor(klass);
+    std::size_t n = _weights.size();
+    for (std::size_t r : exclude) {
+        if (r < n)
+            tree.setLeaf(r, kIneligible);
     }
-    return best;
+    std::uint32_t best = tree.win[1];
+    std::size_t picked = tree.keys[best] < kIneligible ? best : npos();
+    // Restoring recomputes each leaf from the router state, so a
+    // replica excluded twice comes back correctly in any order.
+    for (std::size_t r : exclude) {
+        if (r < n)
+            tree.setLeaf(r, treeKey(r, tree.klass));
+    }
+    return picked;
 }
 
 std::size_t
@@ -124,14 +212,13 @@ Router::pick(int session, const std::vector<std::size_t> &exclude,
         }
         return npos();
     case RouterPolicy::LeastOutstanding:
-        return leastLoaded(exclude, false, klass);
     case RouterPolicy::WeightedThroughput:
-        return leastLoaded(exclude, true, klass);
+        return leastLoaded(exclude, klass);
     case RouterPolicy::SessionAffinity: {
         std::size_t home = static_cast<std::size_t>(session) % n;
         if (eligible(home, exclude, klass))
             return home;
-        return leastLoaded(exclude, false, klass);
+        return leastLoaded(exclude, klass);
     }
     }
     return npos();
@@ -141,6 +228,7 @@ void
 Router::onDispatch(std::size_t replica)
 {
     ++_outstanding.at(replica);
+    refresh(replica);
 }
 
 void
@@ -150,18 +238,21 @@ Router::onSettled(std::size_t replica)
     if (count == 0)
         fatal("Router: settled more requests than were dispatched");
     --count;
+    refresh(replica);
 }
 
 void
 Router::markDown(std::size_t replica)
 {
     _down.at(replica) = true;
+    refresh(replica);
 }
 
 void
 Router::markUp(std::size_t replica)
 {
     _down.at(replica) = false;
+    refresh(replica);
 }
 
 } // namespace skipsim::cluster

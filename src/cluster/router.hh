@@ -13,6 +13,7 @@
 #define SKIPSIM_CLUSTER_ROUTER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -64,8 +65,8 @@ class Router
      * @param weights static per-replica capacity weights (decode
      *        tokens/s at nominal clock); must be positive. Only
      *        WeightedThroughput consults them.
-     * @throws skipsim::FatalError on empty fleet or non-positive
-     *         weights.
+     * @throws skipsim::FatalError on empty fleet or non-positive or
+     *         non-finite weights.
      */
     Router(RouterPolicy policy, std::vector<double> weights);
 
@@ -84,7 +85,9 @@ class Router
      * Choose a replica for a request from @p session. Replicas marked
      * down, replicas in @p exclude (admission-rejected during this
      * dispatch) and replicas whose class mask misses @p klass are
-     * skipped; ties break toward the lowest index.
+     * skipped; ties break toward the lowest index. Least-outstanding,
+     * weighted and the affinity fallback read a min-tree root, so a
+     * pick costs O(|exclude| log N); round-robin walks its cursor.
      * @return replica index, or npos() when no replica is eligible.
      */
     std::size_t pick(int session,
@@ -112,11 +115,39 @@ class Router
     }
 
   private:
+    /**
+     * Tournament tree over one dispatch class: leaf r holds replica
+     * r's load, or +inf when it is down or misses the class (and in
+     * the padding up to a power of two). Each inner node stores the
+     * leaf that wins its subtree, ties going to the left child, so
+     * the root is the lowest-index replica of least load — exactly
+     * what a scan taking only strictly smaller loads returns.
+     */
+    struct MinTree
+    {
+        unsigned klass = kAnyClass;
+        std::vector<double> keys;       ///< leaf keys, padded
+        std::vector<std::uint32_t> win;   ///< node -> winning leaf
+
+        /** Recompute @p node's winner from its two children. */
+        void pull(std::size_t node);
+        /** Set one leaf and replay its path to the root. */
+        void setLeaf(std::size_t leaf, double key);
+    };
+
+    /** Up, and its class mask (if any) meets @p klass. */
+    bool serves(std::size_t replica, unsigned klass) const;
     bool eligible(std::size_t replica,
                   const std::vector<std::size_t> &exclude,
                   unsigned klass) const;
+    /** Load of @p replica, or +inf when it does not serve @p klass. */
+    double treeKey(std::size_t replica, unsigned klass) const;
+    MinTree &treeFor(unsigned klass) const;
+    void buildTree(MinTree &tree) const;
+    /** Recompute @p replica's leaf in every tree after a state change. */
+    void refresh(std::size_t replica);
     std::size_t leastLoaded(const std::vector<std::size_t> &exclude,
-                            bool weighted, unsigned klass) const;
+                            unsigned klass) const;
 
     RouterPolicy _policy;
     std::vector<double> _weights;
@@ -124,6 +155,10 @@ class Router
     std::vector<std::size_t> _outstanding;
     std::vector<bool> _down;
     mutable std::size_t _rrCursor = 0;
+    /** One tree per dispatch class asked for so far; trees[0] is the
+     *  class-blind one. Empty under round-robin. Picks mask and
+     *  restore excluded leaves, hence mutable. */
+    mutable std::vector<MinTree> _trees;
 };
 
 } // namespace skipsim::cluster

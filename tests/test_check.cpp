@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <set>
@@ -425,6 +426,32 @@ TEST(Fuzzer, GenerationIsDeterministicAndKindDiverse)
         kinds.insert(ca.kind);
     }
     EXPECT_EQ(kinds.size(), 4u) << "generator never hit some engine";
+}
+
+TEST(Fuzzer, ClusterCasesDrawEveryRouterPolicy)
+{
+    FuzzOptions opts;
+    opts.seed = 11;
+    opts.quick = true;
+    Fuzzer fuzzer(opts);
+    std::set<cluster::RouterPolicy> policies;
+    std::size_t largest = 0;
+    for (std::uint64_t i = 0; i < 400; ++i) {
+        FuzzCase c = fuzzer.generate(i);
+        if (c.kind != FuzzKind::Cluster)
+            continue;
+        policies.insert(c.cluster.router);
+        const std::vector<cluster::ReplicaSpec> &reps = c.cluster.replicas;
+        largest = std::max(largest, reps.size());
+        EXPECT_LE(reps.size(), 5u);
+        // Distinct clocks give the weighted router distinct weights.
+        for (std::size_t a = 0; a < reps.size(); ++a) {
+            for (std::size_t b = a + 1; b < reps.size(); ++b)
+                EXPECT_NE(reps[a].clock, reps[b].clock) << "case " << i;
+        }
+    }
+    EXPECT_EQ(policies.size(), 4u);
+    EXPECT_EQ(largest, 5u);
 }
 
 TEST(Fuzzer, CaseJsonRoundTripsForEveryKind)

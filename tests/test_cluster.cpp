@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hh"
 #include "cluster/router.hh"
+#include "check/scan_router.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "exec/pool.hh"
@@ -57,6 +61,32 @@ std::string
 reportText(const cluster::ClusterResult &result)
 {
     return json::write(result.toJson());
+}
+
+/** @p run must throw a FatalError whose message names @p field. */
+void
+expectFatalNaming(const std::function<void()> &run,
+                  const std::string &field)
+{
+    try {
+        run();
+        ADD_FAILURE() << "accepted a non-finite " << field;
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+            << err.what();
+    }
+}
+
+/** Loading smallSpec() with member @p key set to @p value must fail
+ *  naming @p field. */
+void
+expectMemberRejected(const std::string &key, const std::string &value,
+                     const std::string &field)
+{
+    json::Object obj = smallSpec().toJson().asObject();
+    obj.set(key, json::parse(value));
+    expectFatalNaming(
+        [&] { cluster::ClusterSpec::fromJson(json::Value(obj)); }, field);
 }
 
 } // namespace
@@ -134,6 +164,78 @@ TEST(Router, NoEligibleReplicaReturnsNpos)
                  FatalError);
 }
 
+TEST(Router, RejectsNonFiniteWeights)
+{
+    // +inf marks an ineligible replica inside the router, so a weight
+    // that could produce one (or NaN) is refused up front.
+    for (double bad : {std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW(
+            cluster::Router(cluster::RouterPolicy::WeightedThroughput,
+                            {1.0, bad}),
+            FatalError)
+            << bad;
+    }
+}
+
+TEST(Router, AffinityFallsBackWhenHomeIsExcludedOrMissesTheClass)
+{
+    cluster::Router router(cluster::RouterPolicy::SessionAffinity,
+                           {1.0, 1.0, 1.0});
+    router.setClasses({cluster::kPrefillClass, cluster::kDecodeClass,
+                       cluster::kPrefillClass | cluster::kDecodeClass});
+    router.onDispatch(2);
+    // Session 1's home is replica 1: excluded, the least-loaded of the
+    // rest (replica 0) takes it.
+    EXPECT_EQ(router.pick(1, {1}), 0u);
+    // Home 0 serves only prefill; decode work falls back to the
+    // least-loaded decode-capable replica.
+    EXPECT_EQ(router.pick(0, {}, cluster::kDecodeClass), 1u);
+    router.onDispatch(1);
+    router.onDispatch(1);
+    EXPECT_EQ(router.pick(0, {}, cluster::kDecodeClass), 2u);
+    EXPECT_EQ(router.pick(0, {}, cluster::kPrefillClass), 0u);
+}
+
+TEST(Router, EveryPolicyReturnsNposWhenNothingIsEligible)
+{
+    for (const std::string &name : cluster::routerPolicyNames()) {
+        cluster::Router router(cluster::routerPolicyByName(name),
+                               {1.0, 2.0, 3.0});
+        router.setClasses({cluster::kPrefillClass, cluster::kPrefillClass,
+                           cluster::kDecodeClass});
+        router.markDown(2);
+        EXPECT_EQ(router.pick(5, {}, cluster::kDecodeClass),
+                  cluster::Router::npos())
+            << name;
+        EXPECT_EQ(router.pick(5, {0, 1}, cluster::kPrefillClass),
+                  cluster::Router::npos())
+            << name;
+        router.markDown(0);
+        router.markDown(1);
+        EXPECT_EQ(router.pick(5, {}), cluster::Router::npos()) << name;
+        router.markUp(1);
+        EXPECT_EQ(router.pick(5, {}), 1u) << name;
+    }
+}
+
+TEST(RouterDifferential, IndexedRouterMatchesTheScanOracle)
+{
+    // The min-tree router against the linear scan it replaced, at
+    // fleet sizes that are and are not powers of two.
+    for (std::size_t replicas : {1, 2, 3, 5, 7, 64, 1000, 1024, 1025}) {
+        for (const std::string &name : cluster::routerPolicyNames()) {
+            for (std::uint64_t seed : {1, 2, 3}) {
+                std::string problem = check::diffRouters(
+                    mixSeed(seed, replicas),
+                    cluster::routerPolicyByName(name), replicas, 1500);
+                EXPECT_EQ(problem, "");
+            }
+        }
+    }
+}
+
 TEST(Router, PolicyNamesRoundTrip)
 {
     for (const std::string &name : cluster::routerPolicyNames())
@@ -168,6 +270,90 @@ TEST(ClusterSpec, ValidateRejectsInconsistentSpecs)
     cluster::ClusterSpec bad_dispatch = smallSpec();
     bad_dispatch.dispatchUs = -1.0;
     EXPECT_THROW(bad_dispatch.validate(), FatalError);
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteReplicaClock)
+{
+    expectMemberRejected("replicas",
+                         R"([{"platform": "GH200"},
+                             {"platform": "GH200", "clock": 1e999}])",
+                         "replica 1 clock");
+    cluster::ClusterSpec nan_clock = smallSpec();
+    nan_clock.replicas[0].clock = std::nan("");
+    expectFatalNaming([&] { nan_clock.validate(); }, "replica 0 clock");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteRate)
+{
+    expectMemberRejected("rate", "1e999", "rate");
+    expectMemberRejected("rate", "-1e999", "rate");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteSweepRates)
+{
+    expectMemberRejected("rates", "[10, 1e999]", "sweep rate 1");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteHorizon)
+{
+    expectMemberRejected("horizon-sec", "1e999", "horizon-sec");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteDispatchUs)
+{
+    expectMemberRejected("dispatch-us", "1e999", "dispatch-us");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteDetectMs)
+{
+    expectMemberRejected("detect-ms", "1e999", "detect-ms");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteJitterFrac)
+{
+    // NaN slips past the [0, 1) range check on its own.
+    cluster::ClusterSpec spec = smallSpec();
+    spec.jitterFrac = std::nan("");
+    expectFatalNaming([&] { spec.validate(); }, "jitter-frac");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteFaultTimes)
+{
+    expectMemberRejected(
+        "faults",
+        R"([{"at-sec": 1e999, "replica": 0, "kind": "crash"}])",
+        "fault 0 at-sec");
+    expectMemberRejected(
+        "faults",
+        R"([{"at-sec": 1, "replica": 0, "kind": "crash"},
+            {"at-sec": 1, "replica": 1, "kind": "partition",
+             "heal-sec": 1e999}])",
+        "fault 1 heal-sec");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteFaultFactor)
+{
+    expectMemberRejected(
+        "faults",
+        R"([{"at-sec": 1, "replica": 0, "kind": "slowdown",
+             "factor": 1e999}])",
+        "fault 0 factor");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteTenantSlos)
+{
+    expectMemberRejected(
+        "tenants", R"([{"name": "a"}, {"name": "b", "ttft-slo-ms": 1e999}])",
+        "tenant 1 ttft-slo-ms");
+    expectMemberRejected("tenants",
+                         R"([{"name": "a", "e2e-slo-ms": 1e999}])",
+                         "tenant 0 e2e-slo-ms");
+}
+
+TEST(ClusterSpecFinite, RejectsNonFiniteSpecSlos)
+{
+    expectMemberRejected("ttft-slo-ms", "1e999", "ttft-slo-ms");
+    expectMemberRejected("e2e-slo-ms", "1e999", "e2e-slo-ms");
 }
 
 TEST(ClusterSpec, JsonRoundTripIsByteIdentical)
