@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -23,8 +24,10 @@
 #include "core/event_queue.hh"
 #include "fusion/proximity.hh"
 #include "hw/catalog.hh"
+#include "json/parser.hh"
 #include "obs/span.hh"
 #include "sim/simulator.hh"
+#include "trace/chrome.hh"
 #include "skip/dep_graph.hh"
 #include "skip/metrics.hh"
 #include "workload/builder.hh"
@@ -151,6 +154,41 @@ BM_DependencyGraphBuild(benchmark::State &state)
 }
 BENCHMARK(BM_DependencyGraphBuild)
     ->Arg(8 << 10)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_ChromeIngest(benchmark::State &state)
+{
+    // json::parse + trace::fromChromeJson of a Kineto-ordered export:
+    // the path `skipctl analyze` takes on a profiler file. Freeing the
+    // document and the trace is part of each iteration.
+    const std::string text = trace::toChromeText(
+        kinetoShapedTrace(static_cast<std::size_t>(state.range(0))));
+    std::size_t events = 0;
+    double ns = 0.0;
+    for (auto _ : state) {
+        const auto start = std::chrono::steady_clock::now();
+        {
+            trace::Trace ingested =
+                trace::fromChromeJson(json::parse(text));
+            events = ingested.size();
+            benchmark::DoNotOptimize(events);
+        }
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    }
+    const double ingested = static_cast<double>(state.iterations()) *
+        static_cast<double>(events);
+    state.SetItemsProcessed(static_cast<std::int64_t>(ingested));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(text.size()));
+    state.counters["events"] = static_cast<double>(events);
+    state.counters["ns_per_event"] = ns / ingested;
+}
+BENCHMARK(BM_ChromeIngest)
     ->Arg(64 << 10)
     ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
@@ -340,9 +378,10 @@ BENCHMARK(BM_ClusterSpanOverhead)
 // google-benchmark rejects flags it does not recognize, so a custom
 // main translates the repo-wide --quick convention (see the ext_*
 // drivers) into a filter + short measurement budget for CI: the
-// event-queue, span-overhead, 1024-replica router-pick and 8K/64K
-// dependency-graph rows, enough to catch gross regressions (the
-// 1M-event and 16K-replica rows are left to full runs).
+// event-queue, span-overhead, 1024-replica router-pick, 8K/64K
+// dependency-graph and 64K Chrome-ingest rows, enough to catch gross
+// regressions (the 1M-event and 16K-replica rows are left to full
+// runs).
 int
 main(int argc, char **argv)
 {
@@ -358,7 +397,8 @@ main(int argc, char **argv)
         "--benchmark_filter=BM_EventQueueThroughput|"
         "BM_ClusterSpanOverhead|"
         "BM_RouterPick/1024$|"
-        "BM_DependencyGraphBuild/(8192|65536)$";
+        "BM_DependencyGraphBuild/(8192|65536)$|"
+        "BM_ChromeIngest/65536$";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {
         args.push_back(filter.data());

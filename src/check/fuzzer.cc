@@ -600,6 +600,30 @@ Fuzzer::generate(std::uint64_t index) const
                 break;
             }
         }
+        // One case in four also gets a value nested 256-767 levels
+        // deep in balanced brackets, as an extra args member the reader
+        // ignores. Below the parser's 512-level cap the document still
+        // reaches the event reader; above it, parsing stops at the cap.
+        // Its draws come from a stream of their own, independent of the
+        // byte mutations above.
+        Rng nest(mixSeed(c.seed, 0x6e657374));
+        if (nest.below(4) == 0) {
+            const std::size_t depth = 256 + nest.below(512);
+            const bool arrays = nest.below(2) == 0;
+            std::string value;
+            for (std::size_t n = 0; n < depth; ++n)
+                value += arrays ? "[" : "{\"a\":";
+            value += "0";
+            value.append(depth, arrays ? ']' : '}');
+            const std::string anchor = "\"args\":{";
+            std::size_t at = c.chromeText.find(
+                anchor, nest.below(c.chromeText.size() + 1));
+            if (at == std::string::npos)
+                at = c.chromeText.find(anchor);
+            if (at != std::string::npos)
+                c.chromeText.insert(at + anchor.size(),
+                                    "\"nest\":" + value + ",");
+        }
         break;
     }
     }
@@ -781,24 +805,36 @@ Fuzzer::runCase(const FuzzCase &c) const
             // Ingestion oracle: corrupted bytes may parse or may be
             // rejected, but rejection must be a clean FatalError, and
             // a diagnostic that blames an event must carry its index.
-            // Any other exception escapes to the outer handler and
-            // fails the case.
-            auto ingest = [&]() -> std::pair<bool, std::string> {
+            // An accepted trace has no negative duration. Any other
+            // exception escapes to the outer handler and fails the
+            // case.
+            auto ingest =
+                [&](bool check_durations) -> std::pair<bool, std::string> {
                 try {
                     trace::Trace t =
                         trace::fromChromeText(c.chromeText);
+                    for (const trace::TraceEvent &ev : t.events()) {
+                        if (check_durations && ev.durNs < 0) {
+                            problems.push_back(strprintf(
+                                "oracle: accepted event %llu has "
+                                "negative duration %lld ns",
+                                static_cast<unsigned long long>(ev.id),
+                                static_cast<long long>(ev.durNs)));
+                            break;
+                        }
+                    }
                     return {true, trace::toChromeText(t)};
                 } catch (const FatalError &err) {
                     return {false, std::string(err.what())};
                 }
             };
-            std::pair<bool, std::string> first = ingest();
+            std::pair<bool, std::string> first = ingest(true);
             if (!first.first && blamesEventWithoutIndex(first.second))
                 problems.push_back(strprintf(
                     "oracle: ingestion error blames an event "
                     "without naming its index: %s",
                     first.second.c_str()));
-            if (ingest() != first)
+            if (ingest(false) != first)
                 problems.push_back(
                     "oracle: trace ingestion is non-deterministic "
                     "on identical bytes");

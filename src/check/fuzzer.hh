@@ -100,9 +100,12 @@ struct FuzzCase
     /**
      * Chrome-JSON bytes fed to trace::fromChromeText — a valid export
      * corrupted by seeded byte-level mutations (bit flips, inserts,
-     * deletes, truncation). The ingestion oracle accepts success or a
-     * clean FatalError; anything else (crash, non-FatalError
-     * exception, an "event" diagnostic without the event index) fails
+     * deletes, truncation; in one case of four also an args member
+     * nested in balanced brackets around the parser's depth cap). The
+     * ingestion oracle
+     * accepts success or a clean FatalError; anything else (crash,
+     * non-FatalError exception, an "event" diagnostic without the
+     * event index, an accepted event with a negative duration) fails
      * the case.
      */
     std::string chromeText;

@@ -143,8 +143,8 @@ clusterAnalysis(const RunSpec &spec)
     doc.set("replica_count", replicas);
     doc.set("router", cluster::routerPolicyName(config.router));
     json::Value report = result.toJson();
-    for (const std::string &key : report.asObject().keys())
-        doc.set(key, report.asObject().at(key));
+    for (const json::Member &member : report.asObject())
+        doc.set(member.key, member.value);
     return doc;
 }
 

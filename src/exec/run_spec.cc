@@ -217,16 +217,12 @@ RunSpec::fromJson(const json::Value &doc)
         spec._jitter = obj.at("jitter").asBool();
     if (obj.has("jitter_frac"))
         spec._jitterFrac = obj.at("jitter_frac").asDouble();
-    if (obj.has("options")) {
-        for (const auto &key : obj.at("options").asObject().keys())
-            spec._options[key] =
-                obj.at("options").asObject().at(key).asDouble();
-    }
-    if (obj.has("str_options")) {
-        for (const auto &key : obj.at("str_options").asObject().keys())
-            spec._strOptions[key] =
-                obj.at("str_options").asObject().at(key).asString();
-    }
+    if (const json::Value *options = obj.find("options"))
+        for (const json::Member &member : options->asObject())
+            spec._options[member.key] = member.value.asDouble();
+    if (const json::Value *options = obj.find("str_options"))
+        for (const json::Member &member : options->asObject())
+            spec._strOptions[member.key] = member.value.asString();
     return spec;
 }
 

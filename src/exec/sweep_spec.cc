@@ -177,16 +177,12 @@ SweepSpec::fromJson(const json::Value &doc)
         spec.jitter = obj.at("jitter").asBool();
     if (obj.has("jitter_frac"))
         spec.jitterFrac = obj.at("jitter_frac").asDouble();
-    if (obj.has("options")) {
-        for (const auto &key : obj.at("options").asObject().keys())
-            spec.options[key] =
-                obj.at("options").asObject().at(key).asDouble();
-    }
-    if (obj.has("str_options")) {
-        for (const auto &key : obj.at("str_options").asObject().keys())
-            spec.strOptions[key] =
-                obj.at("str_options").asObject().at(key).asString();
-    }
+    if (const json::Value *options = obj.find("options"))
+        for (const json::Member &member : options->asObject())
+            spec.options[member.key] = member.value.asDouble();
+    if (const json::Value *options = obj.find("str_options"))
+        for (const json::Member &member : options->asObject())
+            spec.strOptions[member.key] = member.value.asString();
 
     spec.validate();
     return spec;

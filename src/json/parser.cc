@@ -1,9 +1,12 @@
 #include "json/parser.hh"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -14,11 +17,14 @@ namespace skipsim::json
 namespace
 {
 
+/** Deepest array/object nesting a document may have. */
+constexpr int kMaxDepth = 512;
+
 /** Internal cursor over the input text with position tracking. */
 class Parser
 {
   public:
-    explicit Parser(const std::string &text)
+    explicit Parser(std::string_view text)
         : _text(text)
     {}
 
@@ -34,8 +40,14 @@ class Parser
     }
 
   private:
-    const std::string &_text;
+    std::string_view _text;
     std::size_t _pos = 0;
+    int _depth = 0;
+    /**
+     * Members of every object still open, innermost last; each object
+     * moves its own run out when it closes.
+     */
+    std::vector<Member> _memberStack;
 
     bool atEnd() const { return _pos >= _text.size(); }
 
@@ -91,14 +103,20 @@ class Parser
     }
 
     bool
-    consumeLiteral(const char *lit)
+    consumeLiteral(std::string_view lit)
     {
-        std::size_t n = std::string(lit).size();
-        if (_text.compare(_pos, n, lit) == 0) {
-            _pos += n;
-            return true;
-        }
-        return false;
+        if (_text.substr(_pos, lit.size()) != lit)
+            return false;
+        _pos += lit.size();
+        return true;
+    }
+
+    /** Count one more open array/object; the cap bounds recursion. */
+    void
+    enter()
+    {
+        if (++_depth > kMaxDepth)
+            error(strprintf("nesting deeper than %d levels", kMaxDepth));
     }
 
     Value
@@ -130,12 +148,14 @@ class Parser
     Value
     parseObject()
     {
+        enter();
         expect('{');
-        Object obj;
+        const std::size_t base = _memberStack.size();
         skipWs();
         if (peek() == '}') {
             ++_pos;
-            return Value(std::move(obj));
+            --_depth;
+            return Value(Object{});
         }
         while (true) {
             skipWs();
@@ -144,7 +164,8 @@ class Parser
             std::string key = parseString();
             skipWs();
             expect(':');
-            obj.set(key, parseValue());
+            Value value = parseValue();
+            _memberStack.emplace_back(std::move(key), std::move(value));
             skipWs();
             char c = advance();
             if (c == '}')
@@ -152,17 +173,25 @@ class Parser
             if (c != ',')
                 error("expected ',' or '}' in object");
         }
-        return Value(std::move(obj));
+        const auto first = _memberStack.begin() + static_cast<long>(base);
+        std::vector<Member> members(
+            std::make_move_iterator(first),
+            std::make_move_iterator(_memberStack.end()));
+        _memberStack.erase(first, _memberStack.end());
+        --_depth;
+        return Value(Object(std::move(members)));
     }
 
     Value
     parseArray()
     {
+        enter();
         expect('[');
         Value::Array arr;
         skipWs();
         if (peek() == ']') {
             ++_pos;
+            --_depth;
             return Value(std::move(arr));
         }
         while (true) {
@@ -174,6 +203,7 @@ class Parser
             if (c != ',')
                 error("expected ',' or ']' in array");
         }
+        --_depth;
         return Value(std::move(arr));
     }
 
@@ -183,6 +213,18 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote, escape or control
+            // character in one append.
+            const std::size_t run = _pos;
+            std::size_t end = run;
+            while (end < _text.size()) {
+                const auto c = static_cast<unsigned char>(_text[end]);
+                if (c == '"' || c == '\\' || c < 0x20)
+                    break;
+                ++end;
+            }
+            out.append(_text.data() + run, end - run);
+            _pos = end;
             char c = advance();
             if (c == '"')
                 break;
@@ -200,10 +242,8 @@ class Parser
                   case 'u': out += parseUnicodeEscape(); break;
                   default: error("invalid escape sequence");
                 }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                error("unescaped control character in string");
             } else {
-                out.push_back(c);
+                error("unescaped control character in string");
             }
         }
         return out;
@@ -241,34 +281,50 @@ class Parser
         return out;
     }
 
+    bool
+    atDigit() const
+    {
+        return _pos < _text.size() && _text[_pos] >= '0' &&
+            _text[_pos] <= '9';
+    }
+
     Value
     parseNumber()
     {
-        std::size_t start = _pos;
+        const std::size_t start = _pos;
         if (peek() == '-')
             ++_pos;
-        if (!std::isdigit(static_cast<unsigned char>(peek())))
+        if (!atDigit())
             error("invalid number");
-        while (std::isdigit(static_cast<unsigned char>(peek())))
+        while (atDigit())
             ++_pos;
         if (peek() == '.') {
             ++_pos;
-            if (!std::isdigit(static_cast<unsigned char>(peek())))
+            if (!atDigit())
                 error("invalid number: digit expected after '.'");
-            while (std::isdigit(static_cast<unsigned char>(peek())))
+            while (atDigit())
                 ++_pos;
         }
         if (peek() == 'e' || peek() == 'E') {
             ++_pos;
             if (peek() == '+' || peek() == '-')
                 ++_pos;
-            if (!std::isdigit(static_cast<unsigned char>(peek())))
+            if (!atDigit())
                 error("invalid number: digit expected in exponent");
-            while (std::isdigit(static_cast<unsigned char>(peek())))
+            while (atDigit())
                 ++_pos;
         }
-        std::string slice = _text.substr(start, _pos - start);
-        return Value(std::strtod(slice.c_str(), nullptr));
+        const char *first = _text.data() + start;
+        const char *last = _text.data() + _pos;
+        // The slice is validated JSON, which from_chars reads exactly
+        // as strtod would, except that it reports overflow and
+        // underflow instead of returning +-inf or a denormal/zero;
+        // strtod supplies those values.
+        double d = 0.0;
+        if (std::from_chars(first, last, d).ec ==
+            std::errc::result_out_of_range)
+            d = std::strtod(std::string(first, last).c_str(), nullptr);
+        return Value(d);
     }
 };
 
@@ -287,9 +343,27 @@ parseFile(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("json: cannot open file '" + path + "'");
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parse(ss.str());
+    // One buffer sized from the file length. The length is only a
+    // hint: a file can hold more than it reports (procfs reports 0,
+    // a trace may still be growing) and a pipe reports none, so
+    // whatever follows is appended up to the end of the stream.
+    std::string text;
+    std::error_code no_size;
+    const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+    if (!no_size) {
+        text.resize(size);
+        if (!in.read(text.data(), static_cast<std::streamsize>(size)))
+            fatal("json: short read on file '" + path + "'");
+    }
+    if (in.peek() != std::char_traits<char>::eof()) {
+        std::ostringstream rest;
+        rest << in.rdbuf();
+        if (text.empty())
+            text = std::move(rest).str();
+        else
+            text += rest.view();
+    }
+    return parse(text);
 }
 
 } // namespace skipsim::json

@@ -2,6 +2,9 @@
  * @file
  * Recursive-descent JSON parser producing json::Value documents.
  * Accepts standard RFC 8259 JSON; reports errors with line/column.
+ * Arrays and objects may nest at most 512 levels deep, which bounds
+ * the recursion on any input. A repeated object key keeps its first
+ * position and takes the last value, as Object::set does.
  */
 
 #ifndef SKIPSIM_JSON_PARSER_HH

@@ -10,9 +10,9 @@
 #define SKIPSIM_JSON_VALUE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -20,31 +20,73 @@ namespace skipsim::json
 {
 
 class Value;
+struct Member;
 
-/** Ordered key/value object; insertion order preserved for stable output. */
+/**
+ * Ordered key/value object; insertion order preserved for stable
+ * output. Members live in one flat vector. Objects of fewer than
+ * kIndexMin members find keys by linear scan; larger ones keep an
+ * open-addressing index of member positions, maintained by every
+ * mutation (never built inside a const accessor, so a const document
+ * is safe to read from several threads).
+ */
 class Object
 {
   public:
-    /** Insert or overwrite a member. */
-    void set(const std::string &key, Value value);
+    using const_iterator = std::vector<Member>::const_iterator;
+
+    /** Member count from which lookups go through the hash index. */
+    static constexpr std::size_t kIndexMin = 16;
+
+    Object() = default;
+    /**
+     * Adopt @p members in order. Repeated keys fold as set() folds
+     * them: first position, last value.
+     */
+    explicit Object(std::vector<Member> members);
+    Object(const Object &other);
+    Object &operator=(const Object &other);
+    Object(Object &&) noexcept = default;
+    Object &operator=(Object &&) noexcept = default;
+
+    /**
+     * Insert or overwrite a member. A repeated key keeps its first
+     * position and takes the last value.
+     */
+    void set(std::string key, Value value);
+
+    /** @return the member named @p key, or nullptr when absent. */
+    const Value *find(std::string_view key) const;
 
     /** @return true when @p key is a member. */
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const { return find(key) != nullptr; }
 
     /** Checked member access. @throws FatalError when absent. */
-    const Value &at(const std::string &key) const;
+    const Value &at(std::string_view key) const;
 
     /** Member access with default fallback when absent. */
-    const Value &get(const std::string &key, const Value &def) const;
+    const Value &get(std::string_view key, const Value &def) const;
 
-    /** Keys in insertion order. */
-    const std::vector<std::string> &keys() const { return _keys; }
+    /** Members in insertion order. */
+    const_iterator begin() const;
+    const_iterator end() const;
 
-    std::size_t size() const { return _keys.size(); }
+    std::size_t size() const;
 
   private:
-    std::vector<std::string> _keys;
-    std::map<std::string, std::shared_ptr<Value>> _members;
+    /** Slot in _index holding @p key, or the empty slot it would take. */
+    std::size_t slotOf(std::string_view key, std::size_t hash) const;
+    void rebuildIndex();
+
+    std::vector<Member> _members;
+    /**
+     * Open-addressing table of member positions + 1 (0 = empty slot),
+     * sized to a power of two at least twice the member count; null
+     * below kIndexMin members, and held by pointer so that the many
+     * small objects stay small. Positions, not key pointers: member
+     * strings move when the vector grows.
+     */
+    std::unique_ptr<std::vector<std::uint32_t>> _index;
 };
 
 /** Kinds a Value can hold. */
@@ -87,6 +129,7 @@ class Value
     /** Checked accessors; each throws FatalError on kind mismatch. */
     bool asBool() const;
     double asDouble() const;
+    /** @throws FatalError unless an integer in [-2^63, 2^63). */
     std::int64_t asInt() const;
     const std::string &asString() const;
     const Array &asArray() const;
@@ -100,6 +143,31 @@ class Value
     std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
         _data;
 };
+
+/** One object member. */
+struct Member
+{
+    std::string key;
+    Value value;
+};
+
+inline Object::const_iterator
+Object::begin() const
+{
+    return _members.begin();
+}
+
+inline Object::const_iterator
+Object::end() const
+{
+    return _members.end();
+}
+
+inline std::size_t
+Object::size() const
+{
+    return _members.size();
+}
 
 /**
  * Member @p key of @p obj as an unsigned 64-bit integer (RNG seeds).

@@ -1,11 +1,10 @@
 #include "json/writer.hh"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 namespace skipsim::json
 {
@@ -16,8 +15,16 @@ namespace
 void
 appendEscaped(std::string &out, const std::string &s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     out.push_back('"');
-    for (char c : s) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        // Copy the plain run before this character in one append.
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -27,12 +34,12 @@ appendEscaped(std::string &out, const std::string &s)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out.push_back(c);
+            out += "\\u00";
+            out.push_back(kHex[c >> 4]);
+            out.push_back(kHex[c & 0xf]);
         }
     }
+    out.append(s, run, std::string::npos);
     out.push_back('"');
 }
 
@@ -44,12 +51,17 @@ appendNumber(std::string &out, double d)
         out += "null";
         return;
     }
+    // Integers below 2^53 print as "%lld" would; everything else as
+    // "%.17g", which to_chars(general, 17) matches byte for byte.
+    char buf[32];
     double rounded = std::nearbyint(d);
-    if (d == rounded && std::abs(d) < 9.007199254740992e15) {
-        out += strprintf("%lld", static_cast<long long>(rounded));
-    } else {
-        out += strprintf("%.17g", d);
-    }
+    std::to_chars_result res =
+        d == rounded && std::abs(d) < 9.007199254740992e15
+        ? std::to_chars(buf, buf + sizeof(buf),
+                        static_cast<long long>(rounded))
+        : std::to_chars(buf, buf + sizeof(buf), d,
+                        std::chars_format::general, 17);
+    out.append(buf, res.ptr);
 }
 
 void
@@ -100,16 +112,16 @@ writeValue(std::string &out, const Value &v, int indent, int depth)
         }
         out.push_back('{');
         bool first = true;
-        for (const auto &key : obj.keys()) {
+        for (const Member &member : obj) {
             if (!first)
                 out.push_back(',');
             first = false;
             newline(depth + 1);
-            appendEscaped(out, key);
+            appendEscaped(out, member.key);
             out.push_back(':');
             if (indent >= 0)
                 out.push_back(' ');
-            writeValue(out, obj.at(key), indent, depth + 1);
+            writeValue(out, member.value, indent, depth + 1);
         }
         newline(depth);
         out.push_back('}');

@@ -126,35 +126,35 @@ toOpenMetrics(const Registry &registry)
     TypeHeader header;
 
     const json::Object &counters = root.at("counters").asObject();
-    for (const auto &key : counters.keys()) {
+    for (const auto &[key, value] : counters) {
         std::string name;
         Labels labels;
         splitKey(key, name, labels);
         const std::string family = sanitize(name);
         header.emit(out, family, "counter");
         out += family + "_total" + renderLabels(labels) + " " +
-            formatValue(counters.at(key).asDouble()) + "\n";
+            formatValue(value.asDouble()) + "\n";
     }
 
     const json::Object &gauges = root.at("gauges").asObject();
-    for (const auto &key : gauges.keys()) {
+    for (const auto &[key, value] : gauges) {
         std::string name;
         Labels labels;
         splitKey(key, name, labels);
         const std::string family = sanitize(name);
         header.emit(out, family, "gauge");
         out += family + renderLabels(labels) + " " +
-            formatValue(gauges.at(key).asDouble()) + "\n";
+            formatValue(value.asDouble()) + "\n";
     }
 
     const json::Object &histograms = root.at("histograms").asObject();
-    for (const auto &key : histograms.keys()) {
+    for (const auto &[key, value] : histograms) {
         std::string name;
         Labels labels;
         splitKey(key, name, labels);
         const std::string family = sanitize(name);
         header.emit(out, family, "histogram");
-        const json::Object &hist = histograms.at(key).asObject();
+        const json::Object &hist = value.asObject();
         double cumulative = 0.0;
         for (const auto &entry : hist.at("buckets").asArray()) {
             const json::Object &bucket = entry.asObject();

@@ -7,6 +7,7 @@
 #include "common/strutil.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
+#include "trace/chrome.hh"
 
 namespace skipsim::obs
 {
@@ -334,43 +335,47 @@ spansFromChromeJson(const json::Value &doc)
         fatal("span trace: top level must be an object with "
               "'traceEvents'");
     const json::Object &root = doc.asObject();
-    if (root.has("skipsimMeta")) {
-        const json::Object &meta = root.at("skipsimMeta").asObject();
-        for (const auto &key : meta.keys())
-            out.meta[key] = meta.at(key).asString();
-    }
-    if (!root.has("traceEvents") || !root.at("traceEvents").isArray())
+    if (const json::Value *meta = root.find("skipsimMeta"))
+        for (const json::Member &member : meta->asObject())
+            out.meta[member.key] = member.value.asString();
+    const json::Value *events = root.find("traceEvents");
+    if (!events || !events->isArray())
         fatal("span trace: missing 'traceEvents' array");
     std::size_t index = 0;
-    for (const auto &item : root.at("traceEvents").asArray()) {
+    for (const auto &item : events->asArray()) {
         try {
             if (!item.isObject())
                 fatal("event is not a JSON object");
             const json::Object &obj = item.asObject();
-            if (obj.get("ph", json::Value("")).asString() != "X") {
+            const json::Value *ph = obj.find("ph");
+            if (!ph || ph->asString() != "X") {
                 ++index;
                 continue; // flow events and foreign records
             }
-            const json::Value null_value;
-            const json::Value &args_value = obj.get("args", null_value);
-            if (!args_value.isObject() ||
-                !args_value.asObject().has("span_id")) {
+            const json::Value *args = obj.find("args");
+            if (!args || !args->isObject()) {
                 ++index;
                 continue; // an "X" event from another writer
             }
-            const json::Object &args = args_value.asObject();
+            const json::Object &span_args = args->asObject();
+            const json::Value *id = span_args.find("span_id");
+            if (!id) {
+                ++index;
+                continue; // an "X" event from another writer
+            }
             Span span;
-            span.id = args.at("span_id").asInt();
-            span.parent = args.at("parent").asInt();
-            span.request = args.at("request").asInt();
+            span.id = id->asInt();
+            span.parent = span_args.at("parent").asInt();
+            span.request = span_args.at("request").asInt();
             span.stage = obj.at("name").asString();
-            span.beginNs = args.at("ts_ns").asInt();
-            span.durNs = args.at("dur_ns").asInt();
+            span.beginNs = span_args.at("ts_ns").asInt();
+            span.durNs = span_args.at("dur_ns").asInt();
+            const json::Value *replica = span_args.find("replica");
             span.replica =
-                static_cast<int>(args.get("replica", json::Value(-1))
-                                     .asInt());
-            span.detail =
-                args.get("detail", json::Value("")).asString();
+                replica ? static_cast<int>(replica->asInt()) : -1;
+            const json::Value *detail = span_args.find("detail");
+            span.detail = detail ? detail->asString() : std::string();
+            trace::checkInterval(span.beginNs, span.durNs, "dur_ns");
             out.spans.push_back(std::move(span));
         } catch (const FatalError &err) {
             fatal(strprintf("span trace: event %zu: %s", index,

@@ -1,6 +1,8 @@
 #include "trace/chrome.hh"
 
 #include <cmath>
+#include <limits>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -75,14 +77,49 @@ instantToJson(const InstantEvent &instant)
     return json::Value(std::move(obj));
 }
 
+/** Member @p key of @p obj when it holds an object, else null. */
+const json::Object *
+objectMember(const json::Object &obj, std::string_view key)
+{
+    const json::Value *value = obj.find(key);
+    return value && value->isObject() ? &value->asObject() : nullptr;
+}
+
+std::int64_t
+intOr(const json::Value *value, std::int64_t def)
+{
+    return value ? value->asInt() : def;
+}
+
+double
+doubleOr(const json::Value *value, double def)
+{
+    return value ? value->asDouble() : def;
+}
+
+/**
+ * Microsecond field @p key (value @p us) as integral nanoseconds.
+ * @throws FatalError when the nanosecond value is outside int64.
+ */
+std::int64_t
+usToNs(double us, const char *key)
+{
+    constexpr double kTwo63 = 9223372036854775808.0;
+    const double ns = us * 1000.0;
+    if (!(ns >= -kTwo63 && ns < kTwo63))
+        fatal(strprintf("'%s' of %.17g us is outside the int64 "
+                        "nanosecond range",
+                        key, us));
+    return static_cast<std::int64_t>(std::llround(ns));
+}
+
 /** Timestamp in ns: exact ts_ns when present, else microsecond ts. */
 std::int64_t
 timestampNs(const json::Object &obj)
 {
-    if (obj.has("ts_ns"))
-        return obj.at("ts_ns").asInt();
-    return static_cast<std::int64_t>(
-        std::llround(obj.at("ts").asDouble() * 1000.0));
+    if (const json::Value *ts_ns = obj.find("ts_ns"))
+        return ts_ns->asInt();
+    return usToNs(obj.at("ts").asDouble(), "ts");
 }
 
 CounterEvent
@@ -91,20 +128,16 @@ counterFromJson(const json::Object &obj)
     CounterEvent counter;
     counter.name = obj.at("name").asString();
     counter.tsNs = timestampNs(obj);
-    counter.tid =
-        static_cast<int>(obj.get("tid", json::Value(0)).asInt());
-    const json::Value null_value;
-    const json::Value &args_value = obj.get("args", null_value);
-    if (args_value.isObject()) {
-        const json::Object &args = args_value.asObject();
-        if (args.has("value")) {
-            counter.value = args.at("value").asDouble();
+    counter.tid = static_cast<int>(intOr(obj.find("tid"), 0));
+    if (const json::Object *args = objectMember(obj, "args")) {
+        if (const json::Value *value = args->find("value")) {
+            counter.value = value->asDouble();
         } else {
             // Kineto-style counters name their series arbitrarily;
             // take the first numeric member.
-            for (const auto &key : args.keys()) {
-                if (args.at(key).isNumber()) {
-                    counter.value = args.at(key).asDouble();
+            for (const json::Member &member : *args) {
+                if (member.value.isNumber()) {
+                    counter.value = member.value.asDouble();
                     break;
                 }
             }
@@ -119,8 +152,7 @@ instantFromJson(const json::Object &obj)
     InstantEvent instant;
     instant.name = obj.at("name").asString();
     instant.tsNs = timestampNs(obj);
-    instant.tid =
-        static_cast<int>(obj.get("tid", json::Value(0)).asInt());
+    instant.tid = static_cast<int>(intOr(obj.find("tid"), 0));
     return instant;
 }
 
@@ -131,44 +163,47 @@ eventFromJson(const json::Object &obj)
     ev.name = obj.at("name").asString();
     ev.kind = kindFromName(obj.at("cat").asString());
 
-    const json::Value null_value;
-    const json::Value &args_value = obj.get("args", null_value);
-    const json::Object *args =
-        args_value.isObject() ? &args_value.asObject() : nullptr;
-
-    auto arg_int = [&](const char *key, std::int64_t def) -> std::int64_t {
-        if (args && args->has(key))
-            return args->at(key).asInt();
-        return def;
-    };
-    auto arg_double = [&](const char *key, double def) -> double {
-        if (args && args->has(key))
-            return args->at(key).asDouble();
-        return def;
+    const json::Object *args = objectMember(obj, "args");
+    auto arg = [args](std::string_view key) -> const json::Value * {
+        return args ? args->find(key) : nullptr;
     };
 
-    if (args && args->has("ts_ns")) {
-        ev.tsBeginNs = args->at("ts_ns").asInt();
+    const json::Value *ts_ns = arg("ts_ns");
+    if (ts_ns) {
+        ev.tsBeginNs = ts_ns->asInt();
         ev.durNs = args->at("dur_ns").asInt();
     } else {
-        ev.tsBeginNs = static_cast<std::int64_t>(
-            std::llround(obj.at("ts").asDouble() * 1000.0));
-        ev.durNs = static_cast<std::int64_t>(
-            std::llround(obj.at("dur").asDouble() * 1000.0));
+        ev.tsBeginNs = usToNs(obj.at("ts").asDouble(), "ts");
+        ev.durNs = usToNs(obj.at("dur").asDouble(), "dur");
     }
 
-    ev.tid = static_cast<int>(arg_int("thread",
-                                      obj.get("tid", json::Value(0))
-                                          .asInt()));
-    ev.streamId = ev.onGpu() ? static_cast<int>(arg_int("stream", 0)) : -1;
+    // The "tid" fallback is read, and so checked, even when args
+    // carries "thread": a malformed "tid" fails the event either way.
+    const std::int64_t tid = intOr(obj.find("tid"), 0);
+    ev.tid = static_cast<int>(intOr(arg("thread"), tid));
+    ev.streamId = ev.onGpu() ? static_cast<int>(intOr(arg("stream"), 0)) : -1;
     ev.correlationId =
-        static_cast<std::uint64_t>(arg_int("correlation", 0));
-    ev.flops = arg_double("flops", 0.0);
-    ev.bytes = arg_double("bytes", 0.0);
+        static_cast<std::uint64_t>(intOr(arg("correlation"), 0));
+    ev.flops = doubleOr(arg("flops"), 0.0);
+    ev.bytes = doubleOr(arg("bytes"), 0.0);
+    checkInterval(ev.tsBeginNs, ev.durNs, ts_ns ? "dur_ns" : "dur");
     return ev;
 }
 
 } // namespace
+
+void
+checkInterval(std::int64_t tsNs, std::int64_t durNs, const char *durKey)
+{
+    if (durNs < 0)
+        fatal(strprintf("negative duration: '%s' is %lld ns", durKey,
+                        static_cast<long long>(durNs)));
+    if (tsNs > std::numeric_limits<std::int64_t>::max() - durNs)
+        fatal(strprintf("event end overflows int64 ns: ts %lld + dur "
+                        "%lld",
+                        static_cast<long long>(tsNs),
+                        static_cast<long long>(durNs)));
+}
 
 json::Value
 toChromeJson(const Trace &trace)
@@ -220,18 +255,16 @@ fromChromeJson(const json::Value &doc)
         events = &doc.asArray();
     } else if (doc.isObject()) {
         const json::Object &root = doc.asObject();
-        if (root.has("skipsimMeta")) {
-            const json::Object &meta =
-                root.at("skipsimMeta").asObject();
-            for (const auto &key : meta.keys())
-                trace.setMeta(key, meta.at(key).asString());
-        }
-        if (!root.has("traceEvents"))
+        if (const json::Value *meta = root.find("skipsimMeta"))
+            for (const json::Member &member : meta->asObject())
+                trace.setMeta(member.key, member.value.asString());
+        const json::Value *list = root.find("traceEvents");
+        if (!list)
             fatal("chrome trace: missing 'traceEvents' member (and "
                   "the document is not a bare event array)");
-        if (!root.at("traceEvents").isArray())
+        if (!list->isArray())
             fatal("chrome trace: 'traceEvents' must be an array");
-        events = &root.at("traceEvents").asArray();
+        events = &list->asArray();
     } else {
         fatal("chrome trace: top level must be an object with "
               "'traceEvents' or an event array");
@@ -247,18 +280,21 @@ fromChromeJson(const json::Value &doc)
             if (!item.isObject())
                 fatal("event is not a JSON object");
             const json::Object &obj = item.asObject();
-            const std::string ph =
-                obj.get("ph", json::Value("X")).asString();
+            const json::Value *ph_value = obj.find("ph");
+            const std::string_view ph =
+                ph_value ? std::string_view(ph_value->asString()) : "X";
             if (ph == "C") {
                 trace.addCounter(counterFromJson(obj));
             } else if (ph == "i" || ph == "I") {
                 trace.addInstant(instantFromJson(obj));
-            } else if (ph == "X" && obj.has("cat")) {
-                // Skip categories we do not model (python_function,
-                // user_annotation...)
-                const std::string cat = obj.at("cat").asString();
-                if (cat == "cpu_op" || cat == "cuda_runtime" ||
-                    cat == "kernel" || cat == "gpu_memcpy")
+            } else if (ph == "X") {
+                // Skip uncategorized events and categories we do not
+                // model (python_function, user_annotation...)
+                const json::Value *cat = obj.find("cat");
+                const std::string_view name =
+                    cat ? std::string_view(cat->asString()) : "";
+                if (name == "cpu_op" || name == "cuda_runtime" ||
+                    name == "kernel" || name == "gpu_memcpy")
                     trace.add(eventFromJson(obj));
             }
         } catch (const FatalError &err) {

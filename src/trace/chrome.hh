@@ -14,6 +14,7 @@
 #ifndef SKIPSIM_TRACE_CHROME_HH
 #define SKIPSIM_TRACE_CHROME_HH
 
+#include <cstdint>
 #include <string>
 
 #include "json/value.hh"
@@ -35,10 +36,21 @@ void writeChromeFile(const std::string &path, const Trace &trace);
  * Parse a Chrome-trace JSON document into a Trace. "X" events of the
  * modeled categories become TraceEvents; "C" events become counters
  * and "i"/"I" events instant markers. Unknown event categories and
- * other phases are skipped.
- * @throws skipsim::FatalError on malformed documents.
+ * other phases are skipped. Integer fields must lie in [-2^63, 2^63),
+ * microsecond ts/dur must convert to int64 nanoseconds, and every "X"
+ * event needs a non-negative duration whose end fits int64.
+ * @throws skipsim::FatalError on malformed documents, naming the
+ *         event index.
  */
 Trace fromChromeJson(const json::Value &doc);
+
+/**
+ * Reject an interval no reader accepts: a negative @p durNs (the field
+ * @p durKey), or an end @p tsNs + @p durNs past the int64 range.
+ * @throws skipsim::FatalError.
+ */
+void checkInterval(std::int64_t tsNs, std::int64_t durNs,
+                   const char *durKey);
 
 /** Parse Chrome-trace JSON text. */
 Trace fromChromeText(const std::string &text);

@@ -526,6 +526,41 @@ TEST(Fuzzer, TraceOracleAcceptsDocumentLevelErrors)
     EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
+TEST(Fuzzer, TraceCasesReachTheNestingCapAndStayClean)
+{
+    // Some generated trace cases nest an args member in balanced
+    // brackets: those past the cap are rejected with the parser's
+    // nesting diagnostic, those below it can still ingest, and every
+    // case passes the ingestion oracle. Byte mutations break most
+    // documents, so enough cases are drawn to see both outcomes.
+    FuzzOptions opts;
+    opts.seed = 1;
+    opts.quick = true;
+    Fuzzer fuzzer(opts);
+    std::size_t capped = 0;
+    std::size_t nested_ingested = 0;
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+        FuzzCase c = fuzzer.generate(i);
+        if (c.kind != FuzzKind::Trace)
+            continue;
+        std::vector<std::string> problems = fuzzer.runCase(c);
+        EXPECT_TRUE(problems.empty()) << i << ": " << problems.front();
+        const bool nested =
+            c.chromeText.find("\"nest\":") != std::string::npos;
+        try {
+            trace::Trace t = trace::fromChromeText(c.chromeText);
+            if (nested && t.size() > 0)
+                ++nested_ingested;
+        } catch (const FatalError &err) {
+            if (std::string(err.what()).find("nesting deeper than 512") !=
+                std::string::npos)
+                ++capped;
+        }
+    }
+    EXPECT_GT(capped, 0u);
+    EXPECT_GT(nested_ingested, 0u);
+}
+
 TEST(Fuzzer, TraceOracleFlagsUnindexedEventBlame)
 {
     EXPECT_TRUE(blamesEventWithoutIndex("event is not a JSON object"));

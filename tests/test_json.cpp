@@ -6,9 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 
+#include "check/number_oracle.hh"
 #include "common/logging.hh"
 #include "json/parser.hh"
 #include "json/value.hh"
@@ -45,6 +53,20 @@ TEST(JsonValue, IntegersPreserved)
 TEST(JsonValue, AsIntRejectsFractions)
 {
     EXPECT_THROW(Value(1.5).asInt(), FatalError);
+}
+
+TEST(JsonValue, AsIntRejectsNonFiniteAndOutOfRange)
+{
+    constexpr double kTwo63 = 9223372036854775808.0;
+    for (double bad : {std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN(), kTwo63,
+                       1e19, -1e19, std::nextafter(-kTwo63, -1e300)})
+        EXPECT_THROW(Value(bad).asInt(), FatalError) << bad;
+    EXPECT_EQ(Value(-kTwo63).asInt(),
+              std::numeric_limits<std::int64_t>::min());
+    const double below = std::nextafter(kTwo63, 0.0);
+    EXPECT_EQ(Value(below).asInt(), static_cast<std::int64_t>(below));
 }
 
 TEST(JsonValue, Uint64MemberAcceptsIntegersBelowTwoTo64)
@@ -108,9 +130,62 @@ TEST(JsonObject, OverwriteKeepsOrder)
     obj.set("x", 1);
     obj.set("y", 2);
     obj.set("x", 3);
-    EXPECT_EQ(obj.keys().size(), 2u);
-    EXPECT_EQ(obj.keys()[0], "x");
+    ASSERT_EQ(obj.size(), 2u);
+    EXPECT_EQ(obj.begin()->key, "x");
     EXPECT_EQ(obj.at("x").asInt(), 3);
+}
+
+TEST(JsonObject, DuplicateKeysKeepFirstPositionAndLastValue)
+{
+    // Below and above the size where lookups switch to the hash index.
+    for (int extra : {0, 40}) {
+        std::string text = "{\"x\": 1, \"y\": 2";
+        Object built;
+        built.set("x", 1);
+        built.set("y", 2);
+        for (int i = 0; i < extra; ++i) {
+            const std::string key = "k" + std::to_string(i);
+            text += ", \"" + key + "\": " + std::to_string(i);
+            built.set(key, i);
+        }
+        text += ", \"x\": 3}";
+        built.set("x", 3);
+        for (const Object &obj : {built, parse(text).asObject()}) {
+            ASSERT_EQ(obj.size(), static_cast<std::size_t>(2 + extra));
+            EXPECT_EQ(obj.begin()->key, "x");
+            EXPECT_EQ(obj.begin()->value.asInt(), 3);
+            EXPECT_EQ(obj.at("x").asInt(), 3);
+            EXPECT_EQ(obj.at("y").asInt(), 2);
+        }
+        EXPECT_EQ(write(Value(built)), write(parse(text)));
+    }
+}
+
+TEST(JsonObject, FindAndIterationAcrossTheIndexThreshold)
+{
+    Object obj;
+    for (int i = 0; i < 100; ++i) {
+        obj.set("key" + std::to_string(i), i);
+        for (int j = 0; j <= i; j += 7) {
+            const Value *member = obj.find("key" + std::to_string(j));
+            ASSERT_NE(member, nullptr) << i << " " << j;
+            EXPECT_EQ(member->asInt(), j);
+        }
+        EXPECT_EQ(obj.find("key" + std::to_string(i + 1)), nullptr);
+    }
+    // Copies carry their own index; the source may go away.
+    Object copy;
+    {
+        Object source = obj;
+        copy = source;
+    }
+    int expected = 0;
+    for (const Member &member : copy) {
+        EXPECT_EQ(member.key, "key" + std::to_string(expected));
+        EXPECT_EQ(copy.at(member.key).asInt(), expected);
+        ++expected;
+    }
+    EXPECT_EQ(expected, 100);
 }
 
 TEST(JsonObject, MissingKeyThrows)
@@ -227,9 +302,155 @@ TEST(JsonParser, ErrorMessageHasLineAndColumn)
     }
 }
 
+TEST(JsonParser, ParsesTwoHundredThousandDistinctKeys)
+{
+    // A quadratic duplicate check would take minutes here.
+    constexpr int kKeys = 200000;
+    std::string text = "{";
+    for (int i = 0; i < kKeys; ++i)
+        text += (i ? ",\"k" : "\"k") + std::to_string(i) + "\":" +
+            std::to_string(i);
+    text += "}";
+    const Value doc = parse(text);
+    const Object &obj = doc.asObject();
+    ASSERT_EQ(obj.size(), static_cast<std::size_t>(kKeys));
+    EXPECT_EQ(obj.begin()->key, "k0");
+    EXPECT_EQ(obj.at("k123456").asInt(), 123456);
+    EXPECT_EQ(obj.find("k200000"), nullptr);
+    EXPECT_EQ(write(doc), text);
+}
+
+/** @p depth nested arrays or single-member objects around a 0. */
+std::string
+nested(int depth, bool objects)
+{
+    std::string text;
+    for (int i = 0; i < depth; ++i)
+        text += objects ? "{\"a\":" : "[";
+    text += "0";
+    text.append(static_cast<std::size_t>(depth), objects ? '}' : ']');
+    return text;
+}
+
+TEST(JsonParser, NestingCapParses)
+{
+    for (bool objects : {false, true}) {
+        Value v = parse(nested(512, objects));
+        int depth = 0;
+        const Value *at = &v;
+        while (!at->isNumber()) {
+            at = at->isArray() ? &at->asArray()[0]
+                               : &at->asObject().at("a");
+            ++depth;
+        }
+        EXPECT_EQ(depth, 512);
+    }
+}
+
+TEST(JsonParser, NestingPastTheCapThrows)
+{
+    // Past the cap, including depths that used to overflow the stack.
+    for (int depth : {513, 200000}) {
+        for (bool objects : {false, true}) {
+            try {
+                parse(nested(depth, objects));
+                FAIL() << "accepted depth " << depth;
+            } catch (const FatalError &err) {
+                const std::string what = err.what();
+                EXPECT_EQ(what.rfind("json parse error at 1:", 0), 0u)
+                    << what;
+                EXPECT_NE(what.find("nesting deeper than 512"),
+                          std::string::npos)
+                    << what;
+            }
+        }
+    }
+}
+
 TEST(JsonParser, MissingFileThrows)
 {
     EXPECT_THROW(parseFile("/nonexistent/path.json"), FatalError);
+}
+
+TEST(JsonParser, ParseFileReadsTheWholeFile)
+{
+    const std::string path = testing::TempDir() + "/skipsim_json_big.json";
+    std::string text = "[";
+    for (int i = 0; i < 100000; ++i)
+        text += (i ? ",\"" : "\"") + std::to_string(i) + "\"";
+    text += "]";
+    std::FILE *out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    std::fwrite(text.data(), 1, text.size(), out);
+    std::fclose(out);
+    EXPECT_EQ(write(parseFile(path)), text);
+    std::remove(path.c_str());
+    // A directory has no file size; it is read as a stream, which
+    // yields nothing, and fails as a parse error.
+    EXPECT_THROW(parseFile(testing::TempDir()), FatalError);
+}
+
+TEST(JsonParser, ParseFileReadsAPipeToItsEnd)
+{
+    const std::string path = testing::TempDir() + "/skipsim_json_fifo";
+    std::remove(path.c_str());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    std::string text = "[";
+    for (int i = 0; i < 50000; ++i)
+        text += (i ? "," : "") + std::to_string(i);
+    text += "]";
+    // A FIFO has no file size; opening it blocks until both ends are
+    // open, so the writer runs on its own thread.
+    std::thread writer([&] {
+        std::FILE *out = std::fopen(path.c_str(), "wb");
+        if (!out)
+            return;
+        std::fwrite(text.data(), 1, text.size(), out);
+        std::fclose(out);
+    });
+    const Value v = parseFile(path);
+    writer.join();
+    std::remove(path.c_str());
+    EXPECT_EQ(write(v), text);
+}
+
+TEST(JsonParser, ParseFileReadsPastTheReportedSize)
+{
+    // procfs files report a size of 0 yet have content; this one holds
+    // a single number, which is a JSON document.
+    const std::string path = "/proc/sys/kernel/pid_max";
+    std::error_code error;
+    if (std::filesystem::file_size(path, error) != 0 || error)
+        GTEST_SKIP() << path << " is not a zero-size procfs file";
+    std::ifstream in(path);
+    long long expected = 0;
+    in >> expected;
+    ASSERT_GT(expected, 0);
+    EXPECT_EQ(parseFile(path).asInt(), expected);
+}
+
+// ----------------------------------------------------------- number I/O
+
+TEST(JsonNumbers, OutOfRangeTextsReadAsStrtodDoes)
+{
+    EXPECT_EQ(parse("1e999").asDouble(),
+              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(parse("-1e999").asDouble(),
+              -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(parse("1e-400").asDouble(), check::referenceParseNumber("1e-400"));
+    EXPECT_EQ(write(Value(1e21)), "1e+21");
+    EXPECT_EQ(write(Value(21.626999999999999)), "21.626999999999999");
+    EXPECT_EQ(write(Value(9007199254740992.0)), "9007199254740992");
+}
+
+TEST(JsonNumbers, MatchPrintfAndStrtodAtSeveralSeeds)
+{
+    // Byte-identical writer output and bit-identical parsed doubles
+    // against the "%lld"/"%.17g" formatter and strtod.
+    for (std::uint64_t seed : {1ull, 2ull, 3ull, 1009ull}) {
+        const std::string problem = check::diffNumberIo(seed, 20000);
+        EXPECT_TRUE(problem.empty()) << problem;
+    }
 }
 
 // ----------------------------------------------------------------- writer
@@ -256,6 +477,12 @@ TEST(JsonWriter, FractionsKeepPrecision)
 TEST(JsonWriter, EscapesSpecialCharacters)
 {
     EXPECT_EQ(write(Value("a\"b\\c\nd")), R"("a\"b\\c\nd")");
+}
+
+TEST(JsonWriter, EscapesControlCharactersAsUnicode)
+{
+    EXPECT_EQ(write(Value(std::string("x\x01\x1fy\tz\x7f"))),
+              "\"x\\u0001\\u001fy\\tz\x7f\"");
 }
 
 TEST(JsonWriter, NonFiniteBecomesNull)

@@ -331,6 +331,35 @@ TEST(SpanFile, MalformedDocumentsAreFatal)
     EXPECT_TRUE(file.spans.empty());
 }
 
+TEST(SpanFile, RejectsNegativeDurationAndOverflowingEnd)
+{
+    auto error_for = [](const std::string &ts_ns, const std::string &dur_ns) {
+        try {
+            obs::spansFromChromeJson(json::parse(
+                R"({"traceEvents": [{"ph": "b"}, {"ph": "X",)"
+                R"( "name": "queue", "args": {"span_id": 1, "parent": -1,)"
+                R"( "request": 0, "ts_ns": )" + ts_ns +
+                R"(, "dur_ns": )" + dur_ns + "}}]}"));
+        } catch (const FatalError &err) {
+            return std::string(err.what());
+        }
+        return std::string();
+    };
+    EXPECT_EQ(error_for("10", "5"), "");
+    const std::string negative = error_for("10", "-5");
+    EXPECT_NE(negative.find("span trace: event 1: negative duration"),
+              std::string::npos)
+        << negative;
+    const std::string overflow = error_for("9e18", "3e17");
+    EXPECT_NE(overflow.find("span trace: event 1: event end overflows"),
+              std::string::npos)
+        << overflow;
+    const std::string range = error_for("1e19", "1");
+    EXPECT_NE(range.find("span trace: event 1: json: integer"),
+              std::string::npos)
+        << range;
+}
+
 // -------------------------------------------------------- checkSpans
 
 TEST(SpanCheck, DetectsPartitionGapsOverlapsAndOrphans)

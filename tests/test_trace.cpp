@@ -513,5 +513,78 @@ TEST(ChromeTrace, ReadsForeignCounterAndInstantEvents)
     EXPECT_EQ(trace.instants()[0].tsNs, 1000);
 }
 
+/**
+ * The diagnostic for a trace whose events are one valid operator
+ * followed by @p bad, or "" when the reader accepts it.
+ */
+std::string
+ingestError(const std::string &bad)
+{
+    try {
+        fromChromeText(R"({"traceEvents":[)"
+                       R"({"ph":"X","name":"ok","cat":"cpu_op","ts":0,)"
+                       R"("dur":1,"tid":1},)" +
+                       bad + "]}");
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+/** Expect @p bad, as event 1, to be rejected with @p reason. */
+void
+expectRejected(const std::string &bad, const std::string &reason)
+{
+    const std::string err = ingestError(bad);
+    EXPECT_NE(err.find("chrome trace: event 1: "), std::string::npos)
+        << "accepted or unindexed: '" << err << "' for " << bad;
+    EXPECT_NE(err.find(reason), std::string::npos) << err;
+}
+
+TEST(ChromeTrace, RejectsNegativeMicrosecondDuration)
+{
+    expectRejected(R"({"ph":"X","name":"k","cat":"kernel","ts":5,"dur":-3})",
+                   "negative duration: 'dur' is -3000 ns");
+}
+
+TEST(ChromeTrace, RejectsNegativeNanosecondDuration)
+{
+    expectRejected(R"({"ph":"X","name":"k","cat":"kernel","ts":5,"dur":1,)"
+                   R"("args":{"ts_ns":5000,"dur_ns":-3}})",
+                   "negative duration: 'dur_ns' is -3 ns");
+}
+
+TEST(ChromeTrace, RejectsNanosecondFieldsOutsideInt64)
+{
+    expectRejected(R"({"ph":"X","name":"k","cat":"kernel","ts":0,"dur":0,)"
+                   R"("args":{"ts_ns":1e19,"dur_ns":1e19}})",
+                   "is outside [-2^63, 2^63)");
+    expectRejected(R"({"ph":"C","name":"c","ts_ns":-1e19,)"
+                   R"("args":{"value":1}})",
+                   "is outside [-2^63, 2^63)");
+}
+
+TEST(ChromeTrace, RejectsMicrosecondTimesOutsideInt64Nanoseconds)
+{
+    expectRejected(R"({"ph":"X","name":"k","cat":"kernel","ts":1e16,"dur":1})",
+                   "'ts' of 10000000000000000 us is outside");
+    expectRejected(R"({"ph":"X","name":"k","cat":"kernel","ts":1,"dur":1e16})",
+                   "'dur' of 10000000000000000 us is outside");
+    expectRejected(R"({"ph":"i","name":"m","ts":-1e17})",
+                   "'ts' of -1e+17 us is outside");
+}
+
+TEST(ChromeTrace, RejectsEventEndPastInt64)
+{
+    expectRejected(R"({"ph":"X","name":"k","cat":"kernel","ts":0,"dur":0,)"
+                   R"("args":{"ts_ns":9e18,"dur_ns":3e17}})",
+                   "event end overflows int64 ns");
+    // The largest representable end is accepted.
+    EXPECT_EQ(ingestError(
+                  R"({"ph":"X","name":"k","cat":"kernel","ts":0,"dur":0,)"
+                  R"("args":{"ts_ns":9e18,"dur_ns":2e17}})"),
+              "");
+}
+
 } // namespace
 } // namespace skipsim::trace
