@@ -67,7 +67,9 @@ main(int argc, char **argv)
     grid.seqLens = seqs;
 
     auto cell = [](const exec::RunSpec &spec) {
-        skip::ProfileResult run = skip::profile(spec.profileConfig());
+        skip::ProfileResult run =
+            skip::profile(spec.model(), spec.platform(),
+                          spec.buildOptions(), spec.simOptions());
         CellResult result;
         result.ttftMs = run.ttftNs() / 1e6;
         result.gpuIdlePct =

@@ -17,10 +17,7 @@
 #include "common/strutil.hh"
 #include "common/table.hh"
 #include "hw/catalog.hh"
-#include "sim/simulator.hh"
-#include "skip/dep_graph.hh"
-#include "skip/metrics.hh"
-#include "workload/builder.hh"
+#include "skip/profile.hh"
 
 using namespace skipsim;
 
@@ -41,20 +38,15 @@ main(int argc, char **argv)
                          "GH200 (NVLink)"});
 
         for (int tp : {1, 2, 4, 8}) {
-            workload::BuildOptions opts;
-            opts.batch = batch;
-            opts.seqLen = seq;
-            opts.tensorParallel = tp;
-            workload::OperatorGraph graph =
-                workload::buildPrefillGraph(model, opts);
+            workload::BuildOptions build;
+            build.batch = batch;
+            build.seqLen = seq;
+            build.tensorParallel = tp;
 
             std::vector<std::string> row{std::to_string(tp)};
             for (const auto &platform : hw::platforms::paperTrio()) {
-                sim::Simulator simulator(platform);
-                sim::SimResult result = simulator.run(graph);
-                skip::MetricsReport metrics = skip::computeMetrics(
-                    skip::DependencyGraph::build(
-                        std::move(result.trace)));
+                const skip::MetricsReport metrics =
+                    skip::profile(model, platform, build).metrics;
                 row.push_back(strprintf(
                     "%.2f [%.0f%%]", metrics.ilNs / 1e6,
                     100.0 * metrics.gpuIdleNs / metrics.ilNs));

@@ -53,7 +53,9 @@ main(int argc, char **argv)
     grid.seqLens = {seq};
 
     auto mine = [](const exec::RunSpec &spec) {
-        skip::ProfileResult run = skip::profile(spec.profileConfig());
+        skip::ProfileResult run =
+            skip::profile(spec.model(), spec.platform(),
+                          spec.buildOptions(), spec.simOptions());
         return fusion::recommendFromTrace(run.trace);
     };
 

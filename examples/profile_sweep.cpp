@@ -64,7 +64,9 @@ main(int argc, char **argv)
     grid.seqLens = {seq};
 
     auto point = [](const exec::RunSpec &spec) {
-        skip::ProfileResult run = skip::profile(spec.profileConfig());
+        skip::ProfileResult run =
+            skip::profile(spec.model(), spec.platform(),
+                          spec.buildOptions(), spec.simOptions());
         analysis::SweepPoint out;
         out.batch = spec.batch();
         out.metrics = std::move(run.metrics);

@@ -30,24 +30,23 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
 
-    skip::ProfileConfig config;
-    config.model = args.has("model-file")
+    workload::ModelConfig model = args.has("model-file")
         ? workload::loadModel(args.getString("model-file"))
         : workload::modelByName(args.getString("model", "GPT2"));
-    config.platform = args.has("platform-file")
+    hw::Platform platform = args.has("platform-file")
         ? hw::loadPlatform(args.getString("platform-file"))
         : hw::platforms::byName(args.getString("platform", "GH200"));
-    config.batch = static_cast<int>(args.getInt("batch", 1));
-    config.seqLen = static_cast<int>(args.getInt("seq", 512));
-    config.mode =
-        workload::execModeByName(args.getString("mode", "eager"));
+    workload::BuildOptions build;
+    build.batch = static_cast<int>(args.getInt("batch", 1));
+    build.seqLen = static_cast<int>(args.getInt("seq", 512));
+    build.mode = workload::execModeByName(args.getString("mode", "eager"));
 
     std::printf("SKIP profile: %s on %s (%s), batch=%d, seq=%d, %s\n\n",
-                config.model.name.c_str(), config.platform.name.c_str(),
-                hw::couplingName(config.platform.coupling), config.batch,
-                config.seqLen, workload::execModeName(config.mode));
+                model.name.c_str(), platform.name.c_str(),
+                hw::couplingName(platform.coupling), build.batch,
+                build.seqLen, workload::execModeName(build.mode));
 
-    skip::ProfileResult result = skip::profile(config);
+    skip::ProfileResult result = skip::profile(model, platform, build);
     std::fputs(result.metrics.render().c_str(), stdout);
 
     std::puts("\nTop-5 kernels by launch count:");

@@ -185,7 +185,9 @@ int
 cmdProfile(const CliArgs &args)
 {
     exec::RunSpec spec = pickSpec(args);
-    skip::ProfileResult result = skip::profile(spec.profileConfig());
+    skip::ProfileResult result =
+        skip::profile(spec.model(), spec.platform(), spec.buildOptions(),
+                      spec.simOptions());
     std::printf("%s on %s, batch=%d, seq=%d, %s\n\n",
                 spec.model().name.c_str(), spec.platform().name.c_str(),
                 spec.batch(), spec.seqLen(),
@@ -313,7 +315,9 @@ int
 cmdFusion(const CliArgs &args)
 {
     exec::RunSpec spec = pickSpec(args);
-    skip::ProfileResult run = skip::profile(spec.profileConfig());
+    skip::ProfileResult run =
+        skip::profile(spec.model(), spec.platform(), spec.buildOptions(),
+                      spec.simOptions());
     std::fputs(fusion::recommendFromTrace(run.trace).render().c_str(),
                stdout);
     return 0;

@@ -10,7 +10,8 @@
 #
 # Defaults assume the standard build tree (build/examples/skipctl).
 # Also smoke-checks `skipctl scenarios` (the listing must include every
-# name we are about to run) and the typo suggestion on unknown names.
+# name we are about to run), the typo suggestion on unknown names and
+# the rejection of unknown parameters.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -41,6 +42,21 @@ fi
 grep -q "did you mean" "$WORKDIR/typo.txt" || {
     echo "check_scenarios.sh: unknown-scenario error lacks suggestion" >&2
     cat "$WORKDIR/typo.txt" >&2
+    exit 1
+}
+
+# Unknown parameters must fail too, naming the key: a misspelt knob
+# would otherwise run silently at its default.
+printf '{"raet": 500, "replica": 9}\n' > "$WORKDIR/unknown_param.json"
+if "$SKIPCTL" run --scenario steady-poisson \
+        --spec "$WORKDIR/unknown_param.json" --quick \
+        > "$WORKDIR/unknown_param.txt" 2>&1; then
+    echo "check_scenarios.sh: unknown scenario parameter unexpectedly ran" >&2
+    exit 1
+fi
+grep -q "unknown parameter 'raet'" "$WORKDIR/unknown_param.txt" || {
+    echo "check_scenarios.sh: unknown-parameter error lacks the key" >&2
+    cat "$WORKDIR/unknown_param.txt" >&2
     exit 1
 }
 

@@ -120,18 +120,17 @@ runBatchSweep(const workload::ModelConfig &model,
 
     for (std::size_t i = 0; i < batches.size(); ++i) {
         int batch = batches[i];
-        skip::ProfileConfig config;
-        config.model = model;
-        config.platform = platform;
-        config.batch = batch;
-        config.seqLen = seq_len;
-        config.mode = mode;
-        config.sim = sim_opts;
+        workload::BuildOptions build;
+        build.batch = batch;
+        build.seqLen = seq_len;
+        build.mode = mode;
         // Decorrelate jitter across sweep points deterministically,
         // with the project-wide mixSeed(base, index) convention.
-        config.sim.seed = mixSeed(sim_opts.seed, i);
+        sim::SimOptions sim = sim_opts;
+        sim.seed = mixSeed(sim_opts.seed, i);
 
-        skip::ProfileResult profiled = skip::profile(config);
+        skip::ProfileResult profiled =
+            skip::profile(model, platform, build, sim);
 
         SweepPoint point;
         point.batch = batch;

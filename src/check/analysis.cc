@@ -14,7 +14,9 @@ namespace
 json::Value
 checkAnalysis(const exec::RunSpec &spec)
 {
-    skip::ProfileResult run = skip::profile(spec.profileConfig());
+    skip::ProfileResult run =
+        skip::profile(spec.model(), spec.platform(), spec.buildOptions(),
+                      spec.simOptions());
     TraceCheckReport report = validateTrace(run.trace);
 
     json::Object doc;

@@ -354,8 +354,7 @@ FuzzCase::fromJson(const json::Value &doc)
         const json::Object &s = obj.at("serving").asObject();
         c.serving.arrivalRatePerSec = s.at("rate").asDouble();
         c.serving.horizonSec = s.at("horizon_sec").asDouble();
-        c.serving.maxBatch =
-            static_cast<int>(s.at("max_batch").asInt());
+        c.serving.maxBatch = json::intValue(s.at("max_batch"), "max_batch");
         c.serving.maxWaitNs = s.at("max_wait_ns").asDouble();
         c.serving.seed = json::uint64Member(s, "seed");
         c.latencyBaseNs = s.at("latency_base_ns").asDouble();

@@ -64,13 +64,8 @@ skip::ProfileResult
 runSim(const hw::Platform &platform, int batch, int seq_len,
        workload::ExecMode mode = workload::ExecMode::Eager)
 {
-    skip::ProfileConfig config;
-    config.model = workload::gpt2();
-    config.platform = platform;
-    config.batch = batch;
-    config.seqLen = seq_len;
-    config.mode = mode;
-    return skip::profile(config);
+    return skip::profilePrefill(workload::gpt2(), platform, batch, seq_len,
+                                mode);
 }
 
 /**

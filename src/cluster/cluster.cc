@@ -423,15 +423,11 @@ class Sim
             ec.kvCapacityBytes = kv_capacity;
             ec.horizonNs = _horizonNs;
             ec.iterPriority = eventPriority(EvIterEnd, r);
-            if (_spec.traffic != nullptr) {
-                // Prefix-cache hits (multi-turn traffic) skip the
-                // cached share of the prefill; legacy Poisson specs
-                // leave the hook unset so their cost path is
-                // bit-identical to the pre-traffic-model code.
-                ec.prefillFrac = [this](std::size_t id) {
-                    return 1.0 - _requests[id].cachedFrac;
-                };
-            }
+            // Prefix-cache hits (multi-turn traffic) skip the cached
+            // share of the prefill.
+            ec.prefillFrac = [this](std::size_t id) {
+                return 1.0 - _requests[id].cachedFrac;
+            };
             ec.prefillOnly = rt.spec->role == ReplicaRole::Prefill;
             if (_kvOn) {
                 // Two-tier store: admission pages retained entries

@@ -82,12 +82,11 @@ replicasFromJson(const json::Value &value,
     if (obj.has("role"))
         replica.role = replicaRoleByName(obj.at("role").asString());
     if (obj.has("max-active"))
-        replica.maxActive =
-            static_cast<int>(obj.at("max-active").asInt());
+        replica.maxActive = json::intValue(obj.at("max-active"), "max-active");
     if (obj.has("clock"))
         replica.clock = obj.at("clock").asDouble();
     if (obj.has("max-queue"))
-        replica.maxQueue = static_cast<int>(obj.at("max-queue").asInt());
+        replica.maxQueue = json::intValue(obj.at("max-queue"), "max-queue");
     long count =
         obj.has("count") ? obj.at("count").asInt() : 1;
     if (count <= 0)
@@ -204,11 +203,11 @@ ClusterSpec::fromJson(const json::Value &value)
     if (obj.has("horizon-sec"))
         spec.horizonSec = obj.at("horizon-sec").asDouble();
     if (obj.has("prompt"))
-        spec.promptLen = static_cast<int>(obj.at("prompt").asInt());
+        spec.promptLen = json::intValue(obj.at("prompt"), "prompt");
     if (obj.has("gen-tokens"))
-        spec.genTokens = static_cast<int>(obj.at("gen-tokens").asInt());
+        spec.genTokens = json::intValue(obj.at("gen-tokens"), "gen-tokens");
     if (obj.has("sessions"))
-        spec.sessions = static_cast<int>(obj.at("sessions").asInt());
+        spec.sessions = json::intValue(obj.at("sessions"), "sessions");
     if (obj.has("detect-ms"))
         spec.detectDelaySec = obj.at("detect-ms").asDouble() / 1e3;
     if (obj.has("ttft-slo-ms"))

@@ -34,7 +34,8 @@ identityJson(const RunSpec &spec)
 json::Value
 profileAnalysis(const RunSpec &spec)
 {
-    skip::ProfileResult run = skip::profile(spec.profileConfig());
+    skip::ProfileResult run = skip::profile(
+        spec.model(), spec.platform(), spec.buildOptions(), spec.simOptions());
     json::Object doc = identityJson(spec);
     doc.set("metrics", run.metrics.toJson());
     doc.set("kernel_launches",
@@ -68,7 +69,8 @@ servingAnalysis(const RunSpec &spec)
 json::Value
 fusionAnalysis(const RunSpec &spec)
 {
-    skip::ProfileResult run = skip::profile(spec.profileConfig());
+    skip::ProfileResult run = skip::profile(
+        spec.model(), spec.platform(), spec.buildOptions(), spec.simOptions());
     fusion::FusionReport report = fusion::recommendFromTrace(run.trace);
 
     json::Object doc = identityJson(spec);
@@ -93,7 +95,7 @@ generationAnalysis(const RunSpec &spec)
     analysis::GenerationConfig config;
     config.batch = spec.batch();
     config.promptLen = spec.seqLen();
-    config.genTokens = static_cast<int>(spec.opt("gen-tokens", 8));
+    config.genTokens = spec.intOpt("gen-tokens", 8);
     config.mode = spec.mode();
     config.sim = spec.simOptions();
     analysis::GenerationResult result = analysis::simulateGeneration(
@@ -113,15 +115,15 @@ clusterAnalysis(const RunSpec &spec)
 {
     cluster::ClusterSpec config;
     config.model = spec.model();
-    int replicas = static_cast<int>(spec.opt("replicas", 4));
+    int replicas = spec.intOpt("replicas", 4);
     if (replicas < 1)
         fatal("cluster analysis: option 'replicas' must be >= 1");
     cluster::ReplicaSpec replica;
     replica.platform = spec.platform();
-    replica.maxActive = static_cast<int>(spec.opt("max-active", 32));
-    replica.maxQueue = static_cast<int>(spec.opt("max-queue", 0));
+    replica.maxActive = spec.intOpt("max-active", 32);
+    replica.maxQueue = spec.intOpt("max-queue", 0);
     config.replicas.assign(static_cast<std::size_t>(replicas), replica);
-    int router = static_cast<int>(spec.opt("router", 1));
+    int router = spec.intOpt("router", 1);
     if (router < 0 || router > 3)
         fatal("cluster analysis: option 'router' must be 0..3 "
               "(round-robin, least-outstanding, weighted, affinity)");
@@ -129,8 +131,8 @@ clusterAnalysis(const RunSpec &spec)
     config.arrivalRatePerSec = spec.opt("rate", 100.0);
     config.horizonSec = spec.opt("horizon-sec", 20.0);
     config.promptLen = spec.seqLen();
-    config.genTokens = static_cast<int>(spec.opt("gen-tokens", 16));
-    config.sessions = static_cast<int>(spec.opt("sessions", 64));
+    config.genTokens = spec.intOpt("gen-tokens", 16);
+    config.sessions = spec.intOpt("sessions", 64);
     config.detectDelaySec = spec.opt("detect-ms", 250.0) / 1e3;
     config.ttftSloMs = spec.opt("ttft-slo-ms", 500.0);
     config.e2eSloMs = spec.opt("e2e-slo-ms", 2000.0);

@@ -44,7 +44,7 @@ RunSpec::batch(int n)
 {
     if (n <= 0)
         fatal("RunSpec: batch must be positive");
-    _batch = n;
+    _build.batch = n;
     return *this;
 }
 
@@ -53,14 +53,14 @@ RunSpec::seqLen(int n)
 {
     if (n <= 0)
         fatal("RunSpec: seqLen must be positive");
-    _seqLen = n;
+    _build.seqLen = n;
     return *this;
 }
 
 RunSpec &
 RunSpec::mode(workload::ExecMode m)
 {
-    _mode = m;
+    _build.mode = m;
     return *this;
 }
 
@@ -73,15 +73,15 @@ RunSpec::mode(const std::string &mode_name)
 RunSpec &
 RunSpec::seed(std::uint64_t s)
 {
-    _seed = s;
+    _sim.seed = s;
     return *this;
 }
 
 RunSpec &
 RunSpec::jitter(bool on, double frac)
 {
-    _jitter = on;
-    _jitterFrac = frac;
+    _sim.jitter = on;
+    _sim.jitterFrac = frac;
     return *this;
 }
 
@@ -97,6 +97,12 @@ RunSpec::opt(const std::string &key, double def) const
 {
     auto it = _options.find(key);
     return it == _options.end() ? def : it->second;
+}
+
+int
+RunSpec::intOpt(const std::string &key, int def) const
+{
+    return json::intValue(json::Value(opt(key, def)), key);
 }
 
 RunSpec &
@@ -117,32 +123,9 @@ std::string
 RunSpec::label() const
 {
     return strprintf("%s/%s b%d s%d %s seed%llu", _model.name.c_str(),
-                     _platform.name.c_str(), _batch, _seqLen,
-                     workload::execModeName(_mode),
-                     static_cast<unsigned long long>(_seed));
-}
-
-sim::SimOptions
-RunSpec::simOptions() const
-{
-    sim::SimOptions opts;
-    opts.seed = _seed;
-    opts.jitter = _jitter;
-    opts.jitterFrac = _jitterFrac;
-    return opts;
-}
-
-skip::ProfileConfig
-RunSpec::profileConfig() const
-{
-    skip::ProfileConfig config;
-    config.model = _model;
-    config.platform = _platform;
-    config.batch = _batch;
-    config.seqLen = _seqLen;
-    config.mode = _mode;
-    config.sim = simOptions();
-    return config;
+                     _platform.name.c_str(), _build.batch, _build.seqLen,
+                     workload::execModeName(_build.mode),
+                     static_cast<unsigned long long>(_sim.seed));
 }
 
 serving::ServingConfig
@@ -151,10 +134,9 @@ RunSpec::servingConfig() const
     serving::ServingConfig config;
     config.arrivalRatePerSec = opt("rate", config.arrivalRatePerSec);
     config.horizonSec = opt("horizon-sec", config.horizonSec);
-    config.maxBatch =
-        static_cast<int>(opt("max-batch", config.maxBatch));
+    config.maxBatch = intOpt("max-batch", config.maxBatch);
     config.maxWaitNs = opt("max-wait-ms", config.maxWaitNs / 1e6) * 1e6;
-    config.seed = _seed;
+    config.seed = _sim.seed;
     return config;
 }
 
@@ -165,13 +147,13 @@ RunSpec::toJson() const
     json::stampSchemaVersion(doc);
     doc.set("model", _model.name);
     doc.set("platform", _platform.name);
-    doc.set("batch", _batch);
-    doc.set("seq", _seqLen);
-    doc.set("mode", workload::execModeName(_mode));
-    doc.set("seed", static_cast<unsigned long long>(_seed));
-    doc.set("jitter", _jitter);
-    if (_jitter)
-        doc.set("jitter_frac", _jitterFrac);
+    doc.set("batch", _build.batch);
+    doc.set("seq", _build.seqLen);
+    doc.set("mode", workload::execModeName(_build.mode));
+    doc.set("seed", static_cast<unsigned long long>(_sim.seed));
+    doc.set("jitter", _sim.jitter);
+    if (_sim.jitter)
+        doc.set("jitter_frac", _sim.jitterFrac);
     if (!_options.empty()) {
         json::Object options;
         for (const auto &[key, value] : _options)
@@ -206,17 +188,17 @@ RunSpec::fromJson(const json::Value &doc)
             : hw::platformFromJson(platform);
     }
     if (obj.has("batch"))
-        spec.batch(static_cast<int>(obj.at("batch").asInt()));
+        spec.batch(json::intValue(obj.at("batch"), "batch"));
     if (obj.has("seq"))
-        spec.seqLen(static_cast<int>(obj.at("seq").asInt()));
+        spec.seqLen(json::intValue(obj.at("seq"), "seq"));
     if (obj.has("mode"))
         spec.mode(obj.at("mode").asString());
     if (obj.has("seed"))
         spec.seed(json::uint64Member(obj, "seed"));
     if (obj.has("jitter"))
-        spec._jitter = obj.at("jitter").asBool();
+        spec._sim.jitter = obj.at("jitter").asBool();
     if (obj.has("jitter_frac"))
-        spec._jitterFrac = obj.at("jitter_frac").asDouble();
+        spec._sim.jitterFrac = obj.at("jitter_frac").asDouble();
     if (const json::Value *options = obj.find("options"))
         for (const json::Member &member : options->asObject())
             spec._options[member.key] = member.value.asDouble();

@@ -1,15 +1,15 @@
 /**
  * @file
- * RunSpec: the one description of "a run" shared by every entry point.
- * Historically the profile path (skip::ProfileConfig), the raw
- * simulator (sim::SimOptions) and the serving simulator
- * (serving::ServingConfig) each invented their own seed/batch/naming
- * conventions; RunSpec unifies them behind a fluent builder
+ * RunSpec: the one description of "a run" shared by every entry point,
+ * built fluently
  *
  *     exec::RunSpec::of("GPT2").on("GH200").batch(8).seqLen(512).seed(42)
  *
- * and converts to each legacy config type, which remain as thin
- * compatibility aliases for out-of-tree callers.
+ * Each field is declared once, in the option struct of the engine that
+ * consumes it: RunSpec holds a workload::BuildOptions (batch, sequence
+ * length, mode) and a sim::SimOptions (seed, jitter) and hands them
+ * out by reference, so skip::profile(spec.model(), spec.platform(),
+ * spec.buildOptions(), spec.simOptions()) runs the spec as is.
  */
 
 #ifndef SKIPSIM_EXEC_RUN_SPEC_HH
@@ -23,7 +23,7 @@
 #include "json/value.hh"
 #include "serving/server_sim.hh"
 #include "sim/simulator.hh"
-#include "skip/profile.hh"
+#include "workload/builder.hh"
 #include "workload/exec_mode.hh"
 #include "workload/model_config.hh"
 
@@ -32,8 +32,8 @@ namespace skipsim::exec
 
 /**
  * Everything identifying one experiment point. Construct with of(),
- * chain the fluent setters, then hand it to a Runner / analysis or
- * convert to a legacy config type.
+ * chain the fluent setters, then hand it to a Runner / analysis or to
+ * the engines through buildOptions() / simOptions().
  */
 class RunSpec
 {
@@ -68,13 +68,19 @@ class RunSpec
      *  @{ */
     const workload::ModelConfig &model() const { return _model; }
     const hw::Platform &platform() const { return _platform; }
-    int batch() const { return _batch; }
-    int seqLen() const { return _seqLen; }
-    workload::ExecMode mode() const { return _mode; }
-    std::uint64_t seed() const { return _seed; }
-    bool jitterOn() const { return _jitter; }
-    double jitterFrac() const { return _jitterFrac; }
+    int batch() const { return _build.batch; }
+    int seqLen() const { return _build.seqLen; }
+    workload::ExecMode mode() const { return _build.mode; }
+    std::uint64_t seed() const { return _sim.seed; }
+    const workload::BuildOptions &buildOptions() const { return _build; }
+    const sim::SimOptions &simOptions() const { return _sim; }
     double opt(const std::string &key, double def) const;
+    /**
+     * Numeric option @p key as an int (@p def when unset).
+     * @throws skipsim::FatalError naming @p key unless the value is an
+     *         integer within int's range (see json::intValue).
+     */
+    int intOpt(const std::string &key, int def) const;
     std::string strOpt(const std::string &key,
                        const std::string &def) const;
     const std::map<std::string, double> &options() const { return _options; }
@@ -87,17 +93,12 @@ class RunSpec
     /** "Model/Platform b8 s512 eager seed42" display identity. */
     std::string label() const;
 
-    /** @name Conversions to the legacy per-module config structs
-     *  @{ */
-    sim::SimOptions simOptions() const;
-    skip::ProfileConfig profileConfig() const;
     /**
      * Serving knobs from the option map: "rate" (requests/s),
      * "horizon-sec", "max-batch", "max-wait-ms"; arrival seed from
      * seed().
      */
     serving::ServingConfig servingConfig() const;
-    /** @} */
 
     /**
      * JSON round trip. Models/platforms serialize by catalog name;
@@ -111,12 +112,8 @@ class RunSpec
   private:
     workload::ModelConfig _model;
     hw::Platform _platform;
-    int _batch = 1;
-    int _seqLen = 512;
-    workload::ExecMode _mode = workload::ExecMode::Eager;
-    std::uint64_t _seed = 42;
-    bool _jitter = false;
-    double _jitterFrac = 0.02;
+    workload::BuildOptions _build;
+    sim::SimOptions _sim;
     std::map<std::string, double> _options;
     std::map<std::string, std::string> _strOptions;
 };

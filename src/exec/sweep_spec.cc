@@ -158,7 +158,7 @@ SweepSpec::fromJson(const json::Value &doc)
             return def;
         std::vector<int> out;
         for (const auto &entry : obj.at(key).asArray())
-            out.push_back(static_cast<int>(entry.asInt()));
+            out.push_back(json::intValue(entry, key));
         return out;
     };
     spec.batches = int_axis("batches", spec.batches);

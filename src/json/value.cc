@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -257,6 +258,21 @@ uint64Member(const Object &obj, const std::string &key)
                         "got %.17g",
                         key.c_str(), d));
     return static_cast<std::uint64_t>(d);
+}
+
+int
+intValue(const Value &value, const std::string &key)
+{
+    if (!value.isNumber())
+        fatal(strprintf("json: '%s' must be a number", key.c_str()));
+    const double d = value.asDouble();
+    constexpr int kMin = std::numeric_limits<int>::min();
+    constexpr int kMax = std::numeric_limits<int>::max();
+    if (!(d >= kMin && d <= kMax) || d != std::floor(d))
+        fatal(strprintf("json: '%s' must be an integer in [%d, %d], "
+                        "got %.17g",
+                        key.c_str(), kMin, kMax, d));
+    return static_cast<int>(d);
 }
 
 } // namespace skipsim::json

@@ -178,6 +178,13 @@ Object::size() const
  */
 std::uint64_t uint64Member(const Object &obj, const std::string &key);
 
+/**
+ * @p value, read from member (or array) @p key, as an int.
+ * @throws FatalError naming @p key unless @p value is an integer
+ *         within int's range (asInt() alone would let a cast wrap it).
+ */
+int intValue(const Value &value, const std::string &key);
+
 } // namespace skipsim::json
 
 #endif // SKIPSIM_JSON_VALUE_HH

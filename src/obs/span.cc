@@ -372,7 +372,7 @@ spansFromChromeJson(const json::Value &doc)
             span.durNs = span_args.at("dur_ns").asInt();
             const json::Value *replica = span_args.find("replica");
             span.replica =
-                replica ? static_cast<int>(replica->asInt()) : -1;
+                replica ? json::intValue(*replica, "replica") : -1;
             const json::Value *detail = span_args.find("detail");
             span.detail = detail ? detail->asString() : std::string();
             trace::checkInterval(span.beginNs, span.durNs, "dur_ns");

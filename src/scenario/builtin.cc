@@ -40,7 +40,7 @@ num(const json::Object &obj, const char *key, double def)
 int
 integer(const json::Object &obj, const char *key, int def)
 {
-    return obj.has(key) ? static_cast<int>(obj.at(key).asInt()) : def;
+    return obj.has(key) ? json::intValue(obj.at(key), key) : def;
 }
 
 /** The deployment shape shared by the traffic-model scenarios. */
@@ -339,7 +339,7 @@ registerBuiltinScenarios()
          "raw ClusterSpec pass-through (the spec file is the cluster "
          "document; rate sweeps supported)",
          buildRawCluster,
-         {{"(root)", "the spec file IS the ClusterSpec document"}}});
+         {{kRootParam, "the spec file IS the ClusterSpec document"}}});
     registerScenario(
         {"steady-poisson",
          "constant-rate open-loop Poisson traffic (the legacy model, "
@@ -428,7 +428,8 @@ registerBuiltinScenarios()
                "router-to-replica dispatch latency, us (default 5)"},
               {"staged-dispatch",
                "gate enqueue on staging the prompt over the KV lane "
-               "(default false)"}})});
+               "(default false)"},
+              {"shards", "retired engine-shard count; accepted, ignored"}})});
 }
 
 } // namespace skipsim::scenario

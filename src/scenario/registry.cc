@@ -117,6 +117,20 @@ cluster::ClusterSpec
 buildScenario(const std::string &name, const json::Object &params)
 {
     const Scenario &scenario = scenarioByName(name);
+    std::vector<std::string> accepted;
+    for (const ScenarioParam &param : scenario.params)
+        accepted.push_back(param.name);
+    auto declared = [&accepted](const std::string &key) {
+        return std::find(accepted.begin(), accepted.end(), key) !=
+               accepted.end();
+    };
+    for (const json::Member &member : params)
+        if (!declared(kRootParam) && member.key != "schema_version" &&
+            !declared(member.key))
+            fatal(strprintf("scenario '%s': unknown parameter '%s' "
+                            "(accepted: %s)",
+                            name.c_str(), member.key.c_str(),
+                            join(accepted, ", ").c_str()));
     try {
         return scenario.build(params);
     } catch (const FatalError &err) {

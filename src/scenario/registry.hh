@@ -35,7 +35,14 @@
 namespace skipsim::scenario
 {
 
-/** One accepted scenario parameter (documentation metadata). */
+/**
+ * A scenario whose params list declares this name passes its whole
+ * parameter document to a builder that owns the schema (the raw
+ * "cluster" scenario); buildScenario then checks no keys.
+ */
+inline const std::string kRootParam = "(root)";
+
+/** One accepted scenario parameter. */
 struct ScenarioParam
 {
     /** Parameter key in the --spec JSON object. */
@@ -63,8 +70,8 @@ struct Scenario
         build;
 
     /**
-     * Accepted parameters (`skipctl scenarios --json`). Documentation
-     * only — builders stay the behavioral source of truth.
+     * Accepted parameters (`skipctl scenarios --json`). buildScenario
+     * rejects any other key except "schema_version".
      */
     std::vector<ScenarioParam> params;
 };
@@ -88,10 +95,11 @@ const Scenario &scenarioByName(const std::string &name);
 
 /**
  * Build scenario @p name's ClusterSpec from @p params.
- * @throws skipsim::FatalError for unknown names (see scenarioByName)
- *         or builder failures — a builder's error is re-raised with
- *         the scenario name prefixed so `skipctl run` failures say
- *         which scenario rejected its spec.
+ * @throws skipsim::FatalError for unknown names (see scenarioByName),
+ *         undeclared parameter keys (the message lists the accepted
+ *         ones), or builder failures — a builder's error is re-raised
+ *         with the scenario name prefixed so `skipctl run` failures
+ *         say which scenario rejected its spec.
  */
 cluster::ClusterSpec buildScenario(const std::string &name,
                                    const json::Object &params);

@@ -15,8 +15,8 @@ namespace
 {
 
 /**
- * Exponential inter-event gap, reproducing the legacy inline arrival
- * loop bit-for-bit: uniform draw, clamp away from zero, -log scaling.
+ * Exponential inter-event gap: uniform draw, clamp away from zero,
+ * -log scaling. Every arrival stream in the project draws through it.
  */
 double
 expGapNs(Rng &rng, double meanNs)
@@ -53,6 +53,22 @@ requireSessions(int sessions, const char *kind)
 } // namespace
 
 // ------------------------------------------------------------- poisson
+
+std::vector<double>
+poissonTimesNs(double ratePerSec, double horizonNs, std::uint64_t seed)
+{
+    Rng rng(seed);
+    double mean_gap_ns = 1e9 / ratePerSec;
+    std::vector<double> out;
+    double t = 0.0;
+    while (true) {
+        t += expGapNs(rng, mean_gap_ns);
+        if (t >= horizonNs)
+            break;
+        out.push_back(t);
+    }
+    return out;
+}
 
 void
 PoissonProcess::validate() const
@@ -332,7 +348,7 @@ arrivalProcessFromJson(const json::Value &doc)
               "sessions, tiered)");
     const std::string &type = obj.at("type").asString();
     int sessions = obj.has("sessions")
-        ? static_cast<int>(obj.at("sessions").asInt())
+        ? json::intValue(obj.at("sessions"), "sessions")
         : 64;
 
     std::unique_ptr<ArrivalProcess> process;

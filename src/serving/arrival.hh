@@ -244,6 +244,14 @@ class TieredProcess final : public ArrivalProcess
 };
 
 /**
+ * Poisson arrival instants in [0, horizonNs), ns, at @p ratePerSec,
+ * drawn from Rng(@p seed) with no session draws: the arrival stream of
+ * the single-server simulators (simulateServing, simulateContinuous).
+ */
+std::vector<double> poissonTimesNs(double ratePerSec, double horizonNs,
+                                   std::uint64_t seed);
+
+/**
  * Build a process from its tagged JSON form.
  * @throws skipsim::FatalError for unknown/missing "type" (the message
  *         lists the known types) or invalid parameters.

@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "common/strutil.hh"
 #include "core/engine.hh"
 #include "obs/collector.hh"
+#include "serving/arrival.hh"
 #include "serving/replica_engine.hh"
 #include "sim/simulator.hh"
 #include "stats/summary.hh"
@@ -213,20 +213,9 @@ simulateContinuous(const IterationCostModel &cost,
         fatal("simulateContinuous: genTokens must be positive");
 
     // Poisson arrivals over the horizon.
-    Rng rng(config.seed);
     double horizon_ns = config.horizonSec * 1e9;
-    double mean_gap_ns = 1e9 / config.arrivalRatePerSec;
-    std::vector<double> arrivals;
-    double t_arr = 0.0;
-    while (true) {
-        double u = rng.uniform();
-        if (u <= 0.0)
-            u = 1e-12;
-        t_arr += -std::log(u) * mean_gap_ns;
-        if (t_arr >= horizon_ns)
-            break;
-        arrivals.push_back(t_arr);
-    }
+    std::vector<double> arrivals = poissonTimesNs(
+        config.arrivalRatePerSec, horizon_ns, config.seed);
 
     ContinuousResult result;
     std::vector<std::pair<double, int>> obs_admits;

@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "core/engine.hh"
 #include "obs/collector.hh"
+#include "serving/arrival.hh"
 #include "stats/summary.hh"
 
 namespace skipsim::serving
@@ -118,20 +118,9 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
         fatal("simulateServing: maxWaitNs must be non-negative");
 
     // Poisson arrivals: exponential inter-arrival gaps.
-    Rng rng(config.seed);
     double horizon_ns = config.horizonSec * 1e9;
-    double mean_gap_ns = 1e9 / config.arrivalRatePerSec;
-    std::vector<double> arrivals;
-    double t = 0.0;
-    while (true) {
-        double u = rng.uniform();
-        if (u <= 0.0)
-            u = 1e-12;
-        t += -std::log(u) * mean_gap_ns;
-        if (t >= horizon_ns)
-            break;
-        arrivals.push_back(t);
-    }
+    std::vector<double> arrivals = poissonTimesNs(
+        config.arrivalRatePerSec, horizon_ns, config.seed);
 
     ServingResult result;
     std::vector<BatchRec> obs_batches;

@@ -25,13 +25,8 @@ namespace skipsim::serving
 {
 
 /**
- * Dynamic-batching server configuration.
- *
- * @deprecated Thin compatibility carrier. New code should build an
- * exec::RunSpec (options "rate", "horizon-sec", "max-batch",
- * "max-wait-ms"; the arrival seed comes from RunSpec::seed()) and
- * convert with RunSpec::servingConfig(); this struct stays so
- * out-of-tree callers keep compiling.
+ * Dynamic-batching server configuration (RunSpec::servingConfig()
+ * fills one from a run's options).
  */
 struct ServingConfig
 {

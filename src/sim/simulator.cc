@@ -15,6 +15,10 @@ namespace skipsim::sim
 namespace
 {
 
+/** CPU thread id and CUDA stream id recorded in every trace. */
+constexpr int kThreadId = 1;
+constexpr int kStreamId = 7;
+
 /**
  * Internal execution state for one run: a two-resource process pair on
  * the core engine. The CPU dispatch thread is a synchronous process
@@ -83,7 +87,7 @@ class Runner
         trace::TraceEvent op;
         op.kind = trace::EventKind::Operator;
         op.name = node.name;
-        op.tid = o.threadId;
+        op.tid = kThreadId;
         op.tsBeginNs = cpuNowI();
 
         double total_cpu = p.cpuOpNs(node.cpuNs);
@@ -133,7 +137,7 @@ class Runner
         trace::TraceEvent rt;
         rt.kind = trace::EventKind::Runtime;
         rt.name = "cudaLaunchKernel";
-        rt.tid = o.threadId;
+        rt.tid = kThreadId;
         rt.correlationId = corr;
         rt.tsBeginNs = cpuNowI();
         rt.durNs = jitter(p.cpu.launchCpuNs);
@@ -144,8 +148,8 @@ class Runner
         trace::TraceEvent k;
         k.kind = trace::EventKind::Kernel;
         k.name = launch.kernelName;
-        k.tid = o.threadId;
-        k.streamId = o.streamId;
+        k.tid = kThreadId;
+        k.streamId = kStreamId;
         k.correlationId = corr;
         k.tsBeginNs = start;
         k.durNs = jitterComponentsNs(
@@ -179,7 +183,7 @@ class Runner
         trace::TraceEvent rt;
         rt.kind = trace::EventKind::Runtime;
         rt.name = "cudaMemcpyAsync";
-        rt.tid = o.threadId;
+        rt.tid = kThreadId;
         rt.correlationId = corr;
         rt.tsBeginNs = cpuNowI();
         rt.durNs = jitter(p.cpu.launchCpuNs);
@@ -190,8 +194,8 @@ class Runner
         trace::TraceEvent mc;
         mc.kind = trace::EventKind::Memcpy;
         mc.name = "Memcpy HtoD";
-        mc.tid = o.threadId;
-        mc.streamId = o.streamId;
+        mc.tid = kThreadId;
+        mc.streamId = kStreamId;
         mc.correlationId = corr;
         mc.tsBeginNs = start;
         mc.durNs = jitter(p.transferNs(launch.totalBytes()));
@@ -215,7 +219,7 @@ class Runner
         trace::TraceEvent rt;
         rt.kind = trace::EventKind::Runtime;
         rt.name = "cudaDeviceSynchronize";
-        rt.tid = o.threadId;
+        rt.tid = kThreadId;
         rt.tsBeginNs = cpuNowI();
 
         double call = static_cast<double>(jitter(p.cpu.syncCallNs));

@@ -24,15 +24,7 @@
 namespace skipsim::sim
 {
 
-/**
- * Knobs of one simulation run.
- *
- * @deprecated as a public entry-point currency: new code should build
- * an exec::RunSpec and convert with RunSpec::simOptions(), so seeds
- * and jitter settings follow the one project-wide convention. The
- * struct itself remains the simulator's internal knob carrier (and
- * keeps out-of-tree callers compiling).
- */
+/** Knobs of one simulation run (exec::RunSpec holds one). */
 struct SimOptions
 {
     /** PRNG seed for timing jitter; same seed -> identical trace. */
@@ -48,12 +40,6 @@ struct SimOptions
 
     /** Relative jitter magnitude (stddev of the multiplier). */
     double jitterFrac = 0.02;
-
-    /** CUDA stream id recorded in the trace. */
-    int streamId = 7;
-
-    /** CPU thread id recorded in the trace. */
-    int threadId = 1;
 };
 
 /** Result of a simulation run. */

@@ -6,32 +6,29 @@ namespace skipsim::skip
 {
 
 ProfileResult
-profile(const ProfileConfig &config)
+profile(const workload::ModelConfig &model, const hw::Platform &platform,
+        const workload::BuildOptions &build, const sim::SimOptions &sim)
 {
-    workload::BuildOptions build;
-    build.batch = config.batch;
-    build.seqLen = config.seqLen;
-    build.mode = config.mode;
     workload::OperatorGraph graph =
-        workload::buildPrefillGraph(config.model, build);
+        workload::buildPrefillGraph(model, build);
 
-    sim::Simulator simulator(config.platform, config.sim);
+    sim::Simulator simulator(platform, sim);
     sim::SimResult sim_result = simulator.run(graph);
 
-    sim_result.trace.setMeta("model", config.model.name);
-    sim_result.trace.setMeta("batch", std::to_string(config.batch));
-    sim_result.trace.setMeta("seq_len", std::to_string(config.seqLen));
-    sim_result.trace.setMeta("mode",
-                             workload::execModeName(config.mode));
+    sim_result.trace.setMeta("model", model.name);
+    sim_result.trace.setMeta("batch", std::to_string(build.batch));
+    sim_result.trace.setMeta("seq_len", std::to_string(build.seqLen));
+    sim_result.trace.setMeta("mode", workload::execModeName(build.mode));
 
-    DependencyGraph dep = DependencyGraph::build(sim_result.trace);
+    DependencyGraph dep =
+        DependencyGraph::build(std::move(sim_result.trace));
 
     ProfileResult result;
-    result.modelName = config.model.name;
-    result.platformName = config.platform.name;
-    result.batch = config.batch;
-    result.seqLen = config.seqLen;
-    result.mode = config.mode;
+    result.modelName = model.name;
+    result.platformName = platform.name;
+    result.batch = build.batch;
+    result.seqLen = build.seqLen;
+    result.mode = build.mode;
     result.metrics = computeMetrics(dep);
     result.trace = dep.trace();
     result.kernelLaunches = graph.numKernelLaunches();
@@ -44,13 +41,11 @@ profilePrefill(const workload::ModelConfig &model,
                const hw::Platform &platform, int batch, int seq_len,
                workload::ExecMode mode)
 {
-    ProfileConfig config;
-    config.model = model;
-    config.platform = platform;
-    config.batch = batch;
-    config.seqLen = seq_len;
-    config.mode = mode;
-    return profile(config);
+    workload::BuildOptions build;
+    build.batch = batch;
+    build.seqLen = seq_len;
+    build.mode = mode;
+    return profile(model, platform, build);
 }
 
 } // namespace skipsim::skip

@@ -20,24 +20,6 @@
 namespace skipsim::skip
 {
 
-/**
- * Everything identifying one profiling run.
- *
- * @deprecated Thin compatibility carrier. New code should build an
- * exec::RunSpec (the unified run description shared by every entry
- * point) and convert with RunSpec::profileConfig(); this struct stays
- * so out-of-tree callers keep compiling.
- */
-struct ProfileConfig
-{
-    workload::ModelConfig model;
-    hw::Platform platform;
-    int batch = 1;
-    int seqLen = 512;
-    workload::ExecMode mode = workload::ExecMode::Eager;
-    sim::SimOptions sim;
-};
-
 /** Result of one profiling run. */
 struct ProfileResult
 {
@@ -65,10 +47,14 @@ struct ProfileResult
 };
 
 /**
- * Run one profiling session: build graph -> simulate -> analyze.
+ * Run one profiling session: build the prefill graph of @p model with
+ * @p build, simulate it on @p platform with @p sim, then analyze.
  * @throws skipsim::FatalError on invalid configuration.
  */
-ProfileResult profile(const ProfileConfig &config);
+ProfileResult profile(const workload::ModelConfig &model,
+                      const hw::Platform &platform,
+                      const workload::BuildOptions &build = {},
+                      const sim::SimOptions &sim = {});
 
 /**
  * Profile a prefill run for a model/platform/batch in one call.

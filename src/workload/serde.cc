@@ -68,8 +68,7 @@ modelFromJson(const json::Value &doc)
     const json::Object &obj = doc.asObject();
     ModelConfig m;
     auto get_int = [&](const char *key, int def) {
-        return obj.has(key) ? static_cast<int>(obj.at(key).asInt())
-                            : def;
+        return obj.has(key) ? json::intValue(obj.at(key), key) : def;
     };
     auto get_bool = [&](const char *key, bool def) {
         return obj.has(key) ? obj.at(key).asBool() : def;

@@ -434,6 +434,8 @@ TEST(ClusterSpec, RejectsSeedsNoUint64Holds)
             FatalError)
             << bad;
     }
+    // 2^32 + 128 would wrap to prompt 128 through an unchecked int cast.
+    expectMemberRejected("prompt", "4294967424", "'prompt'");
 }
 
 TEST(ClusterSpec, ReplicaCountFieldStampsIdenticalReplicas)

@@ -113,7 +113,7 @@ TEST(RunSpec, FluentBuilderSetsEveryField)
     EXPECT_EQ(spec.seqLen(), 256);
     EXPECT_EQ(spec.mode(), workload::ExecMode::FlashAttention2);
     EXPECT_EQ(spec.seed(), 7u);
-    EXPECT_TRUE(spec.jitterOn());
+    EXPECT_TRUE(spec.simOptions().jitter);
     EXPECT_DOUBLE_EQ(spec.opt("rate", 0.0), 80.0);
 }
 
@@ -123,14 +123,14 @@ TEST(RunSpec, ConvertsToLegacyConfigs)
                        .opt("rate", 75.0)
                        .opt("max-batch", 16.0);
 
-    sim::SimOptions sim = spec.simOptions();
+    const sim::SimOptions &sim = spec.simOptions();
     EXPECT_EQ(sim.seed, 99u);
     EXPECT_FALSE(sim.jitter);
 
-    skip::ProfileConfig profile = spec.profileConfig();
-    EXPECT_EQ(profile.model.name, "GPT2");
-    EXPECT_EQ(profile.batch, 4);
-    EXPECT_EQ(profile.sim.seed, 99u);
+    const workload::BuildOptions &build = spec.buildOptions();
+    EXPECT_EQ(build.batch, 4);
+    EXPECT_EQ(build.seqLen, 512);
+    EXPECT_EQ(build.mode, workload::ExecMode::Eager);
 
     serving::ServingConfig serving = spec.servingConfig();
     EXPECT_DOUBLE_EQ(serving.arrivalRatePerSec, 75.0);
@@ -161,6 +161,31 @@ TEST(RunSpec, RejectsBadValues)
     EXPECT_THROW(RunSpec::of("GPT2").batch(0), FatalError);
     EXPECT_THROW(RunSpec::of("GPT2").seqLen(-1), FatalError);
     EXPECT_THROW(RunSpec::of("GPT2").mode("warp-speed"), FatalError);
+}
+
+TEST(RunSpec, IntOptionsRejectValuesNoIntHolds)
+{
+    RunSpec spec = RunSpec::of("GPT2");
+    for (double bad : {1e30, 2.5, -1e30}) {
+        spec.opt("max-batch", bad);
+        try {
+            spec.servingConfig();
+            ADD_FAILURE() << "accepted max-batch " << bad;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("'max-batch'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    RunSpec cluster = RunSpec::of("GPT2").on("GH200").opt("replicas", 2.5);
+    try {
+        analysisByName("cluster")(cluster.opt("horizon-sec", 0.1));
+        ADD_FAILURE() << "accepted replicas 2.5";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("'replicas'"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 SweepSpec
@@ -222,7 +247,8 @@ TEST(SweepSpec, JsonRoundTrip)
 TEST(RunSpec, RejectsSeedsNoUint64Holds)
 {
     for (double bad : {-1.0, 0.5, 1e20}) {
-        json::Object obj = RunSpec::of("GPT2").toJson().asObject();
+        json::Object obj =
+            RunSpec::of("GPT2").on("GH200").toJson().asObject();
         obj.set("seed", bad);
         EXPECT_THROW(RunSpec::fromJson(json::Value(std::move(obj))),
                      FatalError)
@@ -232,6 +258,17 @@ TEST(RunSpec, RejectsSeedsNoUint64Holds)
         EXPECT_THROW(SweepSpec::fromJson(json::Value(std::move(grid))),
                      FatalError)
             << bad;
+    }
+    // 2^32 + 1 would wrap to batch 1 through an unchecked int cast.
+    json::Object obj = RunSpec::of("GPT2").on("GH200").toJson().asObject();
+    obj.set("batch", 4294967297.0);
+    try {
+        RunSpec::fromJson(json::Value(std::move(obj)));
+        ADD_FAILURE() << "accepted batch 2^32 + 1";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("'batch'"),
+                  std::string::npos)
+            << err.what();
     }
 }
 

@@ -192,6 +192,33 @@ TEST(ScenarioBuilders, BadSchemaVersionIsRejected)
                  FatalError);
 }
 
+TEST(ScenarioBuilders, UnknownParamsAreRejected)
+{
+    json::Object params = quickParams();
+    params.set("raet", 500.0);
+    try {
+        scenario::buildScenario("steady-poisson", params);
+        FAIL() << "accepted the misspelt 'raet'";
+    } catch (const FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("unknown parameter 'raet'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("rate"), std::string::npos) << what;
+    }
+
+    // Retired keys stay declared, so old parameter files still load.
+    json::Object datacenter = quickParams();
+    datacenter.set("shards", 4);
+    EXPECT_NO_THROW(scenario::buildScenario("datacenter", datacenter));
+
+    // The raw pass-through hands its document to ClusterSpec::fromJson,
+    // which owns that schema (legacy shard keys included).
+    json::Object cluster = quickParams();
+    cluster.set("replicas", json::parse(R"([{"platform": "GH200"}])"));
+    cluster.set("shards", 4);
+    EXPECT_NO_THROW(scenario::buildScenario("cluster", cluster));
+}
+
 TEST(ScenarioBuilders, SeedsNoUint64HoldsAreRejected)
 {
     for (double bad : {-1.0, 0.5, 1e20}) {
