@@ -65,9 +65,9 @@ main(int argc, char **argv)
         workload::modelByName(args.getString("model", "GPT2"));
     hw::Platform platform =
         hw::platforms::byName(args.getString("platform", "GH200"));
-    int prompt = static_cast<int>(args.getInt("prompt", 256));
-    int tokens = static_cast<int>(args.getInt("tokens", 16));
-    int max_active = static_cast<int>(args.getInt("max-active", 32));
+    int prompt = args.getInt("prompt", 256);
+    int tokens = args.getInt("tokens", 16);
+    int max_active = args.getInt("max-active", 32);
     exec::Pool pool(flags.jobs);
 
     std::vector<int> fleets = quick ? std::vector<int>{2, 4}

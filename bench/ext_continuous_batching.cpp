@@ -28,9 +28,9 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     workload::ModelConfig model =
         workload::modelByName(args.getString("model", "GPT2"));
-    int prompt = static_cast<int>(args.getInt("prompt", 256));
-    int tokens = static_cast<int>(args.getInt("tokens", 16));
-    int max_active = static_cast<int>(args.getInt("max-active", 32));
+    int prompt = args.getInt("prompt", 256);
+    int tokens = args.getInt("tokens", 16);
+    int max_active = args.getInt("max-active", 32);
 
     for (const auto &platform : hw::platforms::paperTrio()) {
         serving::IterationCostModel cost(model, platform, prompt);
@@ -52,7 +52,6 @@ main(int argc, char **argv)
                 frac * capacity_tps / tokens;
             config.horizonSec = 20.0;
             config.maxActive = max_active;
-            config.promptLen = prompt;
             config.genTokens = tokens;
             serving::ContinuousResult result =
                 serving::simulateContinuous(cost, config);

@@ -29,7 +29,7 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     workload::ModelConfig model = workload::modelByName(
         args.getString("model", "Bert-Base-Uncased"));
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
 
     TextTable table(strprintf(
         "Energy per request (mJ) - %s prefill, seq=%d",

@@ -26,8 +26,8 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int seq = static_cast<int>(args.getInt("seq", 512));
-    int batch = static_cast<int>(args.getInt("batch", 1));
+    int seq = args.getInt("seq", 512);
+    int batch = args.getInt("batch", 1);
 
     for (const auto &model :
          {workload::gpt2(), workload::xlmRobertaBase()}) {

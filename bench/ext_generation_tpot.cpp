@@ -29,8 +29,8 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     workload::ModelConfig model =
         workload::modelByName(args.getString("model", "Llama-3.2-1B"));
-    int prompt = static_cast<int>(args.getInt("prompt", 512));
-    int tokens = static_cast<int>(args.getInt("tokens", 16));
+    int prompt = args.getInt("prompt", 512);
+    int tokens = args.getInt("tokens", 16);
 
     TextTable table(strprintf(
         "Decode-phase extension: %s, prompt=%d, %d generated tokens",
@@ -40,12 +40,12 @@ main(int argc, char **argv)
 
     for (const auto &platform : hw::platforms::paperTrio()) {
         for (int batch : {1, 8, 32}) {
-            analysis::GenerationConfig config;
-            config.batch = batch;
-            config.promptLen = prompt;
-            config.genTokens = tokens;
+            workload::BuildOptions shape;
+            shape.batch = batch;
+            shape.seqLen = prompt;
             analysis::GenerationResult result =
-                analysis::simulateGeneration(model, platform, config);
+                analysis::simulateGeneration(model, platform, shape,
+                                             tokens);
             table.addRow({platform.name, std::to_string(batch),
                           strprintf("%.2f", result.ttftNs / 1e6),
                           strprintf("%.3f", result.tpotNs() / 1e6),

@@ -29,9 +29,9 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     workload::ModelConfig model =
         workload::modelByName(args.getString("model", "Llama-3.2-1B"));
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
     double slo_ms = args.getDouble("slo-ms", 200.0);
-    int max_batch = static_cast<int>(args.getInt("max-batch", 32));
+    int max_batch = args.getInt("max-batch", 32);
 
     // Per-platform latency models from full batch sweeps.
     std::vector<serving::LatencyModel> models;

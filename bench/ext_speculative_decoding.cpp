@@ -30,7 +30,7 @@ main(int argc, char **argv)
     workload::ModelConfig target = workload::modelByName(
         args.getString("target", "Llama-2-7B"));
     double accept = args.getDouble("accept", 0.7);
-    int context = static_cast<int>(args.getInt("context", 512));
+    int context = args.getInt("context", 512);
 
     for (auto mode : {workload::ExecMode::Eager,
                       workload::ExecMode::CompileReduceOverhead}) {
@@ -43,19 +43,16 @@ main(int argc, char **argv)
         table.setHeader({"Platform", "baseline TPOT (ms)", "k=2",
                          "k=4", "k=8"});
 
+        workload::BuildOptions shape;
+        shape.seqLen = context;
+        shape.mode = mode;
         for (const auto &platform : hw::platforms::paperTrio()) {
             std::vector<std::string> row{platform.name};
             double baseline = 0.0;
             for (int k : {2, 4, 8}) {
-                analysis::SpeculativeConfig config;
-                config.draft = draft;
-                config.target = target;
-                config.k = k;
-                config.acceptRate = accept;
-                config.contextLen = context;
-                config.mode = mode;
                 analysis::SpeculativeResult result =
-                    analysis::evaluateSpeculative(platform, config);
+                    analysis::evaluateSpeculative(
+                        platform, {draft, target, k, accept}, shape);
                 baseline = result.baselineTpotNs;
                 if (row.size() == 1)
                     row.push_back(strprintf("%.2f", baseline / 1e6));

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     workload::ModelConfig model =
         workload::modelByName(args.getString("model", "Llama-3.2-1B"));
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
 
     for (int batch : {1, 16}) {
         TextTable table(strprintf(

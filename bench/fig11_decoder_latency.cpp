@@ -91,11 +91,9 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int seq = static_cast<int>(args.getInt("seq", 512));
-    std::vector<int> batches;
-    for (long b : args.getIntList("batches",
-                                  {1, 2, 4, 8, 16, 32, 64, 128}))
-        batches.push_back(static_cast<int>(b));
+    int seq = args.getInt("seq", 512);
+    std::vector<int> batches =
+        args.getIntList("batches", {1, 2, 4, 8, 16, 32, 64, 128});
 
     reportModel(workload::gpt2(), seq, batches, args.has("csv"));
     reportModel(workload::llama32_1b(), seq, batches, args.has("csv"));

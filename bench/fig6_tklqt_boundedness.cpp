@@ -53,13 +53,11 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
     RunFlags flags = parseRunFlags(args);
     int jobs = flags.jobs;
-    std::vector<int> batches;
-    for (long b : args.getIntList("batches",
-                                  {1, 2, 4, 8, 16, 32, 64, 128}))
-        batches.push_back(static_cast<int>(b));
+    std::vector<int> batches =
+        args.getIntList("batches", {1, 2, 4, 8, 16, 32, 64, 128});
 
     std::vector<workload::ModelConfig> models{
         workload::bertBaseUncased(), workload::xlmRobertaBase()};

@@ -41,8 +41,8 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int seq = static_cast<int>(args.getInt("seq", 512));
-    int batch = static_cast<int>(args.getInt("batch", 1));
+    int seq = args.getInt("seq", 512);
+    int batch = args.getInt("batch", 1);
     RunFlags flags = parseRunFlags(args);
     int jobs = flags.jobs;
 

@@ -24,7 +24,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
     hw::Platform intel = hw::platforms::intelH100();
     workload::ModelConfig model = workload::gpt2();
 

@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int seq = static_cast<int>(args.getInt("seq", 1024));
+    int seq = args.getInt("seq", 1024);
 
     workload::ModelConfig gemma = workload::gemma2b();
     hw::Platform intel = hw::platforms::intelH100();

@@ -42,7 +42,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int launches = static_cast<int>(args.getInt("launches", 5000));
+    int launches = args.getInt("launches", 5000);
 
     TextTable table(
         "Table V: nullKernel launch overhead and duration (ns)");

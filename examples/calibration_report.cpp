@@ -186,7 +186,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
 
     reportNullKernel();
     for (const auto &model : workload::paperQuartet())

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     workload::ModelConfig model = workload::modelByName(
         args.getString("model", "Llama-3.2-1B"));
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
     std::string out = args.getString("out", "characterization");
 
     analysis::CharacterizationReport report = analysis::characterize(

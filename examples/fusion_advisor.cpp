@@ -30,8 +30,8 @@ main(int argc, char **argv)
         workload::modelByName(args.getString("model", "GPT2"));
     hw::Platform platform =
         hw::platforms::byName(args.getString("platform", "Intel+H100"));
-    int batch = static_cast<int>(args.getInt("batch", 1));
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int batch = args.getInt("batch", 1);
+    int seq = args.getInt("seq", 512);
     double threshold = args.getDouble("threshold", 1.0);
 
     skip::ProfileResult run =

@@ -28,7 +28,7 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     workload::ModelConfig model = workload::modelByName(
         args.getString("model", "Bert-Base-Uncased"));
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
 
     std::vector<hw::Platform> platforms = hw::platforms::all();
     std::vector<analysis::SweepResult> sweeps;

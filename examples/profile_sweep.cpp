@@ -52,7 +52,7 @@ main(int argc, char **argv)
         workload::modelByName(args.getString("model", "Llama-3.2-1B"));
     hw::Platform platform =
         hw::platforms::byName(args.getString("platform", "GH200"));
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
     double slo_ms = args.getDouble("slo-ms", 200.0);
     RunFlags flags = parseRunFlags(args);
     int jobs = flags.jobs;

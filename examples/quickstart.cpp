@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "common/strutil.hh"
 #include "hw/catalog.hh"
 #include "hw/serde.hh"
@@ -27,7 +28,7 @@ using namespace skipsim;
 
 int
 main(int argc, char **argv)
-{
+try {
     CliArgs args(argc, argv);
 
     workload::ModelConfig model = args.has("model-file")
@@ -37,8 +38,8 @@ main(int argc, char **argv)
         ? hw::loadPlatform(args.getString("platform-file"))
         : hw::platforms::byName(args.getString("platform", "GH200"));
     workload::BuildOptions build;
-    build.batch = static_cast<int>(args.getInt("batch", 1));
-    build.seqLen = static_cast<int>(args.getInt("seq", 512));
+    build.batch = args.getInt("batch", 1);
+    build.seqLen = args.getInt("seq", 512);
     build.mode = workload::execModeByName(args.getString("mode", "eager"));
 
     std::printf("SKIP profile: %s on %s (%s), batch=%d, seq=%d, %s\n\n",
@@ -75,4 +76,7 @@ main(int argc, char **argv)
                     path.c_str());
     }
     return 0;
+} catch (const FatalError &err) {
+    std::fprintf(stderr, "quickstart: %s\n", err.what());
+    return 1;
 }

@@ -32,8 +32,8 @@ main(int argc, char **argv)
         args.getString("reranker", "Bert-Base-Uncased"));
     workload::ModelConfig generator = workload::modelByName(
         args.getString("generator", "Llama-3.2-1B"));
-    int seq = static_cast<int>(args.getInt("seq", 512));
-    int candidates = static_cast<int>(args.getInt("candidates", 8));
+    int seq = args.getInt("seq", 512);
+    int candidates = args.getInt("candidates", 8);
     double slo_ms = args.getDouble("slo-ms", 200.0);
 
     std::printf("RAG pipeline: rerank %d candidates with %s, then "

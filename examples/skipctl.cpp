@@ -175,8 +175,8 @@ pickSpec(const CliArgs &args)
 {
     return exec::RunSpec::of(pickModel(args))
         .on(pickPlatform(args))
-        .batch(static_cast<int>(args.getInt("batch", 1)))
-        .seqLen(static_cast<int>(args.getInt("seq", 512)))
+        .batch(args.getInt("batch", 1))
+        .seqLen(args.getInt("seq", 512))
         .mode(args.getString("mode", "eager"))
         .seed(args.getUint64("seed", 42));
 }
@@ -286,7 +286,7 @@ cmdSweep(const CliArgs &args)
 
     workload::ModelConfig model = pickModel(args);
     hw::Platform platform = pickPlatform(args);
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
 
     analysis::SweepResult sweep = analysis::runBatchSweep(
         model, platform, analysis::defaultBatchGrid(), seq);
@@ -828,8 +828,8 @@ cmdRoofline(const CliArgs &args)
     workload::ModelConfig model = pickModel(args);
     hw::Platform platform = pickPlatform(args);
     workload::BuildOptions opts;
-    opts.batch = static_cast<int>(args.getInt("batch", 1));
-    opts.seqLen = static_cast<int>(args.getInt("seq", 512));
+    opts.batch = args.getInt("batch", 1);
+    opts.seqLen = args.getInt("seq", 512);
     workload::OperatorGraph graph =
         workload::buildPrefillGraph(model, opts);
     workload::RooflineReport report =
@@ -844,7 +844,7 @@ int
 cmdMemory(const CliArgs &args)
 {
     workload::ModelConfig model = pickModel(args);
-    int seq = static_cast<int>(args.getInt("seq", 512));
+    int seq = args.getInt("seq", 512);
     TextTable table(model.name + " device-memory footprint");
     table.setHeader({"Batch", "Weights", "KV cache", "Activations",
                      "Total"});

@@ -41,32 +41,25 @@ GenerationResult::tokensPerSecond(int batch) const
 GenerationResult
 simulateGeneration(const workload::ModelConfig &model,
                    const hw::Platform &platform,
-                   const GenerationConfig &config)
+                   const workload::BuildOptions &prompt, int genTokens,
+                   const sim::SimOptions &sim)
 {
-    if (config.genTokens <= 0)
+    if (genTokens <= 0)
         fatal("simulateGeneration: genTokens must be positive");
 
     GenerationResult result;
-    sim::Simulator simulator(platform, config.sim);
+    sim::Simulator simulator(platform, sim);
+    result.ttftNs =
+        simulator.run(workload::buildPrefillGraph(model, prompt)).wallNs;
 
-    workload::BuildOptions prefill_opts;
-    prefill_opts.batch = config.batch;
-    prefill_opts.seqLen = config.promptLen;
-    prefill_opts.mode = config.mode;
-    workload::OperatorGraph prefill =
-        workload::buildPrefillGraph(model, prefill_opts);
-    result.ttftNs = simulator.run(prefill).wallNs;
-
-    workload::BuildOptions step_opts = prefill_opts;
-    for (int t = 0; t < config.genTokens; ++t) {
+    for (int t = 0; t < genTokens; ++t) {
         // KV cache covers the prompt plus the tokens emitted so far.
-        int context = config.promptLen + t;
-        sim::SimOptions step_sim = config.sim;
-        step_sim.seed =
-            config.sim.seed + 1000u + static_cast<std::uint64_t>(t);
+        int context = prompt.seqLen + t;
+        sim::SimOptions step_sim = sim;
+        step_sim.seed = sim.seed + 1000u + static_cast<std::uint64_t>(t);
         sim::Simulator step_simulator(platform, step_sim);
         workload::OperatorGraph step =
-            workload::buildDecodeStepGraph(model, step_opts, context);
+            workload::buildDecodeStepGraph(model, prompt, context);
         result.stepNs.push_back(step_simulator.run(step).wallNs);
     }
 

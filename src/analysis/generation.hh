@@ -22,16 +22,6 @@
 namespace skipsim::analysis
 {
 
-/** One generation request shape. */
-struct GenerationConfig
-{
-    int batch = 1;
-    int promptLen = 512;
-    int genTokens = 32;
-    workload::ExecMode mode = workload::ExecMode::Eager;
-    sim::SimOptions sim;
-};
-
 /** Result of simulating a full generation. */
 struct GenerationResult
 {
@@ -55,12 +45,17 @@ struct GenerationResult
 };
 
 /**
- * Simulate prefill + decode for one request shape.
+ * Simulate prefill + decode for one request shape: the prefill runs
+ * @p prompt as built (prompt.seqLen is the prompt length), and decode
+ * step t runs at context prompt.seqLen + t with seed
+ * sim.seed + 1000 + t.
  * @throws skipsim::FatalError for non-positive token counts.
  */
 GenerationResult simulateGeneration(const workload::ModelConfig &model,
                                     const hw::Platform &platform,
-                                    const GenerationConfig &config);
+                                    const workload::BuildOptions &prompt,
+                                    int genTokens,
+                                    const sim::SimOptions &sim = {});
 
 } // namespace skipsim::analysis
 

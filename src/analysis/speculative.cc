@@ -3,51 +3,48 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "workload/builder.hh"
 
 namespace skipsim::analysis
 {
 
 SpeculativeResult
 evaluateSpeculative(const hw::Platform &platform,
-                    const SpeculativeConfig &config)
+                    const SpeculativeConfig &config,
+                    const workload::BuildOptions &context,
+                    const sim::SimOptions &sim)
 {
     if (config.k < 1)
         fatal("evaluateSpeculative: k must be >= 1");
-    if (config.acceptRate < 0.0 || config.acceptRate >= 1.0)
+    // Written so NaN fails too.
+    if (!(config.acceptRate >= 0.0 && config.acceptRate < 1.0))
         fatal("evaluateSpeculative: acceptRate must be in [0, 1)");
 
-    sim::Simulator simulator(platform, config.sim);
-
-    workload::BuildOptions opts;
-    opts.batch = config.batch;
-    opts.seqLen = config.contextLen;
-    opts.mode = config.mode;
+    sim::Simulator simulator(platform, sim);
 
     // One draft decode step at the running context.
     SpeculativeResult result;
     result.draftStepNs =
         simulator
-            .run(workload::buildDecodeStepGraph(config.draft, opts,
-                                                config.contextLen))
+            .run(workload::buildDecodeStepGraph(config.draft, context,
+                                                context.seqLen))
             .wallNs;
 
     // Target verification: one decode-shaped step whose GEMM rows span
     // the k+1 verified positions (batch widened accordingly).
-    workload::BuildOptions verify_opts = opts;
-    verify_opts.batch = config.batch * (config.k + 1);
+    workload::BuildOptions verify_opts = context;
+    verify_opts.batch = context.batch * (config.k + 1);
     result.verifyNs =
         simulator
             .run(workload::buildDecodeStepGraph(config.target,
                                                 verify_opts,
-                                                config.contextLen))
+                                                context.seqLen))
             .wallNs;
 
     // Plain autoregressive baseline: one target decode step per token.
     result.baselineTpotNs =
         simulator
-            .run(workload::buildDecodeStepGraph(config.target, opts,
-                                                config.contextLen))
+            .run(workload::buildDecodeStepGraph(config.target, context,
+                                                context.seqLen))
             .wallNs;
 
     result.cycleNs =

@@ -13,7 +13,7 @@
 
 #include "hw/platform.hh"
 #include "sim/simulator.hh"
-#include "workload/exec_mode.hh"
+#include "workload/builder.hh"
 #include "workload/model_config.hh"
 
 namespace skipsim::analysis
@@ -36,19 +36,6 @@ struct SpeculativeConfig
      * expected tokens per cycle = (1 - a^(k+1)) / (1 - a).
      */
     double acceptRate = 0.7;
-
-    int batch = 1;
-    int contextLen = 512;
-
-    /**
-     * Execution mode of every step. Eager decode is launch-bound, so
-     * speculation loses there; CUDA-graph decode (reduce-overhead,
-     * what vLLM uses) removes the launch tax and lets the draft/target
-     * compute ratio pay off.
-     */
-    workload::ExecMode mode = workload::ExecMode::Eager;
-
-    sim::SimOptions sim;
 };
 
 /** Outcome of evaluating one speculative configuration. */
@@ -78,12 +65,20 @@ struct SpeculativeResult
 
 /**
  * Evaluate speculative decoding on a platform: draft steps and the
- * baseline use single-token decode graphs, the verification step a
- * decode graph widened to k+1 positions.
- * @throws skipsim::FatalError on k < 1 or acceptRate outside [0, 1).
+ * baseline use single-token decode graphs at context @p context.seqLen,
+ * the verification step a decode graph with batch widened by k+1
+ * positions. Every step runs in @p context.mode: eager decode is
+ * launch-bound, so speculation loses there; CUDA-graph decode
+ * (reduce-overhead, what vLLM uses) removes the launch tax and lets
+ * the draft/target compute ratio pay off.
+ * @throws skipsim::FatalError on k < 1 or acceptRate outside [0, 1)
+ *         (NaN included).
  */
-SpeculativeResult evaluateSpeculative(const hw::Platform &platform,
-                                      const SpeculativeConfig &config);
+SpeculativeResult
+evaluateSpeculative(const hw::Platform &platform,
+                    const SpeculativeConfig &config,
+                    const workload::BuildOptions &context = {},
+                    const sim::SimOptions &sim = {});
 
 } // namespace skipsim::analysis
 

@@ -86,6 +86,8 @@ runCustomSweep(const std::string &workload_name,
 
     for (std::size_t i = 0; i < batches.size(); ++i) {
         int batch = batches[i];
+        // Decorrelate jitter across sweep points deterministically,
+        // with the project-wide mixSeed(base, index) convention.
         sim::SimOptions opts = sim_opts;
         opts.seed = mixSeed(sim_opts.seed, i);
         sim::Simulator simulator(platform, opts);
@@ -112,32 +114,18 @@ runBatchSweep(const workload::ModelConfig &model,
     if (batches.empty())
         fatal("runBatchSweep: empty batch list");
 
-    SweepResult result;
-    result.modelName = model.name;
-    result.platformName = platform.name;
+    SweepResult result = runCustomSweep(
+        model.name, platform,
+        [&](int batch) {
+            workload::BuildOptions build;
+            build.batch = batch;
+            build.seqLen = seq_len;
+            build.mode = mode;
+            return workload::buildPrefillGraph(model, build);
+        },
+        batches, sim_opts);
     result.seqLen = seq_len;
     result.mode = mode;
-
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-        int batch = batches[i];
-        workload::BuildOptions build;
-        build.batch = batch;
-        build.seqLen = seq_len;
-        build.mode = mode;
-        // Decorrelate jitter across sweep points deterministically,
-        // with the project-wide mixSeed(base, index) convention.
-        sim::SimOptions sim = sim_opts;
-        sim.seed = mixSeed(sim_opts.seed, i);
-
-        skip::ProfileResult profiled =
-            skip::profile(model, platform, build, sim);
-
-        SweepPoint point;
-        point.batch = batch;
-        point.metrics = std::move(profiled.metrics);
-        point.wallNs = profiled.wallNs;
-        result.points.push_back(std::move(point));
-    }
     return result;
 }
 

@@ -417,7 +417,6 @@ class Sim
             serving::ReplicaEngine::Config ec;
             ec.cost = &costs.get(rt.spec->platform.name);
             ec.maxActive = rt.spec->maxActive;
-            ec.promptLen = spec.promptLen;
             ec.genTokens = spec.genTokens;
             ec.kvPerSeqBytes = kv_per_seq;
             ec.kvCapacityBytes = kv_capacity;

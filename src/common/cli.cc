@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -49,18 +50,37 @@ CliArgs::getString(const std::string &key, const std::string &def) const
     return it == _options.end() ? def : it->second;
 }
 
-long
-CliArgs::getInt(const std::string &key, long def) const
+namespace
+{
+
+/**
+ * Parse @p text as a decimal int, naming --@p key when it is not one:
+ * strtol saturates on overflow and long is wider than int, so both
+ * bounds are checked before narrowing.
+ */
+int
+parseInt(const std::string &key, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0')
+        fatal("option --" + key + " expects an integer, got '" + text +
+              "'");
+    if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        fatal("option --" + key + " is out of range for an int, got '" +
+              text + "'");
+    return static_cast<int>(v);
+}
+
+} // namespace
+
+int
+CliArgs::getInt(const std::string &key, int def) const
 {
     auto it = _options.find(key);
-    if (it == _options.end())
-        return def;
-    char *end = nullptr;
-    long v = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --" + key + " expects an integer, got '" +
-              it->second + "'");
-    return v;
+    return it == _options.end() ? def : parseInt(key, it->second);
 }
 
 std::uint64_t
@@ -109,21 +129,15 @@ CliArgs::getBool(const std::string &key, bool def) const
     return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
-std::vector<long>
-CliArgs::getIntList(const std::string &key, std::vector<long> def) const
+std::vector<int>
+CliArgs::getIntList(const std::string &key, std::vector<int> def) const
 {
     auto it = _options.find(key);
     if (it == _options.end())
         return def;
-    std::vector<long> out;
-    for (const auto &field : split(it->second, ',', false)) {
-        char *end = nullptr;
-        long v = std::strtol(field.c_str(), &end, 10);
-        if (end == field.c_str() || *end != '\0')
-            fatal("option --" + key + " expects integers, got '" +
-                  field + "'");
-        out.push_back(v);
-    }
+    std::vector<int> out;
+    for (const auto &field : split(it->second, ',', false))
+        out.push_back(parseInt(key, field));
     return out;
 }
 
@@ -132,7 +146,7 @@ parseRunFlags(const CliArgs &args, int defaultJobs,
               double defaultObsIntervalMs)
 {
     RunFlags flags;
-    flags.jobs = static_cast<int>(args.getInt("jobs", defaultJobs));
+    flags.jobs = args.getInt("jobs", defaultJobs);
     flags.seed = args.getUint64("seed", 42);
     flags.quick = args.getBool("quick");
     flags.csv = args.getBool("csv");

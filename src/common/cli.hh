@@ -36,8 +36,11 @@ class CliArgs
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
 
-    /** Integer option with default. @throws FatalError on bad format. */
-    long getInt(const std::string &key, long def) const;
+    /**
+     * Integer option with default.
+     * @throws FatalError on bad format or a value outside int.
+     */
+    int getInt(const std::string &key, int def) const;
 
     /**
      * Unsigned 64-bit option with default (RNG seeds), parsed from
@@ -53,9 +56,12 @@ class CliArgs
     /** Boolean flag: present (or "true"/"1") means true. */
     bool getBool(const std::string &key, bool def = false) const;
 
-    /** Comma-separated integer list option, e.g. --batches 1,2,4,8. */
-    std::vector<long> getIntList(const std::string &key,
-                                 std::vector<long> def) const;
+    /**
+     * Comma-separated integer list option, e.g. --batches 1,2,4,8.
+     * @throws FatalError on an element getInt would reject.
+     */
+    std::vector<int> getIntList(const std::string &key,
+                                std::vector<int> def) const;
 
     /** Positional (non-option) arguments in order of appearance. */
     const std::vector<std::string> &positional() const { return _positional; }

@@ -92,21 +92,17 @@ fusionAnalysis(const RunSpec &spec)
 json::Value
 generationAnalysis(const RunSpec &spec)
 {
-    analysis::GenerationConfig config;
-    config.batch = spec.batch();
-    config.promptLen = spec.seqLen();
-    config.genTokens = spec.intOpt("gen-tokens", 8);
-    config.mode = spec.mode();
-    config.sim = spec.simOptions();
+    int gen_tokens = spec.intOpt("gen-tokens", 8);
     analysis::GenerationResult result = analysis::simulateGeneration(
-        spec.model(), spec.platform(), config);
+        spec.model(), spec.platform(), spec.buildOptions(), gen_tokens,
+        spec.simOptions());
 
     json::Object doc = identityJson(spec);
-    doc.set("gen_tokens", config.genTokens);
+    doc.set("gen_tokens", gen_tokens);
     doc.set("ttft_ms", result.ttftNs / 1e6);
     doc.set("tpot_ms", result.tpotNs() / 1e6);
     doc.set("total_ms", result.totalNs / 1e6);
-    doc.set("tokens_per_sec", result.tokensPerSecond(config.batch));
+    doc.set("tokens_per_sec", result.tokensPerSecond(spec.batch()));
     return doc;
 }
 

@@ -22,6 +22,26 @@ elapsedMs(std::chrono::steady_clock::time_point since)
         .count();
 }
 
+/** Per-point entries; @p timed adds each point's host wall_ms. */
+json::Value
+pointsJson(const std::vector<PointResult> &points, bool timed)
+{
+    json::Value::Array out;
+    for (const auto &point : points) {
+        json::Object entry;
+        entry.set("index", static_cast<unsigned long long>(point.index));
+        entry.set("spec", point.spec.toJson());
+        if (timed)
+            entry.set("wall_ms", point.wallMs);
+        if (point.ok())
+            entry.set("result", point.value);
+        else
+            entry.set("error", point.error);
+        out.push_back(std::move(entry));
+    }
+    return out;
+}
+
 } // namespace
 
 std::size_t
@@ -36,18 +56,7 @@ GridReport::failed() const
 json::Value
 GridReport::resultsJson() const
 {
-    json::Value::Array out;
-    for (const auto &point : points) {
-        json::Object entry;
-        entry.set("index", static_cast<unsigned long long>(point.index));
-        entry.set("spec", point.spec.toJson());
-        if (point.ok())
-            entry.set("result", point.value);
-        else
-            entry.set("error", point.error);
-        out.push_back(std::move(entry));
-    }
-    return out;
+    return pointsJson(points, /*timed=*/false);
 }
 
 json::Value
@@ -59,20 +68,7 @@ GridReport::toJson() const
     doc.set("wall_ms", wallMs);
     doc.set("points", static_cast<unsigned long long>(points.size()));
     doc.set("failed", static_cast<unsigned long long>(failed()));
-
-    json::Value::Array out;
-    for (const auto &point : points) {
-        json::Object entry;
-        entry.set("index", static_cast<unsigned long long>(point.index));
-        entry.set("spec", point.spec.toJson());
-        entry.set("wall_ms", point.wallMs);
-        if (point.ok())
-            entry.set("result", point.value);
-        else
-            entry.set("error", point.error);
-        out.push_back(std::move(entry));
-    }
-    doc.set("results", std::move(out));
+    doc.set("results", pointsJson(points, /*timed=*/true));
     return doc;
 }
 

@@ -120,7 +120,7 @@ emitContinuousObs(obs::Collector &obs,
 IterationCostModel::IterationCostModel(const workload::ModelConfig &model,
                                        const hw::Platform &platform,
                                        int prompt_len)
-    : _model(model), _platform(platform)
+    : _model(model), _promptLen(prompt_len), _platform(platform)
 {
     if (prompt_len <= 0)
         fatal("IterationCostModel: prompt length must be positive");
@@ -203,10 +203,15 @@ ContinuousResult
 simulateContinuous(const IterationCostModel &cost,
                    const ContinuousConfig &config, obs::Collector *obs)
 {
-    if (config.arrivalRatePerSec <= 0.0)
-        fatal("simulateContinuous: arrival rate must be positive");
-    if (config.horizonSec <= 0.0)
-        fatal("simulateContinuous: horizon must be positive");
+    // NaN and infinity fail these checks: either would keep the
+    // arrival generator from terminating.
+    if (!std::isfinite(config.arrivalRatePerSec) ||
+        config.arrivalRatePerSec <= 0.0)
+        fatal("simulateContinuous: arrivalRatePerSec must be positive "
+              "and finite");
+    if (!std::isfinite(config.horizonSec) || config.horizonSec <= 0.0)
+        fatal("simulateContinuous: horizonSec must be positive and "
+              "finite");
     if (config.maxActive <= 0)
         fatal("simulateContinuous: maxActive must be positive");
     if (config.genTokens <= 0)
@@ -227,7 +232,6 @@ simulateContinuous(const IterationCostModel &cost,
     ReplicaEngine::Config rc;
     rc.cost = &cost;
     rc.maxActive = config.maxActive;
-    rc.promptLen = config.promptLen;
     rc.genTokens = config.genTokens;
     rc.chunkTokens = config.chunkTokens;
     rc.horizonNs = horizon_ns;

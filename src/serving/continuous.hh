@@ -57,8 +57,12 @@ class IterationCostModel
      */
     double chunkNs(int chunk_tokens) const;
 
+    /** Prompt length of every request the model prices (tokens). */
+    int promptLen() const { return _promptLen; }
+
   private:
     workload::ModelConfig _model;
+    int _promptLen = 0;
     hw::Platform _platform;
     std::vector<int> _grid;
     std::vector<double> _prefill;
@@ -78,18 +82,15 @@ struct ContinuousConfig
     /** Maximum concurrently decoding sequences. */
     int maxActive = 32;
 
-    /** Prompt length of every request (tokens). */
-    int promptLen = 512;
-
     /** Tokens generated per request. */
     int genTokens = 32;
 
     /**
      * Chunked-prefill size in tokens (Sarathi-Serve style): prompts
-     * are split into ceil(promptLen / chunkTokens) chunk iterations,
-     * each co-scheduled with the running decode batch so decoding
-     * never stalls behind a full prefill. 0 disables chunking (whole
-     * prompts prefill in dedicated iterations).
+     * are split into ceil(cost.promptLen() / chunkTokens) chunk
+     * iterations, each co-scheduled with the running decode batch so
+     * decoding never stalls behind a full prefill. 0 disables chunking
+     * (whole prompts prefill in dedicated iterations).
      */
     int chunkTokens = 0;
 
@@ -131,7 +132,8 @@ struct ContinuousResult
  * continuous.ttft_ms, plus registry totals and a continuous.ttft_ms
  * histogram. Probes never perturb the result.
  *
- * @throws skipsim::FatalError on non-positive rate/horizon/capacity.
+ * @throws skipsim::FatalError on non-positive or non-finite
+ *         rate/horizon, or non-positive capacity.
  */
 ContinuousResult simulateContinuous(const IterationCostModel &cost,
                                     const ContinuousConfig &config,

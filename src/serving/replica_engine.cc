@@ -18,8 +18,6 @@ ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
         fatal("ReplicaEngine: maxActive must be positive");
     if (_cfg.genTokens <= 0)
         fatal("ReplicaEngine: genTokens must be positive");
-    if (_cfg.chunkTokens > 0 && _cfg.promptLen <= 0)
-        fatal("ReplicaEngine: chunked prefill needs a prompt length");
     if (static_cast<bool>(_cfg.kvAdmit) !=
         static_cast<bool>(_cfg.kvRelease))
         fatal("ReplicaEngine: kvAdmit and kvRelease must be set "
@@ -57,11 +55,11 @@ ReplicaEngine::maybeStart(double nowNs)
             _headId = _pending.front().first;
             _headArrivalNs = _pending.front().second;
             _pending.pop_front();
-            int prompt_tokens = _cfg.promptLen;
+            int prompt_tokens = _cfg.cost->promptLen();
             if (_cfg.prefillFrac)
                 prompt_tokens = std::max(
                     1, static_cast<int>(std::lround(
-                           _cfg.promptLen *
+                           prompt_tokens *
                            std::clamp(_cfg.prefillFrac(_headId), 0.05,
                                       1.0))));
             _headChunksLeft =

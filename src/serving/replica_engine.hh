@@ -75,14 +75,12 @@ class ReplicaEngine : private core::Process
   public:
     struct Config
     {
-        /** Iteration latency model (required). */
+        /** Iteration latency model (required); its promptLen() is
+         *  every request's prompt length. */
         const IterationCostModel *cost = nullptr;
 
         /** Maximum concurrently decoding sequences. */
         int maxActive = 0;
-
-        /** Prompt length of every request (tokens). */
-        int promptLen = 0;
 
         /** Tokens generated per request (>= 1; prefill emits one). */
         int genTokens = 0;

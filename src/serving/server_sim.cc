@@ -108,14 +108,19 @@ ServingResult
 simulateServing(const LatencyModel &latency, const ServingConfig &config,
                 obs::Collector *obs)
 {
-    if (config.arrivalRatePerSec <= 0.0)
-        fatal("simulateServing: arrival rate must be positive");
-    if (config.horizonSec <= 0.0)
-        fatal("simulateServing: horizon must be positive");
+    // NaN and infinity fail these checks: either would keep the
+    // arrival generator or the event queue from terminating.
+    if (!std::isfinite(config.arrivalRatePerSec) ||
+        config.arrivalRatePerSec <= 0.0)
+        fatal("simulateServing: arrivalRatePerSec must be positive and "
+              "finite");
+    if (!std::isfinite(config.horizonSec) || config.horizonSec <= 0.0)
+        fatal("simulateServing: horizonSec must be positive and finite");
     if (config.maxBatch <= 0)
         fatal("simulateServing: maxBatch must be positive");
-    if (config.maxWaitNs < 0.0)
-        fatal("simulateServing: maxWaitNs must be non-negative");
+    if (!std::isfinite(config.maxWaitNs) || config.maxWaitNs < 0.0)
+        fatal("simulateServing: maxWaitNs must be non-negative and "
+              "finite");
 
     // Poisson arrivals: exponential inter-arrival gaps.
     double horizon_ns = config.horizonSec * 1e9;

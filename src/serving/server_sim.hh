@@ -101,7 +101,9 @@ struct ServingResult
  * (serving.requests_offered/completed, serving.batches) and a
  * serving.latency_ms histogram. Probes never perturb the result.
  *
- * @throws skipsim::FatalError on non-positive rate/horizon/batch.
+ * @throws skipsim::FatalError on non-positive or non-finite
+ *         rate/horizon, non-positive batch, or a negative or
+ *         non-finite max wait.
  */
 ServingResult simulateServing(const LatencyModel &latency,
                               const ServingConfig &config,

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <vector>
+
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -221,18 +224,53 @@ TEST(CliArgs, PositionalArguments)
 
 TEST(CliArgs, IntListOption)
 {
-    const char *argv[] = {"prog", "--batches", "1,2,4,8"};
-    CliArgs args(3, argv);
-    auto list = args.getIntList("batches", {});
+    const char *argv[] = {"prog", "--batches", "1,2,4,8", "--edges",
+                          "-2147483648,2147483647"};
+    CliArgs args(5, argv);
+    std::vector<int> list = args.getIntList("batches", {});
     ASSERT_EQ(list.size(), 4u);
     EXPECT_EQ(list[3], 8);
+    EXPECT_EQ(args.getIntList("edges", {}),
+              (std::vector<int>{INT_MIN, INT_MAX}));
+
+    // Every element gets getInt's checks: a value past int must not
+    // wrap into a small batch.
+    for (const char *bad : {"1,4294967297", "1,x", "99999999999999999999"}) {
+        const char *argv_bad[] = {"prog", "--batches", bad};
+        CliArgs bad_args(3, argv_bad);
+        try {
+            bad_args.getIntList("batches", {});
+            FAIL() << "accepted '" << bad << "'";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("--batches"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(CliArgs, BadIntegerThrows)
 {
-    const char *argv[] = {"prog", "--batch", "abc"};
-    CliArgs args(3, argv);
-    EXPECT_THROW(args.getInt("batch", 0), FatalError);
+    // Bad format, a value past int (which used to wrap: 2^32 + 1
+    // became 1) and one past long (strtol saturates).
+    for (const char *bad : {"abc", "4294967297", "-2147483649",
+                            "99999999999999999999", "", "7x"}) {
+        const char *argv[] = {"prog", "--batch", bad};
+        CliArgs args(3, argv);
+        try {
+            args.getInt("batch", 0);
+            FAIL() << "accepted '" << bad << "'";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("--batch"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    const char *edge[] = {"prog", "--lo", "-2147483648", "--hi",
+                          "2147483647"};
+    CliArgs args(5, edge);
+    EXPECT_EQ(args.getInt("lo", 0), INT_MIN);
+    EXPECT_EQ(args.getInt("hi", 0), INT_MAX);
 }
 
 TEST(CliArgs, BadDoubleThrows)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "analysis/sweep.hh"
 #include "common/logging.hh"
 #include "hw/catalog.hh"
@@ -36,7 +39,6 @@ config(double rate, int max_active = 32, int gen = 8)
     c.arrivalRatePerSec = rate;
     c.horizonSec = 10.0;
     c.maxActive = max_active;
-    c.promptLen = 256;
     c.genTokens = gen;
     return c;
 }
@@ -155,6 +157,16 @@ TEST(Continuous, InvalidConfigsThrow)
     bad = config(10.0);
     bad.horizonSec = 0.0;
     EXPECT_THROW(simulateContinuous(costModel(), bad), FatalError);
+
+    // Non-finite rates and horizons would never end the arrival draw.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double v : {inf, std::nan("")}) {
+        EXPECT_THROW(simulateContinuous(costModel(), config(v)),
+                     FatalError);
+        bad = config(10.0);
+        bad.horizonSec = v;
+        EXPECT_THROW(simulateContinuous(costModel(), bad), FatalError);
+    }
 }
 
 } // namespace

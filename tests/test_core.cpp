@@ -229,7 +229,6 @@ TEST(GoldenOutputs, ContinuousResultAndObsByteIdentical)
     config.arrivalRatePerSec = 100.0;
     config.horizonSec = 1.0;
     config.maxActive = 8;
-    config.promptLen = 64;
     config.genTokens = 4;
 
     obs::Collector plain_obs(50.0);

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/generation.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "exec/grid.hh"
@@ -298,6 +299,46 @@ TEST(Registry, BuiltinsPresent)
     EXPECT_TRUE(hasAnalysis("serving"));
     EXPECT_TRUE(hasAnalysis("fusion"));
     EXPECT_TRUE(hasAnalysis("generation"));
+}
+
+TEST(Registry, GenerationAndServingRunOnASmallSpec)
+{
+    // The decode-side analyses hand the spec's own BuildOptions and
+    // SimOptions to the engines, jitter included.
+    const RunSpec spec = RunSpec::of("GPT2")
+                             .on("GH200")
+                             .batch(2)
+                             .seqLen(128)
+                             .seed(7)
+                             .jitter(true, 0.01)
+                             .opt("gen-tokens", 3.0)
+                             .opt("rate", 20.0)
+                             .opt("horizon-sec", 2.0);
+
+    json::Value gen = analysisByName("generation")(spec);
+    const json::Object &doc = gen.asObject();
+    analysis::GenerationResult expect = analysis::simulateGeneration(
+        spec.model(), spec.platform(), spec.buildOptions(), 3,
+        spec.simOptions());
+    EXPECT_EQ(doc.at("batch").asInt(), 2);
+    EXPECT_EQ(doc.at("seq").asInt(), 128);
+    EXPECT_EQ(doc.at("gen_tokens").asInt(), 3);
+    EXPECT_EQ(doc.at("ttft_ms").asDouble(), expect.ttftNs / 1e6);
+    EXPECT_EQ(doc.at("tpot_ms").asDouble(), expect.tpotNs() / 1e6);
+    EXPECT_EQ(doc.at("total_ms").asDouble(), expect.totalNs / 1e6);
+    EXPECT_EQ(doc.at("tokens_per_sec").asDouble(),
+              expect.tokensPerSecond(2));
+
+    json::Value serve = analysisByName("serving")(spec);
+    const json::Object &served = serve.asObject();
+    EXPECT_EQ(served.at("seq").asInt(), 128);
+    EXPECT_GT(served.at("completed").asInt(), 0);
+    EXPECT_GT(served.at("throughput_rps").asDouble(), 0.0);
+    EXPECT_LE(served.at("p50_ms").asDouble(),
+              served.at("p99_ms").asDouble());
+    // Same spec, same bytes.
+    EXPECT_EQ(json::write(serve),
+              json::write(analysisByName("serving")(spec)));
 }
 
 TEST(Registry, UnknownAnalysisReportedNotAborted)

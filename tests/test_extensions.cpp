@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "analysis/boundedness.hh"
 #include "analysis/energy.hh"
 #include "analysis/generation.hh"
@@ -26,12 +29,11 @@ namespace
 
 TEST(Generation, ProducesAllPhases)
 {
-    analysis::GenerationConfig config;
-    config.batch = 2;
-    config.promptLen = 256;
-    config.genTokens = 4;
+    workload::BuildOptions prompt;
+    prompt.batch = 2;
+    prompt.seqLen = 256;
     analysis::GenerationResult result = analysis::simulateGeneration(
-        workload::gpt2(), hw::platforms::intelH100(), config);
+        workload::gpt2(), hw::platforms::intelH100(), prompt, 4);
 
     EXPECT_GT(result.ttftNs, 0.0);
     ASSERT_EQ(result.stepNs.size(), 4u);
@@ -39,17 +41,16 @@ TEST(Generation, ProducesAllPhases)
     EXPECT_NEAR(result.totalNs,
                 result.ttftNs + 4.0 * result.tpotNs(),
                 result.totalNs * 0.2);
-    EXPECT_GT(result.tokensPerSecond(config.batch), 0.0);
+    EXPECT_GT(result.tokensPerSecond(prompt.batch), 0.0);
     EXPECT_GE(result.worstStepNs(), result.tpotNs());
 }
 
 TEST(Generation, DecodeStepsCheaperThanPrefill)
 {
-    analysis::GenerationConfig config;
-    config.promptLen = 512;
-    config.genTokens = 2;
+    workload::BuildOptions prompt;
+    prompt.seqLen = 512;
     analysis::GenerationResult result = analysis::simulateGeneration(
-        workload::llama32_1b(), hw::platforms::gh200(), config);
+        workload::llama32_1b(), hw::platforms::gh200(), prompt, 2);
     EXPECT_LT(result.tpotNs(), result.ttftNs);
 }
 
@@ -58,13 +59,12 @@ TEST(Generation, DecodeMoreCpuBoundThanPrefill)
     // The decode phase launches the same kernel count for ~1/512 the
     // work: TPOT is dominated by dispatch, so the Grace CPU penalty is
     // at its worst there (the extension's headline observation).
-    analysis::GenerationConfig config;
-    config.promptLen = 256;
-    config.genTokens = 2;
+    workload::BuildOptions prompt;
+    prompt.seqLen = 256;
 
     auto run = [&](const hw::Platform &platform) {
         return analysis::simulateGeneration(workload::gpt2(), platform,
-                                            config);
+                                            prompt, 2);
     };
     analysis::GenerationResult intel = run(hw::platforms::intelH100());
     analysis::GenerationResult gh = run(hw::platforms::gh200());
@@ -75,11 +75,35 @@ TEST(Generation, DecodeMoreCpuBoundThanPrefill)
 
 TEST(Generation, InvalidTokensThrow)
 {
-    analysis::GenerationConfig config;
-    config.genTokens = 0;
     EXPECT_THROW(analysis::simulateGeneration(
-                     workload::gpt2(), hw::platforms::gh200(), config),
+                     workload::gpt2(), hw::platforms::gh200(), {}, 0),
                  FatalError);
+}
+
+TEST(Generation, TtftIsTheProfiledPrefill)
+{
+    // The prefill of a generation is the run skip::profile makes for
+    // the same BuildOptions and SimOptions, jittered or not.
+    for (const auto &model : {workload::gpt2(), workload::llama32_1b()}) {
+        for (const auto &platform : hw::platforms::paperTrio()) {
+            for (bool jitter : {false, true}) {
+                workload::BuildOptions prompt;
+                prompt.batch = 2;
+                prompt.seqLen = 128;
+                sim::SimOptions sim;
+                sim.seed = 7;
+                sim.jitter = jitter;
+                analysis::GenerationResult gen =
+                    analysis::simulateGeneration(model, platform,
+                                                 prompt, 1, sim);
+                skip::ProfileResult run =
+                    skip::profile(model, platform, prompt, sim);
+                EXPECT_EQ(gen.ttftNs, run.wallNs)
+                    << model.name << " on " << platform.name
+                    << " jitter " << jitter;
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------- energy
@@ -248,9 +272,10 @@ TEST(Speculative, EagerDecodeGainsNothing)
     config.draft = workload::tinyLlama1b();
     config.target = workload::llama2_7b();
     config.k = 4;
-    config.contextLen = 256;
+    workload::BuildOptions context;
+    context.seqLen = 256;
     analysis::SpeculativeResult result = analysis::evaluateSpeculative(
-        hw::platforms::intelH100(), config);
+        hw::platforms::intelH100(), config, context);
     EXPECT_LT(result.speedup, 1.0);
     EXPECT_GT(result.draftStepNs, 0.3 * result.baselineTpotNs);
 }
@@ -261,13 +286,14 @@ TEST(Speculative, GraphDecodeRecoversOnFastCpu)
     config.draft = workload::tinyLlama1b();
     config.target = workload::llama2_7b();
     config.k = 2;
-    config.contextLen = 256;
-    config.mode = workload::ExecMode::CompileReduceOverhead;
+    workload::BuildOptions context;
+    context.seqLen = 256;
+    context.mode = workload::ExecMode::CompileReduceOverhead;
 
     analysis::SpeculativeResult intel = analysis::evaluateSpeculative(
-        hw::platforms::intelH100(), config);
+        hw::platforms::intelH100(), config, context);
     analysis::SpeculativeResult gh = analysis::evaluateSpeculative(
-        hw::platforms::gh200(), config);
+        hw::platforms::gh200(), config, context);
     // Fast-CPU LC platform benefits; the Grace CPU still gates it.
     EXPECT_GT(intel.speedup, 1.0);
     EXPECT_GT(intel.speedup, gh.speedup);
@@ -280,9 +306,10 @@ TEST(Speculative, ExpectedTokensFormula)
     config.target = workload::llama32_1b();
     config.k = 4;
     config.acceptRate = 0.5;
-    config.contextLen = 128;
+    workload::BuildOptions context;
+    context.seqLen = 128;
     analysis::SpeculativeResult result = analysis::evaluateSpeculative(
-        hw::platforms::gh200(), config);
+        hw::platforms::gh200(), config, context);
     // (1 - 0.5^5) / (1 - 0.5) = 1.9375 expected tokens per cycle.
     EXPECT_NEAR(result.expectedTokensPerCycle, 1.9375, 1e-9);
     EXPECT_NEAR(result.cycleNs,
@@ -300,10 +327,35 @@ TEST(Speculative, InvalidConfigThrows)
                                                config),
                  FatalError);
     config.k = 2;
-    config.acceptRate = 1.0;
-    EXPECT_THROW(analysis::evaluateSpeculative(hw::platforms::gh200(),
-                                               config),
-                 FatalError);
+    for (double bad : {1.0, -0.1, std::nan(""),
+                       std::numeric_limits<double>::infinity()}) {
+        config.acceptRate = bad;
+        EXPECT_THROW(analysis::evaluateSpeculative(
+                         hw::platforms::gh200(), config),
+                     FatalError)
+            << "acceptRate " << bad;
+    }
+}
+
+TEST(Speculative, BaselineIsTheFirstGenerationStep)
+{
+    // Without jitter, the plain-decoding baseline is the first decode
+    // step of a generation over the same prompt shape.
+    for (const auto &target : {workload::gpt2(), workload::llama32_1b()}) {
+        for (const auto &platform : hw::platforms::paperTrio()) {
+            workload::BuildOptions context;
+            context.seqLen = 128;
+            analysis::SpeculativeResult spec =
+                analysis::evaluateSpeculative(
+                    platform, {workload::gpt2(), target, 2, 0.7},
+                    context);
+            analysis::GenerationResult gen =
+                analysis::simulateGeneration(target, platform, context,
+                                             1);
+            EXPECT_EQ(spec.baselineTpotNs, gen.stepNs[0])
+                << target.name << " on " << platform.name;
+        }
+    }
 }
 
 // ------------------------------------------------------------ custom sweep

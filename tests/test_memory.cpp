@@ -113,7 +113,6 @@ TEST(ChunkedPrefill, RunsAndConserves)
     config.arrivalRatePerSec = 20.0;
     config.horizonSec = 10.0;
     config.maxActive = 16;
-    config.promptLen = 512;
     config.genTokens = 8;
     config.chunkTokens = 128;
     serving::ContinuousResult result =
@@ -131,7 +130,6 @@ TEST(ChunkedPrefill, BoundsWorstIterationUnderLoad)
     config.arrivalRatePerSec = 60.0;
     config.horizonSec = 10.0;
     config.maxActive = 32;
-    config.promptLen = 512;
     config.genTokens = 16;
 
     config.chunkTokens = 0;

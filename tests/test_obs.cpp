@@ -379,7 +379,6 @@ TEST(ContinuousObs, RecordsIterationSpansAndTokenSeries)
     config.arrivalRatePerSec = 100.0;
     config.horizonSec = 1.0;
     config.maxActive = 8;
-    config.promptLen = 64;
     config.genTokens = 4;
     obs::Collector collector(50.0);
 

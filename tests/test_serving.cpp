@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "analysis/sweep.hh"
 #include "common/logging.hh"
 #include "hw/catalog.hh"
@@ -181,6 +184,20 @@ TEST(ServingSim, InvalidConfigsThrow)
     bad = config(10.0);
     bad.maxWaitNs = -1.0;
     EXPECT_THROW(serving::simulateServing(model, bad), FatalError);
+
+    // Non-finite rates and horizons would never end the arrival draw;
+    // a non-finite wait would reach the event queue.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double v : {inf, std::nan("")}) {
+        EXPECT_THROW(serving::simulateServing(model, config(v)),
+                     FatalError);
+        bad = config(10.0);
+        bad.horizonSec = v;
+        EXPECT_THROW(serving::simulateServing(model, bad), FatalError);
+        bad = config(10.0);
+        bad.maxWaitNs = v;
+        EXPECT_THROW(serving::simulateServing(model, bad), FatalError);
+    }
 }
 
 // ------------------------------------------------------------ op breakdown
