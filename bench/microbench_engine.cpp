@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "check/closure_queue.hh"
 #include "check/invariants.hh"
 #include "cluster/cluster.hh"
 #include "cluster/router.hh"
@@ -253,28 +254,38 @@ BM_ValidateTrace(benchmark::State &state)
 }
 BENCHMARK(BM_ValidateTrace)->Arg(1)->Arg(32);
 
+/** Pre-generated push times and priorities, so the event-queue rows
+ *  measure the heap, not the PRNG. */
+struct QueueLoad
+{
+    std::vector<double> times;
+    std::vector<int> prios;
+
+    explicit QueueLoad(std::size_t n) : times(n), prios(n)
+    {
+        Rng rng(42);
+        for (std::size_t i = 0; i < n; ++i) {
+            times[i] = rng.uniform(0.0, 1e9);
+            prios[i] = static_cast<int>(rng.below(4));
+        }
+    }
+};
+
 void
 BM_EventQueueThroughput(benchmark::State &state)
 {
     // Throughput of the core event queue every simulation path now
-    // runs on: push N events with random timestamps and mixed
-    // priorities, then drain. Timestamps are pre-generated so the
-    // measurement is the heap, not the PRNG.
+    // runs on: push N typed events with random timestamps and mixed
+    // priorities, then drain.
     const std::size_t n = static_cast<std::size_t>(state.range(0));
-    Rng rng(42);
-    std::vector<double> times(n);
-    std::vector<int> prios(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        times[i] = rng.uniform(0.0, 1e9);
-        prios[i] = static_cast<int>(rng.below(4));
-    }
+    const QueueLoad load(n);
     for (auto _ : state) {
         core::EventQueue queue;
         for (std::size_t i = 0; i < n; ++i)
-            queue.schedule(times[i], prios[i], nullptr);
+            queue.schedule(load.times[i], load.prios[i], 0, 0, i);
         while (!queue.empty()) {
             core::Event ev = queue.pop();
-            benchmark::DoNotOptimize(ev.timeNs);
+            benchmark::DoNotOptimize(ev.payload);
         }
     }
     state.SetItemsProcessed(
@@ -282,6 +293,32 @@ BM_EventQueueThroughput(benchmark::State &state)
         static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueThroughput)
+    ->Arg(1 << 14)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_ClosureQueueThroughput(benchmark::State &state)
+{
+    // The same load on check::ClosureEventQueue, the std::function
+    // heap the key heap replaced (kept as its differential oracle):
+    // the comparison row for BM_EventQueueThroughput.
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const QueueLoad load(n);
+    for (auto _ : state) {
+        check::ClosureEventQueue queue;
+        for (std::size_t i = 0; i < n; ++i)
+            queue.schedule(load.times[i], load.prios[i], nullptr);
+        while (!queue.empty()) {
+            check::ClosureEvent ev = queue.pop();
+            benchmark::DoNotOptimize(ev.timeNs);
+        }
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ClosureQueueThroughput)
     ->Arg(1 << 14)
     ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
@@ -296,10 +333,11 @@ BM_EngineEventChurn(benchmark::State &state)
     for (auto _ : state) {
         core::Engine engine;
         int remaining = n;
-        std::function<void(double)> step = [&](double) {
+        core::EventKind step = 0;
+        step = engine.addHandler([&](const core::Event &) {
             if (--remaining > 0)
                 engine.after(1.0, 0, step);
-        };
+        });
         engine.at(0.0, 0, step);
         engine.run();
         benchmark::DoNotOptimize(engine.processed());
@@ -395,6 +433,7 @@ main(int argc, char **argv)
     }
     static std::string filter =
         "--benchmark_filter=BM_EventQueueThroughput|"
+        "BM_ClosureQueueThroughput|"
         "BM_ClusterSpanOverhead|"
         "BM_RouterPick/1024$|"
         "BM_DependencyGraphBuild/(8192|65536)$|"

@@ -6,11 +6,13 @@
 #include <mutex>
 
 #include "analysis/sweep.hh"
+#include "check/closure_queue.hh"
 #include "check/invariants.hh"
 #include "check/scan_router.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/strutil.hh"
+#include "core/sharded_engine.hh"
 #include "exec/pool.hh"
 #include "hw/catalog.hh"
 #include "json/writer.hh"
@@ -747,8 +749,15 @@ Fuzzer::runCase(const FuzzCase &c) const
         }
         case FuzzKind::Cluster: {
             const cluster::CostCache &costs = clusterCosts();
-            cluster::ClusterResult r =
-                cluster::simulateCluster(c.cluster, costs);
+            core::ShardStats stats;
+            cluster::ClusterResult r = cluster::simulateCluster(
+                c.cluster, costs, nullptr, nullptr, &stats);
+            // Arrivals are chained, never pre-scheduled.
+            if (stats.peakPendingArrivals > 1)
+                problems.push_back(strprintf(
+                    "oracle: %llu arrival events pending at once",
+                    static_cast<unsigned long long>(
+                        stats.peakPendingArrivals)));
             if (r.offered != r.completed + r.lost)
                 problems.push_back(strprintf(
                     "oracle: offered %zu != completed %zu + lost "
@@ -798,6 +807,9 @@ Fuzzer::runCase(const FuzzCase &c) const
                             c.cluster.replicas.size(), 400);
             if (!routing.empty())
                 problems.push_back("oracle: " + routing);
+            std::string queueing = diffEventQueues(c.seed, 400);
+            if (!queueing.empty())
+                problems.push_back("oracle: " + queueing);
             break;
         }
         case FuzzKind::Trace: {

@@ -13,7 +13,10 @@
  *    must produce byte-identical serialized output (the jobs-1 vs
  *    jobs-N differential oracle);
  *  - result sanity: percentile ordering, utilization in [0,1],
- *    offered == completed + lost, goodput <= throughput.
+ *    offered == completed + lost, goodput <= throughput;
+ *  - cluster cases: at most one arrival event pending at once, and
+ *    the differential oracles of the router (diffRouters) and of the
+ *    event queue (diffEventQueues) replayed at the case's seed.
  *
  * Case i derives its seed as mixSeed(baseSeed, i) — the same
  * discipline exec::SweepSpec uses — so any failure reproduces from

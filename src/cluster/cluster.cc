@@ -13,6 +13,7 @@
 #include "core/sharded_engine.hh"
 #include "obs/collector.hh"
 #include "obs/span.hh"
+#include "serving/arrival.hh"
 #include "serving/replica_engine.hh"
 #include "stats/summary.hh"
 #include "workload/memory.hh"
@@ -158,6 +159,18 @@ ClusterSpec::validate() const
         if (rate <= 0.0)
             fatal("ClusterSpec: every sweep rate must be positive");
     }
+    if (traffic != nullptr)
+        serving::requireArrivalBudget(traffic->meanRatePerSec(),
+                                      horizonSec, "ClusterSpec",
+                                      "traffic mean rate", "horizon-sec");
+    else if (rates.empty())
+        serving::requireArrivalBudget(arrivalRatePerSec, horizonSec,
+                                      "ClusterSpec", "rate",
+                                      "horizon-sec");
+    for (std::size_t i = 0; i < rates.size(); ++i)
+        serving::requireArrivalBudget(rates[i], horizonSec, "ClusterSpec",
+                                      strprintf("sweep rate %zu", i),
+                                      "horizon-sec");
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         if (tenants[i].ttftSloMs <= 0.0 || tenants[i].e2eSloMs <= 0.0)
             fatal(strprintf("ClusterSpec: tenant %zu SLO thresholds "
@@ -382,6 +395,7 @@ class Sim
             _obsStopNs = static_cast<std::int64_t>(_horizonNs) +
                 _obs->intervalNs() - 1;
         }
+        addHandlers();
         _reps.resize(spec.replicas.size());
         _lanes.resize(spec.replicas.size());
         _stores.resize(spec.replicas.size());
@@ -483,7 +497,7 @@ class Sim
                     // it re-dispatches into the decode pool.
                     double end = chargeLane(r, _kvPerSeqBytes, now);
                     _engine.at(end, eventPriority(EvKvXfer, id),
-                               [this, id](double t) { dispatch(id, t); });
+                               _evHandoffDone, 0, id);
                     return;
                 }
                 _requests[id].doneNs = now;
@@ -539,16 +553,28 @@ class Sim
 
     ClusterResult run();
 
-    /** Events the finished run processed. */
-    std::uint64_t events() const { return _engine.processed(); }
+    const core::Engine &engine() const { return _engine; }
+
+    /** Most arrival events ever pending at once. */
+    std::size_t peakPendingArrivals() const
+    {
+        return _engine.peakPending(_evArrival);
+    }
 
   private:
     static std::vector<double> makeWeights(const ClusterSpec &spec,
                                            const CostCache &costs);
 
+    /** Register the handler of every event kind the cluster owns. */
+    void addHandlers();
+    /** Schedule request @p id's arrival event. */
+    void scheduleArrival(std::size_t id);
+    void onArrival(std::size_t id, double now);
     void dispatch(std::size_t id, double now);
     /** A routed request reached replica @p r: stage and enqueue. */
     void deliver(std::size_t id, std::size_t r, double now);
+    /** Staged dispatch: @p id's prompt landed on replica @p r. */
+    void onStaged(std::size_t id, std::size_t r, double now);
     void restartAndReroute(std::size_t r,
                            std::vector<std::size_t> &ids, double now);
     void drainBacklog(double now);
@@ -581,6 +607,16 @@ class Sim
     bool _disagg = false; ///< any replica has a non-Mixed role
     bool _kvOn = false;   ///< spec.kvTier enables the two-tier store
     core::Engine _engine;
+    /** The cluster's event kinds (payload = request id, target =
+     *  replica or fault index); replicas own their iteration ends. */
+    core::EventKind _evArrival = 0;
+    core::EventKind _evFault = 0;
+    core::EventKind _evDetect = 0;
+    core::EventKind _evHeal = 0;
+    core::EventKind _evDeliver = 0;
+    core::EventKind _evStaged = 0;
+    core::EventKind _evHandoffDone = 0; ///< prefill KV paged out
+    core::EventKind _evKvArrive = 0;    ///< KV landed on a decode replica
     double _dispatchNs = 0.0; ///< spec.dispatchUs, in ns
     /** Interconnect lanes and tier stores, one per replica; lanes are
      *  live (staging + handoff traffic) whenever tiering or
@@ -603,6 +639,35 @@ class Sim
     double _windowTtftNs = 0.0;
     std::size_t _windowTtftCount = 0;
 };
+
+void
+Sim::addHandlers()
+{
+    _evArrival = _engine.addHandler([this](const core::Event &ev) {
+        onArrival(ev.payload, ev.timeNs);
+    });
+    _evFault = _engine.addHandler([this](const core::Event &ev) {
+        onFault(ev.target, ev.timeNs);
+    });
+    _evDetect = _engine.addHandler([this](const core::Event &ev) {
+        onDetect(ev.target, ev.timeNs);
+    });
+    _evHeal = _engine.addHandler([this](const core::Event &ev) {
+        onHeal(ev.target, ev.timeNs);
+    });
+    _evDeliver = _engine.addHandler([this](const core::Event &ev) {
+        deliver(ev.payload, ev.target, ev.timeNs);
+    });
+    _evStaged = _engine.addHandler([this](const core::Event &ev) {
+        onStaged(ev.payload, ev.target, ev.timeNs);
+    });
+    _evHandoffDone = _engine.addHandler([this](const core::Event &ev) {
+        dispatch(ev.payload, ev.timeNs);
+    });
+    _evKvArrive = _engine.addHandler([this](const core::Event &ev) {
+        onKvArrive(ev.payload, ev.target, ev.timeNs);
+    });
+}
 
 std::vector<double>
 Sim::makeWeights(const ClusterSpec &spec, const CostCache &costs)
@@ -675,12 +740,34 @@ Sim::dispatch(std::size_t id, double now)
             // Routing latency: the request reaches its replica one
             // explicit delivery event after the decision.
             _engine.at(now + _dispatchNs, eventPriority(EvDeliver, id),
-                       [this, id, r](double t) { deliver(id, r, t); });
+                       _evDeliver, static_cast<std::uint32_t>(r), id);
             return;
         }
         deliver(id, r, now);
         return;
     }
+}
+
+void
+Sim::scheduleArrival(std::size_t id)
+{
+    _engine.at(_requests[id].arrivalNs, eventPriority(EvArrival, id),
+               _evArrival, 0, id);
+}
+
+void
+Sim::onArrival(std::size_t id, double now)
+{
+    // Chained arrivals: the next one is scheduled before this one
+    // dispatches, so exactly one arrival is pending until the last.
+    // An arrival's (time, priority) can tie only with another
+    // arrival's, and the one pending arrival is always the earliest
+    // unfired, so pops follow the pre-scheduled order.
+    if (id + 1 < _requests.size())
+        scheduleArrival(id + 1);
+    if (_spans != nullptr)
+        _spans->onArrival(id, now);
+    dispatch(id, now);
 }
 
 void
@@ -700,16 +787,8 @@ Sim::deliver(std::size_t id, std::size_t r, double now)
         // transfer, so KV paging and handoffs on the same lane delay
         // it — the bandwidth-contention coupling.
         double end = chargeLane(r, _stageBytes, now);
-        _engine.at(
-            end, eventPriority(EvStage, id), [this, id, r](double t) {
-                ReplicaRt &rep = _reps[r];
-                if (rep.partitioned) {
-                    rep.limbo.push_back(id);
-                    return;
-                }
-                rep.engine->enqueue(id, _requests[id].arrivalNs);
-                rep.engine->maybeStart(t);
-            });
+        _engine.at(end, eventPriority(EvStage, id), _evStaged,
+                   static_cast<std::uint32_t>(r), id);
         return;
     }
     // Input staging: the prompt crosses the link asynchronously
@@ -719,6 +798,18 @@ Sim::deliver(std::size_t id, std::size_t r, double now)
         chargeLane(r, _stageBytes, now);
     // A crashed replica's engine still queues the request — it
     // sinks into the failure until detection routes around it.
+    rt.engine->enqueue(id, _requests[id].arrivalNs);
+    rt.engine->maybeStart(now);
+}
+
+void
+Sim::onStaged(std::size_t id, std::size_t r, double now)
+{
+    ReplicaRt &rt = _reps[r];
+    if (rt.partitioned) {
+        rt.limbo.push_back(id);
+        return;
+    }
     rt.engine->enqueue(id, _requests[id].arrivalNs);
     rt.engine->maybeStart(now);
 }
@@ -737,8 +828,8 @@ void
 Sim::startHandoffInto(std::size_t id, std::size_t r, double now)
 {
     double end = chargeLane(r, _kvPerSeqBytes, now);
-    _engine.at(end, eventPriority(EvKvXfer, id),
-               [this, id, r](double t) { onKvArrive(id, r, t); });
+    _engine.at(end, eventPriority(EvKvXfer, id), _evKvArrive,
+               static_cast<std::uint32_t>(r), id);
 }
 
 void
@@ -859,8 +950,8 @@ Sim::onFault(std::size_t faultIdx, double tNs)
                            rt.limbo.end());
         rt.limbo.clear();
         _engine.at(tNs + _spec.detectDelaySec * 1e9,
-                   eventPriority(EvDetect, faultIdx),
-                   [this, faultIdx](double t) { onDetect(faultIdx, t); });
+                   eventPriority(EvDetect, faultIdx), _evDetect,
+                   static_cast<std::uint32_t>(faultIdx));
         return;
     }
     case FaultKind::Slowdown:
@@ -871,11 +962,11 @@ Sim::onFault(std::size_t faultIdx, double tNs)
             return;
         rt.partitioned = true;
         _engine.at(tNs + _spec.detectDelaySec * 1e9,
-                   eventPriority(EvDetect, faultIdx),
-                   [this, faultIdx](double t) { onDetect(faultIdx, t); });
+                   eventPriority(EvDetect, faultIdx), _evDetect,
+                   static_cast<std::uint32_t>(faultIdx));
         if (f.healSec >= 0.0)
             _engine.at(f.healSec * 1e9, eventPriority(EvHeal, faultIdx),
-                       [this, faultIdx](double t) { onHeal(faultIdx, t); });
+                       _evHeal, static_cast<std::uint32_t>(faultIdx));
         return;
     }
 }
@@ -960,15 +1051,14 @@ Sim::run()
         _spans->setMeta("ttft_slo_ms",
                         strprintf("%g", _spec.ttftSloMs));
         _spans->setMeta("e2e_slo_ms", strprintf("%g", _spec.e2eSloMs));
-        for (std::size_t id = 0; id < _requests.size(); ++id)
-            _spans->onArrival(id, _requests[id].arrivalNs);
     }
-    for (std::size_t id = 0; id < _requests.size(); ++id)
-        _engine.at(_requests[id].arrivalNs, eventPriority(EvArrival, id),
-                   [this, id](double now) { dispatch(id, now); });
+    // Only the first arrival is scheduled up front; each arrival
+    // schedules the next (onArrival).
+    if (!_requests.empty())
+        scheduleArrival(0);
     for (std::size_t i = 0; i < _spec.faults.size(); ++i)
         _engine.at(_spec.faults[i].atSec * 1e9, eventPriority(EvFault, i),
-                   [this, i](double now) { onFault(i, now); });
+                   _evFault, static_cast<std::uint32_t>(i));
 
     // Sample every probe boundary up to (and including) each event's
     // instant before applying it: boundary samples see the state as
@@ -1192,8 +1282,12 @@ simulateCluster(const ClusterSpec &spec, const CostCache &costs,
               "first");
     Sim sim(spec, costs, obs, spans);
     ClusterResult result = sim.run();
-    if (shardStats != nullptr)
-        *shardStats = core::ShardStats{sim.events(), 0};
+    if (shardStats != nullptr) {
+        *shardStats = core::ShardStats{};
+        shardStats->events = sim.engine().processed();
+        shardStats->peakPending = sim.engine().peakPending();
+        shardStats->peakPendingArrivals = sim.peakPendingArrivals();
+    }
     return result;
 }
 

@@ -2,21 +2,26 @@
  * @file
  * Discrete-event engine: one Clock plus one EventQueue plus the run
  * loop every simulation path shares (sim GPU stream, dynamic batcher,
- * continuous batching, cluster). The loop pops events in
+ * continuous batching, cluster). Events are typed records; each kind
+ * names an entry of the engine's handler table, filled once when the
+ * simulation is set up (addHandler). The loop pops events in
  * (time, priority, seq) order, invokes the before-event hook (probe
  * samplers flush deterministic boundaries here, so a boundary sample
  * always sees the state *as of* the boundary, never a partially
  * applied event — the sample-then-update contract), advances the
- * clock, and runs the handler. Handlers schedule follow-up events
- * through the same engine; determinism follows from the queue's total
- * order and from drawing randomness out of core::RngStreams.
+ * clock, and runs the kind's handler. Handlers schedule follow-up
+ * events through the same engine; determinism follows from the
+ * queue's total order and from drawing randomness out of
+ * core::RngStreams.
  */
 
 #ifndef SKIPSIM_CORE_ENGINE_HH
 #define SKIPSIM_CORE_ENGINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <utility>
+#include <vector>
 
 #include "core/clock.hh"
 #include "core/event_queue.hh"
@@ -24,10 +29,13 @@
 namespace skipsim::core
 {
 
-/** Clock + queue + run loop; see file comment. */
+/** Clock + queue + handler table + run loop; see file comment. */
 class Engine
 {
   public:
+    /** Runs one event kind; receives the popped event. */
+    using Handler = std::function<void(const Event &)>;
+
     Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
@@ -36,20 +44,38 @@ class Engine
     const Clock &clock() const { return _clock; }
 
     /**
-     * Schedule @p fn at absolute time @p tNs (>= now; the queue would
-     * regress the clock otherwise, which panics at pop time).
+     * Append @p handler to the handler table. @return the kind that
+     * dispatches to it.
+     * @throws PanicError on an empty handler or while the engine runs.
+     */
+    EventKind addHandler(Handler handler);
+
+    /**
+     * Schedule an event of @p kind at absolute time @p tNs (>= now;
+     * the queue would regress the clock otherwise, which panics at
+     * pop time). @throws PanicError on a kind addHandler never
+     * returned.
      */
     void
-    at(double tNs, int priority, EventFn fn)
+    at(double tNs, int priority, EventKind kind, std::uint32_t target = 0,
+       std::uint64_t payload = 0)
     {
-        _queue.schedule(tNs, priority, std::move(fn));
+        if (kind >= _handlers.size())
+            unknownKind(kind);
+        Entry &entry = _handlers[kind];
+        if (++entry.pending > entry.peak)
+            entry.peak = entry.pending;
+        _queue.schedule(tNs, priority, kind, target, payload);
+        if (_queue.size() > _peakPending)
+            _peakPending = _queue.size();
     }
 
-    /** Schedule @p fn @p delayNs after now. */
+    /** Schedule an event of @p kind @p delayNs after now. */
     void
-    after(double delayNs, int priority, EventFn fn)
+    after(double delayNs, int priority, EventKind kind,
+          std::uint32_t target = 0, std::uint64_t payload = 0)
     {
-        at(nowNs() + delayNs, priority, std::move(fn));
+        at(nowNs() + delayNs, priority, kind, target, payload);
     }
 
     /**
@@ -58,7 +84,7 @@ class Engine
      * Probe collectors sample their interval boundaries here.
      */
     void
-    onBeforeEvent(EventFn hook)
+    onBeforeEvent(std::function<void(double)> hook)
     {
         _beforeEvent = std::move(hook);
     }
@@ -78,21 +104,43 @@ class Engine
     /** Events processed across all run()/runUntil() calls. */
     std::uint64_t processed() const { return _processed; }
 
+    /** Most events ever pending at once (a run counter, never part of
+     *  any report). */
+    std::size_t peakPending() const { return _peakPending; }
+
+    /** Most events of @p kind ever pending at once. */
+    std::size_t peakPending(EventKind kind) const;
+
   private:
+    struct Entry
+    {
+        Handler fn;
+        std::size_t pending = 0;
+        std::size_t peak = 0;
+    };
+
     bool step();
+    [[noreturn]] void unknownKind(EventKind kind) const;
 
     Clock _clock;
     EventQueue _queue;
-    EventFn _beforeEvent;
+    std::vector<Entry> _handlers;
+    std::function<void(double)> _beforeEvent;
     std::uint64_t _processed = 0;
+    std::size_t _peakPending = 0;
+    /** Set while run()/runUntil() execute: a handler runs out of
+     *  _handlers, so the table must not grow under it. */
+    bool _running = false;
 };
 
 /**
  * Lightweight actor base: a Process owns a slice of simulation state
  * and schedules its own follow-up events on the shared engine. The
  * base class only carries the engine reference and scheduling sugar —
- * composition is by convention (handlers are plain member-capturing
- * callbacks), not by virtual dispatch, so porting an existing loop
+ * a process registers a handler per event kind it owns (typically a
+ * lambda forwarding the event's target and payload to a member
+ * function) when it is constructed, and schedules records of those
+ * kinds; there is no virtual dispatch, so porting an existing loop
  * costs nothing but moving its state into a class.
  */
 class Process
@@ -107,16 +155,24 @@ class Process
 
     double nowNs() const { return _engine.nowNs(); }
 
-    void
-    at(double tNs, int priority, EventFn fn)
+    EventKind
+    addHandler(Engine::Handler handler)
     {
-        _engine.at(tNs, priority, std::move(fn));
+        return _engine.addHandler(std::move(handler));
     }
 
     void
-    after(double delayNs, int priority, EventFn fn)
+    at(double tNs, int priority, EventKind kind, std::uint32_t target = 0,
+       std::uint64_t payload = 0)
     {
-        _engine.after(delayNs, priority, std::move(fn));
+        _engine.at(tNs, priority, kind, target, payload);
+    }
+
+    void
+    after(double delayNs, int priority, EventKind kind,
+          std::uint32_t target = 0, std::uint64_t payload = 0)
+    {
+        _engine.after(delayNs, priority, kind, target, payload);
     }
 
   private:

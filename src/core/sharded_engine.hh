@@ -5,7 +5,7 @@
  *
  * This header outlived the sharded engine it was named for only
  * because the benchmark (perfbench/workloads.cpp) includes it and
- * reads exactly these two fields. Every cluster run executes on one
+ * reads `events` and `windows`. Every cluster run executes on one
  * core::Engine, so `windows` always reads 0. Once the benchmark stops
  * including this header, fold the counters into core::Engine.
  */
@@ -25,6 +25,11 @@ struct ShardStats
     std::uint64_t events = 0;
     /** Synchronization windows; always 0 on the single engine. */
     std::uint64_t windows = 0;
+    /** Most events pending at once (core::Engine::peakPending()). */
+    std::uint64_t peakPending = 0;
+    /** Most arrival events pending at once: 1 while arrivals are
+     *  chained, 0 for a run without arrivals. */
+    std::uint64_t peakPendingArrivals = 0;
 };
 
 } // namespace skipsim::core

@@ -52,6 +52,22 @@ requireSessions(int sessions, const char *kind)
 
 } // namespace
 
+void
+requireArrivalBudget(double ratePerSec, double horizonSec,
+                     const std::string &context,
+                     const std::string &rateField,
+                     const std::string &horizonField)
+{
+    const double expected = ratePerSec * horizonSec;
+    if (expected > kMaxExpectedArrivals)
+        fatal(strprintf("%s: %s * %s = %g expected arrivals exceed the "
+                        "work budget of 2^32 (%.0f); lower %s or %s",
+                        context.c_str(), rateField.c_str(),
+                        horizonField.c_str(), expected,
+                        kMaxExpectedArrivals, rateField.c_str(),
+                        horizonField.c_str()));
+}
+
 // ------------------------------------------------------------- poisson
 
 std::vector<double>

@@ -252,6 +252,27 @@ std::vector<double> poissonTimesNs(double ratePerSec, double horizonNs,
                                    std::uint64_t seed);
 
 /**
+ * Work budget: the most arrivals one run may expect, 2^32. Arrivals
+ * are generated up front and every one becomes at least one event, so
+ * a finite but absurd rate or horizon (1e15 req/s, 1e12 s) would
+ * allocate and simulate until the host gives out. The budget sits
+ * three orders of magnitude above the largest shipped run (the
+ * 40-second datacenter bench, about 1.23M arrivals).
+ */
+inline constexpr double kMaxExpectedArrivals = 4294967296.0;
+
+/**
+ * Enforce kMaxExpectedArrivals on a run expecting @p ratePerSec ×
+ * @p horizonSec arrivals.
+ * @throws skipsim::FatalError, prefixed by @p context, naming
+ *         @p rateField and @p horizonField and the expected count.
+ */
+void requireArrivalBudget(double ratePerSec, double horizonSec,
+                          const std::string &context,
+                          const std::string &rateField,
+                          const std::string &horizonField);
+
+/**
  * Build a process from its tagged JSON form.
  * @throws skipsim::FatalError for unknown/missing "type" (the message
  *         lists the known types) or invalid parameters.

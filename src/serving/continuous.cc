@@ -217,6 +217,10 @@ simulateContinuous(const IterationCostModel &cost,
     if (config.genTokens <= 0)
         fatal("simulateContinuous: genTokens must be positive");
 
+    requireArrivalBudget(config.arrivalRatePerSec, config.horizonSec,
+                         "simulateContinuous", "arrivalRatePerSec",
+                         "horizonSec");
+
     // Poisson arrivals over the horizon.
     double horizon_ns = config.horizonSec * 1e9;
     std::vector<double> arrivals = poissonTimesNs(
@@ -271,11 +275,19 @@ simulateContinuous(const IterationCostModel &cost,
         };
 
     ReplicaEngine replica(engine, rc, std::move(cb));
-    for (std::size_t id = 0; id < arrivals.size(); ++id)
-        engine.at(arrivals[id], 0, [&, id](double now) {
-            replica.enqueue(id, now);
-            replica.maybeStart(now);
-        });
+    // Arrivals are chained: each schedules the next before it admits,
+    // so one is pending at a time and ties (arrivals only) still pop
+    // in arrival order.
+    core::EventKind arrive = 0;
+    arrive = engine.addHandler([&](const core::Event &ev) {
+        const std::size_t id = ev.payload;
+        if (id + 1 < arrivals.size())
+            engine.at(arrivals[id + 1], 0, arrive, 0, id + 1);
+        replica.enqueue(id, ev.timeNs);
+        replica.maybeStart(ev.timeNs);
+    });
+    if (!arrivals.empty())
+        engine.at(arrivals.front(), 0, arrive, 0, 0);
     engine.run();
 
     if (obs != nullptr)

@@ -25,6 +25,9 @@ ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
     if (_cfg.chunkTokens > 0 && (_cfg.kvAdmit || _cfg.prefillOnly))
         fatal("ReplicaEngine: chunked prefill does not compose with an "
               "external KV store or prefill-only mode");
+    _iterEnd = addHandler([this](const core::Event &ev) {
+        onIterEnd(ev.timeNs, ev.payload);
+    });
 }
 
 void
@@ -187,8 +190,7 @@ ReplicaEngine::startIteration(double nowNs, double baseNs)
     ++_serial;
     _iterBeginNs = nowNs;
     _busyNs += dur;
-    at(nowNs + dur, _cfg.iterPriority,
-       [this, serial = _serial](double tNs) { onIterEnd(tNs, serial); });
+    at(nowNs + dur, _cfg.iterPriority, _iterEnd, 0, _serial);
     return dur;
 }
 

@@ -284,6 +284,9 @@ class ReplicaEngine : private core::Process
     int _headChunksLeft = 0;
     bool _iterChunkSched = false;
 
+    /** This replica's iteration-end event kind; the payload is the
+     *  iteration's serial. */
+    core::EventKind _iterEnd = 0;
     bool _busy = false;
     bool _halted = false;
     std::uint64_t _serial = 0;

@@ -122,6 +122,10 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
         fatal("simulateServing: maxWaitNs must be non-negative and "
               "finite");
 
+    requireArrivalBudget(config.arrivalRatePerSec, config.horizonSec,
+                         "simulateServing", "arrivalRatePerSec",
+                         "horizonSec");
+
     // Poisson arrivals: exponential inter-arrival gaps.
     double horizon_ns = config.horizonSec * 1e9;
     std::vector<double> arrivals = poissonTimesNs(
@@ -157,11 +161,14 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
     };
 
     core::Engine engine;
+    core::EventKind arrive = 0;
+    core::EventKind server_free = 0;
+    core::EventKind wake = 0;
 
     // tryDispatch runs at each candidate instant; dispatch times are
     // monotone, so the first candidate past the horizon means no
     // batch ever dispatches again.
-    std::function<void(double)> try_dispatch = [&](double now) {
+    auto try_dispatch = [&](double now) {
         if (server_busy || next >= arrivals.size() ||
             now > horizon_ns)
             return;
@@ -201,18 +208,30 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
 
         next += count;
         server_busy = true;
-        engine.at(done, PrioServerFree, [&](double t) {
-            server_busy = false;
-            try_dispatch(t);
-        });
+        engine.at(done, PrioServerFree, server_free);
     };
 
-    for (double arrival : arrivals) {
-        engine.at(arrival, PrioArrival, try_dispatch);
+    server_free = engine.addHandler([&](const core::Event &ev) {
+        server_busy = false;
+        try_dispatch(ev.timeNs);
+    });
+    // Arrivals are chained: each one schedules the next arrival and
+    // its own wake before it dispatches, so one arrival is pending at
+    // a time. Arrivals tie on (time, priority) only with arrivals and
+    // wakes only with wakes, and both are still scheduled in request
+    // order, so the pops follow the pre-scheduled order.
+    arrive = engine.addHandler([&](const core::Event &ev) {
+        const std::size_t i = ev.payload;
+        if (i + 1 < arrivals.size())
+            engine.at(arrivals[i + 1], PrioArrival, arrive, 0, i + 1);
         // The wake fires when this request, as the oldest waiting one,
         // has waited out the batching window.
-        engine.at(arrival + config.maxWaitNs, PrioWake, try_dispatch);
-    }
+        engine.at(arrivals[i] + config.maxWaitNs, PrioWake, wake);
+        try_dispatch(ev.timeNs);
+    });
+    wake = engine.addHandler(
+        [&](const core::Event &ev) { try_dispatch(ev.timeNs); });
+    engine.at(arrivals.front(), PrioArrival, arrive, 0, 0);
     engine.run();
 
     if (obs != nullptr)

@@ -24,7 +24,7 @@ constexpr int kStreamId = 7;
  * the core engine. The CPU dispatch thread is a synchronous process
  * advancing a core::Clock (it never blocks mid-walk, so it needs no
  * scheduled events of its own); the GPU stream is a core::FifoResource
- * whose kernel completions are events on the core::EventQueue, drained
+ * whose kernel completions are typed events on the core engine, drained
  * at cudaDeviceSynchronize like a real in-order stream. The
  * (time, priority, seq) queue order is exactly kernel issue order
  * here, so the port preserves the pre-core trace byte-for-byte.
@@ -34,7 +34,16 @@ class Runner
   public:
     Runner(const hw::Platform &platform, const SimOptions &opts)
         : p(platform), o(opts), rng(opts.seed)
-    {}
+    {
+        // A kernel completion carries its duration as the payload;
+        // copies occupy the stream but carry no counter updates.
+        kernelDone = engine.addHandler([this](const core::Event &ev) {
+            gpuBusy += static_cast<double>(
+                static_cast<std::int64_t>(ev.payload));
+            ++numKernels;
+        });
+        copyDone = engine.addHandler([](const core::Event &) {});
+    }
 
     SimResult
     run(const workload::OperatorGraph &graph)
@@ -59,6 +68,8 @@ class Runner
     Rng rng;
 
     core::Engine engine;       ///< carries GPU completion events
+    core::EventKind kernelDone = 0;
+    core::EventKind copyDone = 0;
     core::Clock cpu;           ///< CPU dispatch-thread cursor
     core::FifoResource stream; ///< in-order GPU stream
 
@@ -160,11 +171,8 @@ class Runner
         stream.occupyUntil(static_cast<double>(k.tsEndNs()));
         // The stream-process half: the kernel's completion is an event
         // on the core queue, applied when the stream drains.
-        engine.at(static_cast<double>(k.tsEndNs()), 0,
-                  [this, dur = k.durNs](double) {
-                      gpuBusy += static_cast<double>(dur);
-                      ++numKernels;
-                  });
+        engine.at(static_cast<double>(k.tsEndNs()), 0, kernelDone, 0,
+                  static_cast<std::uint64_t>(k.durNs));
 
         out.add(std::move(rt));
         out.add(std::move(k));
@@ -203,7 +211,7 @@ class Runner
         stream.occupyUntil(static_cast<double>(mc.tsEndNs()));
         // Copies occupy the stream but are not kernels: the completion
         // event carries no counter updates.
-        engine.at(static_cast<double>(mc.tsEndNs()), 0, nullptr);
+        engine.at(static_cast<double>(mc.tsEndNs()), 0, copyDone);
 
         out.add(std::move(rt));
         out.add(std::move(mc));

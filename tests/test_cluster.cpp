@@ -22,6 +22,7 @@
 #include "check/scan_router.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "core/sharded_engine.hh"
 #include "exec/pool.hh"
 #include "exec/registry.hh"
 #include "exec/run_spec.hh"
@@ -31,6 +32,8 @@
 #include "kv/tier.hh"
 #include "obs/collector.hh"
 #include "obs/span.hh"
+#include "scenario/registry.hh"
+#include "serving/arrival.hh"
 #include "workload/memory.hh"
 #include "workload/model_config.hh"
 
@@ -354,6 +357,114 @@ TEST(ClusterSpecFinite, RejectsNonFiniteSpecSlos)
 {
     expectMemberRejected("ttft-slo-ms", "1e999", "ttft-slo-ms");
     expectMemberRejected("e2e-slo-ms", "1e999", "e2e-slo-ms");
+}
+
+namespace
+{
+
+/** @p run must fail with a work-budget FatalError naming @p rateField
+ *  and horizon-sec. */
+void
+expectOverBudget(const std::function<void()> &run,
+                 const std::string &rateField)
+{
+    try {
+        run();
+        ADD_FAILURE() << "accepted a run over the work budget";
+    } catch (const FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("work budget"), std::string::npos) << what;
+        EXPECT_NE(what.find(rateField + " * horizon-sec"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+} // namespace
+
+TEST(ClusterWorkBudget, RejectsRunawayHorizon)
+{
+    // cluster_smoke.json with "horizon-sec": 1e12 used to run until
+    // killed, generating arrivals the whole time.
+    json::Object obj = smallSpec().toJson().asObject();
+    obj.set("horizon-sec", json::parse("1e12"));
+    expectOverBudget(
+        [&] { cluster::ClusterSpec::fromJson(json::Value(obj)); }, "rate");
+}
+
+TEST(ClusterWorkBudget, RejectsRunawaySweepRate)
+{
+    json::Object obj = smallSpec().toJson().asObject();
+    obj.set("rates", json::parse("[40, 1e15]"));
+    expectOverBudget(
+        [&] { cluster::ClusterSpec::fromJson(json::Value(obj)); },
+        "sweep rate 1");
+}
+
+TEST(ClusterWorkBudget, RejectsRunawayTrafficModel)
+{
+    cluster::ClusterSpec spec = smallSpec();
+    spec.traffic = std::make_shared<serving::PoissonProcess>(1e12, 4);
+    expectOverBudget([&] { spec.validate(); }, "traffic mean rate");
+}
+
+TEST(ClusterWorkBudget, BudgetIsTwoToTheThirtyTwoExpectedArrivals)
+{
+    // Validation only: neither spec is simulated.
+    cluster::ClusterSpec spec = smallSpec();
+    spec.horizonSec = 1.0;
+    spec.arrivalRatePerSec = serving::kMaxExpectedArrivals;
+    EXPECT_NO_THROW(spec.validate());
+    spec.horizonSec = 2.0;
+    expectOverBudget([&] { spec.validate(); }, "rate");
+}
+
+TEST(ClusterWorkBudget, AdmitsTheFortySecondDatacenterRun)
+{
+    // ext_datacenter's full run: 1024 replicas x 30 req/s x 40 s,
+    // about 1.23M arrivals, far below the budget.
+    json::Object params;
+    params.set("replicas", 1024.0);
+    params.set("horizon-sec", 40.0);
+    params.set("rate-per-replica", 30.0);
+    cluster::ClusterSpec spec =
+        scenario::buildScenario("datacenter", params);
+    EXPECT_NO_THROW(spec.validate());
+    EXPECT_DOUBLE_EQ(spec.arrivalRatePerSec * spec.horizonSec,
+                     1024.0 * 30.0 * 40.0);
+}
+
+/**
+ * Pending-depth law: with arrivals chained (each arrival schedules the
+ * next), the 1024-replica datacenter run at a 1 s horizon keeps about
+ * one iteration end per replica pending, not its ~30.6K arrivals, and
+ * never more than one arrival.
+ */
+TEST(ClusterEngine, DatacenterPendingSetStaysNearFleetSize)
+{
+    json::Object params;
+    params.set("replicas", 1024.0);
+    params.set("sessions", static_cast<double>(1 << 20));
+    params.set("horizon-sec", 1.0);
+    params.set("router", std::string("least-outstanding"));
+    cluster::ClusterSpec spec =
+        scenario::buildScenario("datacenter", params);
+    core::ShardStats stats;
+    cluster::ClusterResult result =
+        cluster::simulateCluster(spec, nullptr, nullptr, &stats);
+    EXPECT_GT(result.offered, 30000u);
+    EXPECT_LE(stats.peakPending, spec.replicas.size() + 64);
+    EXPECT_EQ(stats.peakPendingArrivals, 1u);
+    EXPECT_GT(stats.events, result.offered);
+}
+
+TEST(ClusterEngine, PeakPendingIsNeverReported)
+{
+    // The pending-depth counters are run statistics: the report
+    // carries none of them.
+    const std::string report =
+        json::write(cluster::simulateCluster(smallSpec()).toJson());
+    EXPECT_EQ(report.find("pending"), std::string::npos);
 }
 
 TEST(ClusterSpec, JsonRoundTripIsByteIdentical)

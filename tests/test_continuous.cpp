@@ -169,5 +169,21 @@ TEST(Continuous, InvalidConfigsThrow)
     }
 }
 
+TEST(Continuous, RunawayArrivalCountsHitTheWorkBudget)
+{
+    try {
+        simulateContinuous(costModel(), config(1e12));
+        ADD_FAILURE() << "accepted 1e12 req/s";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "arrivalRatePerSec * horizonSec"),
+                  std::string::npos)
+            << err.what();
+    }
+    ContinuousConfig bad = config(10.0);
+    bad.horizonSec = 1e12;
+    EXPECT_THROW(simulateContinuous(costModel(), bad), FatalError);
+}
+
 } // namespace
 } // namespace skipsim::serving

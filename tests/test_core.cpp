@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "analysis/sweep.hh"
+#include "check/closure_queue.hh"
 #include "check/invariants.hh"
 #include "cluster/cluster.hh"
 #include "common/logging.hh"
@@ -358,34 +361,55 @@ TEST(GoldenOutputs, ClusterRateSweepByteIdenticalAtJobs1And8)
 TEST(CoreEventQueue, CollidingTimestampsPopDeterministically)
 {
     core::EventQueue queue;
-    std::vector<int> order;
-    auto record = [&order](int tag) {
-        return [&order, tag](double) { order.push_back(tag); };
-    };
     // Same instant throughout; priorities and push order interleaved
     // adversarially (descending priority, then a second wave at each
-    // priority to force (time, priority) collisions).
-    queue.schedule(100.0, 2, record(20));
-    queue.schedule(100.0, 1, record(10));
-    queue.schedule(100.0, 0, record(0));
-    queue.schedule(100.0, 2, record(21));
-    queue.schedule(100.0, 1, record(11));
-    queue.schedule(100.0, 0, record(1));
+    // priority to force (time, priority) collisions). The payload
+    // tags each push.
+    queue.schedule(100.0, 2, 0, 0, 20);
+    queue.schedule(100.0, 1, 0, 0, 10);
+    queue.schedule(100.0, 0, 0, 0, 0);
+    queue.schedule(100.0, 2, 0, 0, 21);
+    queue.schedule(100.0, 1, 0, 0, 11);
+    queue.schedule(100.0, 0, 0, 0, 1);
     // A later timestamp with the lowest priority still pops last.
-    queue.schedule(100.5, 0, record(99));
+    queue.schedule(100.5, 0, 0, 0, 99);
 
-    while (!queue.empty()) {
-        core::Event ev = queue.pop();
-        ev.fn(ev.timeNs);
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21, 99}));
+    std::vector<std::uint64_t> order;
+    while (!queue.empty())
+        order.push_back(queue.pop().payload);
+    EXPECT_EQ(order,
+              (std::vector<std::uint64_t>{0, 1, 10, 11, 20, 21, 99}));
+}
+
+TEST(CoreEventQueue, PopReturnsTheTypedRecord)
+{
+    core::EventQueue queue;
+    queue.schedule(5.0, 3, 7, 42, 0xdeadbeefcafeULL);
+    queue.schedule(1.0, 0, 2, 9, 17);
+    core::Event first = queue.pop();
+    EXPECT_EQ(first.timeNs, 1.0);
+    EXPECT_EQ(first.priority, 0);
+    EXPECT_EQ(first.seq, 1u);
+    EXPECT_EQ(first.kind, 2u);
+    EXPECT_EQ(first.target, 9u);
+    EXPECT_EQ(first.payload, 17u);
+    // The freed slot is reused; the record stays the one pushed.
+    queue.schedule(2.0, 0, 4, 1, 2);
+    core::Event second = queue.pop();
+    EXPECT_EQ(second.kind, 4u);
+    EXPECT_EQ(second.seq, 2u);
+    core::Event third = queue.pop();
+    EXPECT_EQ(third.kind, 7u);
+    EXPECT_EQ(third.target, 42u);
+    EXPECT_EQ(third.payload, 0xdeadbeefcafeULL);
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(CoreEventQueue, TimeOrdersBeforePriority)
 {
     core::EventQueue queue;
-    queue.schedule(2.0, 0, nullptr);
-    queue.schedule(1.0, 5, nullptr);
+    queue.schedule(2.0, 0, 0);
+    queue.schedule(1.0, 5, 0);
     EXPECT_EQ(queue.nextTimeNs(), 1.0);
     EXPECT_EQ(queue.nextPriority(), 5);
     EXPECT_EQ(queue.size(), 2u);
@@ -393,17 +417,49 @@ TEST(CoreEventQueue, TimeOrdersBeforePriority)
     EXPECT_TRUE(queue.empty());
 }
 
+/** The message of the PanicError @p fn throws ("" when none). */
+template <typename Fn>
+std::string
+panicMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const PanicError &err) {
+        return err.what();
+    }
+    return "";
+}
+
 TEST(CoreEventQueue, EmptyAccessorsPanicInsteadOfUb)
 {
     core::EventQueue queue;
-    EXPECT_THROW(queue.nextTimeNs(), PanicError);
-    EXPECT_THROW(queue.nextPriority(), PanicError);
-    EXPECT_THROW(queue.pop(), PanicError);
+    EXPECT_EQ(panicMessage([&] { queue.nextTimeNs(); }),
+              "core::EventQueue: nextTimeNs on empty queue");
+    EXPECT_EQ(panicMessage([&] { queue.nextPriority(); }),
+              "core::EventQueue: nextPriority on empty queue");
+    EXPECT_EQ(panicMessage([&] { queue.pop(); }),
+              "core::EventQueue: pop from empty queue");
     // Draining and re-emptying hits the same guards, not stale state.
-    queue.schedule(1.0, 0, nullptr);
+    queue.schedule(1.0, 0, 0);
     queue.pop();
     EXPECT_THROW(queue.nextTimeNs(), PanicError);
     EXPECT_THROW(queue.pop(), PanicError);
+    EXPECT_EQ(panicMessage([&] { queue.schedule(std::nan(""), 0, 0); }),
+              "core::EventQueue: NaN event time");
+    EXPECT_TRUE(queue.empty());
+}
+
+/**
+ * The key heap against the closure heap it replaced: seeded push/pop/
+ * clear sequences with colliding times and priorities pop the same
+ * (time, priority, seq) order and the same records from both.
+ */
+TEST(CoreEventQueue, MatchesClosureQueueOracle)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        std::string problem = check::diffEventQueues(seed, 2000);
+        EXPECT_TRUE(problem.empty()) << problem;
+    }
 }
 
 TEST(CoreClock, AdvancesMonotonically)
@@ -458,14 +514,19 @@ TEST(CoreEngine, RunsEventsInOrderWithPreEventHook)
     engine.onBeforeEvent(
         [&](double t) { log.emplace_back('h', t); });
 
-    engine.at(10.0, 1, [&](double t) {
-        log.emplace_back('a', t);
-        // Handlers schedule follow-ups through the same engine.
-        engine.after(5.0, 0, [&](double t2) {
-            log.emplace_back('c', t2);
+    // Handlers are registered per kind; the payload carries the tag.
+    const core::EventKind record =
+        engine.addHandler([&](const core::Event &ev) {
+            log.emplace_back(static_cast<char>(ev.payload), ev.timeNs);
         });
-    });
-    engine.at(10.0, 0, [&](double t) { log.emplace_back('b', t); });
+    const core::EventKind spawn =
+        engine.addHandler([&](const core::Event &ev) {
+            log.emplace_back('a', ev.timeNs);
+            // Handlers schedule follow-ups through the same engine.
+            engine.after(5.0, 0, record, 0, 'c');
+        });
+    engine.at(10.0, 1, spawn);
+    engine.at(10.0, 0, record, 0, 'b');
 
     EXPECT_EQ(engine.runUntil(10.0), 2u);
     EXPECT_EQ(engine.nowNs(), 10.0);
@@ -480,6 +541,43 @@ TEST(CoreEngine, RunsEventsInOrderWithPreEventHook)
         {'h', 10.0}, {'b', 10.0}, {'h', 10.0},
         {'a', 10.0}, {'h', 15.0}, {'c', 15.0}};
     EXPECT_EQ(log, expected);
+}
+
+TEST(CoreEngine, CountsPeakPendingPerKind)
+{
+    core::Engine engine;
+    const core::EventKind noop =
+        engine.addHandler([](const core::Event &) {});
+    const core::EventKind other =
+        engine.addHandler([](const core::Event &) {});
+    for (int i = 0; i < 3; ++i)
+        engine.at(static_cast<double>(i), 0, noop);
+    engine.at(0.5, 0, other);
+    engine.run();
+    engine.at(10.0, 0, other);
+    engine.run();
+    EXPECT_EQ(engine.peakPending(), 4u);
+    EXPECT_EQ(engine.peakPending(noop), 3u);
+    EXPECT_EQ(engine.peakPending(other), 1u);
+    EXPECT_EQ(engine.processed(), 5u);
+}
+
+TEST(CoreEngine, RejectsUnknownKindsAndLateHandlers)
+{
+    core::Engine engine;
+    EXPECT_THROW(engine.at(1.0, 0, 0), PanicError);
+    EXPECT_THROW(engine.addHandler(nullptr), PanicError);
+    core::EventKind late = 0;
+    const core::EventKind grow =
+        engine.addHandler([&](const core::Event &) {
+            // The table must not grow under a running handler.
+            late = engine.addHandler([](const core::Event &) {});
+        });
+    engine.at(1.0, 0, grow);
+    EXPECT_THROW(engine.run(), PanicError);
+    EXPECT_EQ(late, 0u);
+    // The guard resets: set-up may resume after the throw.
+    EXPECT_EQ(engine.addHandler([](const core::Event &) {}), 1u);
 }
 
 } // namespace

@@ -200,6 +200,25 @@ TEST(ServingSim, InvalidConfigsThrow)
     }
 }
 
+TEST(ServingSim, RunawayArrivalCountsHitTheWorkBudget)
+{
+    // `skipctl serve --rate 1e12` used to generate arrivals until
+    // killed: finite, but 2^32+ expected arrivals.
+    serving::LatencyModel model(linearSweep(1e6, 1e5));
+    try {
+        serving::simulateServing(model, config(1e12));
+        ADD_FAILURE() << "accepted 1e12 req/s";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "arrivalRatePerSec * horizonSec"),
+                  std::string::npos)
+            << err.what();
+    }
+    serving::ServingConfig bad = config(10.0);
+    bad.horizonSec = 1e12;
+    EXPECT_THROW(serving::simulateServing(model, bad), FatalError);
+}
+
 // ------------------------------------------------------------ op breakdown
 
 TEST(OpBreakdown, AttributesCpuAndGpu)
