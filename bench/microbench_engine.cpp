@@ -336,7 +336,7 @@ BM_EngineEventChurn(benchmark::State &state)
         core::EventKind step = 0;
         step = engine.addHandler([&](const core::Event &) {
             if (--remaining > 0)
-                engine.after(1.0, 0, step);
+                engine.at(engine.nowNs() + 1.0, 0, step);
         });
         engine.at(0.0, 0, step);
         engine.run();

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Build the exec engine, discrete-event core, and correctness-subsystem
 # tests under ThreadSanitizer and run them.
-# Equivalent to `cmake --preset tsan && cmake --build --preset tsan &&
-# ctest --preset tsan` on CMake >= 3.21; spelled out here so it also
-# works with the project's minimum CMake.
+# The build and ctest steps are equivalent to `cmake --preset tsan &&
+# cmake --build --preset tsan && ctest --preset tsan` on CMake >= 3.21
+# (same targets, same label filter); spelled out here so they also work
+# with the project's minimum CMake. The fuzz campaign below is extra.
 set -e
 
 cd "$(dirname "$0")/.."

@@ -105,10 +105,21 @@ requireFinite(double value, const std::string &field)
 } // namespace
 
 void
+requireFleetCap(std::uint64_t replicas, const std::string &field)
+{
+    if (replicas > kMaxReplicas)
+        fatal(strprintf("%s: %llu replicas exceed the fleet cap of %zu",
+                        field.c_str(),
+                        static_cast<unsigned long long>(replicas),
+                        kMaxReplicas));
+}
+
+void
 ClusterSpec::validate() const
 {
     if (replicas.empty())
         fatal("ClusterSpec: need at least one replica");
+    requireFleetCap(replicas.size(), "ClusterSpec: 'replicas'");
     for (std::size_t r = 0; r < replicas.size(); ++r) {
         const ReplicaSpec &rep = replicas[r];
         if (rep.maxActive <= 0)
@@ -306,7 +317,7 @@ enum EventType
 int
 eventPriority(EventType type, std::size_t idx)
 {
-    constexpr std::size_t stride = std::size_t{1} << 20;
+    constexpr std::size_t stride = kMaxReplicas;
     return static_cast<int>(type) * static_cast<int>(stride) +
         static_cast<int>(std::min(idx, stride - 1));
 }

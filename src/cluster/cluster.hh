@@ -144,6 +144,21 @@ struct TenantSpec
     double e2eSloMs = 2000.0;
 };
 
+/**
+ * Largest fleet one ClusterSpec may describe: the index range the
+ * simulator packs under each event type in a queue priority (past it,
+ * replica iteration-end priorities would collide). Spec readers check
+ * a replica count against it before stamping replicas out, so an
+ * absurd count fails at once instead of allocating without bound.
+ */
+inline constexpr std::size_t kMaxReplicas = std::size_t{1} << 20;
+
+/**
+ * @throws skipsim::FatalError naming @p field when @p replicas exceeds
+ *         kMaxReplicas.
+ */
+void requireFleetCap(std::uint64_t replicas, const std::string &field);
+
 /** The whole cluster scenario. */
 struct ClusterSpec
 {

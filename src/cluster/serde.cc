@@ -87,11 +87,13 @@ replicasFromJson(const json::Value &value,
         replica.clock = obj.at("clock").asDouble();
     if (obj.has("max-queue"))
         replica.maxQueue = json::intValue(obj.at("max-queue"), "max-queue");
-    long count =
-        obj.has("count") ? obj.at("count").asInt() : 1;
+    int count = obj.has("count") ? json::intValue(obj.at("count"), "count")
+                                 : 1;
     if (count <= 0)
         fatal("ClusterSpec: replica count must be positive");
-    for (long i = 0; i < count; ++i)
+    requireFleetCap(out.size() + static_cast<std::uint64_t>(count),
+                    "ClusterSpec: replica 'count'");
+    for (int i = 0; i < count; ++i)
         out.push_back(replica);
 }
 

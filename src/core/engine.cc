@@ -52,39 +52,21 @@ Engine::unknownKind(EventKind kind) const
                     kind, _handlers.size()));
 }
 
-bool
-Engine::step()
-{
-    if (_queue.empty())
-        return false;
-    const Event ev = _queue.pop();
-    if (_beforeEvent)
-        _beforeEvent(ev.timeNs);
-    _clock.advanceTo(ev.timeNs);
-    ++_processed;
-    Entry &entry = _handlers[ev.kind];
-    --entry.pending;
-    entry.fn(ev);
-    return true;
-}
-
 std::size_t
 Engine::run()
 {
     FlagScope running(_running);
     std::size_t n = 0;
-    while (step())
-        ++n;
-    return n;
-}
-
-std::size_t
-Engine::runUntil(double tNs)
-{
-    FlagScope running(_running);
-    std::size_t n = 0;
-    while (!_queue.empty() && _queue.nextTimeNs() <= tNs && step())
-        ++n;
+    for (; !_queue.empty(); ++n) {
+        const Event ev = _queue.pop();
+        if (_beforeEvent)
+            _beforeEvent(ev.timeNs);
+        _clock.advanceTo(ev.timeNs);
+        ++_processed;
+        Entry &entry = _handlers[ev.kind];
+        --entry.pending;
+        entry.fn(ev);
+    }
     return n;
 }
 

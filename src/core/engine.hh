@@ -1,7 +1,7 @@
 /**
  * @file
  * Discrete-event engine: one Clock plus one EventQueue plus the run
- * loop every simulation path shares (sim GPU stream, dynamic batcher,
+ * loop every event-driven simulation path shares (dynamic batcher,
  * continuous batching, cluster). Events are typed records; each kind
  * names an entry of the engine's handler table, filled once when the
  * simulation is set up (addHandler). The loop pops events in
@@ -41,7 +41,6 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     double nowNs() const { return _clock.nowNs(); }
-    const Clock &clock() const { return _clock; }
 
     /**
      * Append @p handler to the handler table. @return the kind that
@@ -70,14 +69,6 @@ class Engine
             _peakPending = _queue.size();
     }
 
-    /** Schedule an event of @p kind @p delayNs after now. */
-    void
-    after(double delayNs, int priority, EventKind kind,
-          std::uint32_t target = 0, std::uint64_t payload = 0)
-    {
-        at(nowNs() + delayNs, priority, kind, target, payload);
-    }
-
     /**
      * Install the pre-event hook: invoked with the next event's
      * timestamp before the clock advances and the handler runs.
@@ -92,16 +83,7 @@ class Engine
     /** Run until the queue drains. @return events processed. */
     std::size_t run();
 
-    /**
-     * Run events with time <= @p tNs, then stop (remaining events stay
-     * queued). @return events processed.
-     */
-    std::size_t runUntil(double tNs);
-
-    bool idle() const { return _queue.empty(); }
-    std::size_t pendingEvents() const { return _queue.size(); }
-
-    /** Events processed across all run()/runUntil() calls. */
+    /** Events processed across all run() calls. */
     std::uint64_t processed() const { return _processed; }
 
     /** Most events ever pending at once (a run counter, never part of
@@ -119,7 +101,6 @@ class Engine
         std::size_t peak = 0;
     };
 
-    bool step();
     [[noreturn]] void unknownKind(EventKind kind) const;
 
     Clock _clock;
@@ -128,55 +109,9 @@ class Engine
     std::function<void(double)> _beforeEvent;
     std::uint64_t _processed = 0;
     std::size_t _peakPending = 0;
-    /** Set while run()/runUntil() execute: a handler runs out of
-     *  _handlers, so the table must not grow under it. */
+    /** Set while run() executes: a handler runs out of _handlers,
+     *  so the table must not grow under it. */
     bool _running = false;
-};
-
-/**
- * Lightweight actor base: a Process owns a slice of simulation state
- * and schedules its own follow-up events on the shared engine. The
- * base class only carries the engine reference and scheduling sugar —
- * a process registers a handler per event kind it owns (typically a
- * lambda forwarding the event's target and payload to a member
- * function) when it is constructed, and schedules records of those
- * kinds; there is no virtual dispatch, so porting an existing loop
- * costs nothing but moving its state into a class.
- */
-class Process
-{
-  public:
-    explicit Process(Engine &engine) : _engine(engine) {}
-    Process(const Process &) = delete;
-    Process &operator=(const Process &) = delete;
-
-  protected:
-    ~Process() = default;
-
-    double nowNs() const { return _engine.nowNs(); }
-
-    EventKind
-    addHandler(Engine::Handler handler)
-    {
-        return _engine.addHandler(std::move(handler));
-    }
-
-    void
-    at(double tNs, int priority, EventKind kind, std::uint32_t target = 0,
-       std::uint64_t payload = 0)
-    {
-        _engine.at(tNs, priority, kind, target, payload);
-    }
-
-    void
-    after(double delayNs, int priority, EventKind kind,
-          std::uint32_t target = 0, std::uint64_t payload = 0)
-    {
-        _engine.after(delayNs, priority, kind, target, payload);
-    }
-
-  private:
-    Engine &_engine;
 };
 
 } // namespace skipsim::core

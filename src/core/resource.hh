@@ -5,9 +5,9 @@
  * eligibility instant, and no earlier than the previous item's finish
  * plus an inter-item gap when the resource is backed up — exactly the
  * launch-to-start stretching that the paper's TKLQT metric integrates
- * (Fig. 4). The resource does not advance time itself; callers (or
- * completion events on a core::Engine) occupy it explicitly, keeping
- * the arithmetic identical to the pre-core cursor implementation.
+ * (Fig. 4). The resource does not advance time itself; callers occupy
+ * it explicitly (sim::Runner, in kernel issue order), keeping the
+ * arithmetic identical to the pre-core cursor implementation.
  */
 
 #ifndef SKIPSIM_CORE_RESOURCE_HH

@@ -114,6 +114,8 @@ clusterAnalysis(const RunSpec &spec)
     int replicas = spec.intOpt("replicas", 4);
     if (replicas < 1)
         fatal("cluster analysis: option 'replicas' must be >= 1");
+    cluster::requireFleetCap(static_cast<std::uint64_t>(replicas),
+                             "cluster analysis: option 'replicas'");
     cluster::ReplicaSpec replica;
     replica.platform = spec.platform();
     replica.maxActive = spec.intOpt("max-active", 32);

@@ -63,6 +63,8 @@ baseSpec(const json::Object &params)
     int replicas = integer(params, "replicas", 2);
     if (replicas <= 0)
         fatal("'replicas' must be positive");
+    cluster::requireFleetCap(static_cast<std::uint64_t>(replicas),
+                             "'replicas'");
     spec.replicas.assign(static_cast<std::size_t>(replicas), replica);
     if (params.has("router"))
         spec.router = cluster::routerPolicyByName(
@@ -249,6 +251,9 @@ buildDisagg(const json::Object &params)
         fatal("'prefill-replicas' must be non-negative");
     if (decode <= 0)
         fatal("'decode-replicas' must be positive");
+    cluster::requireFleetCap(static_cast<std::uint64_t>(prefill) +
+                                 static_cast<std::uint64_t>(decode),
+                             "'prefill-replicas' + 'decode-replicas'");
     // Pool ratio: prefill-replicas 0 collapses to co-located Mixed
     // replicas — the baseline the disaggregated split is judged
     // against (and the check-law anchor).

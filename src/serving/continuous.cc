@@ -115,6 +115,21 @@ emitContinuousObs(obs::Collector &obs,
     });
 }
 
+/** @p curve at @p batch; warns once when past the measured grid. */
+double
+atBatch(const stats::Series &curve, int batch)
+{
+    if (batch <= 0)
+        fatal("IterationCostModel: batch must be positive");
+    if (batch > curve.points().back().x)
+        warnOnce("IterationCostModel.extrapolate",
+                 strprintf("IterationCostModel: batch %d beyond the "
+                           "measured grid (max %g); extrapolating "
+                           "linearly",
+                           batch, curve.points().back().x));
+    return curve.extrapolate(batch);
+}
+
 } // namespace
 
 IterationCostModel::IterationCostModel(const workload::ModelConfig &model,
@@ -125,60 +140,33 @@ IterationCostModel::IterationCostModel(const workload::ModelConfig &model,
     if (prompt_len <= 0)
         fatal("IterationCostModel: prompt length must be positive");
 
-    _grid = {1, 2, 4, 8, 16, 32, 64};
     sim::Simulator simulator(platform);
-    for (int batch : _grid) {
+    for (int batch : {1, 2, 4, 8, 16, 32, 64}) {
         workload::BuildOptions opts;
         opts.batch = batch;
         opts.seqLen = prompt_len;
-        _prefill.push_back(
+        _prefill.add(
+            batch,
             simulator.run(workload::buildPrefillGraph(model, opts))
                 .wallNs);
-        _decode.push_back(
-            simulator
-                .run(workload::buildDecodeStepGraph(model, opts,
-                                                    prompt_len))
-                .wallNs);
+        _decode.add(batch,
+                    simulator
+                        .run(workload::buildDecodeStepGraph(model, opts,
+                                                            prompt_len))
+                        .wallNs);
     }
-}
-
-double
-IterationCostModel::interpolate(const std::vector<int> &grid,
-                                const std::vector<double> &ys, int batch)
-{
-    if (batch <= 0)
-        fatal("IterationCostModel: batch must be positive");
-    if (batch <= grid.front())
-        return ys.front();
-    for (std::size_t i = 1; i < grid.size(); ++i) {
-        if (batch <= grid[i]) {
-            double frac = static_cast<double>(batch - grid[i - 1]) /
-                static_cast<double>(grid[i] - grid[i - 1]);
-            return ys[i - 1] * (1.0 - frac) + ys[i] * frac;
-        }
-    }
-    // Extrapolate with the last segment's per-request slope.
-    warnOnce("IterationCostModel.extrapolate",
-             strprintf("IterationCostModel: batch %d beyond the "
-                       "measured grid (max %d); extrapolating linearly",
-                       batch, grid.back()));
-    std::size_t n = grid.size();
-    double slope = (ys[n - 1] - ys[n - 2]) /
-        static_cast<double>(grid[n - 1] - grid[n - 2]);
-    return ys[n - 1] +
-        slope * static_cast<double>(batch - grid[n - 1]);
 }
 
 double
 IterationCostModel::prefillNs(int batch) const
 {
-    return interpolate(_grid, _prefill, batch);
+    return atBatch(_prefill, batch);
 }
 
 double
 IterationCostModel::decodeNs(int batch) const
 {
-    return interpolate(_grid, _decode, batch);
+    return atBatch(_decode, batch);
 }
 
 double

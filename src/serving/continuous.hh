@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "hw/platform.hh"
+#include "stats/series.hh"
 #include "workload/model_config.hh"
 
 namespace skipsim::obs
@@ -30,7 +30,8 @@ namespace skipsim::serving
 /**
  * Iteration cost model: prefill and single-decode-step latencies as a
  * function of batch size, obtained by simulating the workload once per
- * grid point and interpolating in between.
+ * grid point and reading stats::Series::extrapolate in between and
+ * past the grid.
  */
 class IterationCostModel
 {
@@ -64,13 +65,9 @@ class IterationCostModel
     workload::ModelConfig _model;
     int _promptLen = 0;
     hw::Platform _platform;
-    std::vector<int> _grid;
-    std::vector<double> _prefill;
-    std::vector<double> _decode;
+    stats::Series _prefill;
+    stats::Series _decode;
     mutable std::map<int, double> _chunkCache;
-
-    static double interpolate(const std::vector<int> &grid,
-                              const std::vector<double> &ys, int batch);
 };
 
 /** Continuous-batching server configuration. */

@@ -15,15 +15,7 @@ LatencyModel::LatencyModel(const analysis::SweepResult &sweep)
     if (_series.size() < 2)
         fatal("LatencyModel: sweep needs at least 2 batch points");
 
-    const auto &points = _series.points();
-    _maxBatch = static_cast<int>(std::llround(points.back().x));
-
-    const auto &last = points[points.size() - 1];
-    const auto &prev = points[points.size() - 2];
-    double span = last.x - prev.x;
-    _tailSlope = span > 0.0 ? (last.y - prev.y) / span : 0.0;
-    if (_tailSlope < 0.0)
-        _tailSlope = 0.0;
+    _maxBatch = static_cast<int>(std::llround(_series.points().back().x));
 }
 
 double
@@ -31,11 +23,7 @@ LatencyModel::latencyNs(int batch) const
 {
     if (batch <= 0)
         fatal("LatencyModel::latencyNs: batch must be positive");
-    double b = static_cast<double>(batch);
-    if (b <= _series.points().back().x)
-        return _series.interpolate(b);
-    return _series.points().back().y +
-        (b - _series.points().back().x) * _tailSlope;
+    return _series.extrapolate(static_cast<double>(batch));
 }
 
 } // namespace skipsim::serving

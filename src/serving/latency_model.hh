@@ -16,10 +16,11 @@ namespace skipsim::serving
 {
 
 /**
- * latency(batch) derived from a SweepResult. Latency between measured
- * batch sizes is piecewise-linear; beyond the largest measured batch
- * it extrapolates linearly using the last segment's per-request slope
- * (the GPU-bound region scales near-linearly in batch).
+ * latency(batch) derived from a SweepResult by stats::Series's
+ * batch-latency rule: piecewise-linear between measured batch sizes;
+ * beyond the largest it extrapolates linearly using the last segment's
+ * per-request slope, clamped at >= 0 (the GPU-bound region scales
+ * near-linearly in batch).
  */
 class LatencyModel
 {
@@ -44,7 +45,6 @@ class LatencyModel
   private:
     stats::Series _series;
     int _maxBatch = 1;
-    double _tailSlope = 0.0; ///< ns per extra request past the grid
     std::string _modelName;
     std::string _platformName;
 };

@@ -10,7 +10,7 @@ namespace skipsim::serving
 
 ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
                              Callbacks callbacks)
-    : core::Process(engine), _cfg(config), _cb(std::move(callbacks))
+    : _engine(engine), _cfg(config), _cb(std::move(callbacks))
 {
     if (_cfg.cost == nullptr)
         fatal("ReplicaEngine: cost model is required");
@@ -25,7 +25,7 @@ ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
     if (_cfg.chunkTokens > 0 && (_cfg.kvAdmit || _cfg.prefillOnly))
         fatal("ReplicaEngine: chunked prefill does not compose with an "
               "external KV store or prefill-only mode");
-    _iterEnd = addHandler([this](const core::Event &ev) {
+    _iterEnd = _engine.addHandler([this](const core::Event &ev) {
         onIterEnd(ev.timeNs, ev.payload);
     });
 }
@@ -190,7 +190,7 @@ ReplicaEngine::startIteration(double nowNs, double baseNs)
     ++_serial;
     _iterBeginNs = nowNs;
     _busyNs += dur;
-    at(nowNs + dur, _cfg.iterPriority, _iterEnd, 0, _serial);
+    _engine.at(nowNs + dur, _cfg.iterPriority, _iterEnd, 0, _serial);
     return dur;
 }
 

@@ -9,11 +9,12 @@
  * cluster had KV admission control, the single-replica path did not;
  * only the single-replica path had chunked prefill).
  *
- * A ReplicaEngine is a core::Process: it owns the replica's queues and
- * KV accounting, schedules its own iteration-end events on the shared
- * core::Engine, and reports request milestones through callbacks so
- * the host keeps its own notion of a request (the cluster reroutes
- * ids across replicas; the single-replica server just counts).
+ * A ReplicaEngine owns the replica's queues and KV accounting,
+ * schedules its own iteration-end events on the shared core::Engine
+ * (one handler it registers at construction), and reports request
+ * milestones through callbacks so the host keeps its own notion of a
+ * request (the cluster reroutes ids across replicas; the
+ * single-replica server just counts).
  *
  * Iteration-end events carry a serial number; halt() (crash
  * modelling) bumps the serial so in-flight completions become no-ops,
@@ -70,7 +71,7 @@ struct IterationInfo
 };
 
 /** Continuous-batching engine for one replica; see file comment. */
-class ReplicaEngine : private core::Process
+class ReplicaEngine
 {
   public:
     struct Config
@@ -195,6 +196,9 @@ class ReplicaEngine : private core::Process
     /** @p engine runs this replica's iteration-end events. */
     ReplicaEngine(core::Engine &engine, const Config &config,
                   Callbacks callbacks);
+    /** The registered handler holds this address. */
+    ReplicaEngine(const ReplicaEngine &) = delete;
+    ReplicaEngine &operator=(const ReplicaEngine &) = delete;
 
     /**
      * Queue request @p id (arrived at @p arrivalNs) for admission.
@@ -263,6 +267,7 @@ class ReplicaEngine : private core::Process
     double startIteration(double nowNs, double baseNs);
     void completeSeq(std::size_t id, double nowNs);
 
+    core::Engine &_engine;
     Config _cfg;
     Callbacks _cb;
 

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/clock.hh"
-#include "core/engine.hh"
 #include "core/resource.hh"
 
 namespace skipsim::sim
@@ -20,30 +19,20 @@ constexpr int kThreadId = 1;
 constexpr int kStreamId = 7;
 
 /**
- * Internal execution state for one run: a two-resource process pair on
- * the core engine. The CPU dispatch thread is a synchronous process
- * advancing a core::Clock (it never blocks mid-walk, so it needs no
- * scheduled events of its own); the GPU stream is a core::FifoResource
- * whose kernel completions are typed events on the core engine, drained
- * at cudaDeviceSynchronize like a real in-order stream. The
- * (time, priority, seq) queue order is exactly kernel issue order
- * here, so the port preserves the pre-core trace byte-for-byte.
+ * Internal execution state for one run: two resources and one walk.
+ * The CPU dispatch thread is a core::Clock that never blocks mid-walk;
+ * the GPU stream is a core::FifoResource that places each kernel after
+ * its predecessor. Every timestamp follows from those two cursors as
+ * the operator tree is walked in issue order, so the run needs no
+ * scheduled events: cudaDeviceSynchronize simply waits for the
+ * stream's free time.
  */
 class Runner
 {
   public:
     Runner(const hw::Platform &platform, const SimOptions &opts)
         : p(platform), o(opts), rng(opts.seed)
-    {
-        // A kernel completion carries its duration as the payload;
-        // copies occupy the stream but carry no counter updates.
-        kernelDone = engine.addHandler([this](const core::Event &ev) {
-            gpuBusy += static_cast<double>(
-                static_cast<std::int64_t>(ev.payload));
-            ++numKernels;
-        });
-        copyDone = engine.addHandler([](const core::Event &) {});
-    }
+    {}
 
     SimResult
     run(const workload::OperatorGraph &graph)
@@ -54,8 +43,6 @@ class Runner
 
         SimResult result;
         result.wallNs = std::max(cpu.nowNs(), stream.freeNs());
-        result.numKernels = numKernels;
-        result.gpuBusyNs = gpuBusy;
         result.trace = std::move(out);
         result.trace.setMeta("platform", p.name);
         result.trace.sortByTime();
@@ -67,16 +54,11 @@ class Runner
     const SimOptions &o;
     Rng rng;
 
-    core::Engine engine;       ///< carries GPU completion events
-    core::EventKind kernelDone = 0;
-    core::EventKind copyDone = 0;
     core::Clock cpu;           ///< CPU dispatch-thread cursor
     core::FifoResource stream; ///< in-order GPU stream
 
     trace::Trace out;
     std::uint64_t nextCorrelation = 1;
-    std::size_t numKernels = 0;
-    double gpuBusy = 0.0;
 
     /** CPU cursor as integer ns (exact: only integer ns are added). */
     std::int64_t
@@ -169,10 +151,6 @@ class Runner
         k.flops = launch.totalFlops();
         k.bytes = launch.totalBytes();
         stream.occupyUntil(static_cast<double>(k.tsEndNs()));
-        // The stream-process half: the kernel's completion is an event
-        // on the core queue, applied when the stream drains.
-        engine.at(static_cast<double>(k.tsEndNs()), 0, kernelDone, 0,
-                  static_cast<std::uint64_t>(k.durNs));
 
         out.add(std::move(rt));
         out.add(std::move(k));
@@ -209,9 +187,6 @@ class Runner
         mc.durNs = jitter(p.transferNs(launch.totalBytes()));
         mc.bytes = launch.totalBytes();
         stream.occupyUntil(static_cast<double>(mc.tsEndNs()));
-        // Copies occupy the stream but are not kernels: the completion
-        // event carries no counter updates.
-        engine.at(static_cast<double>(mc.tsEndNs()), 0, copyDone);
 
         out.add(std::move(rt));
         out.add(std::move(mc));
@@ -220,16 +195,14 @@ class Runner
     void
     deviceSynchronize()
     {
-        // Drain the stream process: every outstanding completion event
-        // applies before the synchronize returns.
-        engine.run();
-
         trace::TraceEvent rt;
         rt.kind = trace::EventKind::Runtime;
         rt.name = "cudaDeviceSynchronize";
         rt.tid = kThreadId;
         rt.tsBeginNs = cpuNowI();
 
+        // The call returns once the stream has drained: at its free
+        // time, no earlier than the call itself.
         double call = static_cast<double>(jitter(p.cpu.syncCallNs));
         double done =
             std::max(cpu.nowNs() + call, stream.freeNs() + call);

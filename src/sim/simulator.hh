@@ -49,12 +49,6 @@ struct SimResult
 
     /** End-to-end simulated wall time (to sync completion), ns. */
     double wallNs = 0.0;
-
-    /** Kernels executed (excluding memcpys). */
-    std::size_t numKernels = 0;
-
-    /** Total GPU busy time (kernel execution), ns. */
-    double gpuBusyNs = 0.0;
 };
 
 /**

@@ -81,6 +81,19 @@ Series::interpolate(double x) const
     return _points.back().y;
 }
 
+double
+Series::extrapolate(double x) const
+{
+    double y = interpolate(x);
+    if (_points.size() < 2 || x <= _points.back().x)
+        return y;
+    const SeriesPoint &last = _points.back();
+    const SeriesPoint &prev = _points[_points.size() - 2];
+    double span = last.x - prev.x;
+    double slope = span > 0.0 ? (last.y - prev.y) / span : 0.0;
+    return y + (x - last.x) * std::max(slope, 0.0);
+}
+
 std::optional<double>
 firstCrossBelow(const Series &a, const Series &b)
 {

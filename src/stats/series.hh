@@ -63,6 +63,14 @@ class Series
      */
     double interpolate(double x) const;
 
+    /**
+     * The batch-latency rule: interpolate() up to the last point;
+     * past it, the last segment's slope, clamped at >= 0 so a measured
+     * cost curve never falls with more load.
+     * @throws skipsim::FatalError on an empty series.
+     */
+    double extrapolate(double x) const;
+
   private:
     std::string _name;
     std::vector<SeriesPoint> _points;

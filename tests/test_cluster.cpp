@@ -563,6 +563,38 @@ TEST(ClusterSpec, ReplicaCountFieldStampsIdenticalReplicas)
     EXPECT_EQ(spec.replicas[3].platform.name, "MI300A");
 }
 
+TEST(ClusterSpec, FleetCapRejectsHugeCountsBeforeStamping)
+{
+    // Without the cap, 1e12 stamped replicas exhaust memory before
+    // validate() ever runs.
+    for (const char *count : {"1e12", "2147483647", "2.5"}) {
+        expectFatalNaming(
+            [&] {
+                cluster::ClusterSpec::fromJson(json::parse(
+                    std::string(R"({"replicas": [{"platform": "GH200",
+                                                  "count": )") +
+                    count + "}]}"));
+            },
+            "'count'");
+    }
+    // The cap bounds the fleet, not each entry.
+    expectFatalNaming(
+        [] {
+            cluster::ClusterSpec::fromJson(json::parse(R"({"replicas": [
+                {"platform": "GH200"},
+                {"platform": "GH200", "count": 1048576}]})"));
+        },
+        "'count'");
+    // validate() applies the same check to programmatic specs.
+    EXPECT_NO_THROW(cluster::requireFleetCap(cluster::kMaxReplicas, "n"));
+    expectFatalNaming(
+        [] {
+            cluster::requireFleetCap(cluster::kMaxReplicas + 1,
+                                     "'replicas'");
+        },
+        "'replicas'");
+}
+
 TEST(ClusterSpec, ScenarioExpansionFollowsSweepSeedDiscipline)
 {
     cluster::ClusterSpec spec = smallSpec();

@@ -70,6 +70,17 @@ TEST(IterationCost, InterpolatesAndExtrapolates)
     EXPECT_THROW(IterationCostModel(kModel, kPlatform, 0), FatalError);
 }
 
+TEST(IterationCost, TailNeverFallsPastTheGrid)
+{
+    // BERT's decode curve on AMD+A100 falls slightly from batch 32 to
+    // 64; past the grid that falling slope is clamped at 0.
+    IterationCostModel bert(workload::modelByName("Bert-Base-Uncased"),
+                            hw::platforms::amdA100(), 128);
+    EXPECT_LT(bert.decodeNs(64), bert.decodeNs(32));
+    EXPECT_GE(bert.decodeNs(128), bert.decodeNs(64));
+    EXPECT_GE(bert.prefillNs(128), bert.prefillNs(64));
+}
+
 // ------------------------------------------------------------- simulation
 
 TEST(Continuous, ConservesRequests)

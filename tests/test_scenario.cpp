@@ -235,6 +235,27 @@ TEST(ScenarioBuilders, SeedsNoUint64HoldsAreRejected)
     }
 }
 
+TEST(ScenarioBuilders, FleetCapRejectsHugeReplicaCounts)
+{
+    // Without the cap, 2e9 replicas are allocated before validate().
+    const std::vector<std::pair<std::string, std::string>> cases{
+        {"steady-poisson", "replicas"},
+        {"disagg", "prefill-replicas"},
+        {"disagg", "decode-replicas"}};
+    for (const auto &[name, key] : cases) {
+        json::Object params = quickParams();
+        params.set(key, 2000000000);
+        try {
+            scenario::buildScenario(name, params);
+            FAIL() << name << " accepted " << key << " 2e9";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("'" + key + "'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
 TEST(ScenarioBuilders, ReportsAreDeterministic)
 {
     // Same (scenario, params) -> byte-identical report, simulated

@@ -147,7 +147,7 @@ TEST(Simulator, CorrelationIdsLinkLaunchesToKernels)
     SimResult result =
         simulator.run(workload::buildNullKernelGraph(10));
     EXPECT_TRUE(result.trace.validate().empty());
-    EXPECT_EQ(result.numKernels, 10u);
+    EXPECT_EQ(result.trace.countOf(trace::EventKind::Kernel), 10u);
 }
 
 TEST(Simulator, DeterministicWithSameSeed)
@@ -234,7 +234,9 @@ TEST(Simulator, WallCoversCpuAndGpu)
     Simulator simulator(toyPlatform(), noJitter());
     SimResult result = simulator.run(singleKernelGraph());
     EXPECT_GE(result.wallNs, static_cast<double>(result.trace.endNs()));
-    EXPECT_GT(result.gpuBusyNs, 0.0);
+    auto kernels = result.trace.ofKind(trace::EventKind::Kernel);
+    ASSERT_EQ(kernels.size(), 1u);
+    EXPECT_GT(kernels[0].durNs, 0);
 }
 
 TEST(Simulator, SlowerCpuStretchesOperators)
@@ -330,7 +332,8 @@ TEST(Simulator, TracesSatisfyEveryCheckedInvariant)
                 << platform.name << ": " << report.render();
             // Every graph kernel forms a correlated pair; discrete
             // platforms add staging memcpy pairs on top.
-            EXPECT_GE(report.pairsChecked, result.numKernels);
+            EXPECT_GE(report.pairsChecked,
+                      result.trace.countOf(trace::EventKind::Kernel));
         }
     }
 }

@@ -229,6 +229,27 @@ TEST(Series, InterpolateEmptyThrows)
 {
     Series s;
     EXPECT_THROW(s.interpolate(1.0), FatalError);
+    EXPECT_THROW(s.extrapolate(1.0), FatalError);
+}
+
+TEST(Series, ExtrapolateFollowsARisingTail)
+{
+    Series s;
+    s.add(1.0, 10.0);
+    s.add(2.0, 20.0);
+    EXPECT_DOUBLE_EQ(s.extrapolate(0.0), 10.0);
+    EXPECT_DOUBLE_EQ(s.extrapolate(1.5), 15.0);
+    EXPECT_DOUBLE_EQ(s.extrapolate(4.0), 40.0);
+}
+
+TEST(Series, ExtrapolateClampsAFallingTail)
+{
+    Series s;
+    s.add(1.0, 10.0);
+    s.add(2.0, 30.0);
+    s.add(4.0, 28.0);
+    EXPECT_DOUBLE_EQ(s.extrapolate(3.0), 29.0);
+    EXPECT_DOUBLE_EQ(s.extrapolate(8.0), 28.0);
 }
 
 TEST(Series, FirstCrossBelowFindsCrossover)
