@@ -7,6 +7,7 @@
 
 #include "analysis/sweep.hh"
 #include "check/closure_queue.hh"
+#include "check/event_batcher.hh"
 #include "check/invariants.hh"
 #include "check/scan_router.hh"
 #include "common/logging.hh"
@@ -745,6 +746,10 @@ Fuzzer::runCase(const FuzzCase &c) const
                     break;
                 }
             }
+
+            std::string batching = diffServing(latency, c.serving);
+            if (!batching.empty())
+                problems.push_back("oracle: " + batching);
             break;
         }
         case FuzzKind::Cluster: {

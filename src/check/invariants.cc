@@ -289,15 +289,15 @@ checkStreamOrder(const trace::Trace &trace, TraceCheckReport &out,
 }
 
 /**
- * Launch-queue depth derived from the trace: +1 at every correlated
- * launch begin, -1 at the matching GPU-event begin; ties process the
- * +1 first (a kernel may start the instant its launch begins). The
- * depth going negative means a kernel ran that was never launched
- * before it — causality corruption the per-pair check can miss when
- * correlation ids themselves are corrupted.
+ * Launch-queue depth derived from the trace's correlated pairs: +1
+ * at every launch begin, -1 at the matching GPU-event begin; ties
+ * process the +1 first (a kernel may start the instant its launch
+ * begins). The depth going negative means a kernel ran that was
+ * never launched before it — causality corruption the per-pair check
+ * can miss when correlation ids themselves are corrupted.
  */
 void
-checkQueueDepth(const trace::Trace &trace, TraceCheckReport &out,
+checkQueueDepth(TraceCheckReport &out,
                 const std::map<std::uint64_t,
                                std::pair<const TraceEvent *,
                                          const TraceEvent *>> &pairs)
@@ -400,7 +400,7 @@ validateTrace(const trace::Trace &trace)
     checkCorrelations(trace, out, pairs);
     checkOperatorEnclosure(trace, out);
     checkStreamOrder(trace, out, pairs);
-    checkQueueDepth(trace, out, pairs);
+    checkQueueDepth(out, pairs);
     return out;
 }
 

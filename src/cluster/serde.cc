@@ -129,7 +129,7 @@ ClusterSpec::toJson() const
     if (!rates.empty()) {
         json::Value::Array axis;
         for (double rate : rates)
-            axis.push_back(json::Value(rate));
+            axis.emplace_back(rate);
         doc.set("rates", json::Value(std::move(axis)));
     }
     if (dispatchUs > 0.0)

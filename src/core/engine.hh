@@ -1,18 +1,18 @@
 /**
  * @file
  * Discrete-event engine: one Clock plus one EventQueue plus the run
- * loop every event-driven simulation path shares (dynamic batcher,
- * continuous batching, cluster). Events are typed records; each kind
- * names an entry of the engine's handler table, filled once when the
- * simulation is set up (addHandler). The loop pops events in
- * (time, priority, seq) order, invokes the before-event hook (probe
- * samplers flush deterministic boundaries here, so a boundary sample
- * always sees the state *as of* the boundary, never a partially
- * applied event — the sample-then-update contract), advances the
- * clock, and runs the kind's handler. Handlers schedule follow-up
- * events through the same engine; determinism follows from the
- * queue's total order and from drawing randomness out of
- * core::RngStreams.
+ * loop both event-driven simulation paths share (continuous batching
+ * and the cluster, through serving::ReplicaEngine). Events are typed
+ * records; each kind names an entry of the engine's handler table,
+ * filled once when the simulation is set up (addHandler). The loop
+ * pops events in (time, priority, seq) order, invokes the
+ * before-event hook (probe samplers flush deterministic boundaries
+ * here, so a boundary sample always sees the state *as of* the
+ * boundary, never a partially applied event — the sample-then-update
+ * contract), advances the clock, and runs the kind's handler.
+ * Handlers schedule follow-up events through the same engine;
+ * determinism follows from the queue's total order and from drawing
+ * randomness out of core::RngStreams.
  */
 
 #ifndef SKIPSIM_CORE_ENGINE_HH

@@ -93,10 +93,9 @@ Collector::toJson() const
         points.reserve(series.points.size());
         for (const SeriesPoint &point : series.points) {
             json::Value::Array pair;
-            pair.push_back(json::Value(
-                static_cast<long long>(point.tNs)));
-            pair.push_back(json::Value(point.value));
-            points.push_back(json::Value(std::move(pair)));
+            pair.emplace_back(static_cast<long long>(point.tNs));
+            pair.emplace_back(point.value);
+            points.emplace_back(std::move(pair));
         }
         entry.set("points", json::Value(std::move(points)));
         series_docs.push_back(json::Value(std::move(entry)));

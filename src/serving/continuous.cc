@@ -39,7 +39,7 @@ struct IterRec
 void
 emitContinuousObs(obs::Collector &obs,
                   const std::vector<double> &arrivals,
-                  const std::vector<std::pair<double, int>> &admits,
+                  const std::vector<double> &admits,
                   const std::vector<IterRec> &iters,
                   const std::vector<std::pair<double, double>> &ttfts,
                   std::size_t completed, std::size_t tokens_total,
@@ -71,17 +71,14 @@ emitContinuousObs(obs::Collector &obs,
     std::size_t iter_i = 0;  // iteration possibly covering the boundary
     std::size_t token_i = 0; // iterations whose tokens are counted
     std::size_t ttft_i = 0;
-    long long admitted = 0;
     const double stop =
         horizon_ns + static_cast<double>(obs.intervalNs()) - 1.0;
     tick.advanceTo(stop, [&](std::int64_t t) {
         const double now = static_cast<double>(t);
         while (arr_i < arrivals.size() && arrivals[arr_i] <= now)
             ++arr_i;
-        while (admit_i < admits.size() && admits[admit_i].first <= now) {
-            admitted += admits[admit_i].second;
+        while (admit_i < admits.size() && admits[admit_i] <= now)
             ++admit_i;
-        }
         while (iter_i < iters.size() && iters[iter_i].endNs <= now)
             ++iter_i;
         double active = 0.0;
@@ -103,7 +100,7 @@ emitContinuousObs(obs::Collector &obs,
 
         obs.sample("continuous.queue_depth", {}, t,
                    static_cast<double>(arr_i) -
-                       static_cast<double>(admitted));
+                       static_cast<double>(admit_i));
         obs.sample("continuous.batch_active", {}, t, active);
         obs.sample("continuous.tokens_per_sec", {}, t,
                    static_cast<double>(window_tokens) / window_sec);
@@ -215,7 +212,7 @@ simulateContinuous(const IterationCostModel &cost,
         config.arrivalRatePerSec, horizon_ns, config.seed);
 
     ContinuousResult result;
-    std::vector<std::pair<double, int>> obs_admits;
+    std::vector<double> obs_admits; // one admission instant per request
     std::vector<IterRec> obs_iters;
     std::vector<std::pair<double, double>> obs_ttfts;
     std::vector<double> ttfts;
@@ -231,8 +228,8 @@ simulateContinuous(const IterationCostModel &cost,
 
     ReplicaEngine::Callbacks cb;
     if (obs != nullptr)
-        cb.onAdmit = [&](std::size_t count, double now) {
-            obs_admits.emplace_back(now, static_cast<int>(count));
+        cb.onAdmitRequest = [&](std::size_t, double now, double, bool) {
+            obs_admits.push_back(now);
         };
     cb.onFirstToken = [&](std::size_t, double ttft, double now) {
         ttfts.push_back(ttft);

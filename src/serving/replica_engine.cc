@@ -70,8 +70,6 @@ ReplicaEngine::maybeStart(double nowNs)
                 _cfg.chunkTokens;
             _kvBytes += _cfg.kvPerSeqBytes;
             _peakKvBytes = std::max(_peakKvBytes, _kvBytes);
-            if (_cb.onAdmit)
-                _cb.onAdmit(1, nowNs);
             if (_cb.onAdmitRequest)
                 _cb.onAdmitRequest(_headId, nowNs, 0.0, false);
         }
@@ -149,8 +147,6 @@ ReplicaEngine::maybeStart(double nowNs)
     _peakKvBytes = std::max(_peakKvBytes, _kvBytes);
 
     if (!_prefilling.empty()) {
-        if (_cb.onAdmit)
-            _cb.onAdmit(_prefilling.size(), nowNs);
         double base =
             _cfg.cost->prefillNs(static_cast<int>(_prefilling.size()));
         if (_cfg.kvAdmit) {

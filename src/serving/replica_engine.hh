@@ -159,15 +159,13 @@ class ReplicaEngine
      */
     struct Callbacks
     {
-        /** @p count sequences were admitted at @p nowNs. */
-        std::function<void(std::size_t count, double nowNs)> onAdmit;
-
         /**
          * Request @p id was admitted (fired per request, right after
          * the admission decision). @p stallNs is the synchronous
          * KV-tier transfer the admission charged (0 without an
          * external store); @p decodeEntry marks a decode-pool entry
-         * joining the batch directly. Used for lifecycle spans.
+         * joining the batch directly. Used for lifecycle spans and
+         * queue-depth probes.
          */
         std::function<void(std::size_t id, double nowNs,
                            double stallNs, bool decodeEntry)>

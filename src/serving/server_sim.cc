@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "core/engine.hh"
 #include "obs/collector.hh"
 #include "serving/arrival.hh"
 #include "stats/summary.hh"
@@ -24,27 +23,28 @@ struct BatchRec
 };
 
 /**
- * Replay the recorded batches/completions over the collector's
- * deterministic sampling boundaries. Runs after the simulation so the
+ * Replay the recorded batches over the collector's deterministic
+ * sampling boundaries. @p latencies holds each request's latency in
+ * dispatch order, so batch k's requests complete at its doneNs with
+ * the next batches[k].count entries. Runs after the simulation so the
  * probes cannot perturb it.
  */
 void
 emitServingObs(obs::Collector &obs, const std::vector<double> &arrivals,
                const std::vector<BatchRec> &batches,
-               const std::vector<std::pair<double, double>> &completions,
-               double horizon_ns)
+               const std::vector<double> &latencies, double horizon_ns)
 {
     obs::Registry &metrics = obs.metrics();
     metrics.counter("serving.requests_offered")
         .add(static_cast<double>(arrivals.size()));
     metrics.counter("serving.requests_completed")
-        .add(static_cast<double>(completions.size()));
+        .add(static_cast<double>(latencies.size()));
     metrics.counter("serving.batches")
         .add(static_cast<double>(batches.size()));
     obs::Histogram &lat_hist = metrics.histogram(
         "serving.latency_ms", obs::defaultLatencyBucketsMs());
-    for (const auto &completion : completions)
-        lat_hist.observe(completion.second / 1e6);
+    for (double latency_ns : latencies)
+        lat_hist.observe(latency_ns / 1e6);
 
     for (const BatchRec &batch : batches)
         obs.span("batch b=" + std::to_string(batch.count), 0,
@@ -58,7 +58,8 @@ emitServingObs(obs::Collector &obs, const std::vector<double> &arrivals,
         static_cast<double>(obs.intervalNs()) / 1e9;
     std::size_t arr_i = 0;
     std::size_t batch_i = 0;
-    std::size_t comp_i = 0;
+    std::size_t done_i = 0; // batches whose completions are counted
+    std::size_t lat_i = 0;  // first latency of batch done_i
     long long dispatched = 0;
     // Visit through the first boundary at or past the horizon so the
     // final partial window is represented.
@@ -77,14 +78,14 @@ emitServingObs(obs::Collector &obs, const std::vector<double> &arrivals,
         if (batch_i > 0 && batches[batch_i - 1].doneNs > now)
             inflight = static_cast<double>(batches[batch_i - 1].count);
 
-        const std::size_t window_begin = comp_i;
+        const std::size_t window_begin = lat_i;
         double window_latency_ns = 0.0;
-        while (comp_i < completions.size() &&
-               completions[comp_i].first <= now) {
-            window_latency_ns += completions[comp_i].second;
-            ++comp_i;
+        while (done_i < batches.size() && batches[done_i].doneNs <= now) {
+            for (int k = 0; k < batches[done_i].count; ++k)
+                window_latency_ns += latencies[lat_i++];
+            ++done_i;
         }
-        const std::size_t window_count = comp_i - window_begin;
+        const std::size_t window_count = lat_i - window_begin;
 
         obs.sample("serving.queue_depth", {}, t,
                    static_cast<double>(arr_i) -
@@ -109,7 +110,8 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
                 obs::Collector *obs)
 {
     // NaN and infinity fail these checks: either would keep the
-    // arrival generator or the event queue from terminating.
+    // arrival generator from terminating or poison the dispatch
+    // instants.
     if (!std::isfinite(config.arrivalRatePerSec) ||
         config.arrivalRatePerSec <= 0.0)
         fatal("simulateServing: arrivalRatePerSec must be positive and "
@@ -132,110 +134,51 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
         config.arrivalRatePerSec, horizon_ns, config.seed);
 
     ServingResult result;
-    std::vector<BatchRec> obs_batches;
-    std::vector<std::pair<double, double>> obs_completions;
-    if (arrivals.empty()) {
-        if (obs != nullptr)
-            emitServingObs(*obs, arrivals, obs_batches, obs_completions,
-                           horizon_ns);
-        return result;
-    }
-
     std::vector<double> latencies;
+    std::vector<BatchRec> obs_batches;
     double busy_ns = 0.0;
-    std::size_t next = 0; // first request not yet dispatched
-    bool server_busy = false;
     stats::Summary batch_sizes;
 
-    // Event-driven dynamic batcher on the core engine. A batch
-    // dispatches at the first instant the server is free AND either
-    // the oldest waiting request's deadline has passed or the batch
-    // is full. Three event kinds can create that instant, in
-    // tie-break order at equal timestamps: an arrival (may fill the
-    // batch), the server coming free, and a wait-deadline wake.
-    enum
-    {
-        PrioArrival = 0,
-        PrioServerFree = 1,
-        PrioWake = 2,
-    };
-
-    core::Engine engine;
-    core::EventKind arrive = 0;
-    core::EventKind server_free = 0;
-    core::EventKind wake = 0;
-
-    // tryDispatch runs at each candidate instant; dispatch times are
-    // monotone, so the first candidate past the horizon means no
-    // batch ever dispatches again.
-    auto try_dispatch = [&](double now) {
-        if (server_busy || next >= arrivals.size() ||
-            now > horizon_ns)
-            return;
-        double oldest = arrivals[next];
-        if (oldest > now)
-            return; // nothing waiting yet
-        std::size_t full_idx =
-            next + static_cast<std::size_t>(config.maxBatch) - 1;
-        bool full = full_idx < arrivals.size() &&
-            arrivals[full_idx] <= now;
-        bool due = now >= oldest + config.maxWaitNs;
-        if (!full && !due)
-            return;
+    // Dynamic batcher on one serial server. A batch dispatches at the
+    // first instant the server is free AND either the oldest waiting
+    // request has waited maxWaitNs or maxBatch requests are waiting,
+    // so each dispatch instant follows in closed form from the last
+    // batch's end and the arrival vector.
+    const std::size_t max_batch =
+        static_cast<std::size_t>(config.maxBatch);
+    double free_ns = 0.0;
+    std::size_t next = 0; // first request not yet dispatched
+    while (next < arrivals.size()) {
+        double ready = arrivals[next] + config.maxWaitNs;
+        if (max_batch <= arrivals.size() - next)
+            ready = std::min(ready, arrivals[next + max_batch - 1]);
+        const double now = std::max(free_ns, ready);
+        // Dispatch instants are monotone, so the first one past the
+        // horizon means no batch ever dispatches again.
+        if (now > horizon_ns)
+            break;
 
         // Everyone arrived by the dispatch instant rides along.
         std::size_t count = 0;
-        while (next + count < arrivals.size() &&
-               count < static_cast<std::size_t>(config.maxBatch) &&
+        while (next + count < arrivals.size() && count < max_batch &&
                arrivals[next + count] <= now) {
             ++count;
         }
 
         double exec = latency.latencyNs(static_cast<int>(count));
-        double done = now + exec;
+        free_ns = now + exec;
         busy_ns += exec;
         batch_sizes.add(static_cast<double>(count));
-
-        for (std::size_t i = 0; i < count; ++i) {
-            latencies.push_back(done - arrivals[next + i]);
-            if (obs != nullptr)
-                obs_completions.emplace_back(done,
-                                             done - arrivals[next + i]);
-        }
+        for (std::size_t i = 0; i < count; ++i)
+            latencies.push_back(free_ns - arrivals[next + i]);
         if (obs != nullptr)
-            obs_batches.push_back({now, done,
+            obs_batches.push_back({now, free_ns,
                                    static_cast<int>(count)});
-
         next += count;
-        server_busy = true;
-        engine.at(done, PrioServerFree, server_free);
-    };
-
-    server_free = engine.addHandler([&](const core::Event &ev) {
-        server_busy = false;
-        try_dispatch(ev.timeNs);
-    });
-    // Arrivals are chained: each one schedules the next arrival and
-    // its own wake before it dispatches, so one arrival is pending at
-    // a time. Arrivals tie on (time, priority) only with arrivals and
-    // wakes only with wakes, and both are still scheduled in request
-    // order, so the pops follow the pre-scheduled order.
-    arrive = engine.addHandler([&](const core::Event &ev) {
-        const std::size_t i = ev.payload;
-        if (i + 1 < arrivals.size())
-            engine.at(arrivals[i + 1], PrioArrival, arrive, 0, i + 1);
-        // The wake fires when this request, as the oldest waiting one,
-        // has waited out the batching window.
-        engine.at(arrivals[i] + config.maxWaitNs, PrioWake, wake);
-        try_dispatch(ev.timeNs);
-    });
-    wake = engine.addHandler(
-        [&](const core::Event &ev) { try_dispatch(ev.timeNs); });
-    engine.at(arrivals.front(), PrioArrival, arrive, 0, 0);
-    engine.run();
+    }
 
     if (obs != nullptr)
-        emitServingObs(*obs, arrivals, obs_batches, obs_completions,
+        emitServingObs(*obs, arrivals, obs_batches, latencies,
                        horizon_ns);
 
     result.completed = latencies.size();

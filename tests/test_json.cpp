@@ -144,7 +144,8 @@ TEST(JsonObject, DuplicateKeysKeepFirstPositionAndLastValue)
         built.set("x", 1);
         built.set("y", 2);
         for (int i = 0; i < extra; ++i) {
-            const std::string key = "k" + std::to_string(i);
+            std::string key = "k";
+            key += std::to_string(i);
             text += ", \"" + key + "\": " + std::to_string(i);
             built.set(key, i);
         }
@@ -396,8 +397,10 @@ TEST(JsonParser, ParseFileReadsAPipeToItsEnd)
     std::remove(path.c_str());
     ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
     std::string text = "[";
-    for (int i = 0; i < 50000; ++i)
-        text += (i ? "," : "") + std::to_string(i);
+    for (int i = 0; i < 50000; ++i) {
+        text += i ? "," : "";
+        text += std::to_string(i);
+    }
     text += "]";
     // A FIFO has no file size; opening it blocks until both ends are
     // open, so the writer runs on its own thread.

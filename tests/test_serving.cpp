@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "analysis/sweep.hh"
+#include "check/event_batcher.hh"
 #include "common/logging.hh"
 #include "hw/catalog.hh"
 #include "serving/latency_model.hh"
@@ -186,7 +189,7 @@ TEST(ServingSim, InvalidConfigsThrow)
     EXPECT_THROW(serving::simulateServing(model, bad), FatalError);
 
     // Non-finite rates and horizons would never end the arrival draw;
-    // a non-finite wait would reach the event queue.
+    // a non-finite wait would poison the dispatch instants.
     const double inf = std::numeric_limits<double>::infinity();
     for (double v : {inf, std::nan("")}) {
         EXPECT_THROW(serving::simulateServing(model, config(v)),
@@ -217,6 +220,54 @@ TEST(ServingSim, RunawayArrivalCountsHitTheWorkBudget)
     serving::ServingConfig bad = config(10.0);
     bad.horizonSec = 1e12;
     EXPECT_THROW(serving::simulateServing(model, bad), FatalError);
+}
+
+TEST(ServingSim, MatchesTheEventDrivenOracle)
+{
+    // The closed-form walk against the event-driven batcher it
+    // replaced, every result field bit for bit. The grid spans idle
+    // to heavy overload, waits of 0 and 1 ns, batches of 1 and
+    // INT_MAX, and a horizon too short for most runs to see a request.
+    const std::pair<double, double> latencies[] = {
+        {1e6, 1e5}, {2e4, 0.0}, {5e6, 2e6}};
+    const int max_batches[] = {1, 2, 8,
+                               std::numeric_limits<int>::max()};
+    const double waits[] = {0.0, 1.0, 1e3, 5e6, 1e12};
+    bool saw_empty = false;
+    bool saw_backlog = false;
+    bool saw_cut_batch = false;
+    for (const auto &[base, slope] : latencies) {
+        serving::LatencyModel model(linearSweep(base, slope));
+        for (double rate : {0.5, 50.0, 2000.0, 50000.0})
+            for (int max_batch : max_batches)
+                for (double wait : waits)
+                    for (double horizon : {1e-3, 0.25})
+                        for (std::uint64_t seed : {1u, 7u}) {
+                            serving::ServingConfig c =
+                                config(rate, max_batch, wait);
+                            c.horizonSec = horizon;
+                            c.seed = seed;
+                            SCOPED_TRACE(testing::Message()
+                                         << "latency " << base << "+"
+                                         << slope << "b, rate " << rate
+                                         << ", max batch " << max_batch
+                                         << ", wait " << wait
+                                         << ", horizon " << horizon
+                                         << ", seed " << seed);
+                            EXPECT_EQ(check::diffServing(model, c), "");
+                            serving::ServingResult r =
+                                serving::simulateServing(model, c);
+                            saw_empty |=
+                                r.completed == 0 && r.leftInQueue == 0;
+                            saw_backlog |= r.leftInQueue > 0;
+                            // Busy time reaching the horizon means the
+                            // last batch ran past it.
+                            saw_cut_batch |= r.utilization == 1.0;
+                        }
+    }
+    EXPECT_TRUE(saw_empty);
+    EXPECT_TRUE(saw_backlog);
+    EXPECT_TRUE(saw_cut_batch);
 }
 
 // ------------------------------------------------------------ op breakdown
