@@ -4,14 +4,21 @@
  * building, simulation, dependency-graph construction, metric
  * computation and chain mining — plus ablations of the design choices
  * called out in DESIGN.md (jitter on/off, greedy chain selection cost
- * vs chain length).
+ * vs chain length). Global operator new/delete are replaced here so
+ * that the Chrome-ingest rows can report the peak heap one ingest
+ * holds; outside those windows they only forward to malloc/free.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -35,6 +42,70 @@
 #include "workload/model_config.hh"
 
 using namespace skipsim;
+
+namespace
+{
+
+/** Heap bytes held by operator new, and their peak, while counting. */
+std::atomic<bool> g_heapCounting{false};
+std::atomic<long long> g_heapLive{0};
+std::atomic<long long> g_heapPeak{0};
+
+/**
+ * Counts the heap while it lives: the bytes operator new hands out
+ * and operator delete takes back, from zero at construction. Frees of
+ * memory allocated before it started count too, so peak() can fall
+ * short of the true figure by what those frees returned.
+ */
+class HeapWindow
+{
+  public:
+    HeapWindow()
+    {
+        g_heapLive = 0;
+        g_heapPeak = 0;
+        g_heapCounting = true;
+    }
+    ~HeapWindow() { g_heapCounting = false; }
+    HeapWindow(const HeapWindow &) = delete;
+    HeapWindow &operator=(const HeapWindow &) = delete;
+
+    std::size_t peak() const
+    {
+        return static_cast<std::size_t>(std::max(0LL, g_heapPeak.load()));
+    }
+};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    void *p = std::malloc(size == 0 ? 1 : size);
+    if (!p)
+        throw std::bad_alloc();
+    if (g_heapCounting.load(std::memory_order_relaxed)) {
+        const long long live =
+            g_heapLive += static_cast<long long>(malloc_usable_size(p));
+        if (live > g_heapPeak.load(std::memory_order_relaxed))
+            g_heapPeak = live;
+    }
+    return p;
+}
+
+void
+operator delete(void *p) noexcept
+{
+    if (p && g_heapCounting.load(std::memory_order_relaxed))
+        g_heapLive -= static_cast<long long>(malloc_usable_size(p));
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    operator delete(p);
+}
 
 namespace
 {
@@ -159,12 +230,16 @@ BENCHMARK(BM_DependencyGraphBuild)
     ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * Time ingests of a Kineto-ordered export of state.range(0) events
+ * by @p ingest, which returns the trace it read. Freeing the trace
+ * (and whatever the ingest built) is part of each iteration. Reports
+ * ns per event and the peak heap bytes one ingest holds.
+ */
+template <class Ingest>
 void
-BM_ChromeIngest(benchmark::State &state)
+chromeIngest(benchmark::State &state, Ingest &&ingest)
 {
-    // json::parse + trace::fromChromeJson of a Kineto-ordered export:
-    // the path `skipctl analyze` takes on a profiler file. Freeing the
-    // document and the trace is part of each iteration.
     const std::string text = trace::toChromeText(
         kinetoShapedTrace(static_cast<std::size_t>(state.range(0))));
     std::size_t events = 0;
@@ -172,8 +247,7 @@ BM_ChromeIngest(benchmark::State &state)
     for (auto _ : state) {
         const auto start = std::chrono::steady_clock::now();
         {
-            trace::Trace ingested =
-                trace::fromChromeJson(json::parse(text));
+            trace::Trace ingested = ingest(text);
             events = ingested.size();
             benchmark::DoNotOptimize(events);
         }
@@ -181,6 +255,14 @@ BM_ChromeIngest(benchmark::State &state)
                   std::chrono::steady_clock::now() - start)
                   .count();
     }
+    // One more ingest, untimed, with the heap counted.
+    HeapWindow window;
+    {
+        trace::Trace ingested = ingest(text);
+        benchmark::DoNotOptimize(ingested.size());
+    }
+    state.counters["peak_heap_mb"] =
+        static_cast<double>(window.peak()) / (1024.0 * 1024.0);
     const double ingested = static_cast<double>(state.iterations()) *
         static_cast<double>(events);
     state.SetItemsProcessed(static_cast<std::int64_t>(ingested));
@@ -189,10 +271,70 @@ BM_ChromeIngest(benchmark::State &state)
     state.counters["events"] = static_cast<double>(events);
     state.counters["ns_per_event"] = ns / ingested;
 }
+
+void
+BM_ChromeIngest(benchmark::State &state)
+{
+    // trace::fromChromeText of a Kineto-ordered export: the path
+    // `skipctl analyze` takes on a profiler file, streamed from the
+    // text with no document in between.
+    chromeIngest(state, [](const std::string &text) {
+        return trace::fromChromeText(text);
+    });
+}
 BENCHMARK(BM_ChromeIngest)
     ->Arg(64 << 10)
     ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_ChromeIngestDom(benchmark::State &state)
+{
+    // The same input through json::parse + trace::fromChromeJson, a
+    // whole document first: the comparison row for BM_ChromeIngest.
+    chromeIngest(state, [](const std::string &text) {
+        return trace::fromChromeJson(json::parse(text));
+    });
+}
+BENCHMARK(BM_ChromeIngestDom)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_SpanChromeRoundTrip(benchmark::State &state)
+{
+    // A recorded span log exported as Chrome-trace text and read back
+    // (SpanLog::toChromeText, then obs::spansFromChromeText): the
+    // `skipctl run --span-out` then `skipctl attribute` path.
+    cluster::ClusterSpec spec;
+    spec.model = workload::modelByName("GPT2");
+    cluster::ReplicaSpec replica;
+    replica.platform = hw::platforms::gh200();
+    replica.maxActive = 16;
+    spec.replicas.assign(4, replica);
+    spec.arrivalRatePerSec = 200.0;
+    spec.horizonSec = 2.0;
+    spec.promptLen = 128;
+    spec.genTokens = 8;
+    cluster::CostCache costs;
+    costs.build(spec);
+    obs::SpanLog spans;
+    cluster::simulateCluster(spec, costs, nullptr, &spans);
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::string text = spans.toChromeText();
+        obs::SpanFile file = obs::spansFromChromeText(text);
+        bytes = text.size();
+        benchmark::DoNotOptimize(file.spans.size());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(spans.spans().size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bytes));
+    state.counters["spans"] = static_cast<double>(spans.spans().size());
+}
+BENCHMARK(BM_SpanChromeRoundTrip)->Unit(benchmark::kMillisecond);
 
 void
 BM_ComputeMetrics(benchmark::State &state)
@@ -417,9 +559,9 @@ BENCHMARK(BM_ClusterSpanOverhead)
 // main translates the repo-wide --quick convention (see the ext_*
 // drivers) into a filter + short measurement budget for CI: the
 // event-queue, span-overhead, 1024-replica router-pick, 8K/64K
-// dependency-graph and 64K Chrome-ingest rows, enough to catch gross
-// regressions (the 1M-event and 16K-replica rows are left to full
-// runs).
+// dependency-graph, 64K Chrome-ingest (codec and document) and span
+// round-trip rows, enough to catch gross regressions (the 1M-event and
+// 16K-replica rows are left to full runs).
 int
 main(int argc, char **argv)
 {
@@ -437,7 +579,8 @@ main(int argc, char **argv)
         "BM_ClusterSpanOverhead|"
         "BM_RouterPick/1024$|"
         "BM_DependencyGraphBuild/(8192|65536)$|"
-        "BM_ChromeIngest/65536$";
+        "BM_ChromeIngest(Dom)?/65536$|"
+        "BM_SpanChromeRoundTrip";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {
         args.push_back(filter.data());

@@ -75,7 +75,8 @@
  *
  * Correctness (docs/testing.md): `check --trace` asserts the semantic
  * trace invariants (causality, stream FIFO, correlation bijection) on
- * any Chrome trace; `check --props` runs the metamorphic property
+ * any Chrome trace and its codec parity (check::diffChromeCodec);
+ * `check --props` runs the metamorphic property
  * suite against the real engines; `check --fuzz N` runs the
  * deterministic fuzz campaign and, on failure, writes a shrunken
  * minimal repro that `check --replay` re-runs. Bare `check` runs the
@@ -92,6 +93,7 @@
 #include "analysis/boundedness.hh"
 #include "analysis/sweep.hh"
 #include "check/analysis.hh"
+#include "check/chrome_oracle.hh"
 #include "check/fuzzer.hh"
 #include "check/invariants.hh"
 #include "check/properties.hh"
@@ -717,7 +719,8 @@ cmdValidate(const CliArgs &args)
 
 /**
  * Correctness front end (skipctl check). Four modes:
- *  --trace t.json   semantic invariant check of one Chrome trace;
+ *  --trace t.json   semantic invariant check and codec parity of one
+ *                   Chrome trace;
  *  --props          metamorphic property suite (the default mode);
  *  --fuzz N         deterministic fuzz campaign, shrunken repro on
  *                   failure (--seed, --jobs, --quick, --repro-dir);
@@ -728,12 +731,19 @@ int
 cmdCheck(const CliArgs &args)
 {
     if (args.has("trace")) {
+        // The file is also read and written back through the DOM
+        // reader and writer the streaming codec replaced, which must
+        // agree byte for byte (span files included).
         const std::string path = args.getString("trace");
+        const std::string text = json::readFile(path);
         check::TraceCheckReport report =
-            check::validateTrace(trace::readChromeFile(path));
+            check::validateTrace(trace::fromChromeText(text));
         std::printf("%s\n", path.c_str());
         std::fputs(report.render().c_str(), stdout);
-        return report.ok() ? 0 : 1;
+        const std::string parity = check::diffChromeCodec(text);
+        std::printf("codec parity: %s\n",
+                    parity.empty() ? "OK" : parity.c_str());
+        return report.ok() && parity.empty() ? 0 : 1;
     }
 
     if (args.has("replay")) {

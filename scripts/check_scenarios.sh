@@ -11,7 +11,9 @@
 # Defaults assume the standard build tree (build/examples/skipctl).
 # Also smoke-checks `skipctl scenarios` (the listing must include every
 # name we are about to run), the typo suggestion on unknown names and
-# the rejection of unknown parameters.
+# the rejection of unknown parameters, and runs `skipctl check --trace`
+# on every span file, which holds it to the trace invariants and to
+# codec parity with the DOM reader and writer.
 set -e
 
 cd "$(dirname "$0")/.."
@@ -84,6 +86,15 @@ for NAME in $NAMES; do
         echo "scenario $NAME: --jobs 1 == --jobs 8 (report + spans + table)"
     else
         echo "scenario $NAME: --jobs 1 and --jobs 8 outputs DIFFER" >&2
+        STATUS=1
+    fi
+    # The span file must read and write back the same through the
+    # streaming codec as through the DOM reader and writer it replaced
+    # (check --trace runs check::diffChromeCodec on it).
+    if ! "$SKIPCTL" check --trace "$WORKDIR/$NAME.spans1.json" \
+            > "$WORKDIR/$NAME.codec.txt" 2>&1; then
+        echo "scenario $NAME: span file fails check --trace" >&2
+        cat "$WORKDIR/$NAME.codec.txt" >&2
         STATUS=1
     fi
 done

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <filesystem>
+#include <limits>
 #include <mutex>
 
 #include "analysis/sweep.hh"
+#include "check/chrome_oracle.hh"
 #include "check/closure_queue.hh"
 #include "check/event_batcher.hh"
 #include "check/invariants.hh"
@@ -224,6 +227,80 @@ servingFingerprint(const serving::ServingResult &r)
                      r.p95LatencyNs, r.p99LatencyNs, r.meanLatencyNs,
                      r.p50TtftNs, r.p95TtftNs, r.p99TtftNs, r.meanBatch,
                      r.utilization, r.leftInQueue);
+}
+
+/**
+ * Repeat one member of the Chrome-trace text @p text, so that the
+ * readers' rule for a repeated key (first position, last value) is
+ * exercised. The copy goes either before the original, which then
+ * wins, or after it, which makes the copy win; it lands in an event,
+ * in an event's args, or at the root (a second traceEvents array).
+ * Anchors are searched from a random position, so any event can take
+ * the copy; text the byte mutations broke may have no anchor left.
+ */
+void
+repeatMember(std::string &text, Rng &rng)
+{
+    static const char *const kEventCopies[] = {
+        "\"ts\":7", "\"dur\":-3", "\"tid\":9", "\"name\":\"dup\"",
+        "\"cat\":\"python_function\"", "\"ph\":\"i\"",
+        "\"args\":{\"ts_ns\":5,\"dur_ns\":6}"};
+    static const char *const kArgCopies[] = {
+        "\"ts_ns\":", "\"dur_ns\":", "\"thread\":", "\"stream\":",
+        "\"correlation\":"};
+    auto find = [&](const std::string &anchor) {
+        std::size_t at = text.find(anchor, rng.below(text.size() + 1));
+        return at != std::string::npos ? at : text.find(anchor);
+    };
+    const std::string value = std::to_string(rng.below(100000));
+    std::size_t at = std::string::npos;
+    std::string copy;
+    switch (rng.below(5)) {
+    case 0: // an event member, before the original
+        at = find("{\"ph\":");
+        if (at != std::string::npos) {
+            ++at;
+            copy = std::string(kEventCopies[rng.below(7)]) + ",";
+        }
+        break;
+    case 1: // an event member, after the original: between the
+            // closing braces of args and of the event
+        at = find("}}");
+        if (at != std::string::npos) {
+            ++at;
+            copy = "," + std::string(kEventCopies[rng.below(7)]);
+        }
+        break;
+    case 2: // an args member, before the original
+        at = find("\"args\":{");
+        if (at != std::string::npos) {
+            at += 8;
+            copy = kArgCopies[rng.below(5)] + value + ",";
+        }
+        break;
+    case 3: // args "ts_ns", after the original
+        at = find("\"args\":{\"ts_ns\":");
+        if (at != std::string::npos)
+            at = text.find(',', at);
+        if (at != std::string::npos) {
+            ++at;
+            copy = "\"ts_ns\":" + value + ",";
+        }
+        break;
+    default: // the root's traceEvents, before or after the original
+        if (rng.below(2) == 0) {
+            at = text.find("\"traceEvents\":");
+            copy = "\"traceEvents\":[{\"ph\":\"X\"}],";
+        } else {
+            at = text.rfind('}');
+            copy = ",\"traceEvents\":[{\"ph\":\"X\",\"cat\":\"kernel\","
+                   "\"name\":\"late\",\"ts\":" +
+                value + ",\"dur\":2}]";
+        }
+        break;
+    }
+    if (at != std::string::npos)
+        text.insert(at, copy);
 }
 
 } // namespace
@@ -462,6 +539,24 @@ Fuzzer::generate(std::uint64_t index) const
             : 2.0 + 8.0 * rng.uniform();
         c.serving.maxBatch = 1 + static_cast<int>(rng.below(32));
         c.serving.maxWaitNs = 1e5 + rng.uniform() * 1e7;
+        // One case in eight each takes an edge of the batcher: no
+        // wait, a 1 ns wait, a cap above 32, or no cap at all.
+        switch (rng.below(8)) {
+        case 0:
+            c.serving.maxWaitNs = 0.0;
+            break;
+        case 1:
+            c.serving.maxWaitNs = 1.0;
+            break;
+        case 2:
+            c.serving.maxBatch = 33 + static_cast<int>(rng.below(1000));
+            break;
+        case 3:
+            c.serving.maxBatch = std::numeric_limits<int>::max();
+            break;
+        default:
+            break;
+        }
         c.serving.seed = c.seed;
         c.latencyBaseNs = 5e5 + rng.uniform() * 5e6;
         c.latencySlopeNs = 1e5 + rng.uniform() * 2e6;
@@ -626,6 +721,11 @@ Fuzzer::generate(std::uint64_t index) const
                 c.chromeText.insert(at + anchor.size(),
                                     "\"nest\":" + value + ",");
         }
+        // One case in three also repeats a member, from a stream of
+        // its own as well.
+        Rng repeat(mixSeed(c.seed, 0x72657065));
+        if (repeat.below(3) == 0)
+            repeatMember(c.chromeText, repeat);
         break;
     }
     }
@@ -854,6 +954,11 @@ Fuzzer::runCase(const FuzzCase &c) const
                 problems.push_back(
                     "oracle: trace ingestion is non-deterministic "
                     "on identical bytes");
+            // Codec parity: the streaming readers and writers match
+            // the DOM code they replaced, errors included.
+            std::string parity = diffChromeCodec(c.chromeText);
+            if (!parity.empty())
+                problems.push_back("oracle: " + parity);
             break;
         }
         }
@@ -1118,7 +1223,15 @@ Fuzzer::run() const
             _options.reproDir.c_str(),
             static_cast<unsigned long long>(_options.seed),
             static_cast<unsigned long long>(report.firstFailureIndex));
-        json::writeFile(report.reproPath, report.minimal.toJson());
+        try {
+            // A missing directory is made; if the write still fails,
+            // the report keeps the failure and names the error.
+            std::error_code ignored;
+            std::filesystem::create_directories(_options.reproDir, ignored);
+            json::writeFile(report.reproPath, report.minimal.toJson());
+        } catch (const FatalError &err) {
+            report.reproError = err.what();
+        }
     }
     return report;
 }
@@ -1136,9 +1249,12 @@ FuzzReport::render() const
                      fuzzKindName(minimal.kind));
     for (const std::string &p : firstProblems)
         out += "  " + p + "\n";
-    if (shrunk)
+    if (shrunk && reproError.empty())
         out += strprintf("shrunken repro (size %zu) written to %s\n",
                          minimal.sizeScore(), reproPath.c_str());
+    else if (shrunk)
+        out += strprintf("shrunken repro (size %zu) not written: %s\n",
+                         minimal.sizeScore(), reproError.c_str());
     return out;
 }
 

@@ -144,7 +144,10 @@ struct FuzzOptions
     /** Worker threads the campaign fans cases across (1 = serial). */
     int jobs = 1;
 
-    /** Directory the shrunken repro JSON is written into. */
+    /**
+     * Directory the shrunken repro JSON is written into; made when
+     * missing.
+     */
     std::string reproDir = ".";
 
     /**
@@ -172,6 +175,9 @@ struct FuzzReport
 
     /** Repro file path ("" when every case passed). */
     std::string reproPath;
+
+    /** Why the repro could not be written ("" when it was). */
+    std::string reproError;
 
     bool ok() const { return failures == 0; }
 

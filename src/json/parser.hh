@@ -1,9 +1,9 @@
 /**
  * @file
- * Recursive-descent JSON parser producing json::Value documents.
- * Accepts standard RFC 8259 JSON; reports errors with line/column.
- * Arrays and objects may nest at most 512 levels deep, which bounds
- * the recursion on any input. A repeated object key keeps its first
+ * JSON documents from text: parse() builds a json::Value from the
+ * tokens of a json::Reader, so it accepts standard RFC 8259 JSON and
+ * reports errors with line/column. Arrays and objects may nest at
+ * most 512 levels deep. A repeated object key keeps its first
  * position and takes the last value, as Object::set does.
  */
 
@@ -24,6 +24,13 @@ namespace skipsim::json
  * @throws skipsim::FatalError with a line:column message on syntax errors.
  */
 Value parse(const std::string &text);
+
+/**
+ * The whole content of a file, read to the end of the stream even
+ * when the file reports another size.
+ * @throws skipsim::FatalError when the file cannot be read.
+ */
+std::string readFile(const std::string &path);
 
 /**
  * Parse the JSON document in a file.

@@ -29,6 +29,13 @@ indexCapacity(std::size_t members)
     return capacity;
 }
 
+/** Key equality with the cheap mismatches (length, first byte) first. */
+bool
+sameKey(const std::string &a, const std::string &b)
+{
+    return a.size() == b.size() && (a.empty() || a[0] == b[0]) && a == b;
+}
+
 } // namespace
 
 Object::Object(std::vector<Member> members) : _members(std::move(members))
@@ -51,7 +58,7 @@ Object::Object(std::vector<Member> members) : _members(std::move(members))
             entry = static_cast<std::uint32_t>(kept + 1);
         } else {
             std::size_t j = 0;
-            while (j < kept && _members[j].key != member.key)
+            while (j < kept && !sameKey(_members[j].key, member.key))
                 ++j;
             if (j < kept) {
                 _members[j].value = std::move(member.value);

@@ -1,7 +1,8 @@
 /**
  * @file
  * JSON serialization for json::Value documents: compact or pretty
- * (2-space indented) forms, with stable object member order.
+ * (2-space indented) forms, with stable object member order. Each is
+ * a walk of the document that pushes into a json::Emitter.
  */
 
 #ifndef SKIPSIM_JSON_WRITER_HH
@@ -23,6 +24,12 @@ std::string writePretty(const Value &value);
 /** Serialize to a file. @throws skipsim::FatalError on IO failure. */
 void writeFile(const std::string &path, const Value &value,
                bool pretty = true);
+
+/**
+ * Write already serialized @p text to a file.
+ * @throws skipsim::FatalError on IO failure.
+ */
+void writeTextFile(const std::string &path, const std::string &text);
 
 } // namespace skipsim::json
 

@@ -5,9 +5,12 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "json/builder.hh"
+#include "json/emitter.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
 #include "trace/chrome.hh"
+#include "trace/chrome_codec.hh"
 
 namespace skipsim::obs
 {
@@ -243,153 +246,232 @@ SpanLog::setMeta(const std::string &key, const std::string &value)
     _meta[key] = value;
 }
 
-json::Value
-SpanLog::toChromeJson() const
+namespace
 {
-    json::Object root;
-    json::Object meta;
-    meta.set("kind", "spans");
-    for (const auto &[key, value] : _meta)
-        meta.set(key, value);
-    root.set("skipsimMeta", json::Value(std::move(meta)));
 
-    json::Value::Array events;
-    events.reserve(_sealed.size() + 2 * _sealedRequests);
-    for (const Span &span : _sealed) {
+/**
+ * Push the span export of @p spans and @p meta into @p out, a
+ * json::Emitter or a json::DomBuilder; see the header comment for the
+ * format. skipsimMeta leads with "kind": "spans" unless @p meta sets
+ * its own "kind".
+ */
+template <class Sink>
+void
+encode(Sink &out, const std::map<std::string, std::string> &meta,
+       const std::vector<Span> &spans)
+{
+    out.beginObject();
+    out.key("skipsimMeta");
+    out.beginObject();
+    const auto kind = meta.find("kind");
+    out.key("kind");
+    out.string(kind == meta.end() ? "spans" : kind->second);
+    for (const auto &[key, value] : meta) {
+        if (key == "kind")
+            continue;
+        out.key(key);
+        out.string(value);
+    }
+    out.endObject();
+
+    // Async "b"/"e" flow events bracket each request root: one
+    // Perfetto row per request id.
+    auto flow = [&out](const char *ph, const Span &root, std::int64_t ts) {
+        out.beginObject();
+        out.key("ph");
+        out.string(ph);
+        out.key("cat");
+        out.string("request");
+        out.key("id");
+        out.number(static_cast<double>(
+            static_cast<unsigned long long>(root.request)));
+        out.key("name");
+        out.string("request");
+        out.key("pid");
+        out.integer(0);
+        out.key("tid");
+        out.integer(0);
+        out.key("ts");
+        out.number(static_cast<double>(ts) / 1000.0);
+        out.key("ts_ns");
+        out.integer(ts);
+        out.endObject();
+    };
+
+    out.key("traceEvents");
+    out.beginArray();
+    for (const Span &span : spans) {
         const bool is_root = span.parent < 0;
-        if (is_root) {
-            // Async "b" flow event: one Perfetto row per request id.
-            json::Object flow;
-            flow.set("ph", "b");
-            flow.set("cat", "request");
-            flow.set("id",
-                     static_cast<unsigned long long>(span.request));
-            flow.set("name", "request");
-            flow.set("pid", 0);
-            flow.set("tid", 0);
-            flow.set("ts", static_cast<double>(span.beginNs) / 1000.0);
-            flow.set("ts_ns", static_cast<long long>(span.beginNs));
-            events.push_back(json::Value(std::move(flow)));
-        }
-        json::Object obj;
-        obj.set("ph", "X");
-        obj.set("name", span.stage);
+        if (is_root)
+            flow("b", span, span.beginNs);
+        out.beginObject();
+        out.key("ph");
+        out.string("X");
+        out.key("name");
+        out.string(span.stage);
         // "cpu_op" keeps the export parseable by trace::readChromeFile
         // (and therefore skipctl validate), which skips unmodeled
         // categories.
-        obj.set("cat", "cpu_op");
-        obj.set("pid", 0);
+        out.key("cat");
+        out.string("cpu_op");
+        out.key("pid");
+        out.integer(0);
         const int tid = span.replica < 0 ? 0 : span.replica + 1;
-        obj.set("tid", tid);
-        obj.set("ts", static_cast<double>(span.beginNs) / 1000.0);
-        obj.set("dur", static_cast<double>(span.durNs) / 1000.0);
-        json::Object args;
-        args.set("ts_ns", static_cast<long long>(span.beginNs));
-        args.set("dur_ns", static_cast<long long>(span.durNs));
-        args.set("thread", tid);
-        args.set("span_id", static_cast<long long>(span.id));
-        args.set("parent", static_cast<long long>(span.parent));
-        args.set("request", static_cast<long long>(span.request));
-        args.set("replica", span.replica);
-        if (!span.detail.empty())
-            args.set("detail", span.detail);
-        obj.set("args", json::Value(std::move(args)));
-        events.push_back(json::Value(std::move(obj)));
-        if (is_root) {
-            json::Object flow;
-            flow.set("ph", "e");
-            flow.set("cat", "request");
-            flow.set("id",
-                     static_cast<unsigned long long>(span.request));
-            flow.set("name", "request");
-            flow.set("pid", 0);
-            flow.set("tid", 0);
-            const std::int64_t end = span.beginNs + span.durNs;
-            flow.set("ts", static_cast<double>(end) / 1000.0);
-            flow.set("ts_ns", static_cast<long long>(end));
-            events.push_back(json::Value(std::move(flow)));
+        out.key("tid");
+        out.integer(tid);
+        out.key("ts");
+        out.number(static_cast<double>(span.beginNs) / 1000.0);
+        out.key("dur");
+        out.number(static_cast<double>(span.durNs) / 1000.0);
+        out.key("args");
+        out.beginObject();
+        out.key("ts_ns");
+        out.integer(span.beginNs);
+        out.key("dur_ns");
+        out.integer(span.durNs);
+        out.key("thread");
+        out.integer(tid);
+        out.key("span_id");
+        out.integer(span.id);
+        out.key("parent");
+        out.integer(span.parent);
+        out.key("request");
+        out.integer(span.request);
+        out.key("replica");
+        out.integer(span.replica);
+        if (!span.detail.empty()) {
+            out.key("detail");
+            out.string(span.detail);
         }
+        out.endObject();
+        out.endObject();
+        if (is_root)
+            flow("e", span, span.beginNs + span.durNs);
     }
-    root.set("traceEvents", json::Value(std::move(events)));
-    root.set("displayTimeUnit", "ns");
-    return json::Value(std::move(root));
+    out.endArray();
+    out.key("displayTimeUnit");
+    out.string("ns");
+    out.endObject();
+}
+
+std::string
+encodeText(const std::map<std::string, std::string> &meta,
+           const std::vector<Span> &spans)
+{
+    std::string text;
+    json::Emitter out(text);
+    encode(out, meta, spans);
+    return text;
+}
+
+using trace::codec::EventFields;
+using trace::codec::Field;
+using trace::codec::Key;
+
+/** Collects the spans of a walk. */
+class SpanSink final : public trace::codec::EventSink
+{
+  public:
+    SpanFile file;
+
+    void
+    reset(std::size_t events) override
+    {
+        file.spans.clear();
+        file.spans.reserve(events);
+    }
+
+    void
+    decode(const EventFields &event) override
+    {
+        const Field *ph = event.find(Key::Ph);
+        if (!ph || ph->asString() != "X")
+            return; // flow events and foreign records
+        const Field *id = event.arg(Key::SpanId);
+        if (!id)
+            return; // an "X" event from another writer
+        Span span;
+        span.id = id->asInt();
+        span.parent = event.argAt(Key::Parent, "parent").asInt();
+        span.request = event.argAt(Key::Request, "request").asInt();
+        span.stage = event.at(Key::Name, "name").asString();
+        span.beginNs = event.argAt(Key::TsNs, "ts_ns").asInt();
+        span.durNs = event.argAt(Key::DurNs, "dur_ns").asInt();
+        const Field *replica = event.arg(Key::Replica);
+        span.replica = replica ? replica->asIntNamed("replica") : -1;
+        const Field *detail = event.arg(Key::Detail);
+        if (detail)
+            span.detail = detail->asString();
+        trace::checkInterval(span.beginNs, span.durNs, "dur_ns");
+        file.spans.push_back(std::move(span));
+    }
+};
+
+/** The SpanFile a walk read, once the document-level rules hold. */
+SpanFile
+finish(const trace::codec::Document &doc, SpanSink &sink)
+{
+    if (doc.root != json::Kind::Object)
+        fatal("span trace: top level must be an object with "
+              "'traceEvents'");
+    for (const trace::codec::MetaEntry *entry : doc.metaStrings())
+        sink.file.meta[entry->key] = entry->value;
+    if (!doc.events || *doc.events != json::Kind::Array)
+        fatal("span trace: missing 'traceEvents' array");
+    if (doc.eventError)
+        fatal(*doc.eventError);
+    return std::move(sink.file);
+}
+
+constexpr const char *kPrefix = "span trace";
+
+} // namespace
+
+json::Value
+SpanLog::toChromeJson() const
+{
+    json::DomBuilder out;
+    encode(out, _meta, _sealed);
+    return out.take();
 }
 
 std::string
 SpanLog::toChromeText() const
 {
-    return json::write(toChromeJson());
+    return encodeText(_meta, _sealed);
 }
 
 void
 SpanLog::writeChromeFile(const std::string &path) const
 {
-    json::writeFile(path, toChromeJson(), false);
+    json::writeTextFile(path, toChromeText());
+}
+
+std::string
+toChromeText(const SpanFile &file)
+{
+    return encodeText(file.meta, file.spans);
 }
 
 SpanFile
 spansFromChromeJson(const json::Value &doc)
 {
-    SpanFile out;
-    if (!doc.isObject())
-        fatal("span trace: top level must be an object with "
-              "'traceEvents'");
-    const json::Object &root = doc.asObject();
-    if (const json::Value *meta = root.find("skipsimMeta"))
-        for (const json::Member &member : meta->asObject())
-            out.meta[member.key] = member.value.asString();
-    const json::Value *events = root.find("traceEvents");
-    if (!events || !events->isArray())
-        fatal("span trace: missing 'traceEvents' array");
-    std::size_t index = 0;
-    for (const auto &item : events->asArray()) {
-        try {
-            if (!item.isObject())
-                fatal("event is not a JSON object");
-            const json::Object &obj = item.asObject();
-            const json::Value *ph = obj.find("ph");
-            if (!ph || ph->asString() != "X") {
-                ++index;
-                continue; // flow events and foreign records
-            }
-            const json::Value *args = obj.find("args");
-            if (!args || !args->isObject()) {
-                ++index;
-                continue; // an "X" event from another writer
-            }
-            const json::Object &span_args = args->asObject();
-            const json::Value *id = span_args.find("span_id");
-            if (!id) {
-                ++index;
-                continue; // an "X" event from another writer
-            }
-            Span span;
-            span.id = id->asInt();
-            span.parent = span_args.at("parent").asInt();
-            span.request = span_args.at("request").asInt();
-            span.stage = obj.at("name").asString();
-            span.beginNs = span_args.at("ts_ns").asInt();
-            span.durNs = span_args.at("dur_ns").asInt();
-            const json::Value *replica = span_args.find("replica");
-            span.replica =
-                replica ? json::intValue(*replica, "replica") : -1;
-            const json::Value *detail = span_args.find("detail");
-            span.detail = detail ? detail->asString() : std::string();
-            trace::checkInterval(span.beginNs, span.durNs, "dur_ns");
-            out.spans.push_back(std::move(span));
-        } catch (const FatalError &err) {
-            fatal(strprintf("span trace: event %zu: %s", index,
-                            err.what()));
-        }
-        ++index;
-    }
-    return out;
+    SpanSink sink;
+    return finish(trace::codec::readDom(doc, sink, kPrefix, false), sink);
+}
+
+SpanFile
+spansFromChromeText(const std::string &text)
+{
+    SpanSink sink;
+    return finish(trace::codec::readText(text, sink, kPrefix, false),
+                  sink);
 }
 
 SpanFile
 readSpanFile(const std::string &path)
 {
-    return spansFromChromeJson(json::parseFile(path));
+    return spansFromChromeText(json::readFile(path));
 }
 
 } // namespace skipsim::obs

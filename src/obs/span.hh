@@ -36,7 +36,11 @@
  * replica (tid = replica + 1; tid 0 is the router track), plus a
  * "b"/"e" async pair per request for the per-request flow — Perfetto
  * renders those as one row per request id; our reader skips unknown
- * phases by design.
+ * phases by design. The export and the readers run the trace codec's
+ * machinery (json::Emitter out, json::Reader in; see
+ * trace/chrome_codec.hh), so no json::Value is built per span on the
+ * text paths; toChromeJson and spansFromChromeJson are the same
+ * encoder and decoder with a document as output or input.
  */
 
 #ifndef SKIPSIM_OBS_SPAN_HH
@@ -153,6 +157,9 @@ class SpanLog
     /** Exported metadata (skipsimMeta; string values only). */
     void setMeta(const std::string &key, const std::string &value);
 
+    /** Metadata set so far. */
+    const std::map<std::string, std::string> &meta() const { return _meta; }
+
     /** Requests sealed so far. */
     std::size_t requestCount() const { return _sealedRequests; }
 
@@ -226,14 +233,26 @@ struct SpanFile
 };
 
 /**
- * Parse a span Chrome-trace document written by SpanLog (the "X"
- * events carrying args.span_id; flow events and foreign records are
- * ignored). @throws skipsim::FatalError on malformed documents.
+ * Read span Chrome-trace text written by SpanLog (the "X" events
+ * carrying args.span_id; flow events and foreign records are
+ * ignored), straight from its tokens. A syntax error anywhere wins
+ * over a malformed event, as if the text were parsed first.
+ * @throws skipsim::FatalError on malformed documents, naming the
+ *         event index.
  */
+SpanFile spansFromChromeText(const std::string &text);
+
+/** spansFromChromeText() over a parsed document. */
 SpanFile spansFromChromeJson(const json::Value &doc);
 
-/** File variant of spansFromChromeJson(). */
+/** File variant of spansFromChromeText(). */
 SpanFile readSpanFile(const std::string &path);
+
+/**
+ * Chrome-trace text of a parsed span file: what SpanLog::toChromeText
+ * writes for the same spans and metadata.
+ */
+std::string toChromeText(const SpanFile &file);
 
 } // namespace skipsim::obs
 

@@ -9,6 +9,12 @@
  * Counter events ("ph":"C", one args member "value") and instant
  * markers ("ph":"i") round-trip too, carrying their exact nanosecond
  * timestamp in a top-level "ts_ns" field.
+ *
+ * One encoder and one decoder serve every entry point. The text
+ * paths stream: the encoder pushes into a json::Emitter and the
+ * decoder pulls from a json::Reader, so no json::Value is built per
+ * event. toChromeJson and fromChromeJson run the same encoder and
+ * decoder with a document as output or input (trace/chrome_codec.hh).
  */
 
 #ifndef SKIPSIM_TRACE_CHROME_HH
@@ -52,10 +58,14 @@ Trace fromChromeJson(const json::Value &doc);
 void checkInterval(std::int64_t tsNs, std::int64_t durNs,
                    const char *durKey);
 
-/** Parse Chrome-trace JSON text. */
+/**
+ * Read Chrome-trace JSON text straight from its tokens, with the
+ * rules and messages of fromChromeJson. A syntax error anywhere wins
+ * over a malformed event, as if the text were parsed first.
+ */
 Trace fromChromeText(const std::string &text);
 
-/** Read a Chrome-trace JSON file. */
+/** Read a Chrome-trace JSON file; see fromChromeText(). */
 Trace readChromeFile(const std::string &path);
 
 } // namespace skipsim::trace

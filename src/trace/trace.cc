@@ -101,6 +101,13 @@ Trace::add(TraceEvent event)
 }
 
 void
+Trace::reserve(std::size_t events)
+{
+    _events.reserve(events);
+    _posOfId.reserve(events);
+}
+
+void
 Trace::addCounter(CounterEvent counter)
 {
     _counters.push_back(std::move(counter));

@@ -46,6 +46,9 @@ class Trace
      */
     std::uint64_t add(TraceEvent event);
 
+    /** Make room for @p events events without reallocating. */
+    void reserve(std::size_t events);
+
     /** Append a sampled counter value ("ph":"C" in Chrome traces). */
     void addCounter(CounterEvent counter);
 

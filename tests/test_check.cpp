@@ -5,28 +5,37 @@
  * golden traces, the metamorphic property catalog, and the fuzz
  * harness (deterministic generation, JSON round trips, and the
  * fail -> shrink -> repro-on-disk path driven by a trace mutator that
- * stands in for a broken engine build).
+ * stands in for a broken engine build), and the Chrome codec's parity
+ * with the DOM reader and writer it replaced (check::diffChromeCodec)
+ * on fixed inputs that pin each of the decoder's rules.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "check/chrome_oracle.hh"
 #include "check/fuzzer.hh"
 #include "check/invariants.hh"
 #include "check/mdc.hh"
 #include "check/properties.hh"
 #include "common/logging.hh"
+#include "hw/catalog.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
+#include "obs/span.hh"
+#include "sim/simulator.hh"
 #include "trace/chrome.hh"
 #include "trace/event.hh"
 #include "trace/trace.hh"
+#include "workload/builder.hh"
+#include "workload/model_config.hh"
 
 #ifndef SKIPSIM_TESTS_DATA_DIR
 #define SKIPSIM_TESTS_DATA_DIR "tests/data"
@@ -617,6 +626,47 @@ TEST(Fuzzer, BrokenBuildShrinksToMinimalReproOnDisk)
     std::remove(report.reproPath.c_str());
 }
 
+TEST(Fuzzer, ReproDirectoryIsCreatedAndWriteFailuresKeepTheReport)
+{
+    // A missing nested directory is created for the repro.
+    const std::filesystem::path base =
+        std::filesystem::path(testing::TempDir()) / "skipsim_repro_dirs";
+    std::filesystem::remove_all(base);
+    FuzzOptions opts;
+    opts.seed = 1;
+    opts.cases = 4;
+    opts.quick = true;
+    opts.traceMutator = breakTrace;
+    opts.reproDir = (base / "a" / "b").string();
+    FuzzReport report = Fuzzer(opts).run();
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(report.reproError.empty()) << report.reproError;
+    EXPECT_TRUE(std::filesystem::exists(report.reproPath))
+        << report.reproPath;
+    EXPECT_NE(report.render().find("written to " + report.reproPath),
+              std::string::npos)
+        << report.render();
+
+    // Under a regular file no directory can be made: the campaign still
+    // reports its failures, its first failing case and the write error.
+    const std::filesystem::path file = base / "plain_file";
+    std::FILE *out = std::fopen(file.string().c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    std::fclose(out);
+    opts.reproDir = (file / "nested").string();
+    report = Fuzzer(opts).run();
+    EXPECT_GT(report.failures, 0u);
+    EXPECT_FALSE(report.firstProblems.empty());
+    EXPECT_NE(report.reproError.find("cannot open file"), std::string::npos)
+        << report.reproError;
+    const std::string rendered = report.render();
+    EXPECT_NE(rendered.find("first failure: case"), std::string::npos)
+        << rendered;
+    EXPECT_NE(rendered.find(report.reproError), std::string::npos)
+        << rendered;
+    std::filesystem::remove_all(base);
+}
+
 TEST(Fuzzer, ShrinkIsIdempotentOnAlreadyMinimalCases)
 {
     FuzzOptions opts;
@@ -633,6 +683,222 @@ TEST(Fuzzer, ShrinkIsIdempotentOnAlreadyMinimalCases)
     ASSERT_FALSE(fuzzer.runCase(tiny).empty());
     FuzzCase shrunk = fuzzer.shrink(tiny);
     EXPECT_EQ(shrunk.sizeScore(), tiny.sizeScore());
+}
+
+// ---------------------------------------------------------- codec parity
+
+/** The error text of reading @p text as a trace, "" when accepted. */
+std::string
+traceError(const std::string &text)
+{
+    try {
+        trace::fromChromeText(text);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+/** An "X" kernel event at @p ts_us lasting @p dur_us, as text. */
+std::string
+kernelEvent(const std::string &ts_us, const std::string &dur_us)
+{
+    return R"({"ph":"X","name":"k","cat":"kernel","ts":)" + ts_us +
+        R"(,"dur":)" + dur_us + "}";
+}
+
+TEST(ChromeCodec, KinetoOrderFixturesMatchTheDomReader)
+{
+    // Kineto-shaped inputs: microsecond-only fields, flush order rather
+    // than time order, foreign categories and phases, counters with
+    // arbitrary series names, the bare-array form, escapes.
+    const std::vector<std::string> fixtures = {
+        R"({"traceEvents":[
+            {"ph":"X","name":"gemm","cat":"kernel","ts":30.0,"dur":5.0,
+             "pid":0,"tid":1007,"args":{"correlation":9,"stream":7,
+             "External id":12,"grid":[1,2,1]}},
+            {"ph":"X","name":"aten::linear","cat":"cpu_op","ts":1.0,
+             "dur":40.0,"tid":3},
+            {"ph":"X","name":"Memcpy HtoD","cat":"gpu_memcpy","ts":50.0,
+             "dur":2.0,"pid":0,"tid":1000,"args":{"correlation":11}},
+            {"ph":"X","name":"cudaLaunchKernel","cat":"cuda_runtime",
+             "ts":20.0,"dur":2.0,"tid":3,"args":{"correlation":9}},
+            {"ph":"X","name":"py","cat":"python_function","ts":0,"dur":1},
+            {"ph":"M","name":"process_name","args":{"name":"python"}},
+            {"ph":"C","name":"GPU mem","ts":2.5,"pid":0,"tid":0,
+             "args":{"label":"x","bytes":4096,"total":1}},
+            {"ph":"I","name":"marker","ts":1.0,"tid":3},
+            {"ph":"f","id":4,"ts":1}],
+           "displayTimeUnit":"ms","deviceProperties":[{"id":0}]})",
+        R"([{"ph":"X","name":"op\u00e9\n","cat":"cpu_op","ts":0,"dur":1},
+            {"ph":"X","name":"k","cat":"kernel","ts":2.0,"dur":1.0,
+             "tid":1007,"args":{"correlation":1,"stream":7}}])",
+        R"({"skipsimMeta":{"model":"GPT2","model":"Llama"},
+            "traceEvents":[{"ph":"i","name":"m","ts_ns":5,"s":"t"}]})",
+        R"({"skipsimMeta":{"kind":"spans","e2e_slo_ms":"900"},
+            "traceEvents":[
+            {"ph":"b","cat":"request","id":0,"name":"request","ts":0},
+            {"ph":"X","name":"request","cat":"cpu_op","ts":0,"dur":2,
+             "tid":0,"args":{"ts_ns":0,"dur_ns":2000,"span_id":0,
+             "parent":-1,"request":0,"replica":-1}},
+            {"ph":"X","name":"route","cat":"cpu_op","ts":1,"dur":0,
+             "args":{"ts_ns":1000,"dur_ns":0,"span_id":1,"parent":0,
+             "request":0,"replica":2,"detail":"lor \"tie\""}}]})",
+    };
+    for (const std::string &text : fixtures)
+        EXPECT_EQ(diffChromeCodec(text), "") << text;
+}
+
+TEST(ChromeCodec, KinetoShapedTraceRoundTrips)
+{
+    // A simulated step written track by track, as Kineto lists events:
+    // ids end out of time order once the reader sorts.
+    workload::BuildOptions opts;
+    trace::Trace step =
+        sim::Simulator(hw::platforms::intelH100())
+            .run(workload::buildPrefillGraph(workload::gpt2(), opts))
+            .trace;
+    std::vector<trace::TraceEvent> events = step.events();
+    std::stable_sort(events.begin(), events.end(),
+                     [](const trace::TraceEvent &a,
+                        const trace::TraceEvent &b) {
+                         return a.onGpu() < b.onGpu();
+                     });
+    trace::Trace kineto;
+    kineto.setMeta("model", "GPT2");
+    for (trace::TraceEvent &event : events)
+        kineto.add(std::move(event));
+    trace::CounterEvent counter;
+    counter.name = "queue";
+    counter.value = 2.5;
+    kineto.addCounter(counter);
+    trace::InstantEvent instant;
+    instant.name = "fault";
+    instant.tsNs = (std::int64_t{1} << 53) + 1; // prints as a double
+    kineto.addInstant(instant);
+    EXPECT_EQ(diffChromeCodec(kineto), "");
+    EXPECT_EQ(trace::fromChromeText(trace::toChromeText(kineto)).size(),
+              kineto.size());
+}
+
+TEST(ChromeCodec, SpanLogsMatchTheDomWriter)
+{
+    obs::SpanLog log;
+    log.setMeta("ttft_slo_ms", "250");
+    for (std::size_t id = 0; id < 3; ++id) {
+        const double t = 1000.0 * static_cast<double>(id);
+        log.onArrival(id, t);
+        log.onRoute(id, t + 100.0, static_cast<int>(id), "lor \"pick\"");
+        log.onAdmit(id, t + 300.0, 50.0, false);
+        log.onFirstToken(id, t + 500.0);
+        log.onDecodeIter(id, t + 500.0, t + 550.0, 3);
+        log.onComplete(id, t + 610.0);
+    }
+    EXPECT_EQ(diffChromeCodec(log), "");
+    obs::SpanFile file = obs::spansFromChromeText(log.toChromeText());
+    EXPECT_EQ(obs::toChromeText(file), log.toChromeText());
+}
+
+TEST(ChromeCodec, SyntaxErrorAfterABadEventWins)
+{
+    // Event 0 fails (negative duration), but the text breaks later:
+    // parsing first would report the syntax error, so the codec does.
+    const std::string text =
+        R"({"traceEvents":[)" + kernelEvent("5", "-3") + ",{";
+    const std::string error = traceError(text);
+    EXPECT_EQ(error.rfind("json parse error at 1:", 0), 0u) << error;
+    EXPECT_EQ(diffChromeCodec(text), "");
+    // Complete, the same document blames the event.
+    const std::string whole =
+        R"({"traceEvents":[)" + kernelEvent("5", "-3") + "]}";
+    EXPECT_NE(traceError(whole).find("chrome trace: event 0: negative"),
+              std::string::npos);
+    EXPECT_EQ(diffChromeCodec(whole), "");
+}
+
+TEST(ChromeCodec, MetaAfterTraceEventsIsCheckedBeforeTheEvents)
+{
+    const std::string text = R"({"traceEvents":[)" + kernelEvent("5", "-3") +
+        R"(],"skipsimMeta":{"model":1}})";
+    EXPECT_EQ(traceError(text), "json: value is not a string");
+    EXPECT_EQ(diffChromeCodec(text), "");
+    const std::string not_object =
+        R"({"traceEvents":[],"skipsimMeta":[]})";
+    EXPECT_EQ(traceError(not_object), "json: value is not an object");
+    EXPECT_EQ(diffChromeCodec(not_object), "");
+    // A missing or non-array traceEvents comes next, before any event.
+    const std::string events_late = R"({"traceEvents":[)" +
+        kernelEvent("5", "-3") + R"(],"traceEvents":{}})";
+    EXPECT_EQ(traceError(events_late),
+              "chrome trace: 'traceEvents' must be an array");
+    EXPECT_EQ(diffChromeCodec(events_late), "");
+}
+
+TEST(ChromeCodec, RepeatedRootTraceEventsKeepsOnlyTheLastArray)
+{
+    const std::string text = R"({"traceEvents":[)" + kernelEvent("5", "-3") +
+        R"(,7],"skipsimMeta":{},"traceEvents":[)" + kernelEvent("1", "2") +
+        "]}";
+    trace::Trace t = trace::fromChromeText(text);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.events()[0].tsBeginNs, 1000);
+    EXPECT_EQ(diffChromeCodec(text), "");
+    // The last array's first failing event is the one reported.
+    const std::string bad_last = R"({"traceEvents":[)" +
+        kernelEvent("1", "2") + R"(],"traceEvents":[)" +
+        kernelEvent("1", "2") + "," + kernelEvent("5", "-3") + "]}";
+    EXPECT_NE(traceError(bad_last).find("chrome trace: event 1: "),
+              std::string::npos)
+        << traceError(bad_last);
+    EXPECT_EQ(diffChromeCodec(bad_last), "");
+}
+
+TEST(ChromeCodec, RepeatedMemberTakesItsLastValueAtItsFirstPosition)
+{
+    const std::string text =
+        R"({"traceEvents":[{"ph":"X","name":"k","cat":"kernel","ts":1,)"
+        R"("dur":2,"ts":7,"args":{"stream":3},"args":{"stream":4}},)"
+        R"({"ph":"C","name":"c","ts":1,)"
+        R"("args":{"a":"x","b":2,"a":5,"b":"y"}}]})";
+    trace::Trace t = trace::fromChromeText(text);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.events()[0].tsBeginNs, 7000);
+    EXPECT_EQ(t.events()[0].streamId, 4);
+    // "a" sits first and ends numeric; "b" ends a string.
+    ASSERT_EQ(t.counters().size(), 1u);
+    EXPECT_EQ(t.counters()[0].value, 5.0);
+    EXPECT_EQ(diffChromeCodec(text), "");
+}
+
+TEST(ChromeCodec, NestingCapHoldsInsideArgs)
+{
+    // Root object, traceEvents array, event and args make four levels.
+    auto with_depth = [](int total) {
+        std::string nest;
+        for (int i = 4; i < total; ++i)
+            nest += "[";
+        nest += "0";
+        nest.append(static_cast<std::size_t>(total - 4), ']');
+        return R"({"traceEvents":[{"ph":"X","name":"k","cat":"kernel",)"
+               R"("ts":1,"dur":2,"args":{"n":)" +
+            nest + "}}]}";
+    };
+    EXPECT_EQ(traceError(with_depth(512)), "");
+    EXPECT_EQ(diffChromeCodec(with_depth(512)), "");
+    const std::string error = traceError(with_depth(513));
+    EXPECT_NE(error.find("nesting deeper than 512 levels"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(diffChromeCodec(with_depth(513)), "");
+}
+
+TEST(ChromeCodec, CrlfLineAndColumnPositions)
+{
+    // A CR before each LF ends the line with it; a lone CR is a column.
+    const std::string text =
+        "{\r\n  \"traceEvents\": [\r\n  \r  ?\r\n]}";
+    EXPECT_EQ(traceError(text), "json parse error at 3:6: invalid number");
+    EXPECT_EQ(diffChromeCodec(text), "");
 }
 
 } // namespace
