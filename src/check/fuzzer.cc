@@ -975,6 +975,10 @@ blamesEventWithoutIndex(const std::string &message)
     auto word_char = [](char ch) {
         return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
     };
+    // A message that names its record ("event 12: ...") blames it
+    // properly, whatever the detail after the index says about
+    // "event" ("event 0: event is not a JSON object").
+    bool unindexed = false;
     for (std::size_t at = message.find("event"); at != std::string::npos;
          at = message.find("event", at + 1)) {
         std::size_t end = at + 5;
@@ -982,15 +986,18 @@ blamesEventWithoutIndex(const std::string &message)
             (end < message.size() && word_char(message[end])))
             continue; // part of a longer word: "events", "traceEvents"
         std::size_t next = message.find_first_not_of(' ', end);
-        if (next == std::string::npos)
-            return true;
-        if (std::isdigit(static_cast<unsigned char>(message[next])))
-            continue; // "event 12: ..."
-        if (message.compare(next, 5, "array") == 0)
-            continue; // the document's event array, not one record
-        return true;
+        if (next == std::string::npos) {
+            unindexed = true;
+        } else if (std::isdigit(static_cast<unsigned char>(message[next]))) {
+            std::size_t after = message.find_first_not_of("0123456789", next);
+            if (after != std::string::npos && message[after] == ':')
+                return false;
+        } else if (message.compare(next, 5, "array") != 0) {
+            // "event array" is the document's array, not one record.
+            unindexed = true;
+        }
     }
-    return false;
+    return unindexed;
 }
 
 namespace

@@ -124,9 +124,10 @@ struct FuzzCase
 
 /**
  * Trace-ingestion oracle on one reader diagnostic: true when the
- * message blames an event record without naming its index
- * ("event <N>"). A document-level diagnostic that mentions the event
- * array the document should hold blames no record.
+ * message blames an event record without naming its index. A message
+ * that names one ("event <N>:") passes whatever its detail says, and
+ * a document-level diagnostic that mentions the event array the
+ * document should hold blames no record.
  */
 bool blamesEventWithoutIndex(const std::string &message);
 

@@ -339,9 +339,10 @@ struct Request
 
 /**
  * One replica's runtime state. The batching discipline itself —
- * queues, KV admission, iteration scheduling — lives in the shared
+ * queues, iteration scheduling — lives in the shared
  * serving::ReplicaEngine; this wrapper keeps what is cluster-specific:
- * fault status, partition limbo, routing stats.
+ * the KV budget the engine admits through, fault status, partition
+ * limbo, routing stats.
  */
 struct ReplicaRt
 {
@@ -359,6 +360,11 @@ struct ReplicaRt
     /** Lane time from staging and handoff transfers (the store tracks
      *  its own paging traffic separately). */
     double laneExtraNs = 0.0;
+
+    /** Flat KV budget (HBM after weights and activations) and the
+     *  bytes reserved against it; a tier store keeps its own. */
+    double kvCapacityBytes = 0.0;
+    double kvBytes = 0.0;
 
     ReplicaStats stats;
 };
@@ -434,6 +440,7 @@ class Sim
                     r, rt.spec->platform.name.c_str(),
                     spec.promptLen + spec.genTokens));
             _kvPerSeqBytes = kv_per_seq;
+            rt.kvCapacityBytes = kv_capacity;
             if (_kvOn)
                 _stores[r] = std::make_unique<kv::TieredStore>(
                     spec.kvTier, rt.spec->platform, kv_capacity,
@@ -443,44 +450,16 @@ class Sim
             ec.cost = &costs.get(rt.spec->platform.name);
             ec.maxActive = rt.spec->maxActive;
             ec.genTokens = spec.genTokens;
-            ec.kvPerSeqBytes = kv_per_seq;
-            ec.kvCapacityBytes = kv_capacity;
             ec.horizonNs = _horizonNs;
             ec.iterPriority = eventPriority(EvIterEnd, r);
-            // Prefix-cache hits (multi-turn traffic) skip the cached
-            // share of the prefill.
-            ec.prefillFrac = [this](std::size_t id) {
-                return 1.0 - _requests[id].cachedFrac;
+            ec.kvAdmit = [this, r](std::size_t id, double now,
+                                   bool decode_entry) {
+                return admitKv(r, id, now, decode_entry);
+            };
+            ec.kvRelease = [this, r](std::size_t id, double now) {
+                releaseKv(r, id, now);
             };
             ec.prefillOnly = rt.spec->role == ReplicaRole::Prefill;
-            if (_kvOn) {
-                // Two-tier store: admission pages retained entries
-                // per policy and a prefix hit only saves prefill when
-                // the entry is actually resident (HBM free, host paid
-                // as a fetch over the link).
-                kv::TieredStore *store = _stores[r].get();
-                bool retain = rt.spec->role != ReplicaRole::Prefill;
-                ec.kvAdmit = [this, store, kv_per_seq](
-                                 std::size_t id, double now,
-                                 bool decode_entry) {
-                    serving::ReplicaEngine::Config::KvAdmission out;
-                    kv::TieredStore::AdmitResult res = store->admit(
-                        _requests[id].session, kv_per_seq, now,
-                        !decode_entry);
-                    out.admitted = res.admitted;
-                    out.stallNs = res.stallNs;
-                    out.prefillShare =
-                        res.prefixHit == kv::Residency::None
-                        ? 1.0
-                        : 1.0 - _requests[id].cachedFrac;
-                    return out;
-                };
-                ec.kvRelease = [this, store, kv_per_seq,
-                                retain](std::size_t id, double now) {
-                    store->release(_requests[id].session, kv_per_seq,
-                                   now, retain);
-                };
-            }
 
             serving::ReplicaEngine::Callbacks cb;
             cb.onFirstToken = [this](std::size_t id, double ttft,
@@ -589,6 +568,16 @@ class Sim
     void restartAndReroute(std::size_t r,
                            std::vector<std::size_t> &ids, double now);
     void drainBacklog(double now);
+
+    /**
+     * Replica @p r's KV admission hook: reserve request @p id's
+     * sequence against the flat budget or the tier store, with the
+     * share of its prompt a prefix-cache hit leaves to prefill.
+     */
+    serving::ReplicaEngine::Config::KvAdmission
+    admitKv(std::size_t r, std::size_t id, double now, bool decodeEntry);
+    /** Request @p id finished on replica @p r: free its KV. */
+    void releaseKv(std::size_t r, std::size_t id, double now);
 
     /** FIFO-queue @p bytes onto replica @p r's CPU-GPU link; returns
      *  the transfer's completion instant. */
@@ -825,6 +814,48 @@ Sim::onStaged(std::size_t id, std::size_t r, double now)
     rt.engine->maybeStart(now);
 }
 
+serving::ReplicaEngine::Config::KvAdmission
+Sim::admitKv(std::size_t r, std::size_t id, double now,
+             bool decodeEntry)
+{
+    serving::ReplicaEngine::Config::KvAdmission out;
+    const Request &req = _requests[id];
+    if (_kvOn) {
+        // Two-tier store: admission pages retained entries per policy
+        // and a prefix hit only saves prefill when the entry is
+        // actually resident (HBM free, host paid as a fetch over the
+        // link).
+        kv::TieredStore::AdmitResult res = _stores[r]->admit(
+            req.session, _kvPerSeqBytes, now, !decodeEntry);
+        out.admitted = res.admitted;
+        out.stallNs = res.stallNs;
+        out.prefillShare = res.prefixHit == kv::Residency::None
+            ? 1.0
+            : 1.0 - req.cachedFrac;
+        return out;
+    }
+    // Flat budget: vLLM-style worst-case reservation, and every
+    // prefix-cache hit (multi-turn traffic) skips its cached share.
+    ReplicaRt &rt = _reps[r];
+    if (rt.kvBytes + _kvPerSeqBytes > rt.kvCapacityBytes)
+        return out;
+    rt.kvBytes += _kvPerSeqBytes;
+    rt.stats.peakKvBytes = std::max(rt.stats.peakKvBytes, rt.kvBytes);
+    out.admitted = true;
+    out.prefillShare = 1.0 - req.cachedFrac;
+    return out;
+}
+
+void
+Sim::releaseKv(std::size_t r, std::size_t id, double now)
+{
+    if (_kvOn)
+        _stores[r]->release(_requests[id].session, _kvPerSeqBytes, now,
+                            _reps[r].spec->role != ReplicaRole::Prefill);
+    else
+        _reps[r].kvBytes -= _kvPerSeqBytes;
+}
+
 double
 Sim::chargeLane(std::size_t r, double bytes, double now)
 {
@@ -880,7 +911,7 @@ Sim::sampleObs(std::int64_t t)
                      static_cast<double>(rt.engine->activeCount() +
                                          rt.engine->prefillingCount()));
         _obs->sample("cluster.kv_bytes", labels, t,
-                     rt.engine->kvBytes());
+                     _kvOn ? _stores[r]->hbmBytes() : rt.kvBytes);
         _obs->sample("cluster.outstanding", labels, t,
                      static_cast<double>(_router.outstanding(r)));
         _obs->sample("cluster.rerouted", labels, t,
@@ -955,6 +986,8 @@ Sim::onFault(std::size_t faultIdx, double tNs)
         std::vector<std::size_t> evicted = rt.engine->evictAll();
         if (_kvOn)
             _stores[f.replica]->dropAll(); // host tier dies with it
+        else
+            rt.kvBytes = 0.0;
         rt.stranded.insert(rt.stranded.end(), evicted.begin(),
                            evicted.end());
         rt.stranded.insert(rt.stranded.end(), rt.limbo.begin(),
@@ -1180,7 +1213,6 @@ Sim::run()
         rt.stats.meanActive = rt.engine->activeSizes().count() > 0
             ? rt.engine->activeSizes().mean()
             : 0.0;
-        rt.stats.peakKvBytes = rt.engine->peakKvBytes();
         rt.stats.linkBusyNs = rt.laneExtraNs;
         if (_kvOn) {
             const kv::TierStats &ks = _stores[r]->stats();
@@ -1189,9 +1221,7 @@ Sim::run()
             rt.stats.kvEvictions = ks.evictions;
             rt.stats.peakHostKvBytes = ks.peakHostBytes;
             rt.stats.linkBusyNs += ks.linkBusyNs;
-            // External store: the engine never tracks KV itself.
-            rt.stats.peakKvBytes =
-                std::max(rt.stats.peakKvBytes, ks.peakHbmBytes);
+            rt.stats.peakKvBytes = ks.peakHbmBytes;
         }
         result.replicas.push_back(rt.stats);
     }

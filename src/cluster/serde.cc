@@ -44,7 +44,8 @@ faultFromJson(const json::Value &value)
     const json::Object &obj = value.asObject();
     FaultSpec fault;
     fault.atSec = obj.at("at-sec").asDouble();
-    fault.replica = static_cast<std::size_t>(obj.at("replica").asInt());
+    fault.replica =
+        static_cast<std::size_t>(json::uint64Member(obj, "replica"));
     fault.kind = faultKindByName(obj.at("kind").asString());
     if (obj.has("factor"))
         fault.factor = obj.at("factor").asDouble();

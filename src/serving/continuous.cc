@@ -8,6 +8,7 @@
 #include "core/engine.hh"
 #include "obs/collector.hh"
 #include "serving/arrival.hh"
+#include "serving/probe_replay.hh"
 #include "serving/replica_engine.hh"
 #include "sim/simulator.hh"
 #include "stats/summary.hh"
@@ -18,99 +19,6 @@ namespace skipsim::serving
 
 namespace
 {
-
-/** One batching iteration, for post-hoc probe replay. */
-struct IterRec
-{
-    double beginNs = 0.0;
-    double endNs = 0.0;
-    /** Sequences worked this iteration (decode batch + prefills). */
-    int active = 0;
-    /** Tokens emitted when the iteration completes. */
-    int tokens = 0;
-    /** Span name ("prefill b=N" / "decode b=N" / "chunk+decode b=N"). */
-    std::string label;
-};
-
-/**
- * Replay recorded iterations over the collector's deterministic
- * sampling boundaries; runs after the simulation completes.
- */
-void
-emitContinuousObs(obs::Collector &obs,
-                  const std::vector<double> &arrivals,
-                  const std::vector<double> &admits,
-                  const std::vector<IterRec> &iters,
-                  const std::vector<std::pair<double, double>> &ttfts,
-                  std::size_t completed, std::size_t tokens_total,
-                  double horizon_ns)
-{
-    obs::Registry &metrics = obs.metrics();
-    metrics.counter("continuous.requests_offered")
-        .add(static_cast<double>(arrivals.size()));
-    metrics.counter("continuous.requests_completed")
-        .add(static_cast<double>(completed));
-    metrics.counter("continuous.tokens")
-        .add(static_cast<double>(tokens_total));
-    metrics.counter("continuous.iterations")
-        .add(static_cast<double>(iters.size()));
-    obs::Histogram &ttft_hist = metrics.histogram(
-        "continuous.ttft_ms", obs::defaultLatencyBucketsMs());
-    for (const auto &ttft : ttfts)
-        ttft_hist.observe(ttft.second / 1e6);
-
-    for (const IterRec &iter : iters)
-        obs.span(iter.label, 0, std::llround(iter.beginNs),
-                 std::llround(iter.endNs - iter.beginNs));
-
-    obs::Ticker tick = obs.ticker();
-    const double window_sec =
-        static_cast<double>(obs.intervalNs()) / 1e9;
-    std::size_t arr_i = 0;
-    std::size_t admit_i = 0;
-    std::size_t iter_i = 0;  // iteration possibly covering the boundary
-    std::size_t token_i = 0; // iterations whose tokens are counted
-    std::size_t ttft_i = 0;
-    const double stop =
-        horizon_ns + static_cast<double>(obs.intervalNs()) - 1.0;
-    tick.advanceTo(stop, [&](std::int64_t t) {
-        const double now = static_cast<double>(t);
-        while (arr_i < arrivals.size() && arrivals[arr_i] <= now)
-            ++arr_i;
-        while (admit_i < admits.size() && admits[admit_i] <= now)
-            ++admit_i;
-        while (iter_i < iters.size() && iters[iter_i].endNs <= now)
-            ++iter_i;
-        double active = 0.0;
-        if (iter_i < iters.size() && iters[iter_i].beginNs <= now)
-            active = static_cast<double>(iters[iter_i].active);
-
-        long long window_tokens = 0;
-        while (token_i < iters.size() && iters[token_i].endNs <= now) {
-            window_tokens += iters[token_i].tokens;
-            ++token_i;
-        }
-        const std::size_t ttft_begin = ttft_i;
-        double window_ttft_ns = 0.0;
-        while (ttft_i < ttfts.size() && ttfts[ttft_i].first <= now) {
-            window_ttft_ns += ttfts[ttft_i].second;
-            ++ttft_i;
-        }
-        const std::size_t window_ttfts = ttft_i - ttft_begin;
-
-        obs.sample("continuous.queue_depth", {}, t,
-                   static_cast<double>(arr_i) -
-                       static_cast<double>(admit_i));
-        obs.sample("continuous.batch_active", {}, t, active);
-        obs.sample("continuous.tokens_per_sec", {}, t,
-                   static_cast<double>(window_tokens) / window_sec);
-        obs.sample("continuous.ttft_ms", {}, t,
-                   window_ttfts > 0
-                       ? window_ttft_ns /
-                           static_cast<double>(window_ttfts) / 1e6
-                       : 0.0);
-    });
-}
 
 /** @p curve at @p batch; warns once when past the measured grid. */
 double
@@ -213,7 +121,7 @@ simulateContinuous(const IterationCostModel &cost,
 
     ContinuousResult result;
     std::vector<double> obs_admits; // one admission instant per request
-    std::vector<IterRec> obs_iters;
+    std::vector<IterationRecord> obs_iters;
     std::vector<std::pair<double, double>> obs_ttfts;
     std::vector<double> ttfts;
 
@@ -275,10 +183,26 @@ simulateContinuous(const IterationCostModel &cost,
         engine.at(arrivals.front(), 0, arrive, 0, 0);
     engine.run();
 
-    if (obs != nullptr)
-        emitContinuousObs(*obs, arrivals, obs_admits, obs_iters,
-                          obs_ttfts, result.completed,
-                          replica.tokensEmitted(), horizon_ns);
+    if (obs != nullptr) {
+        obs::Registry &metrics = obs->metrics();
+        metrics.counter("continuous.requests_offered")
+            .add(static_cast<double>(arrivals.size()));
+        metrics.counter("continuous.requests_completed")
+            .add(static_cast<double>(result.completed));
+        metrics.counter("continuous.tokens")
+            .add(static_cast<double>(replica.tokensEmitted()));
+        metrics.counter("continuous.iterations")
+            .add(static_cast<double>(obs_iters.size()));
+        obs::Histogram &ttft_hist = metrics.histogram(
+            "continuous.ttft_ms", obs::defaultLatencyBucketsMs());
+        for (const auto &ttft : obs_ttfts)
+            ttft_hist.observe(ttft.second / 1e6);
+        replayProbes(*obs,
+                     {"continuous.queue_depth", "continuous.batch_active",
+                      "continuous.tokens_per_sec", "continuous.ttft_ms"},
+                     arrivals, obs_admits, obs_iters, obs_ttfts,
+                     horizon_ns);
+    }
 
     result.unfinished = replica.pendingCount() + replica.activeCount() +
         (replica.chunkHeadInFlight() ? 1 : 0);

@@ -1,7 +1,6 @@
 #include "serving/replica_engine.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -23,8 +22,8 @@ ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
         fatal("ReplicaEngine: kvAdmit and kvRelease must be set "
               "together");
     if (_cfg.chunkTokens > 0 && (_cfg.kvAdmit || _cfg.prefillOnly))
-        fatal("ReplicaEngine: chunked prefill does not compose with an "
-              "external KV store or prefill-only mode");
+        fatal("ReplicaEngine: chunked prefill does not compose with a KV "
+              "admission hook or prefill-only mode");
     _iterEnd = _engine.addHandler([this](const core::Event &ev) {
         onIterEnd(ev.timeNs, ev.payload);
     });
@@ -54,24 +53,13 @@ ReplicaEngine::maybeStart(double nowNs)
         if (_headChunksLeft == 0 && !_pending.empty() &&
             _active.size() <
                 static_cast<std::size_t>(_cfg.maxActive) &&
-            _kvBytes + _cfg.kvPerSeqBytes <= _cfg.kvCapacityBytes) {
+            admit(_pending.front().first, nowNs, false)) {
             _headId = _pending.front().first;
             _headArrivalNs = _pending.front().second;
             _pending.pop_front();
-            int prompt_tokens = _cfg.cost->promptLen();
-            if (_cfg.prefillFrac)
-                prompt_tokens = std::max(
-                    1, static_cast<int>(std::lround(
-                           prompt_tokens *
-                           std::clamp(_cfg.prefillFrac(_headId), 0.05,
-                                      1.0))));
             _headChunksLeft =
-                (prompt_tokens + _cfg.chunkTokens - 1) /
+                (_cfg.cost->promptLen() + _cfg.chunkTokens - 1) /
                 _cfg.chunkTokens;
-            _kvBytes += _cfg.kvPerSeqBytes;
-            _peakKvBytes = std::max(_peakKvBytes, _kvBytes);
-            if (_cb.onAdmitRequest)
-                _cb.onAdmitRequest(_headId, nowNs, 0.0, false);
         }
         if (_headChunksLeft == 0 && _active.empty())
             return;
@@ -97,74 +85,37 @@ ReplicaEngine::maybeStart(double nowNs)
     // batch directly: their prefill happened in another pool.
     while (!_pendingDecode.empty() &&
            _active.size() + _prefilling.size() <
-               static_cast<std::size_t>(_cfg.maxActive)) {
-        std::size_t id = _pendingDecode.front().first;
-        double stall_ns = 0.0;
-        if (_cfg.kvAdmit) {
-            Config::KvAdmission kv = _cfg.kvAdmit(id, nowNs, true);
-            if (!kv.admitted)
-                break;
-            _pendingStallNs += kv.stallNs;
-            stall_ns = kv.stallNs;
-        } else if (_kvBytes + _cfg.kvPerSeqBytes <=
-                   _cfg.kvCapacityBytes) {
-            _kvBytes += _cfg.kvPerSeqBytes;
-        } else {
-            break;
-        }
+               static_cast<std::size_t>(_cfg.maxActive) &&
+           admit(_pendingDecode.front().first, nowNs, true)) {
+        _active.emplace_back(_pendingDecode.front().first,
+                             _cfg.genTokens - 1);
         _pendingDecode.pop_front();
-        _active.emplace_back(id, _cfg.genTokens - 1);
-        if (_cb.onAdmitRequest)
-            _cb.onAdmitRequest(id, nowNs, stall_ns, true);
     }
 
-    // Admit pending prefills while batch slots and KV budget allow;
+    // Admit pending prefills while batch slots and the KV hook allow;
     // what does not fit stays queued until completions release KV.
     while (!_pending.empty() &&
            _active.size() + _prefilling.size() <
                static_cast<std::size_t>(_cfg.maxActive)) {
-        double stall_ns = 0.0;
-        if (_cfg.kvAdmit) {
-            Config::KvAdmission kv =
-                _cfg.kvAdmit(_pending.front().first, nowNs, false);
-            if (!kv.admitted)
-                break;
-            _pendingStallNs += kv.stallNs;
-            stall_ns = kv.stallNs;
-            _prefillShares.push_back(kv.prefillShare);
-        } else if (_kvBytes + _cfg.kvPerSeqBytes <=
-                   _cfg.kvCapacityBytes) {
-            _kvBytes += _cfg.kvPerSeqBytes;
-        } else {
+        std::optional<double> share =
+            admit(_pending.front().first, nowNs, false);
+        if (!share)
             break;
-        }
-        if (_cb.onAdmitRequest)
-            _cb.onAdmitRequest(_pending.front().first, nowNs, stall_ns,
-                               false);
+        _prefillShares.push_back(*share);
         _prefilling.push_back(_pending.front());
         _pending.pop_front();
     }
-    _peakKvBytes = std::max(_peakKvBytes, _kvBytes);
 
     if (!_prefilling.empty()) {
+        // Prefix-cache hits skip the cached share of the prompt;
+        // prefill time is near-linear in tokens, so the batch cost
+        // scales by the mean uncached share.
         double base =
             _cfg.cost->prefillNs(static_cast<int>(_prefilling.size()));
-        if (_cfg.kvAdmit) {
-            // Residency-gated prefix hits: the admission hook already
-            // decided each request's uncached share.
-            double share = 0.0;
-            for (double s : _prefillShares)
-                share += std::clamp(s, 0.05, 1.0);
-            base *= share / static_cast<double>(_prefilling.size());
-        } else if (_cfg.prefillFrac) {
-            // Prefix-cache hits skip the cached share of the prompt;
-            // prefill time is near-linear in tokens, so the batch cost
-            // scales by the mean uncached share.
-            double share = 0.0;
-            for (const auto &[id, arrival] : _prefilling)
-                share += std::clamp(_cfg.prefillFrac(id), 0.05, 1.0);
-            base *= share / static_cast<double>(_prefilling.size());
-        }
+        double share = 0.0;
+        for (double s : _prefillShares)
+            share += std::clamp(s, 0.05, 1.0);
+        base *= share / static_cast<double>(_prefilling.size());
         startIteration(nowNs, base);
     } else if (!_active.empty()) {
         _activeSizes.add(static_cast<double>(_active.size()));
@@ -174,10 +125,24 @@ ReplicaEngine::maybeStart(double nowNs)
     }
 }
 
+std::optional<double>
+ReplicaEngine::admit(std::size_t id, double nowNs, bool decodeEntry)
+{
+    const Config::KvAdmission kv = _cfg.kvAdmit
+        ? _cfg.kvAdmit(id, nowNs, decodeEntry)
+        : Config::KvAdmission{true};
+    if (!kv.admitted)
+        return std::nullopt;
+    _pendingStallNs += kv.stallNs;
+    if (_cb.onAdmitRequest)
+        _cb.onAdmitRequest(id, nowNs, kv.stallNs, decodeEntry);
+    return kv.prefillShare;
+}
+
 double
 ReplicaEngine::startIteration(double nowNs, double baseNs)
 {
-    // Synchronous KV paging (external store) stalls the iteration it
+    // Synchronous KV paging (a tiered store) stalls the iteration it
     // admitted into: the GPU waits on the interconnect.
     baseNs += _pendingStallNs;
     _pendingStallNs = 0.0;
@@ -195,8 +160,6 @@ ReplicaEngine::completeSeq(std::size_t id, double nowNs)
 {
     if (_cfg.kvRelease)
         _cfg.kvRelease(id, nowNs);
-    else
-        _kvBytes -= _cfg.kvPerSeqBytes;
     if (_cb.onComplete)
         _cb.onComplete(id, nowNs);
 }
@@ -305,7 +268,6 @@ ReplicaEngine::evictAll()
     for (const auto &[id, left] : _active)
         ids.push_back(id);
     _active.clear();
-    _kvBytes = 0.0;
     return ids;
 }
 

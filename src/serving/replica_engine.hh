@@ -2,19 +2,20 @@
  * @file
  * The continuous-batching replica engine shared by the single-replica
  * server (simulateContinuous) and the cluster simulator
- * (simulateCluster), which instantiates one per replica. Before this
- * existed, both carried their own copy of the same discipline —
- * prefill admission under a KV budget, whole-batch decode iterations,
- * TTFT/TPOT bookkeeping — and the copies had already drifted (the
- * cluster had KV admission control, the single-replica path did not;
- * only the single-replica path had chunked prefill).
+ * (simulateCluster), which instantiates one per replica: prefill
+ * admission, whole-batch decode iterations, chunked prefill and
+ * TTFT/TPOT bookkeeping, written once.
  *
- * A ReplicaEngine owns the replica's queues and KV accounting,
- * schedules its own iteration-end events on the shared core::Engine
- * (one handler it registers at construction), and reports request
- * milestones through callbacks so the host keeps its own notion of a
- * request (the cluster reroutes ids across replicas; the
- * single-replica server just counts).
+ * A ReplicaEngine owns the replica's queues, schedules its own
+ * iteration-end events on the shared core::Engine (one handler it
+ * registers at construction), and reports request milestones through
+ * callbacks so the host keeps its own notion of a request (the
+ * cluster reroutes ids across replicas; the single-replica server
+ * just counts). KV memory belongs to the host: every admission goes
+ * through the host's kvAdmit hook, which reserves the sequence's KV
+ * (a flat budget or a two-tier store), may refuse, and returns the
+ * share of the prompt left to prefill. Without a hook the engine
+ * admits up to maxActive and prefills every prompt in full.
  *
  * Iteration-end events carry a serial number; halt() (crash
  * modelling) bumps the serial so in-flight completions become no-ops,
@@ -27,7 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -89,32 +90,13 @@ class ReplicaEngine
         /** Chunked-prefill size in tokens; 0 disables chunking. */
         int chunkTokens = 0;
 
-        /**
-         * KV-cache footprint reserved per admitted sequence and the
-         * replica's KV budget. The defaults (0 bytes against an
-         * unbounded capacity) disable KV admission control.
-         */
-        double kvPerSeqBytes = 0.0;
-        double kvCapacityBytes = std::numeric_limits<double>::infinity();
-
         /** No iteration starts at or past this instant. */
         double horizonNs = 0.0;
 
         /** Queue priority of this replica's iteration-end events. */
         int iterPriority = 1;
 
-        /**
-         * Share of request @p id's prompt that must actually be
-         * prefilled, (0, 1] — below 1 when a prefix-cache hit covers
-         * the rest (multi-turn sessions). Prefill iteration cost
-         * scales by the admitted batch's mean share; KV stays
-         * reserved in full (conservative admission). Unset means
-         * every prompt is cold. Ignored when kvAdmit is set (the
-         * admission hook returns the residency-gated share).
-         */
-        std::function<double(std::size_t id)> prefillFrac;
-
-        /** Outcome of an external KV admission (see kvAdmit). */
+        /** Outcome of a KV admission (see kvAdmit). */
         struct KvAdmission
         {
             bool admitted = false;
@@ -123,18 +105,22 @@ class ReplicaEngine
              *  added to the admitting iteration's duration, ns. */
             double stallNs = 0.0;
 
-            /** Residency-gated prefill share for this request,
-             *  (0, 1]; decode entrants ignore it. */
+            /**
+             * Share of the prompt left to prefill, below 1 when a
+             * prefix-cache hit covers the rest; the prefill iteration
+             * scales by the batch's mean share, each clamped to
+             * [0.05, 1]. Decode entrants ignore it.
+             */
             double prefillShare = 1.0;
         };
 
         /**
-         * External KV admission (a two-tier store): when set, it
-         * replaces the internal kvPerSeqBytes/kvCapacityBytes budget
-         * check — the hook reserves the sequence's KV, pages other
-         * entries out to make room, and reports the stall to charge.
-         * kvRelease must be set with it; chunked prefill is not
-         * supported with an external store.
+         * The host's KV admission: reserve request @p id's KV (paging
+         * other entries out to make room, if the host tiers its
+         * store), or refuse and leave it queued until a release.
+         * Unset admits every request up to maxActive with share 1.
+         * kvRelease must be set with it; chunked prefill does not
+         * compose with it.
          */
         std::function<KvAdmission(std::size_t id, double nowNs,
                                   bool decodeEntry)>
@@ -162,8 +148,8 @@ class ReplicaEngine
         /**
          * Request @p id was admitted (fired per request, right after
          * the admission decision). @p stallNs is the synchronous
-         * KV-tier transfer the admission charged (0 without an
-         * external store); @p decodeEntry marks a decode-pool entry
+         * KV transfer the admission charged (0 without a
+         * kvAdmit hook); @p decodeEntry marks a decode-pool entry
          * joining the batch directly. Used for lifecycle spans and
          * queue-depth probes.
          */
@@ -229,7 +215,8 @@ class ReplicaEngine
     /**
      * Evict every queued and in-progress request — pending first,
      * then prefilling, then active (the stranding order faults rely
-     * on) — releasing all KV. @return the evicted ids.
+     * on) — without releasing their KV: the host drops its
+     * reservations itself. @return the evicted ids.
      */
     std::vector<std::size_t> evictAll();
 
@@ -242,9 +229,6 @@ class ReplicaEngine
     bool chunkHeadInFlight() const { return _headChunksLeft > 0; }
     bool busy() const { return _busy; }
     bool halted() const { return _halted; }
-
-    double kvBytes() const { return _kvBytes; }
-    double peakKvBytes() const { return _peakKvBytes; }
 
     /** Busy time, after scaleDuration. */
     double busyNs() const { return _busyNs; }
@@ -260,6 +244,13 @@ class ReplicaEngine
     const stats::Summary &iterLatency() const { return _iterLatency; }
 
   private:
+    /**
+     * Admit request @p id through kvAdmit (unbounded without one),
+     * charging its stall and reporting onAdmitRequest. @return its
+     * prefill share, or nothing when the hook refuses.
+     */
+    std::optional<double> admit(std::size_t id, double nowNs,
+                                bool decodeEntry);
     void onIterEnd(double tNs, std::uint64_t serial);
     /** @return the scaled iteration duration. */
     double startIteration(double nowNs, double baseNs);
@@ -272,8 +263,7 @@ class ReplicaEngine
     std::deque<std::pair<std::size_t, double>> _pending;
     std::deque<std::pair<std::size_t, double>> _pendingDecode;
     std::vector<std::pair<std::size_t, double>> _prefilling;
-    /** Residency-gated prefill shares, parallel to _prefilling
-     *  (kvAdmit mode only). */
+    /** Admitted prefill shares, parallel to _prefilling. */
     std::vector<double> _prefillShares;
     std::vector<std::pair<std::size_t, int>> _active;
 
@@ -295,8 +285,6 @@ class ReplicaEngine
     std::uint64_t _serial = 0;
     double _iterBeginNs = 0.0;
 
-    double _kvBytes = 0.0;
-    double _peakKvBytes = 0.0;
     double _busyNs = 0.0;
     std::size_t _tokensEmitted = 0;
     stats::Summary _activeSizes;

@@ -6,104 +6,11 @@
 #include "common/logging.hh"
 #include "obs/collector.hh"
 #include "serving/arrival.hh"
+#include "serving/probe_replay.hh"
 #include "stats/summary.hh"
 
 namespace skipsim::serving
 {
-
-namespace
-{
-
-/** One dispatched batch, for post-hoc probe replay. */
-struct BatchRec
-{
-    double dispatchNs = 0.0;
-    double doneNs = 0.0;
-    int count = 0;
-};
-
-/**
- * Replay the recorded batches over the collector's deterministic
- * sampling boundaries. @p latencies holds each request's latency in
- * dispatch order, so batch k's requests complete at its doneNs with
- * the next batches[k].count entries. Runs after the simulation so the
- * probes cannot perturb it.
- */
-void
-emitServingObs(obs::Collector &obs, const std::vector<double> &arrivals,
-               const std::vector<BatchRec> &batches,
-               const std::vector<double> &latencies, double horizon_ns)
-{
-    obs::Registry &metrics = obs.metrics();
-    metrics.counter("serving.requests_offered")
-        .add(static_cast<double>(arrivals.size()));
-    metrics.counter("serving.requests_completed")
-        .add(static_cast<double>(latencies.size()));
-    metrics.counter("serving.batches")
-        .add(static_cast<double>(batches.size()));
-    obs::Histogram &lat_hist = metrics.histogram(
-        "serving.latency_ms", obs::defaultLatencyBucketsMs());
-    for (double latency_ns : latencies)
-        lat_hist.observe(latency_ns / 1e6);
-
-    for (const BatchRec &batch : batches)
-        obs.span("batch b=" + std::to_string(batch.count), 0,
-                 std::llround(batch.dispatchNs),
-                 std::llround(batch.doneNs - batch.dispatchNs));
-
-    // Boundary replay: arrivals, dispatches, and completions are all
-    // time-sorted (the server is serial), so one pass suffices.
-    obs::Ticker tick = obs.ticker();
-    const double window_sec =
-        static_cast<double>(obs.intervalNs()) / 1e9;
-    std::size_t arr_i = 0;
-    std::size_t batch_i = 0;
-    std::size_t done_i = 0; // batches whose completions are counted
-    std::size_t lat_i = 0;  // first latency of batch done_i
-    long long dispatched = 0;
-    // Visit through the first boundary at or past the horizon so the
-    // final partial window is represented.
-    const double stop =
-        horizon_ns + static_cast<double>(obs.intervalNs()) - 1.0;
-    tick.advanceTo(stop, [&](std::int64_t t) {
-        const double now = static_cast<double>(t);
-        while (arr_i < arrivals.size() && arrivals[arr_i] <= now)
-            ++arr_i;
-        while (batch_i < batches.size() &&
-               batches[batch_i].dispatchNs <= now) {
-            dispatched += batches[batch_i].count;
-            ++batch_i;
-        }
-        double inflight = 0.0;
-        if (batch_i > 0 && batches[batch_i - 1].doneNs > now)
-            inflight = static_cast<double>(batches[batch_i - 1].count);
-
-        const std::size_t window_begin = lat_i;
-        double window_latency_ns = 0.0;
-        while (done_i < batches.size() && batches[done_i].doneNs <= now) {
-            for (int k = 0; k < batches[done_i].count; ++k)
-                window_latency_ns += latencies[lat_i++];
-            ++done_i;
-        }
-        const std::size_t window_count = lat_i - window_begin;
-
-        obs.sample("serving.queue_depth", {}, t,
-                   static_cast<double>(arr_i) -
-                       static_cast<double>(dispatched));
-        obs.sample("serving.batch_inflight", {}, t, inflight);
-        obs.sample("serving.throughput_rps", {}, t,
-                   static_cast<double>(window_count) / window_sec);
-        // TTFT == end-to-end latency for the dynamic batcher (see
-        // ServingResult); windowed mean, 0 when the window is empty.
-        obs.sample("serving.ttft_ms", {}, t,
-                   window_count > 0
-                       ? window_latency_ns /
-                           static_cast<double>(window_count) / 1e6
-                       : 0.0);
-    });
-}
-
-} // namespace
 
 ServingResult
 simulateServing(const LatencyModel &latency, const ServingConfig &config,
@@ -135,7 +42,9 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
 
     ServingResult result;
     std::vector<double> latencies;
-    std::vector<BatchRec> obs_batches;
+    std::vector<double> obs_admits; // one dispatch instant per request
+    std::vector<IterationRecord> obs_batches;
+    std::vector<std::pair<double, double>> obs_ttfts;
     double busy_ns = 0.0;
     stats::Summary batch_sizes;
 
@@ -171,15 +80,38 @@ simulateServing(const LatencyModel &latency, const ServingConfig &config,
         batch_sizes.add(static_cast<double>(count));
         for (std::size_t i = 0; i < count; ++i)
             latencies.push_back(free_ns - arrivals[next + i]);
-        if (obs != nullptr)
-            obs_batches.push_back({now, free_ns,
-                                   static_cast<int>(count)});
+        if (obs != nullptr) {
+            // A batch is one iteration whose tokens are its requests;
+            // TTFT == end-to-end latency (see ServingResult).
+            const int batch = static_cast<int>(count);
+            obs_admits.insert(obs_admits.end(), count, now);
+            obs_batches.push_back({now, free_ns, batch, batch,
+                                   "batch b=" + std::to_string(batch)});
+            for (std::size_t i = latencies.size() - count;
+                 i < latencies.size(); ++i)
+                obs_ttfts.emplace_back(free_ns, latencies[i]);
+        }
         next += count;
     }
 
-    if (obs != nullptr)
-        emitServingObs(*obs, arrivals, obs_batches, latencies,
-                       horizon_ns);
+    if (obs != nullptr) {
+        obs::Registry &metrics = obs->metrics();
+        metrics.counter("serving.requests_offered")
+            .add(static_cast<double>(arrivals.size()));
+        metrics.counter("serving.requests_completed")
+            .add(static_cast<double>(latencies.size()));
+        metrics.counter("serving.batches")
+            .add(static_cast<double>(obs_batches.size()));
+        obs::Histogram &lat_hist = metrics.histogram(
+            "serving.latency_ms", obs::defaultLatencyBucketsMs());
+        for (double latency_ns : latencies)
+            lat_hist.observe(latency_ns / 1e6);
+        replayProbes(*obs,
+                     {"serving.queue_depth", "serving.batch_inflight",
+                      "serving.throughput_rps", "serving.ttft_ms"},
+                     arrivals, obs_admits, obs_batches, obs_ttfts,
+                     horizon_ns);
+    }
 
     result.completed = latencies.size();
     result.leftInQueue = arrivals.size() - next;

@@ -523,6 +523,9 @@ TEST(Fuzzer, TraceOracleAcceptsDocumentLevelErrors)
         "is not a bare event array)"));
     EXPECT_FALSE(blamesEventWithoutIndex(
         "chrome trace: event 12: json: missing key 'ts'"));
+    // An indexed message may say "event" again in its detail.
+    EXPECT_FALSE(blamesEventWithoutIndex(
+        "chrome trace: event 0: event is not a JSON object"));
 
     // Seed 2, case 1681 of the quick campaign hit that message.
     FuzzOptions opts;
@@ -532,6 +535,27 @@ TEST(Fuzzer, TraceOracleAcceptsDocumentLevelErrors)
     FuzzCase c = fuzzer.generate(1681);
     ASSERT_EQ(c.kind, FuzzKind::Trace);
     std::vector<std::string> problems = fuzzer.runCase(c);
+    EXPECT_TRUE(problems.empty()) << problems.front();
+}
+
+TEST(Fuzzer, TraceOracleAcceptsANonObjectEvent)
+{
+    // A valid document whose event is not an object: the reader's
+    // indexed diagnostic must pass the ingestion oracle.
+    const char *doc = "{\"skipsimMeta\":{},\"traceEvents\":[17]}";
+    try {
+        trace::fromChromeText(doc);
+        ADD_FAILURE() << "accepted " << doc;
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("event 0:"),
+                  std::string::npos)
+            << err.what();
+        EXPECT_FALSE(blamesEventWithoutIndex(err.what())) << err.what();
+    }
+    FuzzCase c;
+    c.kind = FuzzKind::Trace;
+    c.chromeText = doc;
+    std::vector<std::string> problems = Fuzzer(FuzzOptions{}).runCase(c);
     EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
@@ -577,6 +601,9 @@ TEST(Fuzzer, TraceOracleFlagsUnindexedEventBlame)
     EXPECT_TRUE(blamesEventWithoutIndex("chrome trace: bad event"));
     EXPECT_TRUE(blamesEventWithoutIndex(
         "chrome trace: event array ok, but event lacks 'ph'"));
+    // Only the "event N:" form names the record a message is about.
+    EXPECT_TRUE(blamesEventWithoutIndex(
+        "chrome trace: event 3 is fine, but event lacks 'ph'"));
 }
 
 /** Corrupt a trace the way a broken engine would: append a kernel

@@ -273,6 +273,12 @@ TEST(ClusterSpec, ValidateRejectsInconsistentSpecs)
     cluster::ClusterSpec bad_dispatch = smallSpec();
     bad_dispatch.dispatchUs = -1.0;
     EXPECT_THROW(bad_dispatch.validate(), FatalError);
+
+    // A negative fault target is rejected by name, not wrapped to a
+    // huge index.
+    expectMemberRejected(
+        "faults", R"([{"at-sec": 1, "replica": -1, "kind": "crash"}])",
+        "'replica'");
 }
 
 TEST(ClusterSpecFinite, RejectsNonFiniteReplicaClock)

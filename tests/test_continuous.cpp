@@ -2,18 +2,22 @@
  * @file
  * Tests for continuous (iteration-level) batching: the iteration cost
  * model, conservation of requests/tokens, the latency advantage over
- * static batching at moderate load, and degenerate configurations.
+ * static batching at moderate load, degenerate configurations, and the
+ * replica engine's KV admission hook driven directly.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "analysis/sweep.hh"
 #include "common/logging.hh"
+#include "core/engine.hh"
 #include "hw/catalog.hh"
 #include "serving/continuous.hh"
+#include "serving/replica_engine.hh"
 #include "serving/server_sim.hh"
 #include "workload/model_config.hh"
 
@@ -194,6 +198,125 @@ TEST(Continuous, RunawayArrivalCountsHitTheWorkBudget)
     ContinuousConfig bad = config(10.0);
     bad.horizonSec = 1e12;
     EXPECT_THROW(simulateContinuous(costModel(), bad), FatalError);
+}
+
+// ---------------------------------------------------------- replica engine
+
+ReplicaEngine::Config
+engineConfig(int max_active = 4)
+{
+    ReplicaEngine::Config c;
+    c.cost = &costModel();
+    c.maxActive = max_active;
+    c.genTokens = 4;
+    c.horizonNs = 1e12;
+    return c;
+}
+
+/** A hook admitting every request with share @p shares[id]. */
+void
+admitWithShares(ReplicaEngine::Config &c,
+                const std::vector<double> &shares)
+{
+    c.kvAdmit = [shares](std::size_t id, double, bool) {
+        ReplicaEngine::Config::KvAdmission kv;
+        kv.admitted = true;
+        kv.prefillShare = shares[id];
+        return kv;
+    };
+    c.kvRelease = [](std::size_t, double) {};
+}
+
+TEST(ReplicaEngine, RefusedAdmissionKeepsTheRequestQueued)
+{
+    core::Engine engine;
+    ReplicaEngine::Config c = engineConfig();
+    int asked = 0;
+    c.kvAdmit = [&](std::size_t, double, bool) {
+        ++asked;
+        return ReplicaEngine::Config::KvAdmission{};
+    };
+    c.kvRelease = [](std::size_t, double) {};
+    ReplicaEngine::Callbacks cb;
+    int admitted = 0;
+    cb.onAdmitRequest = [&](std::size_t, double, double, bool) {
+        ++admitted;
+    };
+    ReplicaEngine replica(engine, c, std::move(cb));
+    replica.enqueue(0, 0.0);
+    replica.maybeStart(0.0);
+    EXPECT_EQ(asked, 1);
+    EXPECT_EQ(admitted, 0);
+    EXPECT_EQ(replica.pendingCount(), 1u);
+    EXPECT_EQ(replica.prefillingCount(), 0u);
+    EXPECT_FALSE(replica.busy());
+    engine.run();
+    EXPECT_EQ(engine.processed(), 0u);
+}
+
+TEST(ReplicaEngine, HookShareScalesThePrefillClampedBelow)
+{
+    // Iteration durations for one prefill batch with the given shares.
+    auto prefill_ns = [](const std::vector<double> &shares) {
+        core::Engine engine;
+        ReplicaEngine::Config c = engineConfig();
+        admitWithShares(c, shares);
+        ReplicaEngine::Callbacks cb;
+        double dur = -1.0;
+        cb.onIteration = [&](const IterationInfo &info) {
+            if (info.prefill && dur < 0.0)
+                dur = info.endNs - info.beginNs;
+        };
+        ReplicaEngine replica(engine, c, std::move(cb));
+        for (std::size_t id = 0; id < shares.size(); ++id)
+            replica.enqueue(id, 0.0);
+        replica.maybeStart(0.0);
+        engine.run();
+        return dur;
+    };
+    const IterationCostModel &cost = costModel();
+    EXPECT_DOUBLE_EQ(prefill_ns({1.0}), cost.prefillNs(1));
+    EXPECT_DOUBLE_EQ(prefill_ns({0.5}), cost.prefillNs(1) * 0.5);
+    // 0.01 clamps to 0.05; the batch scales by its mean share.
+    EXPECT_DOUBLE_EQ(prefill_ns({0.01}), cost.prefillNs(1) * 0.05);
+    EXPECT_DOUBLE_EQ(prefill_ns({0.5, 0.01}),
+                     cost.prefillNs(2) * ((0.5 + 0.05) / 2.0));
+}
+
+TEST(ReplicaEngine, WithoutAHookAdmitsUpToMaxActive)
+{
+    core::Engine engine;
+    ReplicaEngine::Callbacks cb;
+    std::vector<std::size_t> admitted;
+    cb.onAdmitRequest = [&](std::size_t id, double, double stall_ns,
+                            bool decode_entry) {
+        admitted.push_back(id);
+        EXPECT_EQ(stall_ns, 0.0);
+        EXPECT_FALSE(decode_entry);
+    };
+    ReplicaEngine replica(engine, engineConfig(3), std::move(cb));
+    for (std::size_t id = 0; id < 5; ++id)
+        replica.enqueue(id, 0.0);
+    replica.maybeStart(0.0);
+    EXPECT_EQ(admitted, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(replica.prefillingCount(), 3u);
+    EXPECT_EQ(replica.pendingCount(), 2u);
+    EXPECT_TRUE(replica.busy());
+}
+
+TEST(ReplicaEngine, ConstructorRejectsHookMisuse)
+{
+    core::Engine engine;
+    ReplicaEngine::Config chunked = engineConfig();
+    chunked.chunkTokens = 16;
+    admitWithShares(chunked, {1.0});
+    EXPECT_THROW(ReplicaEngine(engine, chunked, {}), FatalError);
+
+    ReplicaEngine::Config half = engineConfig();
+    half.kvAdmit = [](std::size_t, double, bool) {
+        return ReplicaEngine::Config::KvAdmission{true};
+    };
+    EXPECT_THROW(ReplicaEngine(engine, half, {}), FatalError);
 }
 
 } // namespace

@@ -459,6 +459,38 @@ TEST(ClusterObs, SeriesCoverReplicasAndFaultMarkersAppear)
         static_cast<double>(result.rerouted));
 }
 
+TEST(ClusterObs, TieredKvBytesSampleHbmResidentBytes)
+{
+    // Under a two-tier store the engine reserves nothing itself: the
+    // series must follow the store's pinned + retained HBM bytes,
+    // which the replica's peak gauge maxes over.
+    cluster::ClusterSpec spec = smallClusterSpec(2);
+    spec.kvTier.policy = kv::OffloadPolicy::LruBySession;
+    spec.kvTier.hostCapacityGiB = 1.0;
+
+    obs::Collector collector(100.0);
+    cluster::ClusterResult result =
+        cluster::simulateCluster(spec, &collector);
+
+    for (std::size_t r = 0; r < 2; ++r) {
+        const std::string replica = std::to_string(r);
+        const obs::Series *kv = findSeries(
+            collector, "cluster.kv_bytes{replica=\"" + replica + "\"}");
+        ASSERT_NE(kv, nullptr) << r;
+        const double peak = collector.metrics()
+                                .gauge("cluster.replica_peak_kv_bytes",
+                                       {{"replica", replica}})
+                                .value();
+        EXPECT_DOUBLE_EQ(peak, result.replicas[r].peakKvBytes);
+        double most = 0.0;
+        for (const obs::SeriesPoint &point : kv->points) {
+            EXPECT_LE(point.value, peak) << r << " @ " << point.tNs;
+            most = std::max(most, point.value);
+        }
+        EXPECT_GT(most, 0.0) << r;
+    }
+}
+
 TEST(ClusterObs, ResultUnchangedByProbes)
 {
     cluster::ClusterSpec spec = smallClusterSpec(2);
