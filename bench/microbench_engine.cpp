@@ -469,8 +469,8 @@ void
 BM_EngineEventChurn(benchmark::State &state)
 {
     // Engine run-loop overhead under self-rescheduling handlers — the
-    // access pattern of the ported serving/cluster engines (each
-    // iteration-end event schedules the next).
+    // access pattern of the cluster's iteration ends (each one
+    // schedules the replica's next).
     const int n = static_cast<int>(state.range(0));
     for (auto _ : state) {
         core::Engine engine;

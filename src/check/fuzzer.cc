@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <mutex>
 
@@ -11,6 +12,7 @@
 #include "check/chrome_oracle.hh"
 #include "check/closure_queue.hh"
 #include "check/event_batcher.hh"
+#include "check/event_continuous.hh"
 #include "check/invariants.hh"
 #include "check/scan_router.hh"
 #include "common/logging.hh"
@@ -75,11 +77,17 @@ linearSweep(double base_ns, double slope_ns)
     return sweep;
 }
 
+/** Chunk sizes continuous fuzz cases draw for the 64-token prompt:
+ *  one token, a non-divisor, a divisor, the prompt and one more. */
+constexpr int kContinuousChunks[] = {1, 7, 16, 64, 65};
+
 /**
- * Cluster fuzz cases pin model (GPT2), prompt length and platform
- * (GH200) so every case shares one calibrated cost model; the fuzzed
- * degrees of freedom are the queueing/fault knobs, which is where the
- * cluster engine's logic lives.
+ * Cluster and continuous fuzz cases pin model (GPT2), prompt length
+ * and platform (GH200) so every case shares one calibrated cost model;
+ * the fuzzed degrees of freedom are the queueing/fault knobs, which is
+ * where the engines' logic lives. The model's chunk costs are priced
+ * here too: chunkNs fills a cache on first use, which concurrent cases
+ * must only read.
  */
 const cluster::CostCache &
 clusterCosts()
@@ -94,8 +102,44 @@ clusterCosts()
         replica.platform = hw::platforms::gh200();
         spec.replicas = {replica};
         cache.build(spec);
+        for (int chunk : kContinuousChunks)
+            cache.get(replica.platform.name).chunkNs(chunk);
     });
     return cache;
+}
+
+/**
+ * The continuous-batching config a serving case also runs through
+ * diffContinuous. It draws from a stream of its own, so the serving
+ * case keeps its bytes, and replays from the case seed alone.
+ */
+serving::ContinuousConfig
+continuousConfig(std::uint64_t caseSeed, bool quick)
+{
+    Rng rng(mixSeed(caseSeed, 0x636f6e74)); // "cont"
+    serving::ContinuousConfig c;
+    c.arrivalRatePerSec = 5.0 + rng.uniform() * (quick ? 400.0 : 2000.0);
+    c.horizonSec = quick ? 0.02 + 0.3 * rng.uniform()
+                         : 0.1 + 1.9 * rng.uniform();
+    c.maxActive = 1 + static_cast<int>(rng.below(48));
+    c.genTokens = 1 + static_cast<int>(rng.below(24));
+    // One case in eight each takes a one-slot batch or single-token
+    // requests; half the cases chunk their prefill.
+    switch (rng.below(8)) {
+    case 0:
+        c.maxActive = 1;
+        break;
+    case 1:
+        c.genTokens = 1;
+        break;
+    default:
+        break;
+    }
+    if (rng.below(2) == 0)
+        c.chunkTokens =
+            kContinuousChunks[rng.below(std::size(kContinuousChunks))];
+    c.seed = rng.next();
+    return c;
 }
 
 json::Value
@@ -850,6 +894,12 @@ Fuzzer::runCase(const FuzzCase &c) const
             std::string batching = diffServing(latency, c.serving);
             if (!batching.empty())
                 problems.push_back("oracle: " + batching);
+
+            std::string continuous =
+                diffContinuous(clusterCosts().get("GH200"),
+                               continuousConfig(c.seed, _options.quick));
+            if (!continuous.empty())
+                problems.push_back("oracle: continuous " + continuous);
             break;
         }
         case FuzzKind::Cluster: {

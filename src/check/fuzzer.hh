@@ -14,6 +14,10 @@
  *    jobs-N differential oracle);
  *  - result sanity: percentile ordering, utilization in [0,1],
  *    offered == completed + lost, goodput <= throughput;
+ *  - serving cases: the closed-form batcher against its event-driven
+ *    loop (diffServing), and a continuous-batching config drawn from
+ *    the case seed on a stream of its own, whose arrival walk is held
+ *    to its event-driven loop (diffContinuous);
  *  - cluster cases: at most one arrival event pending at once, and
  *    the differential oracles of the router (diffRouters) and of the
  *    event queue (diffEventQueues) replayed at the case's seed.

@@ -311,8 +311,8 @@ enum EventType
  * Queue priority packing (type, entity index): the pre-core event
  * comparator broke equal-timestamp ties by (type, idx, serial). The
  * core queue orders by (time, priority, seq), so the index is packed
- * under the type and push order stands in for the serial (a replica's
- * iteration-end events are pushed in serial order).
+ * under the type and push order stands in for the serial (a replica
+ * has one live iteration end at a time, and a halted one starts none).
  */
 int
 eventPriority(EventType type, std::size_t idx)
@@ -339,7 +339,7 @@ struct Request
 
 /**
  * One replica's runtime state. The batching discipline itself —
- * queues, iteration scheduling — lives in the shared
+ * queues, iteration starts — lives in the shared
  * serving::ReplicaEngine; this wrapper keeps what is cluster-specific:
  * the KV budget the engine admits through, fault status, partition
  * limbo, routing stats.
@@ -451,7 +451,6 @@ class Sim
             ec.maxActive = rt.spec->maxActive;
             ec.genTokens = spec.genTokens;
             ec.horizonNs = _horizonNs;
-            ec.iterPriority = eventPriority(EvIterEnd, r);
             ec.kvAdmit = [this, r](std::size_t id, double now,
                                    bool decode_entry) {
                 return admitKv(r, id, now, decode_entry);
@@ -537,7 +536,7 @@ class Sim
                 return dur_ns;
             };
             rt.engine = std::make_unique<serving::ReplicaEngine>(
-                _engine, ec, std::move(cb));
+                ec, std::move(cb));
         }
     }
 
@@ -565,6 +564,14 @@ class Sim
     void deliver(std::size_t id, std::size_t r, double now);
     /** Staged dispatch: @p id's prompt landed on replica @p r. */
     void onStaged(std::size_t id, std::size_t r, double now);
+    /** Schedule replica @p r's iteration end when @p started. */
+    void onStarted(std::size_t r, bool started)
+    {
+        if (started)
+            _engine.at(_reps[r].engine->iterEndNs(),
+                       eventPriority(EvIterEnd, r), _evIterEnd,
+                       static_cast<std::uint32_t>(r));
+    }
     void restartAndReroute(std::size_t r,
                            std::vector<std::size_t> &ids, double now);
     void drainBacklog(double now);
@@ -608,8 +615,9 @@ class Sim
     bool _kvOn = false;   ///< spec.kvTier enables the two-tier store
     core::Engine _engine;
     /** The cluster's event kinds (payload = request id, target =
-     *  replica or fault index); replicas own their iteration ends. */
+     *  replica or fault index). */
     core::EventKind _evArrival = 0;
+    core::EventKind _evIterEnd = 0;
     core::EventKind _evFault = 0;
     core::EventKind _evDetect = 0;
     core::EventKind _evHeal = 0;
@@ -666,6 +674,10 @@ Sim::addHandlers()
     });
     _evKvArrive = _engine.addHandler([this](const core::Event &ev) {
         onKvArrive(ev.payload, ev.target, ev.timeNs);
+    });
+    _evIterEnd = _engine.addHandler([this](const core::Event &ev) {
+        onStarted(ev.target,
+                  _reps[ev.target].engine->finishIteration(ev.timeNs));
     });
 }
 
@@ -799,7 +811,7 @@ Sim::deliver(std::size_t id, std::size_t r, double now)
     // A crashed replica's engine still queues the request — it
     // sinks into the failure until detection routes around it.
     rt.engine->enqueue(id, _requests[id].arrivalNs);
-    rt.engine->maybeStart(now);
+    onStarted(r, rt.engine->maybeStart(now));
 }
 
 void
@@ -811,7 +823,7 @@ Sim::onStaged(std::size_t id, std::size_t r, double now)
         return;
     }
     rt.engine->enqueue(id, _requests[id].arrivalNs);
-    rt.engine->maybeStart(now);
+    onStarted(r, rt.engine->maybeStart(now));
 }
 
 serving::ReplicaEngine::Config::KvAdmission
@@ -886,7 +898,7 @@ Sim::onKvArrive(std::size_t id, std::size_t r, double now)
     }
     // A crashed replica sinks the arrival just like a fresh enqueue.
     rt.engine->enqueueDecode(id, _requests[id].arrivalNs);
-    rt.engine->maybeStart(now);
+    onStarted(r, rt.engine->maybeStart(now));
 }
 
 void
@@ -1063,7 +1075,7 @@ Sim::onHeal(std::size_t faultIdx, double tNs)
         else
             rt.engine->enqueue(id, _requests[id].arrivalNs);
     }
-    rt.engine->maybeStart(tNs);
+    onStarted(f.replica, rt.engine->maybeStart(tNs));
     drainBacklog(tNs);
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Discrete-event engine: one Clock plus one EventQueue plus the run
- * loop both event-driven simulation paths share (continuous batching
- * and the cluster, through serving::ReplicaEngine). Events are typed
+ * loop of its one host, the cluster, which schedules the iteration
+ * ends its passive serving::ReplicaEngines report (check/ oracles keep
+ * replaced loops on it). Events are typed
  * records; each kind names an entry of the engine's handler table,
  * filled once when the simulation is set up (addHandler). The loop
  * pops events in (time, priority, seq) order, invokes the

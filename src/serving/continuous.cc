@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
-#include "core/engine.hh"
 #include "obs/collector.hh"
 #include "serving/arrival.hh"
 #include "serving/probe_replay.hh"
@@ -109,6 +108,8 @@ simulateContinuous(const IterationCostModel &cost,
         fatal("simulateContinuous: maxActive must be positive");
     if (config.genTokens <= 0)
         fatal("simulateContinuous: genTokens must be positive");
+    if (config.chunkTokens < 0)
+        fatal("simulateContinuous: chunkTokens must be non-negative");
 
     requireArrivalBudget(config.arrivalRatePerSec, config.horizonSec,
                          "simulateContinuous", "arrivalRatePerSec",
@@ -125,14 +126,12 @@ simulateContinuous(const IterationCostModel &cost,
     std::vector<std::pair<double, double>> obs_ttfts;
     std::vector<double> ttfts;
 
-    core::Engine engine;
     ReplicaEngine::Config rc;
     rc.cost = &cost;
     rc.maxActive = config.maxActive;
     rc.genTokens = config.genTokens;
     rc.chunkTokens = config.chunkTokens;
     rc.horizonNs = horizon_ns;
-    rc.iterPriority = 1; // arrivals (0) admit at an equal-time boundary
 
     ReplicaEngine::Callbacks cb;
     if (obs != nullptr)
@@ -167,21 +166,20 @@ simulateContinuous(const IterationCostModel &cost,
                                  info.tokens, std::move(label)});
         };
 
-    ReplicaEngine replica(engine, rc, std::move(cb));
-    // Arrivals are chained: each schedules the next before it admits,
-    // so one is pending at a time and ties (arrivals only) still pop
-    // in arrival order.
-    core::EventKind arrive = 0;
-    arrive = engine.addHandler([&](const core::Event &ev) {
-        const std::size_t id = ev.payload;
-        if (id + 1 < arrivals.size())
-            engine.at(arrivals[id + 1], 0, arrive, 0, id + 1);
-        replica.enqueue(id, ev.timeNs);
-        replica.maybeStart(ev.timeNs);
-    });
-    if (!arrivals.empty())
-        engine.at(arrivals.front(), 0, arrive, 0, 0);
-    engine.run();
+    ReplicaEngine replica(rc, std::move(cb));
+    // Walk the arrivals against the iteration end; an arrival that
+    // ties one goes first, so it can join the iteration that end starts.
+    double now = 0.0; // the last instant handled
+    for (std::size_t next = 0; next < arrivals.size() || replica.busy();) {
+        if (next < arrivals.size() &&
+            (!replica.busy() || arrivals[next] <= replica.iterEndNs())) {
+            now = arrivals[next];
+            replica.enqueue(next++, now);
+            replica.maybeStart(now);
+        } else {
+            replica.finishIteration(now = replica.iterEndNs());
+        }
+    }
 
     if (obs != nullptr) {
         obs::Registry &metrics = obs->metrics();
@@ -211,11 +209,12 @@ simulateContinuous(const IterationCostModel &cost,
         result.p50TtftNs = ps[0];
         result.p99TtftNs = ps[1];
     }
-    if (replica.iterLatency().count() > 0) {
+    if (replica.iterLatency().count() > 0)
         result.meanTpotNs = replica.iterLatency().mean();
+    // Chunked single-token runs time chunk iterations but never decode.
+    if (replica.activeSizes().count() > 0)
         result.meanActive = replica.activeSizes().mean();
-    }
-    double elapsed_s = std::min(engine.nowNs(), horizon_ns) / 1e9;
+    double elapsed_s = std::min(now, horizon_ns) / 1e9;
     if (elapsed_s > 0.0)
         result.tokensPerSec =
             static_cast<double>(replica.tokensEmitted()) / elapsed_s;

@@ -130,7 +130,7 @@ struct ContinuousResult
  * histogram. Probes never perturb the result.
  *
  * @throws skipsim::FatalError on non-positive or non-finite
- *         rate/horizon, or non-positive capacity.
+ *         rate/horizon, non-positive capacity, or chunkTokens < 0.
  */
 ContinuousResult simulateContinuous(const IterationCostModel &cost,
                                     const ContinuousConfig &config,

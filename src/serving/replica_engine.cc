@@ -7,9 +7,8 @@
 namespace skipsim::serving
 {
 
-ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
-                             Callbacks callbacks)
-    : _engine(engine), _cfg(config), _cb(std::move(callbacks))
+ReplicaEngine::ReplicaEngine(const Config &config, Callbacks callbacks)
+    : _cfg(config), _cb(std::move(callbacks))
 {
     if (_cfg.cost == nullptr)
         fatal("ReplicaEngine: cost model is required");
@@ -17,6 +16,8 @@ ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
         fatal("ReplicaEngine: maxActive must be positive");
     if (_cfg.genTokens <= 0)
         fatal("ReplicaEngine: genTokens must be positive");
+    if (_cfg.chunkTokens < 0)
+        fatal("ReplicaEngine: chunkTokens must be non-negative");
     if (static_cast<bool>(_cfg.kvAdmit) !=
         static_cast<bool>(_cfg.kvRelease))
         fatal("ReplicaEngine: kvAdmit and kvRelease must be set "
@@ -24,9 +25,6 @@ ReplicaEngine::ReplicaEngine(core::Engine &engine, const Config &config,
     if (_cfg.chunkTokens > 0 && (_cfg.kvAdmit || _cfg.prefillOnly))
         fatal("ReplicaEngine: chunked prefill does not compose with a KV "
               "admission hook or prefill-only mode");
-    _iterEnd = _engine.addHandler([this](const core::Event &ev) {
-        onIterEnd(ev.timeNs, ev.payload);
-    });
 }
 
 void
@@ -41,11 +39,11 @@ ReplicaEngine::enqueueDecode(std::size_t id, double arrivalNs)
     _pendingDecode.emplace_back(id, arrivalNs);
 }
 
-void
+bool
 ReplicaEngine::maybeStart(double nowNs)
 {
     if (_halted || _busy || nowNs >= _cfg.horizonNs)
-        return;
+        return false;
 
     if (_cfg.chunkTokens > 0) {
         // Sarathi-style: co-schedule one prompt chunk of the
@@ -62,7 +60,7 @@ ReplicaEngine::maybeStart(double nowNs)
                 _cfg.chunkTokens;
         }
         if (_headChunksLeft == 0 && _active.empty())
-            return;
+            return false;
 
         double base = 0.0;
         if (!_active.empty()) {
@@ -78,7 +76,7 @@ ReplicaEngine::maybeStart(double nowNs)
         // Chunked mode: every iteration latency counts towards TPOT
         // (a co-scheduled chunk delays every decoding sequence).
         _iterLatency.add(startIteration(nowNs, base));
-        return;
+        return true;
     }
 
     // Decode-pool entrants (disaggregated serving) join the decode
@@ -123,6 +121,7 @@ ReplicaEngine::maybeStart(double nowNs)
             nowNs,
             _cfg.cost->decodeNs(static_cast<int>(_active.size()))));
     }
+    return _busy;
 }
 
 std::optional<double>
@@ -148,10 +147,9 @@ ReplicaEngine::startIteration(double nowNs, double baseNs)
     _pendingStallNs = 0.0;
     double dur = _cb.scaleDuration ? _cb.scaleDuration(baseNs) : baseNs;
     _busy = true;
-    ++_serial;
     _iterBeginNs = nowNs;
+    _iterEndNs = nowNs + dur;
     _busyNs += dur;
-    _engine.at(nowNs + dur, _cfg.iterPriority, _iterEnd, 0, _serial);
     return dur;
 }
 
@@ -164,23 +162,23 @@ ReplicaEngine::completeSeq(std::size_t id, double nowNs)
         _cb.onComplete(id, nowNs);
 }
 
-void
-ReplicaEngine::onIterEnd(double tNs, std::uint64_t serial)
+bool
+ReplicaEngine::finishIteration(double tNs)
 {
-    if (_halted || !_busy || serial != _serial)
-        return; // cancelled by a crash
+    if (_halted)
+        return false; // cancelled by a crash; halt() is permanent
     _busy = false;
 
+    // The co-scheduled chunk was the head request's last.
+    const bool head_done =
+        _iterChunkSched && _headChunksLeft == 0 && _headArrivalNs >= 0.0;
     IterationInfo info;
     info.beginNs = _iterBeginNs;
     info.endNs = tNs;
     if (_cfg.chunkTokens > 0) {
         info.decodeBatch = static_cast<int>(_active.size());
         info.chunk = _iterChunkSched;
-        info.chunkFinished = _iterChunkSched && _headChunksLeft == 0 &&
-            _headArrivalNs >= 0.0;
-        info.tokens =
-            info.decodeBatch + (info.chunkFinished ? 1 : 0);
+        info.tokens = info.decodeBatch + (head_done ? 1 : 0);
     } else if (!_prefilling.empty()) {
         info.prefill = true;
         info.prefillBatch = static_cast<int>(_prefilling.size());
@@ -210,17 +208,17 @@ ReplicaEngine::onIterEnd(double tNs, std::uint64_t serial)
         // iteration joins the batch afterwards, so it does not decode
         // in the very iteration that prefilled it.
         if (info.decodeBatch > 0) {
-            std::vector<std::pair<std::size_t, int>> still;
-            still.reserve(_active.size());
-            for (auto &[id, left] : _active) {
-                if (--left <= 0)
-                    completeSeq(id, tNs);
+            // Compact in place; completions fire in batch order.
+            auto kept = _active.begin();
+            for (auto &seq : _active) {
+                if (--seq.second <= 0)
+                    completeSeq(seq.first, tNs);
                 else
-                    still.emplace_back(id, left);
+                    *kept++ = seq;
             }
-            _active.swap(still);
+            _active.erase(kept, _active.end());
         }
-        if (info.chunkFinished) {
+        if (head_done) {
             if (_cb.onFirstToken)
                 _cb.onFirstToken(_headId, tNs - _headArrivalNs, tNs);
             if (_cfg.genTokens == 1)
@@ -231,7 +229,7 @@ ReplicaEngine::onIterEnd(double tNs, std::uint64_t serial)
         }
     }
 
-    maybeStart(tNs);
+    return maybeStart(tNs);
 }
 
 void
@@ -239,7 +237,6 @@ ReplicaEngine::halt()
 {
     _halted = true;
     _busy = false;
-    ++_serial; // invalidates the in-flight iteration-end event
 }
 
 std::vector<std::size_t>

@@ -6,33 +6,27 @@
  * admission, whole-batch decode iterations, chunked prefill and
  * TTFT/TPOT bookkeeping, written once.
  *
- * A ReplicaEngine owns the replica's queues, schedules its own
- * iteration-end events on the shared core::Engine (one handler it
- * registers at construction), and reports request milestones through
- * callbacks so the host keeps its own notion of a request (the
- * cluster reroutes ids across replicas; the single-replica server
- * just counts). KV memory belongs to the host: every admission goes
- * through the host's kvAdmit hook, which reserves the sequence's KV
- * (a flat budget or a two-tier store), may refuse, and returns the
- * share of the prompt left to prefill. Without a hook the engine
- * admits up to maxActive and prefills every prompt in full.
- *
- * Iteration-end events carry a serial number; halt() (crash
- * modelling) bumps the serial so in-flight completions become no-ops,
- * exactly the cancelled-iteration rule the cluster simulator used.
+ * A ReplicaEngine is passive: it owns the replica's queues, schedules
+ * nothing, and reports request milestones through callbacks so the
+ * host keeps its own notion of a request (the cluster reroutes ids
+ * across replicas; the single-replica server just counts). The host
+ * delivers each iteration end (iterEndNs()) back to finishIteration().
+ * KV memory belongs to the host: every admission goes through the
+ * host's kvAdmit hook, which reserves the sequence's KV (a flat budget
+ * or a two-tier store), may refuse, and returns the share of the
+ * prompt left to prefill. Without a hook the engine admits up to
+ * maxActive and prefills every prompt in full.
  */
 
 #ifndef SKIPSIM_SERVING_REPLICA_ENGINE_HH
 #define SKIPSIM_SERVING_REPLICA_ENGINE_HH
 
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "core/engine.hh"
 #include "serving/continuous.hh"
 #include "stats/summary.hh"
 
@@ -55,18 +49,14 @@ struct IterationInfo
 
     /** A prompt chunk was co-scheduled (chunked-prefill mode). */
     bool chunk = false;
-    /** The co-scheduled chunk was the head request's last. */
-    bool chunkFinished = false;
 
     /** Tokens emitted by this iteration (first tokens included). */
     int tokens = 0;
 
     /**
-     * The decoding batch as (id, tokens left) pairs — the engine's
-     * live active list, valid only for the duration of the
-     * onIteration callback (the decode bookkeeping that follows
-     * mutates it). Lets hosts attribute the iteration to individual
-     * requests (lifecycle spans) without copying per iteration.
+     * The decoding batch as (id, tokens left) pairs: the engine's live
+     * active list, valid only during onIteration. Lets hosts attribute
+     * the iteration to requests (lifecycle spans) without a copy.
      */
     const std::vector<std::pair<std::size_t, int>> *activeIds = nullptr;
 };
@@ -92,9 +82,6 @@ class ReplicaEngine
 
         /** No iteration starts at or past this instant. */
         double horizonNs = 0.0;
-
-        /** Queue priority of this replica's iteration-end events. */
-        int iterPriority = 1;
 
         /** Outcome of a KV admission (see kvAdmit). */
         struct KvAdmission
@@ -177,12 +164,8 @@ class ReplicaEngine
         std::function<double(double baseNs)> scaleDuration;
     };
 
-    /** @p engine runs this replica's iteration-end events. */
-    ReplicaEngine(core::Engine &engine, const Config &config,
-                  Callbacks callbacks);
-    /** The registered handler holds this address. */
-    ReplicaEngine(const ReplicaEngine &) = delete;
-    ReplicaEngine &operator=(const ReplicaEngine &) = delete;
+    /** @throws skipsim::FatalError on an invalid @p config. */
+    ReplicaEngine(const Config &config, Callbacks callbacks);
 
     /**
      * Queue request @p id (arrived at @p arrivalNs) for admission.
@@ -203,12 +186,23 @@ class ReplicaEngine
     /**
      * Start the next iteration if the replica is idle, not halted,
      * before the horizon, and has admissible or active work.
+     * @return whether an iteration started; it ends at iterEndNs().
      */
-    void maybeStart(double nowNs);
+    bool maybeStart(double nowNs);
 
     /**
-     * Crash the replica: cancel the in-flight iteration (its end
-     * event becomes a no-op) and refuse further starts.
+     * The in-flight iteration ended at @p tNs (its iterEndNs()):
+     * report it, advance its sequences, then maybeStart(). A no-op on
+     * a halted replica. @return whether the next iteration started.
+     */
+    bool finishIteration(double tNs);
+
+    /** End of the in-flight iteration (meaningful while busy()). */
+    double iterEndNs() const { return _iterEndNs; }
+
+    /**
+     * Crash the replica, permanently: cancel the in-flight iteration
+     * (finishIteration ignores its end) and refuse further starts.
      */
     void halt();
 
@@ -251,12 +245,10 @@ class ReplicaEngine
      */
     std::optional<double> admit(std::size_t id, double nowNs,
                                 bool decodeEntry);
-    void onIterEnd(double tNs, std::uint64_t serial);
     /** @return the scaled iteration duration. */
     double startIteration(double nowNs, double baseNs);
     void completeSeq(std::size_t id, double nowNs);
 
-    core::Engine &_engine;
     Config _cfg;
     Callbacks _cb;
 
@@ -277,13 +269,10 @@ class ReplicaEngine
     int _headChunksLeft = 0;
     bool _iterChunkSched = false;
 
-    /** This replica's iteration-end event kind; the payload is the
-     *  iteration's serial. */
-    core::EventKind _iterEnd = 0;
     bool _busy = false;
     bool _halted = false;
-    std::uint64_t _serial = 0;
     double _iterBeginNs = 0.0;
+    double _iterEndNs = 0.0;
 
     double _busyNs = 0.0;
     std::size_t _tokensEmitted = 0;

@@ -2,19 +2,22 @@
  * @file
  * Tests for continuous (iteration-level) batching: the iteration cost
  * model, conservation of requests/tokens, the latency advantage over
- * static batching at moderate load, degenerate configurations, and the
- * replica engine's KV admission hook driven directly.
+ * static batching at moderate load, degenerate configurations, the
+ * arrival walk held to the event-driven loop it replaced, and the
+ * passive replica engine driven directly.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "analysis/sweep.hh"
+#include "check/event_continuous.hh"
 #include "common/logging.hh"
-#include "core/engine.hh"
 #include "hw/catalog.hh"
 #include "serving/continuous.hh"
 #include "serving/replica_engine.hh"
@@ -104,6 +107,14 @@ TEST(Continuous, SingleTokenRequestsCompleteAtPrefill)
         simulateContinuous(costModel(), config(20.0, 32, 1));
     EXPECT_GT(result.completed, 0u);
     EXPECT_DOUBLE_EQ(result.meanTpotNs, 0.0); // no decode iterations
+
+    // Chunked, every iteration is a prompt chunk: there is no decode
+    // batch to average, so meanActive reads 0.
+    ContinuousConfig chunked = config(20.0, 32, 1);
+    chunked.chunkTokens = 64;
+    ContinuousResult c = simulateContinuous(costModel(), chunked);
+    EXPECT_GT(c.completed, 0u);
+    EXPECT_DOUBLE_EQ(c.meanActive, 0.0);
 }
 
 TEST(Continuous, ActiveSetGrowsWithLoad)
@@ -182,6 +193,24 @@ TEST(Continuous, InvalidConfigsThrow)
         bad.horizonSec = v;
         EXPECT_THROW(simulateContinuous(costModel(), bad), FatalError);
     }
+
+    // A negative chunk size is an error, not an unchunked run.
+    bad = config(10.0);
+    bad.chunkTokens = -1;
+    try {
+        simulateContinuous(costModel(), bad);
+        ADD_FAILURE() << "accepted chunkTokens -1";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("chunkTokens"),
+                  std::string::npos)
+            << err.what();
+    }
+    ReplicaEngine::Config rc;
+    rc.cost = &costModel();
+    rc.maxActive = 4;
+    rc.genTokens = 4;
+    rc.chunkTokens = -1;
+    EXPECT_THROW(ReplicaEngine(rc, {}), FatalError);
 }
 
 TEST(Continuous, RunawayArrivalCountsHitTheWorkBudget)
@@ -198,6 +227,48 @@ TEST(Continuous, RunawayArrivalCountsHitTheWorkBudget)
     ContinuousConfig bad = config(10.0);
     bad.horizonSec = 1e12;
     EXPECT_THROW(simulateContinuous(costModel(), bad), FatalError);
+}
+
+TEST(Continuous, MatchesTheEventDrivenOracle)
+{
+    // The arrival walk against the event-driven loop it replaced:
+    // every result field bit for bit, and the obs JSON and spans byte
+    // for byte. The grid spans idle to heavy overload, one-slot
+    // batches, single-token requests, chunks of one token, of a whole
+    // prompt and of one token more, and a horizon too short for most
+    // runs to see a request.
+    bool saw_empty = false;
+    bool saw_unfinished = false;
+    bool saw_chunked = false;
+    for (double rate : {0.5, 40.0, 400.0, 4000.0})
+        for (int max_active : {1, 4, 32})
+            for (int gen : {1, 3, 16})
+                for (int chunk : {0, 1, 96, 256, 257})
+                    for (double horizon : {0.01, 0.2})
+                        for (std::uint64_t seed : {1u, 7u}) {
+                            ContinuousConfig c =
+                                config(rate, max_active, gen);
+                            c.chunkTokens = chunk;
+                            c.horizonSec = horizon;
+                            c.seed = seed;
+                            SCOPED_TRACE(testing::Message()
+                                         << "rate " << rate
+                                         << ", max active " << max_active
+                                         << ", gen " << gen << ", chunk "
+                                         << chunk << ", horizon "
+                                         << horizon << ", seed " << seed);
+                            EXPECT_EQ(check::diffContinuous(costModel(), c),
+                                      "");
+                            ContinuousResult r =
+                                simulateContinuous(costModel(), c);
+                            saw_empty |= r.completed == 0 &&
+                                r.unfinished == 0 && r.p50TtftNs == 0.0;
+                            saw_unfinished |= r.unfinished > 0;
+                            saw_chunked |= chunk > 0 && r.completed > 0;
+                        }
+    EXPECT_TRUE(saw_empty);
+    EXPECT_TRUE(saw_unfinished);
+    EXPECT_TRUE(saw_chunked);
 }
 
 // ---------------------------------------------------------- replica engine
@@ -229,7 +300,6 @@ admitWithShares(ReplicaEngine::Config &c,
 
 TEST(ReplicaEngine, RefusedAdmissionKeepsTheRequestQueued)
 {
-    core::Engine engine;
     ReplicaEngine::Config c = engineConfig();
     int asked = 0;
     c.kvAdmit = [&](std::size_t, double, bool) {
@@ -242,36 +312,35 @@ TEST(ReplicaEngine, RefusedAdmissionKeepsTheRequestQueued)
     cb.onAdmitRequest = [&](std::size_t, double, double, bool) {
         ++admitted;
     };
-    ReplicaEngine replica(engine, c, std::move(cb));
+    ReplicaEngine replica(c, std::move(cb));
     replica.enqueue(0, 0.0);
-    replica.maybeStart(0.0);
+    EXPECT_FALSE(replica.maybeStart(0.0)); // no iteration to end
     EXPECT_EQ(asked, 1);
     EXPECT_EQ(admitted, 0);
     EXPECT_EQ(replica.pendingCount(), 1u);
     EXPECT_EQ(replica.prefillingCount(), 0u);
     EXPECT_FALSE(replica.busy());
-    engine.run();
-    EXPECT_EQ(engine.processed(), 0u);
 }
 
 TEST(ReplicaEngine, HookShareScalesThePrefillClampedBelow)
 {
     // Iteration durations for one prefill batch with the given shares.
     auto prefill_ns = [](const std::vector<double> &shares) {
-        core::Engine engine;
         ReplicaEngine::Config c = engineConfig();
         admitWithShares(c, shares);
         ReplicaEngine::Callbacks cb;
         double dur = -1.0;
         cb.onIteration = [&](const IterationInfo &info) {
-            if (info.prefill && dur < 0.0)
-                dur = info.endNs - info.beginNs;
+            EXPECT_TRUE(info.prefill);
+            dur = info.endNs - info.beginNs;
         };
-        ReplicaEngine replica(engine, c, std::move(cb));
+        ReplicaEngine replica(c, std::move(cb));
         for (std::size_t id = 0; id < shares.size(); ++id)
             replica.enqueue(id, 0.0);
-        replica.maybeStart(0.0);
-        engine.run();
+        EXPECT_TRUE(replica.maybeStart(0.0));
+        const double end = replica.iterEndNs();
+        replica.finishIteration(end);
+        EXPECT_DOUBLE_EQ(dur, end);
         return dur;
     };
     const IterationCostModel &cost = costModel();
@@ -285,7 +354,6 @@ TEST(ReplicaEngine, HookShareScalesThePrefillClampedBelow)
 
 TEST(ReplicaEngine, WithoutAHookAdmitsUpToMaxActive)
 {
-    core::Engine engine;
     ReplicaEngine::Callbacks cb;
     std::vector<std::size_t> admitted;
     cb.onAdmitRequest = [&](std::size_t id, double, double stall_ns,
@@ -294,29 +362,52 @@ TEST(ReplicaEngine, WithoutAHookAdmitsUpToMaxActive)
         EXPECT_EQ(stall_ns, 0.0);
         EXPECT_FALSE(decode_entry);
     };
-    ReplicaEngine replica(engine, engineConfig(3), std::move(cb));
+    ReplicaEngine replica(engineConfig(3), std::move(cb));
     for (std::size_t id = 0; id < 5; ++id)
         replica.enqueue(id, 0.0);
-    replica.maybeStart(0.0);
+    EXPECT_TRUE(replica.maybeStart(0.0));
     EXPECT_EQ(admitted, (std::vector<std::size_t>{0, 1, 2}));
     EXPECT_EQ(replica.prefillingCount(), 3u);
     EXPECT_EQ(replica.pendingCount(), 2u);
     EXPECT_TRUE(replica.busy());
+    EXPECT_FALSE(replica.maybeStart(0.0)); // one iteration at a time
 }
 
 TEST(ReplicaEngine, ConstructorRejectsHookMisuse)
 {
-    core::Engine engine;
     ReplicaEngine::Config chunked = engineConfig();
     chunked.chunkTokens = 16;
     admitWithShares(chunked, {1.0});
-    EXPECT_THROW(ReplicaEngine(engine, chunked, {}), FatalError);
+    EXPECT_THROW(ReplicaEngine(chunked, {}), FatalError);
 
     ReplicaEngine::Config half = engineConfig();
     half.kvAdmit = [](std::size_t, double, bool) {
         return ReplicaEngine::Config::KvAdmission{true};
     };
-    EXPECT_THROW(ReplicaEngine(engine, half, {}), FatalError);
+    EXPECT_THROW(ReplicaEngine(half, {}), FatalError);
+}
+
+TEST(ReplicaEngine, HaltedReplicaIgnoresItsInFlightIterationEnd)
+{
+    ReplicaEngine::Callbacks cb;
+    int fired = 0;
+    cb.onIteration = [&](const IterationInfo &) { ++fired; };
+    cb.onFirstToken = [&](std::size_t, double, double) { ++fired; };
+    cb.onComplete = [&](std::size_t, double) { ++fired; };
+    ReplicaEngine replica(engineConfig(), std::move(cb));
+    replica.enqueue(0, 0.0);
+    ASSERT_TRUE(replica.maybeStart(0.0));
+    const double end = replica.iterEndNs();
+    const std::size_t tokens = replica.tokensEmitted();
+
+    replica.halt();
+    EXPECT_FALSE(replica.finishIteration(end));
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(replica.tokensEmitted(), tokens);
+    EXPECT_FALSE(replica.busy());
+    // The crash is permanent: the queued prefill never starts again.
+    EXPECT_FALSE(replica.maybeStart(end));
+    EXPECT_EQ(replica.prefillingCount(), 1u);
 }
 
 } // namespace
