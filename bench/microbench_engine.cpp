@@ -34,6 +34,7 @@
 #include "hw/catalog.hh"
 #include "json/parser.hh"
 #include "obs/span.hh"
+#include "serving/continuous.hh"
 #include "sim/simulator.hh"
 #include "trace/chrome.hh"
 #include "skip/dep_graph.hh"
@@ -145,6 +146,35 @@ BM_SimulateForward(benchmark::State &state)
         static_cast<std::int64_t>(graph.numKernelLaunches()));
 }
 BENCHMARK(BM_SimulateForward)->Arg(1)->Arg(32);
+
+void
+BM_SimulateWallOnly(benchmark::State &state)
+{
+    // BM_SimulateForward's twin on the trace-free walk: same graph,
+    // same draws, no trace recorded.
+    auto graph = gpt2Graph(static_cast<int>(state.range(0)));
+    sim::Simulator simulator(hw::platforms::gh200());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(simulator.wallNs(graph));
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(graph.numKernelLaunches()));
+}
+BENCHMARK(BM_SimulateWallOnly)->Arg(1)->Arg(32);
+
+void
+BM_IterationCostModel(benchmark::State &state)
+{
+    // The cluster workloads' cost model: GPT2 on GH200 at a 128-token
+    // prompt, 14 grid points priced per construction.
+    const workload::ModelConfig model = workload::gpt2();
+    const hw::Platform platform = hw::platforms::gh200();
+    for (auto _ : state) {
+        serving::IterationCostModel cost(model, platform, 128);
+        benchmark::DoNotOptimize(cost.decodeNs(1));
+    }
+}
+BENCHMARK(BM_IterationCostModel)->Unit(benchmark::kMillisecond);
 
 void
 BM_SimulateNoJitterAblation(benchmark::State &state)
@@ -559,9 +589,10 @@ BENCHMARK(BM_ClusterSpanOverhead)
 // main translates the repo-wide --quick convention (see the ext_*
 // drivers) into a filter + short measurement budget for CI: the
 // event-queue, span-overhead, 1024-replica router-pick, 8K/64K
-// dependency-graph, 64K Chrome-ingest (codec and document) and span
-// round-trip rows, enough to catch gross regressions (the 1M-event and
-// 16K-replica rows are left to full runs).
+// dependency-graph, 64K Chrome-ingest (codec and document), span
+// round-trip, traced and trace-free batch-32 simulation and serving
+// cost-model rows, enough to catch gross regressions (the 1M-event
+// and 16K-replica rows are left to full runs).
 int
 main(int argc, char **argv)
 {
@@ -580,7 +611,9 @@ main(int argc, char **argv)
         "BM_RouterPick/1024$|"
         "BM_DependencyGraphBuild/(8192|65536)$|"
         "BM_ChromeIngest(Dom)?/65536$|"
-        "BM_SpanChromeRoundTrip";
+        "BM_SpanChromeRoundTrip|"
+        "BM_Simulate(Forward|WallOnly)/32$|"
+        "BM_IterationCostModel";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {
         args.push_back(filter.data());

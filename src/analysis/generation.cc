@@ -50,17 +50,17 @@ simulateGeneration(const workload::ModelConfig &model,
     GenerationResult result;
     sim::Simulator simulator(platform, sim);
     result.ttftNs =
-        simulator.run(workload::buildPrefillGraph(model, prompt)).wallNs;
+        simulator.wallNs(workload::buildPrefillGraph(model, prompt));
 
     for (int t = 0; t < genTokens; ++t) {
         // KV cache covers the prompt plus the tokens emitted so far.
         int context = prompt.seqLen + t;
         sim::SimOptions step_sim = sim;
         step_sim.seed = sim.seed + 1000u + static_cast<std::uint64_t>(t);
-        sim::Simulator step_simulator(platform, step_sim);
-        workload::OperatorGraph step =
-            workload::buildDecodeStepGraph(model, prompt, context);
-        result.stepNs.push_back(step_simulator.run(step).wallNs);
+        result.stepNs.push_back(
+            sim::Simulator(platform, step_sim)
+                .wallNs(workload::buildDecodeStepGraph(model, prompt,
+                                                       context)));
     }
 
     result.totalNs = result.ttftNs;

@@ -147,12 +147,15 @@ eventDrivenContinuous(const serving::IterationCostModel &cost,
 
 std::string
 diffContinuous(const serving::IterationCostModel &cost,
-               const ContinuousConfig &config)
+               const ContinuousConfig &config,
+               const std::function<void(ContinuousResult &)> &mutateWalk)
 {
     constexpr double kObsIntervalMs = 5.0;
     obs::Collector walk_obs(kObsIntervalMs);
-    const ContinuousResult walk =
+    ContinuousResult walk =
         serving::simulateContinuous(cost, config, &walk_obs);
+    if (mutateWalk)
+        mutateWalk(walk);
     obs::Collector events_obs(kObsIntervalMs);
     const ContinuousResult events =
         eventDrivenContinuous(cost, config, &events_obs);

@@ -14,6 +14,7 @@
 #ifndef SKIPSIM_CHECK_EVENT_CONTINUOUS_HH
 #define SKIPSIM_CHECK_EVENT_CONTINUOUS_HH
 
+#include <functional>
 #include <string>
 
 #include "serving/continuous.hh"
@@ -34,14 +35,19 @@ eventDrivenContinuous(const serving::IterationCostModel &cost,
 /**
  * Run simulateContinuous and eventDrivenContinuous on @p config, each
  * with an obs collector sampling every 5 simulated ms.
+ * @param mutateWalk when set, corrupts the walk's result before the
+ *        comparison (a test fixture standing in for a broken walk).
  * @return empty when every result field is bit-identical and both
  *         collectors export the same JSON and span bytes, else the
  *         first difference found.
  * @throws skipsim::FatalError when simulateContinuous rejects
  *         @p config.
  */
-std::string diffContinuous(const serving::IterationCostModel &cost,
-                           const serving::ContinuousConfig &config);
+std::string diffContinuous(
+    const serving::IterationCostModel &cost,
+    const serving::ContinuousConfig &config,
+    const std::function<void(serving::ContinuousResult &)> &mutateWalk =
+        {});
 
 } // namespace skipsim::check
 

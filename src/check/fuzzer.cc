@@ -1,6 +1,7 @@
 #include "check/fuzzer.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <filesystem>
@@ -109,9 +110,9 @@ clusterCosts()
 }
 
 /**
- * The continuous-batching config a serving case also runs through
- * diffContinuous. It draws from a stream of its own, so the serving
- * case keeps its bytes, and replays from the case seed alone.
+ * The continuous-batching config a generated serving case also runs
+ * through diffContinuous (FuzzCase::continuous). It draws from a
+ * stream of its own, so the serving fields keep their bytes.
  */
 serving::ContinuousConfig
 continuousConfig(std::uint64_t caseSeed, bool quick)
@@ -139,6 +140,34 @@ continuousConfig(std::uint64_t caseSeed, bool quick)
         c.chunkTokens =
             kContinuousChunks[rng.below(std::size(kContinuousChunks))];
     c.seed = rng.next();
+    return c;
+}
+
+json::Value
+continuousToJson(const serving::ContinuousConfig &c)
+{
+    json::Object doc;
+    doc.set("rate", c.arrivalRatePerSec);
+    doc.set("horizon_sec", c.horizonSec);
+    doc.set("max_active", c.maxActive);
+    doc.set("gen_tokens", c.genTokens);
+    doc.set("chunk_tokens", c.chunkTokens);
+    doc.set("seed", static_cast<unsigned long long>(c.seed));
+    return json::Value(std::move(doc));
+}
+
+serving::ContinuousConfig
+continuousFromJson(const json::Value &doc)
+{
+    const json::Object &obj = doc.asObject();
+    serving::ContinuousConfig c;
+    c.arrivalRatePerSec = obj.at("rate").asDouble();
+    c.horizonSec = obj.at("horizon_sec").asDouble();
+    c.maxActive = json::intValue(obj.at("max_active"), "max_active");
+    c.genTokens = json::intValue(obj.at("gen_tokens"), "gen_tokens");
+    c.chunkTokens =
+        json::intValue(obj.at("chunk_tokens"), "chunk_tokens");
+    c.seed = json::uint64Member(obj, "seed");
     return c;
 }
 
@@ -407,8 +436,9 @@ FuzzCase::sizeScore() const
     case FuzzKind::Sim:
         return graph.numOps() + graph.numKernelLaunches();
     case FuzzKind::Serving:
-        return static_cast<std::size_t>(serving.arrivalRatePerSec *
-                                        serving.horizonSec);
+        return static_cast<std::size_t>(
+            serving.arrivalRatePerSec * serving.horizonSec +
+            continuous.arrivalRatePerSec * continuous.horizonSec);
     case FuzzKind::Cluster:
         return cluster.replicas.size() + cluster.faults.size() +
             static_cast<std::size_t>(cluster.arrivalRatePerSec *
@@ -443,6 +473,7 @@ FuzzCase::toJson() const
         s.set("seed", static_cast<unsigned long long>(serving.seed));
         s.set("latency_base_ns", latencyBaseNs);
         s.set("latency_slope_ns", latencySlopeNs);
+        s.set("continuous", continuousToJson(continuous));
         doc.set("serving", json::Value(std::move(s)));
         break;
     }
@@ -483,6 +514,7 @@ FuzzCase::fromJson(const json::Value &doc)
         c.serving.seed = json::uint64Member(s, "seed");
         c.latencyBaseNs = s.at("latency_base_ns").asDouble();
         c.latencySlopeNs = s.at("latency_slope_ns").asDouble();
+        c.continuous = continuousFromJson(s.at("continuous"));
         break;
     }
     case FuzzKind::Cluster:
@@ -604,6 +636,7 @@ Fuzzer::generate(std::uint64_t index) const
         c.serving.seed = c.seed;
         c.latencyBaseNs = 5e5 + rng.uniform() * 5e6;
         c.latencySlopeNs = 1e5 + rng.uniform() * 2e6;
+        c.continuous = continuousConfig(c.seed, _options.quick);
         break;
     }
     case FuzzKind::Cluster: {
@@ -797,6 +830,15 @@ Fuzzer::runCase(const FuzzCase &c) const
             };
             sim::SimResult result = run_once();
 
+            // Trace-free differential: the walk that records nothing
+            // ends at the traced run's wall time, bit for bit.
+            double wall = sim::Simulator(platform, opts).wallNs(c.graph);
+            if (std::bit_cast<std::uint64_t>(wall) !=
+                std::bit_cast<std::uint64_t>(result.wallNs))
+                problems.push_back(strprintf(
+                    "oracle: trace-free wallNs %.17g != traced %.17g",
+                    wall, result.wallNs));
+
             TraceCheckReport report = validateTrace(result.trace);
             for (const Violation &v : report.violations)
                 problems.push_back("invariant: [" + v.code + "] " +
@@ -896,8 +938,8 @@ Fuzzer::runCase(const FuzzCase &c) const
                 problems.push_back("oracle: " + batching);
 
             std::string continuous =
-                diffContinuous(clusterCosts().get("GH200"),
-                               continuousConfig(c.seed, _options.quick));
+                diffContinuous(clusterCosts().get("GH200"), c.continuous,
+                               _options.continuousMutator);
             if (!continuous.empty())
                 problems.push_back("oracle: continuous " + continuous);
             break;
@@ -1129,6 +1171,31 @@ proposeEdits(const FuzzCase &c)
             if (t.serving.maxBatch <= 1)
                 return false;
             t.serving.maxBatch = 1;
+            return true;
+        });
+        // The continuous config diffContinuous runs beside the case.
+        edits.push_back([](FuzzCase &t) {
+            if (t.continuous.horizonSec <= 0.01)
+                return false;
+            t.continuous.horizonSec /= 2.0;
+            return true;
+        });
+        edits.push_back([](FuzzCase &t) {
+            if (t.continuous.maxActive <= 1)
+                return false;
+            t.continuous.maxActive /= 2;
+            return true;
+        });
+        edits.push_back([](FuzzCase &t) {
+            if (t.continuous.genTokens <= 1)
+                return false;
+            t.continuous.genTokens /= 2;
+            return true;
+        });
+        edits.push_back([](FuzzCase &t) {
+            if (t.continuous.chunkTokens == 0)
+                return false;
+            t.continuous.chunkTokens = 0;
             return true;
         });
         break;

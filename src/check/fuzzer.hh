@@ -14,6 +14,8 @@
  *    jobs-N differential oracle);
  *  - result sanity: percentile ordering, utilization in [0,1],
  *    offered == completed + lost, goodput <= throughput;
+ *  - sim cases: the trace-free walk (sim::Simulator::wallNs) ends at
+ *    the traced run's wall time bit for bit;
  *  - serving cases: the closed-form batcher against its event-driven
  *    loop (diffServing), and a continuous-batching config drawn from
  *    the case seed on a stream of its own, whose arrival walk is held
@@ -26,13 +28,16 @@
  * discipline exec::SweepSpec uses — so any failure reproduces from
  * (baseSeed, index) alone. On failure the harness greedily shrinks the
  * case (drop roots, clear children/launches, zero jitter, halve
- * horizons and rates) to a minimal spec that still fails and writes it
- * to disk as JSON; `skipctl check --replay <file>` re-runs it.
+ * horizons, rates and the continuous config's batch and tokens) to a
+ * minimal spec that still fails and writes it to disk as JSON;
+ * `skipctl check --replay <file>` re-runs it.
  *
- * FuzzOptions::traceMutator exists for testing the harness itself: it
- * corrupts the simulated trace before validation, standing in for an
- * intentionally-broken engine build, and lets tests assert the
- * fail -> shrink -> repro-on-disk path end to end.
+ * FuzzOptions::traceMutator and FuzzOptions::continuousMutator exist
+ * for testing the harness itself: they corrupt the simulated trace
+ * before validation, or the continuous walk's result before
+ * diffContinuous compares it, standing in for an intentionally-broken
+ * engine build, and let tests assert the fail -> shrink ->
+ * repro-on-disk path end to end.
  */
 
 #ifndef SKIPSIM_CHECK_FUZZER_HH
@@ -45,6 +50,7 @@
 
 #include "cluster/cluster.hh"
 #include "json/value.hh"
+#include "serving/continuous.hh"
 #include "serving/server_sim.hh"
 #include "trace/trace.hh"
 #include "workload/op_graph.hh"
@@ -95,6 +101,13 @@ struct FuzzCase
     serving::ServingConfig serving;
     double latencyBaseNs = 2e6;
     double latencySlopeNs = 1e6;
+    /**
+     * The continuous-batching config diffContinuous runs beside the
+     * serving case. Generated cases draw it from the case seed on a
+     * stream of its own (so the serving fields keep their bytes);
+     * shrinking edits it like any other field.
+     */
+    serving::ContinuousConfig continuous;
     /** @} */
 
     /** @name Cluster section
@@ -162,6 +175,13 @@ struct FuzzOptions
      * callable concurrently when jobs > 1.
      */
     std::function<void(trace::Trace &)> traceMutator;
+
+    /**
+     * Test fixture: corrupt the continuous walk's result before
+     * diffContinuous compares it with the event-driven loop (serving
+     * cases only). Same contract as traceMutator.
+     */
+    std::function<void(serving::ContinuousResult &)> continuousMutator;
 };
 
 /** Campaign outcome. */
@@ -210,8 +230,9 @@ class Fuzzer
     /**
      * Greedily shrink a failing case: repeatedly try size-reducing
      * edits (drop roots, clear children/launches, zero jitter, halve
-     * horizon/rate/replicas/faults) and keep any edit that still
-     * fails, until no edit helps or the attempt budget is spent.
+     * horizon/rate/replicas/faults, halve the continuous config's
+     * horizon/batch/tokens and drop its chunk) and keep any edit that
+     * still fails, until no edit helps or the attempt budget is spent.
      */
     FuzzCase shrink(const FuzzCase &failing) const;
 

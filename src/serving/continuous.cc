@@ -9,7 +9,6 @@
 #include "serving/arrival.hh"
 #include "serving/probe_replay.hh"
 #include "serving/replica_engine.hh"
-#include "sim/simulator.hh"
 #include "stats/summary.hh"
 #include "workload/builder.hh"
 
@@ -39,25 +38,20 @@ atBatch(const stats::Series &curve, int batch)
 IterationCostModel::IterationCostModel(const workload::ModelConfig &model,
                                        const hw::Platform &platform,
                                        int prompt_len)
-    : _model(model), _promptLen(prompt_len), _platform(platform)
+    : _model(model), _promptLen(prompt_len), _simulator(platform)
 {
     if (prompt_len <= 0)
         fatal("IterationCostModel: prompt length must be positive");
 
-    sim::Simulator simulator(platform);
     for (int batch : {1, 2, 4, 8, 16, 32, 64}) {
         workload::BuildOptions opts;
         opts.batch = batch;
         opts.seqLen = prompt_len;
-        _prefill.add(
-            batch,
-            simulator.run(workload::buildPrefillGraph(model, opts))
-                .wallNs);
+        _prefill.add(batch, _simulator.wallNs(
+                                workload::buildPrefillGraph(model, opts)));
         _decode.add(batch,
-                    simulator
-                        .run(workload::buildDecodeStepGraph(model, opts,
-                                                            prompt_len))
-                        .wallNs);
+                    _simulator.wallNs(workload::buildDecodeStepGraph(
+                        model, opts, prompt_len)));
     }
 }
 
@@ -84,9 +78,7 @@ IterationCostModel::chunkNs(int chunk_tokens) const
     workload::BuildOptions opts;
     opts.batch = 1;
     opts.seqLen = chunk_tokens;
-    sim::Simulator simulator(_platform);
-    double ns =
-        simulator.run(workload::buildPrefillGraph(_model, opts)).wallNs;
+    double ns = _simulator.wallNs(workload::buildPrefillGraph(_model, opts));
     _chunkCache.emplace(chunk_tokens, ns);
     return ns;
 }

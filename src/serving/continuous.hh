@@ -16,6 +16,7 @@
 #include <map>
 
 #include "hw/platform.hh"
+#include "sim/simulator.hh"
 #include "stats/series.hh"
 #include "workload/model_config.hh"
 
@@ -31,7 +32,9 @@ namespace skipsim::serving
  * Iteration cost model: prefill and single-decode-step latencies as a
  * function of batch size, obtained by simulating the workload once per
  * grid point and reading stats::Series::extrapolate in between and
- * past the grid.
+ * past the grid. Every grid point and chunk is priced with
+ * sim::Simulator::wallNs: the model reads only wall times, so no
+ * trace is recorded.
  */
 class IterationCostModel
 {
@@ -64,7 +67,7 @@ class IterationCostModel
   private:
     workload::ModelConfig _model;
     int _promptLen = 0;
-    hw::Platform _platform;
+    sim::Simulator _simulator;
     stats::Series _prefill;
     stats::Series _decode;
     mutable std::map<int, double> _chunkCache;

@@ -26,7 +26,13 @@ constexpr int kStreamId = 7;
  * the operator tree is walked in issue order, so the run needs no
  * scheduled events: cudaDeviceSynchronize simply waits for the
  * stream's free time.
+ *
+ * @tparam Record whether the walk records its trace. Both walks make
+ *         the same jitter draws in the same order on the same cursors,
+ *         so they end at the same wall time bit for bit; without
+ *         Record no TraceEvent is built and nothing is sorted.
  */
+template <bool Record>
 class Runner
 {
   public:
@@ -34,19 +40,30 @@ class Runner
         : p(platform), o(opts), rng(opts.seed)
     {}
 
-    SimResult
-    run(const workload::OperatorGraph &graph)
+    /** Walk @p graph and synchronize the device. */
+    void
+    walk(const workload::OperatorGraph &graph)
     {
         for (const auto &root : graph.roots)
             execOp(root);
         deviceSynchronize();
+    }
 
-        SimResult result;
-        result.wallNs = std::max(cpu.nowNs(), stream.freeNs());
-        result.trace = std::move(out);
-        result.trace.setMeta("platform", p.name);
-        result.trace.sortByTime();
-        return result;
+    /** End-to-end wall time of the walk, ns. */
+    double
+    wallNs() const
+    {
+        return std::max(cpu.nowNs(), stream.freeNs());
+    }
+
+    /** The recorded trace, time-ordered. */
+    trace::Trace
+    takeTrace()
+    {
+        static_assert(Record, "a trace-free walk records no trace");
+        out.setMeta("platform", p.name);
+        out.sortByTime();
+        return std::move(out);
     }
 
   private:
@@ -77,11 +94,7 @@ class Runner
     void
     execOp(const workload::OpNode &node)
     {
-        trace::TraceEvent op;
-        op.kind = trace::EventKind::Operator;
-        op.name = node.name;
-        op.tid = kThreadId;
-        op.tsBeginNs = cpuNowI();
+        std::int64_t begin = cpuNowI();
 
         double total_cpu = p.cpuOpNs(node.cpuNs);
         double pre = total_cpu * node.preFraction;
@@ -94,8 +107,15 @@ class Runner
             execLaunch(launch);
         cpu.advanceBy(static_cast<double>(jitter(post)));
 
-        op.durNs = cpuNowI() - op.tsBeginNs;
-        out.add(std::move(op));
+        if constexpr (Record) {
+            trace::TraceEvent op;
+            op.kind = trace::EventKind::Operator;
+            op.name = node.name;
+            op.tid = kThreadId;
+            op.tsBeginNs = begin;
+            op.durNs = cpuNowI() - begin;
+            out.add(std::move(op));
+        }
     }
 
     /**
@@ -117,98 +137,97 @@ class Runner
         return static_cast<std::int64_t>(stream.startFor(earliest, gap));
     }
 
+    /**
+     * The runtime call that enqueues a kernel or copy: the CPU is busy
+     * for the call, then the stream places the work. @p work_ns draws
+     * the work's duration once its start is known.
+     */
+    template <typename WorkNs>
     void
-    execLaunch(const workload::KernelLaunch &launch)
+    enqueue(const char *call, const workload::KernelLaunch &launch,
+            WorkNs work_ns)
     {
-        if (launch.isMemcpy) {
-            execMemcpy(launch);
-            return;
+        std::int64_t call_begin = cpuNowI();
+        std::int64_t call_dur = jitter(p.cpu.launchCpuNs);
+        cpu.advanceBy(static_cast<double>(call_dur));
+
+        std::int64_t start = kernelStart(call_begin);
+        std::int64_t dur = work_ns();
+        stream.occupyUntil(static_cast<double>(start + dur));
+
+        if constexpr (Record) {
+            std::uint64_t corr = nextCorrelation++;
+
+            trace::TraceEvent rt;
+            rt.kind = trace::EventKind::Runtime;
+            rt.name = call;
+            rt.tid = kThreadId;
+            rt.correlationId = corr;
+            rt.tsBeginNs = call_begin;
+            rt.durNs = call_dur;
+
+            trace::TraceEvent k;
+            k.tid = kThreadId;
+            k.streamId = kStreamId;
+            k.correlationId = corr;
+            k.tsBeginNs = start;
+            k.durNs = dur;
+            k.bytes = launch.totalBytes();
+            if (launch.isMemcpy) {
+                k.kind = trace::EventKind::Memcpy;
+                k.name = "Memcpy HtoD";
+            } else {
+                k.kind = trace::EventKind::Kernel;
+                k.name = launch.kernelName;
+                k.flops = launch.totalFlops();
+            }
+
+            out.add(std::move(rt));
+            out.add(std::move(k));
         }
-
-        std::uint64_t corr = nextCorrelation++;
-
-        trace::TraceEvent rt;
-        rt.kind = trace::EventKind::Runtime;
-        rt.name = "cudaLaunchKernel";
-        rt.tid = kThreadId;
-        rt.correlationId = corr;
-        rt.tsBeginNs = cpuNowI();
-        rt.durNs = jitter(p.cpu.launchCpuNs);
-        cpu.advanceBy(static_cast<double>(rt.durNs));
-
-        std::int64_t start = kernelStart(rt.tsBeginNs);
-
-        trace::TraceEvent k;
-        k.kind = trace::EventKind::Kernel;
-        k.name = launch.kernelName;
-        k.tid = kThreadId;
-        k.streamId = kStreamId;
-        k.correlationId = corr;
-        k.tsBeginNs = start;
-        k.durNs = jitterComponentsNs(
-            rng, hw::kernelDurationNs(p.gpu, launch.work), o.jitterFrac,
-            o.jitter, launch.work.size());
-        k.flops = launch.totalFlops();
-        k.bytes = launch.totalBytes();
-        stream.occupyUntil(static_cast<double>(k.tsEndNs()));
-
-        out.add(std::move(rt));
-        out.add(std::move(k));
     }
 
     void
-    execMemcpy(const workload::KernelLaunch &launch)
+    execLaunch(const workload::KernelLaunch &launch)
     {
+        if (!launch.isMemcpy) {
+            enqueue("cudaLaunchKernel", launch, [&] {
+                return jitterComponentsNs(
+                    rng, hw::kernelDurationNs(p.gpu, launch.work),
+                    o.jitterFrac, o.jitter, launch.work.size());
+            });
+            return;
+        }
         // Unified-memory platforms (CC/TC) access host data in place:
         // no staging copy is issued at all.
         if (p.unifiedMemory)
             return;
-
-        std::uint64_t corr = nextCorrelation++;
-
-        trace::TraceEvent rt;
-        rt.kind = trace::EventKind::Runtime;
-        rt.name = "cudaMemcpyAsync";
-        rt.tid = kThreadId;
-        rt.correlationId = corr;
-        rt.tsBeginNs = cpuNowI();
-        rt.durNs = jitter(p.cpu.launchCpuNs);
-        cpu.advanceBy(static_cast<double>(rt.durNs));
-
-        std::int64_t start = kernelStart(rt.tsBeginNs);
-
-        trace::TraceEvent mc;
-        mc.kind = trace::EventKind::Memcpy;
-        mc.name = "Memcpy HtoD";
-        mc.tid = kThreadId;
-        mc.streamId = kStreamId;
-        mc.correlationId = corr;
-        mc.tsBeginNs = start;
-        mc.durNs = jitter(p.transferNs(launch.totalBytes()));
-        mc.bytes = launch.totalBytes();
-        stream.occupyUntil(static_cast<double>(mc.tsEndNs()));
-
-        out.add(std::move(rt));
-        out.add(std::move(mc));
+        enqueue("cudaMemcpyAsync", launch, [&] {
+            return jitter(p.transferNs(launch.totalBytes()));
+        });
     }
 
     void
     deviceSynchronize()
     {
-        trace::TraceEvent rt;
-        rt.kind = trace::EventKind::Runtime;
-        rt.name = "cudaDeviceSynchronize";
-        rt.tid = kThreadId;
-        rt.tsBeginNs = cpuNowI();
+        std::int64_t begin = cpuNowI();
 
         // The call returns once the stream has drained: at its free
         // time, no earlier than the call itself.
         double call = static_cast<double>(jitter(p.cpu.syncCallNs));
         double done =
             std::max(cpu.nowNs() + call, stream.freeNs() + call);
-        rt.durNs = static_cast<std::int64_t>(done) - rt.tsBeginNs;
         cpu.advanceTo(done);
-        out.add(std::move(rt));
+
+        if constexpr (Record) {
+            trace::TraceEvent rt;
+            rt.kind = trace::EventKind::Runtime;
+            rt.name = "cudaDeviceSynchronize";
+            rt.tid = kThreadId;
+            rt.tsBeginNs = begin;
+            rt.durNs = static_cast<std::int64_t>(done) - begin;
+            out.add(std::move(rt));
+        }
     }
 };
 
@@ -222,10 +241,22 @@ Simulator::Simulator(const hw::Platform &platform, SimOptions opts)
 }
 
 SimResult
-Simulator::run(const workload::OperatorGraph &graph)
+Simulator::run(const workload::OperatorGraph &graph) const
 {
-    Runner runner(_platform, _opts);
-    return runner.run(graph);
+    Runner<true> runner(_platform, _opts);
+    runner.walk(graph);
+    SimResult result;
+    result.wallNs = runner.wallNs();
+    result.trace = runner.takeTrace();
+    return result;
+}
+
+double
+Simulator::wallNs(const workload::OperatorGraph &graph) const
+{
+    Runner<false> runner(_platform, _opts);
+    runner.walk(graph);
+    return runner.wallNs();
 }
 
 } // namespace skipsim::sim

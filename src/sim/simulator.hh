@@ -10,6 +10,14 @@
  * synchronize. The output is a Kineto-style Trace, the same artifact a
  * real PyTorch Profiler session would produce, which SKIP then
  * analyzes (Fig. 4 of the paper shows exactly this timing structure).
+ *
+ * Two entry points share the one walk. run() records the trace;
+ * wallNs() makes the same jitter draws in the same order on the same
+ * CPU clock and GPU stream but builds no event and sorts nothing, so
+ * it returns run().wallNs bit for bit at a fraction of the cost.
+ * Callers that read only the wall time (the serving cost model, the
+ * generation and speculative-decoding analyses) price graphs through
+ * wallNs().
  */
 
 #ifndef SKIPSIM_SIM_SIMULATOR_HH
@@ -72,7 +80,13 @@ class Simulator
      * @param graph the operator graph to execute.
      * @return the trace and summary timings.
      */
-    SimResult run(const workload::OperatorGraph &graph);
+    SimResult run(const workload::OperatorGraph &graph) const;
+
+    /**
+     * Run one forward pass without recording it.
+     * @return run(graph).wallNs, bit for bit.
+     */
+    double wallNs(const workload::OperatorGraph &graph) const;
 
     const hw::Platform &platform() const { return _platform; }
 

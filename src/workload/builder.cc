@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -140,7 +142,7 @@ flashAttentionWork(double b, double heads, double s, double hd,
 std::string
 num(double v)
 {
-    return strprintf("%lld", static_cast<long long>(v));
+    return std::to_string(static_cast<long long>(v));
 }
 
 /** Builds one forward-pass graph for a model/options pair. */
@@ -251,22 +253,23 @@ class GraphEmitter
     /** @name Small op factories @{ */
 
     OpNode
-    view(const std::string &name) const
+    view(std::string name) const
     {
-        return makeCpuOp(name, cost(opViewCpuNs));
+        return makeCpuOp(std::move(name), cost(opViewCpuNs));
     }
 
     OpNode
-    leaf(const std::string &op, const std::string &kernel,
-         KernelWork work) const
+    leaf(std::string op, std::string kernel, KernelWork work) const
     {
-        return makeKernelOp(op, cost(opLeafCpuNs), kernel, work);
+        return makeKernelOp(std::move(op), cost(opLeafCpuNs),
+                            std::move(kernel), work);
     }
 
     OpNode
-    parent(const std::string &op, std::vector<OpNode> children) const
+    parent(std::string op, std::vector<OpNode> children) const
     {
-        return makeParentOp(op, cost(opParentCpuNs), std::move(children));
+        return makeParentOp(std::move(op), cost(opParentCpuNs),
+                            std::move(children));
     }
 
     /** aten::linear -> { aten::t, aten::addmm[gemm] }. */
@@ -892,6 +895,46 @@ class CompileTransform
     }
 };
 
+/**
+ * Attention matmul and softmax work of a sequence-length-1 graph,
+ * resized to cover a KV cache of `ctx` tokens (decode steps).
+ */
+struct ContextPatch
+{
+    double b;      ///< batch
+    double nh;     ///< attention heads
+    double hd;     ///< head dimension
+    double ctx;    ///< context tokens
+    double hidden; ///< model width
+
+    void
+    apply(OpNode &node) const
+    {
+        for (auto &child : node.children)
+            apply(child);
+        for (auto &launch : node.launches) {
+            for (auto &w : launch.work) {
+                if (w.cls == KernelClass::Attention) {
+                    w.flops = 4.0 * b * nh * ctx * hd;
+                    w.bytes = 2.0 * b * ctx * hidden * 2.0;
+                }
+            }
+            if (contains(launch.kernelName, "bmm_f16_")) {
+                for (auto &w : launch.work) {
+                    w.flops = 2.0 * b * nh * ctx * hd;
+                    w.bytes = 2.0 * b * nh * (ctx * hd + ctx + hd);
+                }
+            }
+            if (contains(launch.kernelName, "softmax_")) {
+                for (auto &w : launch.work) {
+                    w.flops = 5.0 * b * nh * ctx;
+                    w.bytes = b * nh * ctx * 4.0 * 2.0;
+                }
+            }
+        }
+    }
+};
+
 } // namespace
 
 OperatorGraph
@@ -936,39 +979,13 @@ buildDecodeStepGraph(const ModelConfig &model, const BuildOptions &opts,
     step.seqLen = 1;
     OperatorGraph graph = buildPrefillGraph(model, step);
 
-    // Patch attention matmul and softmax work to cover the context.
-    double b = opts.batch;
-    double nh = model.heads;
-    double hd = model.headDim();
-    double ctx = context_len;
-    graph.forEachOp([&](const OpNode &) {});
-    for (auto &root : graph.roots) {
-        std::function<void(OpNode &)> patch = [&](OpNode &node) {
-            for (auto &child : node.children)
-                patch(child);
-            for (auto &launch : node.launches) {
-                for (auto &w : launch.work) {
-                    if (w.cls == KernelClass::Attention) {
-                        w.flops = 4.0 * b * nh * ctx * hd;
-                        w.bytes = 2.0 * b * ctx * model.hidden * 2.0;
-                    }
-                }
-                if (contains(launch.kernelName, "bmm_f16_")) {
-                    for (auto &w : launch.work) {
-                        w.flops = 2.0 * b * nh * ctx * hd;
-                        w.bytes = 2.0 * b * nh * (ctx * hd + ctx + hd);
-                    }
-                }
-                if (contains(launch.kernelName, "softmax_")) {
-                    for (auto &w : launch.work) {
-                        w.flops = 5.0 * b * nh * ctx;
-                        w.bytes = b * nh * ctx * 4.0 * 2.0;
-                    }
-                }
-            }
-        };
-        patch(root);
-    }
+    const ContextPatch patch{static_cast<double>(opts.batch),
+                             static_cast<double>(model.heads),
+                             static_cast<double>(model.headDim()),
+                             static_cast<double>(context_len),
+                             static_cast<double>(model.hidden)};
+    for (auto &root : graph.roots)
+        patch.apply(root);
     return graph;
 }
 

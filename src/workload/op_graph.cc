@@ -1,5 +1,7 @@
 #include "workload/op_graph.hh"
 
+#include <utility>
+
 namespace skipsim::workload
 {
 
@@ -131,34 +133,34 @@ OperatorGraph::forEachLaunch(
 }
 
 OpNode
-makeKernelOp(const std::string &op_name, double cpu_ns,
-             const std::string &kernel_name, hw::KernelWork work)
+makeKernelOp(std::string op_name, double cpu_ns, std::string kernel_name,
+             hw::KernelWork work)
 {
     OpNode node;
-    node.name = op_name;
+    node.name = std::move(op_name);
     node.cpuNs = cpu_ns;
     KernelLaunch launch;
-    launch.kernelName = kernel_name;
+    launch.kernelName = std::move(kernel_name);
     launch.work.push_back(work);
     node.launches.push_back(std::move(launch));
     return node;
 }
 
 OpNode
-makeCpuOp(const std::string &op_name, double cpu_ns)
+makeCpuOp(std::string op_name, double cpu_ns)
 {
     OpNode node;
-    node.name = op_name;
+    node.name = std::move(op_name);
     node.cpuNs = cpu_ns;
     return node;
 }
 
 OpNode
-makeParentOp(const std::string &op_name, double cpu_ns,
+makeParentOp(std::string op_name, double cpu_ns,
              std::vector<OpNode> children)
 {
     OpNode node;
-    node.name = op_name;
+    node.name = std::move(op_name);
     node.cpuNs = cpu_ns;
     node.children = std::move(children);
     return node;

@@ -101,14 +101,14 @@ struct OperatorGraph
  * @{ */
 
 /** Leaf operator launching one kernel. */
-OpNode makeKernelOp(const std::string &op_name, double cpu_ns,
-                    const std::string &kernel_name, hw::KernelWork work);
+OpNode makeKernelOp(std::string op_name, double cpu_ns,
+                    std::string kernel_name, hw::KernelWork work);
 
 /** CPU-only operator (views, reshapes, metadata ops). */
-OpNode makeCpuOp(const std::string &op_name, double cpu_ns);
+OpNode makeCpuOp(std::string op_name, double cpu_ns);
 
 /** Parent operator wrapping children. */
-OpNode makeParentOp(const std::string &op_name, double cpu_ns,
+OpNode makeParentOp(std::string op_name, double cpu_ns,
                     std::vector<OpNode> children);
 
 /** @} */

@@ -653,6 +653,57 @@ TEST(Fuzzer, BrokenBuildShrinksToMinimalReproOnDisk)
     std::remove(report.reproPath.c_str());
 }
 
+TEST(Fuzzer, ContinuousOnlyFailureShrinksItsContinuousConfig)
+{
+    // A broken continuous walk: every result it reports is off by one
+    // token per second. Only serving cases run diffContinuous, and
+    // every edit of their continuous config still fails, so shrinking
+    // must cut that config down, not only the serving fields.
+    FuzzOptions opts;
+    opts.seed = 1;
+    opts.cases = 20;
+    opts.quick = true;
+    opts.jobs = 2;
+    opts.reproDir = testing::TempDir();
+    opts.continuousMutator = [](serving::ContinuousResult &r) {
+        r.tokensPerSec += 1.0;
+    };
+    Fuzzer fuzzer(opts);
+
+    FuzzReport report = fuzzer.run();
+    ASSERT_FALSE(report.ok());
+    ASSERT_TRUE(report.shrunk);
+    ASSERT_EQ(report.minimal.kind, FuzzKind::Serving) << report.render();
+    const serving::ContinuousConfig drawn =
+        fuzzer.generate(report.firstFailureIndex).continuous;
+    const serving::ContinuousConfig &shrunk = report.minimal.continuous;
+    EXPECT_LT(shrunk.horizonSec, drawn.horizonSec);
+    EXPECT_LE(shrunk.horizonSec, 0.01);
+    EXPECT_EQ(shrunk.maxActive, 1);
+    EXPECT_EQ(shrunk.genTokens, 1);
+    EXPECT_EQ(shrunk.chunkTokens, 0);
+    EXPECT_EQ(shrunk.seed, drawn.seed);
+    EXPECT_LT(report.minimal.sizeScore(),
+              fuzzer.generate(report.firstFailureIndex).sizeScore());
+
+    // The repro on disk replays to the same case, which still fails
+    // under the broken walk and passes on the healthy one.
+    ASSERT_FALSE(report.reproPath.empty());
+    FuzzCase replayed =
+        FuzzCase::fromJson(json::parseFile(report.reproPath));
+    EXPECT_EQ(json::write(replayed.toJson()),
+              json::write(report.minimal.toJson()));
+    std::vector<std::string> problems = fuzzer.runCase(replayed);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("oracle: continuous tokensPerSec"),
+              std::string::npos)
+        << problems[0];
+    FuzzOptions healthy_opts = opts;
+    healthy_opts.continuousMutator = nullptr;
+    EXPECT_TRUE(Fuzzer(healthy_opts).runCase(replayed).empty());
+    std::remove(report.reproPath.c_str());
+}
+
 TEST(Fuzzer, ReproDirectoryIsCreatedAndWriteFailuresKeepTheReport)
 {
     // A missing nested directory is created for the repro.

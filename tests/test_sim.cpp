@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the discrete-event simulator: launch/queue timing
  * semantics (paper Fig. 4), determinism, memcpy handling on LC vs CC
- * platforms, and trace well-formedness.
+ * platforms, trace well-formedness, and the trace-free walk
+ * (Simulator::wallNs) held to the traced run bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -334,6 +335,76 @@ TEST(Simulator, TracesSatisfyEveryCheckedInvariant)
             // platforms add staging memcpy pairs on top.
             EXPECT_GE(report.pairsChecked,
                       result.trace.countOf(trace::EventKind::Kernel));
+        }
+    }
+}
+
+/** wallNs() against run().wallNs with exact double equality. */
+void
+expectTraceFreeMatches(const hw::Platform &platform, const SimOptions &opts,
+                       const OperatorGraph &graph, const std::string &what)
+{
+    EXPECT_EQ(Simulator(platform, opts).wallNs(graph),
+              Simulator(platform, opts).run(graph).wallNs)
+        << what << " on " << platform.name;
+}
+
+TEST(Simulator, TraceFreeWallMatchesTheTracedRunOnTheCatalogGrid)
+{
+    // The serving cost model's grid, on every catalog model and
+    // platform: prefill and one decode step at each batch.
+    const std::vector<hw::Platform> platforms = hw::platforms::all();
+    for (const workload::ModelConfig &model : workload::allModels()) {
+        for (int batch : {1, 2, 4, 8, 16, 32, 64}) {
+            workload::BuildOptions build;
+            build.batch = batch;
+            build.seqLen = 128;
+            const std::string at =
+                model.name + " batch " + std::to_string(batch);
+            const OperatorGraph prefill =
+                workload::buildPrefillGraph(model, build);
+            const OperatorGraph decode =
+                workload::buildDecodeStepGraph(model, build, build.seqLen);
+            for (const hw::Platform &platform : platforms) {
+                expectTraceFreeMatches(platform, noJitter(), prefill,
+                                       at + " prefill");
+                expectTraceFreeMatches(platform, noJitter(), decode,
+                                       at + " decode");
+            }
+        }
+    }
+}
+
+TEST(Simulator, TraceFreeWallMatchesUnderCompileParallelismAndJitter)
+{
+    workload::BuildOptions compiled;
+    compiled.batch = 4;
+    compiled.seqLen = 128;
+    compiled.mode = workload::ExecMode::CompileReduceOverhead;
+    workload::BuildOptions sharded;
+    sharded.batch = 4;
+    sharded.seqLen = 128;
+    sharded.tensorParallel = 2;
+    const std::pair<std::string, OperatorGraph> graphs[] = {
+        {"compile",
+         workload::buildPrefillGraph(workload::llama2_7b(), compiled)},
+        {"tensor-parallel 2",
+         workload::buildPrefillGraph(workload::llama2_7b(), sharded)},
+        {"tensor-parallel 2 decode",
+         workload::buildDecodeStepGraph(workload::llama2_7b(), sharded,
+                                        256)},
+    };
+    for (const hw::Platform &platform : hw::platforms::all()) {
+        for (const auto &[what, graph] : graphs) {
+            expectTraceFreeMatches(platform, noJitter(), graph, what);
+            for (std::uint64_t seed : {3u, 1009u}) {
+                SimOptions jittered;
+                jittered.jitter = true;
+                jittered.seed = seed;
+                expectTraceFreeMatches(platform, jittered, graph,
+                                       what + " jittered seed " +
+                                           std::to_string(seed));
+            }
         }
     }
 }
