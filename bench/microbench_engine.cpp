@@ -177,6 +177,24 @@ BM_IterationCostModel(benchmark::State &state)
 BENCHMARK(BM_IterationCostModel)->Unit(benchmark::kMillisecond);
 
 void
+BM_PriceGraphFree(benchmark::State &state, bool decode)
+{
+    // One batch-32 point of BM_IterationCostModel's grid, priced
+    // graph-free: the builder's emitter streams straight into the
+    // trace-free walk, building no OperatorGraph.
+    const workload::ModelConfig model = workload::gpt2();
+    workload::BuildOptions opts;
+    opts.batch = 32;
+    opts.seqLen = 128;
+    sim::Simulator simulator(hw::platforms::gh200());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(decode ? simulator.wallNs(model, opts, 128)
+                                        : simulator.wallNs(model, opts));
+}
+BENCHMARK_CAPTURE(BM_PriceGraphFree, prefill, false);
+BENCHMARK_CAPTURE(BM_PriceGraphFree, decode, true);
+
+void
 BM_SimulateNoJitterAblation(benchmark::State &state)
 {
     // Ablation: deterministic mode (jitter off, the default) vs jittered.
@@ -590,9 +608,10 @@ BENCHMARK(BM_ClusterSpanOverhead)
 // drivers) into a filter + short measurement budget for CI: the
 // event-queue, span-overhead, 1024-replica router-pick, 8K/64K
 // dependency-graph, 64K Chrome-ingest (codec and document), span
-// round-trip, traced and trace-free batch-32 simulation and serving
-// cost-model rows, enough to catch gross regressions (the 1M-event
-// and 16K-replica rows are left to full runs).
+// round-trip, traced and trace-free batch-32 simulation, serving
+// cost-model and graph-free pricing rows, enough to catch gross
+// regressions (the 1M-event and 16K-replica rows are left to full
+// runs).
 int
 main(int argc, char **argv)
 {
@@ -613,7 +632,8 @@ main(int argc, char **argv)
         "BM_ChromeIngest(Dom)?/65536$|"
         "BM_SpanChromeRoundTrip|"
         "BM_Simulate(Forward|WallOnly)/32$|"
-        "BM_IterationCostModel";
+        "BM_IterationCostModel|"
+        "BM_PriceGraphFree";
     static std::string min_time = "--benchmark_min_time=0.05";
     if (quick) {
         args.push_back(filter.data());

@@ -49,8 +49,7 @@ simulateGeneration(const workload::ModelConfig &model,
 
     GenerationResult result;
     sim::Simulator simulator(platform, sim);
-    result.ttftNs =
-        simulator.wallNs(workload::buildPrefillGraph(model, prompt));
+    result.ttftNs = simulator.wallNs(model, prompt);
 
     for (int t = 0; t < genTokens; ++t) {
         // KV cache covers the prompt plus the tokens emitted so far.
@@ -58,9 +57,8 @@ simulateGeneration(const workload::ModelConfig &model,
         sim::SimOptions step_sim = sim;
         step_sim.seed = sim.seed + 1000u + static_cast<std::uint64_t>(t);
         result.stepNs.push_back(
-            sim::Simulator(platform, step_sim)
-                .wallNs(workload::buildDecodeStepGraph(model, prompt,
-                                                       context)));
+            sim::Simulator(platform, step_sim).wallNs(model, prompt,
+                                                      context));
     }
 
     result.totalNs = result.ttftNs;

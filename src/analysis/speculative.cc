@@ -23,19 +23,19 @@ evaluateSpeculative(const hw::Platform &platform,
 
     // One draft decode step at the running context.
     SpeculativeResult result;
-    result.draftStepNs = simulator.wallNs(workload::buildDecodeStepGraph(
-        config.draft, context, context.seqLen));
+    result.draftStepNs =
+        simulator.wallNs(config.draft, context, context.seqLen);
 
     // Target verification: one decode-shaped step whose GEMM rows span
     // the k+1 verified positions (batch widened accordingly).
     workload::BuildOptions verify_opts = context;
     verify_opts.batch = context.batch * (config.k + 1);
-    result.verifyNs = simulator.wallNs(workload::buildDecodeStepGraph(
-        config.target, verify_opts, context.seqLen));
+    result.verifyNs =
+        simulator.wallNs(config.target, verify_opts, context.seqLen);
 
     // Plain autoregressive baseline: one target decode step per token.
-    result.baselineTpotNs = simulator.wallNs(workload::buildDecodeStepGraph(
-        config.target, context, context.seqLen));
+    result.baselineTpotNs =
+        simulator.wallNs(config.target, context, context.seqLen);
 
     result.cycleNs =
         config.k * result.draftStepNs + result.verifyNs;

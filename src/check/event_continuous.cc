@@ -30,10 +30,20 @@ eventDrivenContinuous(const serving::IterationCostModel &cost,
                       const ContinuousConfig &config, obs::Collector *obs)
 {
     // Poisson arrivals over the horizon.
-    double horizon_ns = config.horizonSec * 1e9;
-    std::vector<double> arrivals = serving::poissonTimesNs(
-        config.arrivalRatePerSec, horizon_ns, config.seed);
+    return eventDrivenContinuous(
+        cost, config,
+        serving::poissonTimesNs(config.arrivalRatePerSec,
+                                config.horizonSec * 1e9, config.seed),
+        obs);
+}
 
+ContinuousResult
+eventDrivenContinuous(const serving::IterationCostModel &cost,
+                      const ContinuousConfig &config,
+                      const std::vector<double> &arrivals,
+                      obs::Collector *obs)
+{
+    double horizon_ns = config.horizonSec * 1e9;
     ContinuousResult result;
     std::vector<double> obs_admits; // one admission instant per request
     std::vector<IterationRecord> obs_iters;
@@ -145,21 +155,18 @@ eventDrivenContinuous(const serving::IterationCostModel &cost,
     return result;
 }
 
-std::string
-diffContinuous(const serving::IterationCostModel &cost,
-               const ContinuousConfig &config,
-               const std::function<void(ContinuousResult &)> &mutateWalk)
+namespace
 {
-    constexpr double kObsIntervalMs = 5.0;
-    obs::Collector walk_obs(kObsIntervalMs);
-    ContinuousResult walk =
-        serving::simulateContinuous(cost, config, &walk_obs);
-    if (mutateWalk)
-        mutateWalk(walk);
-    obs::Collector events_obs(kObsIntervalMs);
-    const ContinuousResult events =
-        eventDrivenContinuous(cost, config, &events_obs);
 
+constexpr double kObsIntervalMs = 5.0;
+
+/** The first difference between the two runs, or empty. */
+std::string
+firstDifference(const ContinuousResult &walk,
+                const obs::Collector &walk_obs,
+                const ContinuousResult &events,
+                const obs::Collector &events_obs)
+{
     const std::pair<const char *, std::size_t ContinuousResult::*>
         counts[] = {
             {"completed", &ContinuousResult::completed},
@@ -193,6 +200,38 @@ diffContinuous(const serving::IterationCostModel &cost,
         return "obs: the walk's iteration spans differ from the "
                "event-driven loop's";
     return {};
+}
+
+} // namespace
+
+std::string
+diffContinuous(const serving::IterationCostModel &cost,
+               const ContinuousConfig &config,
+               const std::function<void(ContinuousResult &)> &mutateWalk)
+{
+    obs::Collector walk_obs(kObsIntervalMs);
+    ContinuousResult walk =
+        serving::simulateContinuous(cost, config, &walk_obs);
+    if (mutateWalk)
+        mutateWalk(walk);
+    obs::Collector events_obs(kObsIntervalMs);
+    const ContinuousResult events =
+        eventDrivenContinuous(cost, config, &events_obs);
+    return firstDifference(walk, walk_obs, events, events_obs);
+}
+
+std::string
+diffContinuous(const serving::IterationCostModel &cost,
+               const ContinuousConfig &config,
+               const std::vector<double> &arrivals)
+{
+    obs::Collector walk_obs(kObsIntervalMs);
+    const ContinuousResult walk =
+        serving::walkContinuous(cost, config, arrivals, &walk_obs);
+    obs::Collector events_obs(kObsIntervalMs);
+    const ContinuousResult events =
+        eventDrivenContinuous(cost, config, arrivals, &events_obs);
+    return firstDifference(walk, walk_obs, events, events_obs);
 }
 
 } // namespace skipsim::check

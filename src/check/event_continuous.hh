@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "serving/continuous.hh"
 
@@ -30,6 +31,14 @@ namespace skipsim::check
 serving::ContinuousResult
 eventDrivenContinuous(const serving::IterationCostModel &cost,
                       const serving::ContinuousConfig &config,
+                      obs::Collector *obs);
+
+/** eventDrivenContinuous on a given arrival vector, as
+ *  serving::walkContinuous takes one. */
+serving::ContinuousResult
+eventDrivenContinuous(const serving::IterationCostModel &cost,
+                      const serving::ContinuousConfig &config,
+                      const std::vector<double> &arrivals,
                       obs::Collector *obs);
 
 /**
@@ -48,6 +57,15 @@ std::string diffContinuous(
     const serving::ContinuousConfig &config,
     const std::function<void(serving::ContinuousResult &)> &mutateWalk =
         {});
+
+/**
+ * diffContinuous on a given arrival vector: serving::walkContinuous
+ * against the event-driven loop on @p arrivals. @p config is not
+ * validated.
+ */
+std::string diffContinuous(const serving::IterationCostModel &cost,
+                           const serving::ContinuousConfig &config,
+                           const std::vector<double> &arrivals);
 
 } // namespace skipsim::check
 

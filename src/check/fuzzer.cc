@@ -28,6 +28,7 @@
 #include "skip/dep_graph.hh"
 #include "skip/metrics.hh"
 #include "trace/chrome.hh"
+#include "workload/builder.hh"
 #include "workload/model_config.hh"
 
 namespace skipsim::check
@@ -141,6 +142,63 @@ continuousConfig(std::uint64_t caseSeed, bool quick)
             kContinuousChunks[rng.below(std::size(kContinuousChunks))];
     c.seed = rng.next();
     return c;
+}
+
+/**
+ * The graph-free pricing check a generated serving case also runs: one
+ * pass drawn from a stream of its own (so the serving fields keep their
+ * bytes) — catalog model and platform, exec mode, batch 1-64, sequence
+ * or context 1-512, a tensor-parallel degree the model and platform
+ * allow, jitter off or at a drawn seed — priced by
+ * Simulator::wallNs(model, opts[, ctx]) and by the walk of the tree
+ * the builder makes for it.
+ * @return empty when the two agree bit for bit, else the difference.
+ */
+std::string
+diffGraphFree(std::uint64_t caseSeed)
+{
+    Rng rng(mixSeed(caseSeed, 0x656d6974)); // "emit"
+    const std::vector<workload::ModelConfig> models = workload::allModels();
+    const workload::ModelConfig &model = models[rng.below(models.size())];
+    const std::vector<hw::Platform> platforms = hw::platforms::all();
+    const hw::Platform &platform =
+        platforms[rng.below(platforms.size())];
+    const std::vector<workload::ExecMode> modes =
+        workload::allExecModes();
+    workload::BuildOptions opts;
+    opts.mode = modes[rng.below(modes.size())];
+    opts.batch = 1 + static_cast<int>(rng.below(64));
+    opts.seqLen = 1 + static_cast<int>(rng.below(512));
+    std::vector<int> degrees{1};
+    if (platform.gpu.nvlinkGBs > 0.0)
+        for (int tp : {2, 4, 8})
+            if (model.heads % tp == 0 && model.intermediate % tp == 0 &&
+                model.vocab % tp == 0)
+                degrees.push_back(tp);
+    opts.tensorParallel = degrees[rng.below(degrees.size())];
+    sim::SimOptions sim_opts;
+    sim_opts.jitter = rng.below(2) == 0;
+    sim_opts.seed = rng.next();
+    const bool decode = rng.below(2) == 0;
+
+    const sim::Simulator simulator(platform, sim_opts);
+    const double graph_free = decode
+        ? simulator.wallNs(model, opts, opts.seqLen)
+        : simulator.wallNs(model, opts);
+    const double tree = simulator.wallNs(
+        decode ? workload::buildDecodeStepGraph(model, opts, opts.seqLen)
+               : workload::buildPrefillGraph(model, opts));
+    if (std::bit_cast<std::uint64_t>(graph_free) ==
+        std::bit_cast<std::uint64_t>(tree))
+        return {};
+    return strprintf("graph-free wallNs %.17g != tree walk %.17g (%s %s "
+                     "%s, batch %d, %s %d, tp %d, on %s, jitter %s)",
+                     graph_free, tree, model.name.c_str(),
+                     workload::execModeName(opts.mode),
+                     decode ? "decode" : "prefill", opts.batch,
+                     decode ? "context" : "seq", opts.seqLen,
+                     opts.tensorParallel, platform.name.c_str(),
+                     sim_opts.jitter ? "on" : "off");
 }
 
 json::Value
@@ -942,6 +1000,10 @@ Fuzzer::runCase(const FuzzCase &c) const
                                _options.continuousMutator);
             if (!continuous.empty())
                 problems.push_back("oracle: continuous " + continuous);
+
+            std::string graph_free = diffGraphFree(c.seed);
+            if (!graph_free.empty())
+                problems.push_back("oracle: " + graph_free);
             break;
         }
         case FuzzKind::Cluster: {

@@ -19,7 +19,10 @@
  *  - serving cases: the closed-form batcher against its event-driven
  *    loop (diffServing), and a continuous-batching config drawn from
  *    the case seed on a stream of its own, whose arrival walk is held
- *    to its event-driven loop (diffContinuous);
+ *    to its event-driven loop (diffContinuous), and one forward pass
+ *    drawn from another stream of the case seed, priced graph-free
+ *    (sim::Simulator::wallNs(model, opts[, ctx])) and by the walk of
+ *    the tree the builder makes, bit for bit;
  *  - cluster cases: at most one arrival event pending at once, and
  *    the differential oracles of the router (diffRouters) and of the
  *    event queue (diffEventQueues) replayed at the case's seed.

@@ -96,7 +96,7 @@ kernelDurationNs(const GpuModel &gpu, const KernelWork &work)
 }
 
 double
-kernelDurationNs(const GpuModel &gpu, const std::vector<KernelWork> &work)
+kernelDurationNs(const GpuModel &gpu, std::span<const KernelWork> work)
 {
     if (work.empty())
         return gpu.minKernelNs;

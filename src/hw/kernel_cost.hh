@@ -18,6 +18,7 @@
 #ifndef SKIPSIM_HW_KERNEL_COST_HH
 #define SKIPSIM_HW_KERNEL_COST_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,13 @@ double kernelDurationNs(const GpuModel &gpu, const KernelWork &work);
  * duration (a null kernel).
  */
 double kernelDurationNs(const GpuModel &gpu,
-                        const std::vector<KernelWork> &work);
+                        std::span<const KernelWork> work);
+
+inline double
+kernelDurationNs(const GpuModel &gpu, const std::vector<KernelWork> &work)
+{
+    return kernelDurationNs(gpu, std::span<const KernelWork>(work));
+}
 
 /**
  * GEMM efficiency achieved at a given per-kernel FLOP count and output

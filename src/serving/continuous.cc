@@ -47,11 +47,8 @@ IterationCostModel::IterationCostModel(const workload::ModelConfig &model,
         workload::BuildOptions opts;
         opts.batch = batch;
         opts.seqLen = prompt_len;
-        _prefill.add(batch, _simulator.wallNs(
-                                workload::buildPrefillGraph(model, opts)));
-        _decode.add(batch,
-                    _simulator.wallNs(workload::buildDecodeStepGraph(
-                        model, opts, prompt_len)));
+        _prefill.add(batch, _simulator.wallNs(model, opts));
+        _decode.add(batch, _simulator.wallNs(model, opts, prompt_len));
     }
 }
 
@@ -78,7 +75,7 @@ IterationCostModel::chunkNs(int chunk_tokens) const
     workload::BuildOptions opts;
     opts.batch = 1;
     opts.seqLen = chunk_tokens;
-    double ns = _simulator.wallNs(workload::buildPrefillGraph(_model, opts));
+    double ns = _simulator.wallNs(_model, opts);
     _chunkCache.emplace(chunk_tokens, ns);
     return ns;
 }
@@ -108,10 +105,19 @@ simulateContinuous(const IterationCostModel &cost,
                          "horizonSec");
 
     // Poisson arrivals over the horizon.
-    double horizon_ns = config.horizonSec * 1e9;
-    std::vector<double> arrivals = poissonTimesNs(
-        config.arrivalRatePerSec, horizon_ns, config.seed);
+    return walkContinuous(cost, config,
+                          poissonTimesNs(config.arrivalRatePerSec,
+                                         config.horizonSec * 1e9,
+                                         config.seed),
+                          obs);
+}
 
+ContinuousResult
+walkContinuous(const IterationCostModel &cost,
+               const ContinuousConfig &config,
+               const std::vector<double> &arrivals, obs::Collector *obs)
+{
+    double horizon_ns = config.horizonSec * 1e9;
     ContinuousResult result;
     std::vector<double> obs_admits; // one admission instant per request
     std::vector<IterationRecord> obs_iters;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "hw/platform.hh"
 #include "sim/simulator.hh"
@@ -138,6 +139,19 @@ struct ContinuousResult
 ContinuousResult simulateContinuous(const IterationCostModel &cost,
                                     const ContinuousConfig &config,
                                     obs::Collector *obs = nullptr);
+
+/**
+ * The arrival walk behind simulateContinuous, over @p arrivalsNs
+ * (non-decreasing instants, ns) instead of the Poisson arrivals
+ * config's rate and seed draw; those two fields are not read. The walk
+ * handles an arrival that ties an iteration end first, so the arrival
+ * can join the iteration that end starts. @p config must otherwise be
+ * one simulateContinuous accepts; this does not validate it.
+ */
+ContinuousResult walkContinuous(const IterationCostModel &cost,
+                                const ContinuousConfig &config,
+                                const std::vector<double> &arrivalsNs,
+                                obs::Collector *obs = nullptr);
 
 } // namespace skipsim::serving
 

@@ -1,12 +1,17 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/jitter.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/clock.hh"
 #include "core/resource.hh"
+#include "workload/builder.hh"
 
 namespace skipsim::sim
 {
@@ -23,9 +28,10 @@ constexpr int kStreamId = 7;
  * The CPU dispatch thread is a core::Clock that never blocks mid-walk;
  * the GPU stream is a core::FifoResource that places each kernel after
  * its predecessor. Every timestamp follows from those two cursors as
- * the operator tree is walked in issue order, so the run needs no
- * scheduled events: cudaDeviceSynchronize simply waits for the
- * stream's free time.
+ * operators arrive in issue order (the runner is the OpSink a tree or
+ * the builder's emitter streams into), so the run needs no scheduled
+ * events: cudaDeviceSynchronize simply waits for the stream's free
+ * time.
  *
  * @tparam Record whether the walk records its trace. Both walks make
  *         the same jitter draws in the same order on the same cursors,
@@ -33,20 +39,35 @@ constexpr int kStreamId = 7;
  *         Record no TraceEvent is built and nothing is sorted.
  */
 template <bool Record>
-class Runner
+class Runner final : public workload::OpSink
 {
   public:
     Runner(const hw::Platform &platform, const SimOptions &opts)
         : p(platform), o(opts), rng(opts.seed)
     {}
 
-    /** Walk @p graph and synchronize the device. */
+    /** Wait for the stream to drain, ending the pass. */
     void
-    walk(const workload::OperatorGraph &graph)
+    deviceSynchronize()
     {
-        for (const auto &root : graph.roots)
-            execOp(root);
-        deviceSynchronize();
+        std::int64_t begin = cpuNowI();
+
+        // The call returns once the stream has drained: at its free
+        // time, no earlier than the call itself.
+        double call = static_cast<double>(jitter(p.cpu.syncCallNs));
+        double done =
+            std::max(cpu.nowNs() + call, stream.freeNs() + call);
+        cpu.advanceTo(done);
+
+        if constexpr (Record) {
+            trace::TraceEvent rt;
+            rt.kind = trace::EventKind::Runtime;
+            rt.name = "cudaDeviceSynchronize";
+            rt.tid = kThreadId;
+            rt.tsBeginNs = begin;
+            rt.durNs = static_cast<std::int64_t>(done) - begin;
+            out.add(std::move(rt));
+        }
     }
 
     /** End-to-end wall time of the walk, ns. */
@@ -66,16 +87,92 @@ class Runner
         return std::move(out);
     }
 
+    bool keepsNames() const override { return Record; }
+
+    /** Pay the operator's pre-dispatch CPU cost. */
+    void
+    begin(std::string_view name, double cpuNs, double preFraction) override
+    {
+        double total_cpu = p.cpuOpNs(cpuNs);
+        double pre = total_cpu * preFraction;
+        open.push_back({cpuNowI(), total_cpu - pre});
+        if constexpr (Record)
+            openNames.emplace_back(name);
+        cpu.advanceBy(static_cast<double>(jitter(pre)));
+    }
+
+    /** Pay the post-dispatch CPU cost and record the operator. */
+    void
+    end() override
+    {
+        const Frame frame = open.back();
+        open.pop_back();
+        cpu.advanceBy(static_cast<double>(jitter(frame.postNs)));
+
+        if constexpr (Record) {
+            trace::TraceEvent op;
+            op.kind = trace::EventKind::Operator;
+            op.name = std::move(openNames.back());
+            openNames.pop_back();
+            op.tid = kThreadId;
+            op.tsBeginNs = frame.beginNs;
+            op.durNs = cpuNowI() - frame.beginNs;
+            out.add(std::move(op));
+        }
+    }
+
+    void
+    launch(std::string_view kernel, std::span<const hw::KernelWork> work,
+           bool isMemcpy) override
+    {
+        if (!isMemcpy) {
+            enqueue("cudaLaunchKernel", kernel, work, false, [&] {
+                return jitterComponentsNs(
+                    rng, hw::kernelDurationNs(p.gpu, work), o.jitterFrac,
+                    o.jitter, work.size());
+            });
+            return;
+        }
+        // Unified-memory platforms (CC/TC) access host data in place:
+        // no staging copy is issued at all.
+        if (p.unifiedMemory)
+            return;
+        enqueue("cudaMemcpyAsync", kernel, work, true, [&] {
+            return jitter(
+                p.transferNs(totalOf(work, &hw::KernelWork::bytes)));
+        });
+    }
+
   private:
+    /** An open operator: when it began and what it pays on close. */
+    struct Frame
+    {
+        std::int64_t beginNs = 0;
+        double postNs = 0.0;
+    };
+
     const hw::Platform &p;
     const SimOptions &o;
     Rng rng;
 
     core::Clock cpu;           ///< CPU dispatch-thread cursor
     core::FifoResource stream; ///< in-order GPU stream
+    std::vector<Frame> open;   ///< open operators, outermost first
+    std::vector<std::string> openNames; ///< their names (Record only)
 
     trace::Trace out;
     std::uint64_t nextCorrelation = 1;
+
+    /** Sum of one field over a launch's work, in component order. */
+    static double
+    totalOf(std::span<const hw::KernelWork> work,
+            double hw::KernelWork::*field)
+    {
+        double total = 0.0;
+        for (const auto &w : work)
+            total += w.*field;
+        return total;
+    }
 
     /** CPU cursor as integer ns (exact: only integer ns are added). */
     std::int64_t
@@ -89,33 +186,6 @@ class Runner
     jitter(double ns)
     {
         return jitterNs(rng, ns, o.jitterFrac, o.jitter);
-    }
-
-    void
-    execOp(const workload::OpNode &node)
-    {
-        std::int64_t begin = cpuNowI();
-
-        double total_cpu = p.cpuOpNs(node.cpuNs);
-        double pre = total_cpu * node.preFraction;
-        double post = total_cpu - pre;
-
-        cpu.advanceBy(static_cast<double>(jitter(pre)));
-        for (const auto &child : node.children)
-            execOp(child);
-        for (const auto &launch : node.launches)
-            execLaunch(launch);
-        cpu.advanceBy(static_cast<double>(jitter(post)));
-
-        if constexpr (Record) {
-            trace::TraceEvent op;
-            op.kind = trace::EventKind::Operator;
-            op.name = node.name;
-            op.tid = kThreadId;
-            op.tsBeginNs = begin;
-            op.durNs = cpuNowI() - begin;
-            out.add(std::move(op));
-        }
     }
 
     /**
@@ -144,7 +214,8 @@ class Runner
      */
     template <typename WorkNs>
     void
-    enqueue(const char *call, const workload::KernelLaunch &launch,
+    enqueue(const char *call, std::string_view kernel,
+            std::span<const hw::KernelWork> work, bool isMemcpy,
             WorkNs work_ns)
     {
         std::int64_t call_begin = cpuNowI();
@@ -172,64 +243,33 @@ class Runner
             k.correlationId = corr;
             k.tsBeginNs = start;
             k.durNs = dur;
-            k.bytes = launch.totalBytes();
-            if (launch.isMemcpy) {
+            k.bytes = totalOf(work, &hw::KernelWork::bytes);
+            if (isMemcpy) {
                 k.kind = trace::EventKind::Memcpy;
                 k.name = "Memcpy HtoD";
             } else {
                 k.kind = trace::EventKind::Kernel;
-                k.name = launch.kernelName;
-                k.flops = launch.totalFlops();
+                k.name = kernel;
+                k.flops = totalOf(work, &hw::KernelWork::flops);
             }
 
             out.add(std::move(rt));
             out.add(std::move(k));
         }
     }
-
-    void
-    execLaunch(const workload::KernelLaunch &launch)
-    {
-        if (!launch.isMemcpy) {
-            enqueue("cudaLaunchKernel", launch, [&] {
-                return jitterComponentsNs(
-                    rng, hw::kernelDurationNs(p.gpu, launch.work),
-                    o.jitterFrac, o.jitter, launch.work.size());
-            });
-            return;
-        }
-        // Unified-memory platforms (CC/TC) access host data in place:
-        // no staging copy is issued at all.
-        if (p.unifiedMemory)
-            return;
-        enqueue("cudaMemcpyAsync", launch, [&] {
-            return jitter(p.transferNs(launch.totalBytes()));
-        });
-    }
-
-    void
-    deviceSynchronize()
-    {
-        std::int64_t begin = cpuNowI();
-
-        // The call returns once the stream has drained: at its free
-        // time, no earlier than the call itself.
-        double call = static_cast<double>(jitter(p.cpu.syncCallNs));
-        double done =
-            std::max(cpu.nowNs() + call, stream.freeNs() + call);
-        cpu.advanceTo(done);
-
-        if constexpr (Record) {
-            trace::TraceEvent rt;
-            rt.kind = trace::EventKind::Runtime;
-            rt.name = "cudaDeviceSynchronize";
-            rt.tid = kThreadId;
-            rt.tsBeginNs = begin;
-            rt.durNs = static_cast<std::int64_t>(done) - begin;
-            out.add(std::move(rt));
-        }
-    }
 };
+
+/** Wall time of the pass @p emit streams into a trace-free walk. */
+template <typename Emit>
+double
+traceFreeWall(const hw::Platform &platform, const SimOptions &opts,
+              Emit emit)
+{
+    Runner<false> runner(platform, opts);
+    emit(runner);
+    runner.deviceSynchronize();
+    return runner.wallNs();
+}
 
 } // namespace
 
@@ -244,7 +284,8 @@ SimResult
 Simulator::run(const workload::OperatorGraph &graph) const
 {
     Runner<true> runner(_platform, _opts);
-    runner.walk(graph);
+    graph.emit(runner);
+    runner.deviceSynchronize();
     SimResult result;
     result.wallNs = runner.wallNs();
     result.trace = runner.takeTrace();
@@ -254,9 +295,26 @@ Simulator::run(const workload::OperatorGraph &graph) const
 double
 Simulator::wallNs(const workload::OperatorGraph &graph) const
 {
-    Runner<false> runner(_platform, _opts);
-    runner.walk(graph);
-    return runner.wallNs();
+    return traceFreeWall(_platform, _opts,
+                         [&](workload::OpSink &sink) { graph.emit(sink); });
+}
+
+double
+Simulator::wallNs(const workload::ModelConfig &model,
+                  const workload::BuildOptions &opts) const
+{
+    return traceFreeWall(_platform, _opts, [&](workload::OpSink &sink) {
+        workload::emitPrefill(model, opts, sink);
+    });
+}
+
+double
+Simulator::wallNs(const workload::ModelConfig &model,
+                  const workload::BuildOptions &opts, int context_len) const
+{
+    return traceFreeWall(_platform, _opts, [&](workload::OpSink &sink) {
+        workload::emitDecodeStep(model, opts, context_len, sink);
+    });
 }
 
 } // namespace skipsim::sim

@@ -11,13 +11,20 @@
  * real PyTorch Profiler session would produce, which SKIP then
  * analyzes (Fig. 4 of the paper shows exactly this timing structure).
  *
- * Two entry points share the one walk. run() records the trace;
- * wallNs() makes the same jitter draws in the same order on the same
- * CPU clock and GPU stream but builds no event and sorts nothing, so
- * it returns run().wallNs bit for bit at a fraction of the cost.
- * Callers that read only the wall time (the serving cost model, the
- * generation and speculative-decoding analyses) price graphs through
- * wallNs().
+ * The walk is an operator sink (workload::OpSink): begin() pays an
+ * operator's pre-dispatch CPU cost, launch() issues a kernel or copy,
+ * end() pays the post-dispatch cost. Every entry point feeds that one
+ * sink, so the timing and the jitter draws exist once:
+ *  - run(graph) streams a tree and records the trace (SKIP, the
+ *    fuzzer, the Kineto path);
+ *  - wallNs(graph) streams a tree and records nothing: the same draws
+ *    in the same order on the same CPU clock and GPU stream, so it
+ *    returns run().wallNs bit for bit. It is the oracle of
+ *  - wallNs(model, opts[, contextLen]), which streams the builder's
+ *    emitter straight into the walk: no OperatorGraph is built, no
+ *    kernel name formatted, no event recorded. Callers that read only
+ *    the wall time (the serving cost model, the generation and
+ *    speculative-decoding analyses) price passes this way.
  */
 
 #ifndef SKIPSIM_SIM_SIMULATOR_HH
@@ -27,6 +34,7 @@
 
 #include "hw/platform.hh"
 #include "trace/trace.hh"
+#include "workload/builder.hh"
 #include "workload/op_graph.hh"
 
 namespace skipsim::sim
@@ -87,6 +95,26 @@ class Simulator
      * @return run(graph).wallNs, bit for bit.
      */
     double wallNs(const workload::OperatorGraph &graph) const;
+
+    /**
+     * Price the prefill pass without building it.
+     * @return wallNs(workload::buildPrefillGraph(model, opts)), bit for
+     *         bit.
+     * @throws skipsim::FatalError as workload::buildPrefillGraph().
+     */
+    double wallNs(const workload::ModelConfig &model,
+                  const workload::BuildOptions &opts) const;
+
+    /**
+     * Price one decode step over @p context_len cached tokens without
+     * building it.
+     * @return wallNs(workload::buildDecodeStepGraph(model, opts,
+     *         context_len)), bit for bit.
+     * @throws skipsim::FatalError as workload::buildDecodeStepGraph().
+     */
+    double wallNs(const workload::ModelConfig &model,
+                  const workload::BuildOptions &opts,
+                  int context_len) const;
 
     const hw::Platform &platform() const { return _platform; }
 

@@ -1,13 +1,15 @@
 #include "workload/builder.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/strutil.hh"
 
 namespace skipsim::workload
 {
@@ -139,13 +141,130 @@ flashAttentionWork(double b, double heads, double s, double hd,
 
 /** @} */
 
-std::string
-num(double v)
-{
-    return std::to_string(static_cast<long long>(v));
-}
+/** Marks where a kernel name takes its per-instance variant suffix. */
+struct Variant
+{};
 
-/** Builds one forward-pass graph for a model/options pair. */
+/**
+ * Attention matmul and softmax work of a sequence-length-1 pass,
+ * resized to cover a KV cache of `ctx` tokens (decode steps), on one
+ * tensor-parallel rank. The rule reads only a kernel's stem, so a
+ * named stream and a stem-only one are resized alike.
+ */
+struct ContextPatch
+{
+    double b;      ///< batch
+    double nh;     ///< attention heads on this rank
+    double hd;     ///< head dimension
+    double ctx;    ///< context tokens
+    double width;  ///< attention width on this rank (nh * hd)
+
+    void
+    apply(std::string_view kernel, std::span<KernelWork> work) const
+    {
+        for (auto &w : work) {
+            if (w.cls == KernelClass::Attention) {
+                w.flops = 4.0 * b * nh * ctx * hd;
+                w.bytes = 2.0 * b * ctx * width * 2.0;
+            }
+        }
+        if (kernel.find("bmm_f16_") != std::string_view::npos) {
+            for (auto &w : work) {
+                w.flops = 2.0 * b * nh * ctx * hd;
+                w.bytes = 2.0 * b * nh * (ctx * hd + ctx + hd);
+            }
+        }
+        if (kernel.find("softmax_") != std::string_view::npos) {
+            for (auto &w : work) {
+                w.flops = 5.0 * b * nh * ctx;
+                w.bytes = b * nh * ctx * 4.0 * 2.0;
+            }
+        }
+    }
+
+    void
+    apply(OpNode &node) const
+    {
+        for (auto &child : node.children)
+            apply(child);
+        for (auto &launch : node.launches)
+            apply(launch.kernelName, launch.work);
+    }
+};
+
+/** Builds the operator tree of a stream in place. */
+class TreeSink final : public OpSink
+{
+  public:
+    bool keepsNames() const override { return true; }
+
+    void
+    begin(std::string_view name, double cpuNs, double preFraction) override
+    {
+        std::vector<OpNode> &siblings =
+            open.empty() ? graph.roots : open.back()->children;
+        OpNode &node = siblings.emplace_back();
+        node.name = name;
+        node.cpuNs = cpuNs;
+        node.preFraction = preFraction;
+        open.push_back(&node);
+    }
+
+    void
+    launch(std::string_view kernel, std::span<const KernelWork> work,
+           bool isMemcpy) override
+    {
+        KernelLaunch &launch = open.back()->launches.emplace_back();
+        launch.kernelName = kernel;
+        launch.work.assign(work.begin(), work.end());
+        launch.isMemcpy = isMemcpy;
+    }
+
+    void end() override { open.pop_back(); }
+
+    OperatorGraph take() { return std::move(graph); }
+
+  private:
+    OperatorGraph graph;
+    /** Open operators, outermost first; each lives in its parent's
+     *  children, which grow only while it is closed. */
+    std::vector<OpNode *> open;
+};
+
+/** Forwards a sequence-length-1 stream with its attention resized. */
+class ContextSink final : public OpSink
+{
+  public:
+    ContextSink(OpSink &inner, const ContextPatch &patch)
+        : inner(inner), patch(patch)
+    {}
+
+    bool keepsNames() const override { return inner.keepsNames(); }
+
+    void
+    begin(std::string_view name, double cpuNs, double preFraction) override
+    {
+        inner.begin(name, cpuNs, preFraction);
+    }
+
+    void
+    launch(std::string_view kernel, std::span<const KernelWork> work,
+           bool isMemcpy) override
+    {
+        resized.assign(work.begin(), work.end());
+        patch.apply(kernel, resized);
+        inner.launch(kernel, resized, isMemcpy);
+    }
+
+    void end() override { inner.end(); }
+
+  private:
+    OpSink &inner;
+    ContextPatch patch;
+    std::vector<KernelWork> resized;
+};
+
+/** Streams one forward pass of a model/options pair into a sink. */
 class GraphEmitter
 {
   public:
@@ -176,23 +295,31 @@ class GraphEmitter
         }
     }
 
-    OperatorGraph
-    buildPrefill()
+    /** Emit the pass into @p sink (once per emitter). */
+    void
+    emit(OpSink &sink)
     {
-        OperatorGraph graph;
-        emitInputTransfer(graph.roots);
+        out = &sink;
+        named = sink.keepsNames();
+        emitInputTransfer();
         if (m.family == ModelFamily::EncoderOnly) {
-            emitEncoderPrologue(graph.roots);
+            emitEncoderPrologue();
             for (int i = 0; i < m.layers; ++i)
-                emitEncoderLayer(graph.roots);
-            emitEncoderEpilogue(graph.roots);
+                emitEncoderLayer();
+            emitEncoderEpilogue();
         } else {
-            emitDecoderPrologue(graph.roots);
+            emitDecoderPrologue();
             for (int i = 0; i < m.layers; ++i)
-                emitDecoderLayer(graph.roots);
-            emitDecoderEpilogue(graph.roots);
+                emitDecoderLayer();
+            emitDecoderEpilogue();
         }
-        return graph;
+    }
+
+    /** This rank's attention resized to a KV cache of @p ctx tokens. */
+    ContextPatch
+    contextPatch(double ctx) const
+    {
+        return {B, NH, HD, ctx, attnWidth()};
     }
 
   private:
@@ -201,25 +328,12 @@ class GraphEmitter
     double B, S, H, I, NH, KVH, HD;
     int TP;
 
+    OpSink *out = nullptr;
+    bool named = true;        ///< whether the sink reads kernel names
+    std::string nameBuf;      ///< the kernel name being formatted
+
     /** Per-rank attention width (NH_local * head_dim). */
     double attnWidth() const { return NH * HD; }
-
-    /** All-reduce of a [rows, H] activation across the TP group. */
-    void
-    emitAllReduce(std::vector<OpNode> &ops, double rows) const
-    {
-        if (TP <= 1)
-            return;
-        KernelWork w;
-        w.cls = KernelClass::Collective;
-        // Ring all-reduce wire volume per rank: 2 (TP-1)/TP x payload.
-        w.bytes = 2.0 * (TP - 1.0) / TP * rows * H * f16;
-        w.flops = rows * H;
-        ops.push_back(makeParentOp(
-            "c10d::allreduce_", cost(opParentCpuNs),
-            {makeKernelOp("nccl::all_reduce", cost(opLeafCpuNs),
-                          "nccl_all_reduce_f16", w)}));
-    }
 
     /**
      * Per-instance kernel-variant stream. Real CUDA elementwise and
@@ -227,12 +341,13 @@ class GraphEmitter
      * alignment and vector width, so the "same" site can run _v4, _v2
      * or _v1 variants across layers. This deterministic stream
      * reproduces that: it is what keeps long kernel chains from being
-     * trivially periodic, exactly as in real eager traces.
+     * trivially periodic, exactly as in real eager traces. Only names
+     * draw from it, so a stem-only stream skips the draws.
      */
-    mutable Rng variantRng{0x5eedc0dedeadbeefULL};
+    Rng variantRng{0x5eedc0dedeadbeefULL};
 
-    std::string
-    variantSuffix() const
+    const char *
+    variantSuffix()
     {
         std::uint64_t roll = variantRng.below(100);
         if (roll < 92)
@@ -240,6 +355,36 @@ class GraphEmitter
         if (roll < 98)
             return "_v2";
         return "_v1";
+    }
+
+    void put(std::string_view text) { nameBuf.append(text); }
+
+    void
+    put(double shape)
+    {
+        char digits[24];
+        char *end = std::to_chars(digits, digits + sizeof digits,
+                                  static_cast<long long>(shape))
+                        .ptr;
+        nameBuf.append(digits, end);
+    }
+
+    void put(Variant) { nameBuf.append(variantSuffix()); }
+
+    /**
+     * A kernel name: @p stem followed by @p tail (text, integer shapes
+     * and variant suffixes), formatted only for a sink that keeps
+     * names. Any other sink gets the stem alone.
+     */
+    template <typename... Tail>
+    std::string_view
+    kernel(std::string_view stem, const Tail &...tail)
+    {
+        if (!named)
+            return stem;
+        nameBuf.assign(stem);
+        (put(tail), ...);
+        return nameBuf;
     }
 
     bool flash() const { return o.mode == ExecMode::FlashAttention2; }
@@ -250,77 +395,99 @@ class GraphEmitter
         return base_ns * o.cpuCostScale;
     }
 
-    /** @name Small op factories @{ */
+    /** @name Small op emitters @{ */
 
-    OpNode
-    view(std::string name) const
+    void
+    open(std::string_view op, double base_ns)
     {
-        return makeCpuOp(std::move(name), cost(opViewCpuNs));
+        out->begin(op, cost(base_ns), defaultPreFraction);
     }
 
-    OpNode
-    leaf(std::string op, std::string kernel, KernelWork work) const
+    /** Open a composite op; its children follow, then close(). */
+    void open(std::string_view op) { open(op, opParentCpuNs); }
+
+    void close() { out->end(); }
+
+    void
+    view(std::string_view op)
     {
-        return makeKernelOp(std::move(op), cost(opLeafCpuNs),
-                            std::move(kernel), work);
+        open(op, opViewCpuNs);
+        close();
     }
 
-    OpNode
-    parent(std::string op, std::vector<OpNode> children) const
+    void
+    leaf(std::string_view op, std::string_view kernel_name,
+         const KernelWork &work)
     {
-        return makeParentOp(std::move(op), cost(opParentCpuNs),
-                            std::move(children));
+        open(op, opLeafCpuNs);
+        out->launch(kernel_name, {&work, 1}, false);
+        close();
+    }
+
+    /** A composite op wrapping one kernel-launching leaf. */
+    void
+    wrapped(std::string_view parent, std::string_view op,
+            std::string_view kernel_name, const KernelWork &work)
+    {
+        open(parent);
+        leaf(op, kernel_name, work);
+        close();
     }
 
     /** aten::linear -> { aten::t, aten::addmm[gemm] }. */
-    OpNode
-    linear(double mrows, double k, double n) const
+    void
+    linear(double mrows, double k, double n)
     {
-        std::string kname =
-            "gemm_f16_" + num(mrows) + "x" + num(n) + "x" + num(k);
-        std::vector<OpNode> kids;
-        kids.push_back(view("aten::t"));
-        kids.push_back(leaf("aten::addmm", kname, gemmWork(mrows, n, k)));
-        return parent("aten::linear", std::move(kids));
+        open("aten::linear");
+        view("aten::t");
+        leaf("aten::addmm", kernel("gemm_f16_", mrows, "x", n, "x", k),
+             gemmWork(mrows, n, k));
+        close();
+    }
+
+    /** transformers::Conv1D -> { aten::view, aten::addmm[gemm] }. */
+    void
+    conv1d(double mrows, double k, double n)
+    {
+        open("transformers::Conv1D");
+        view("aten::view");
+        leaf("aten::addmm", kernel("gemm_f16_", mrows, "x", n, "x", k),
+             gemmWork(mrows, n, k));
+        close();
     }
 
     /** aten::matmul -> { aten::bmm[gemm] } for 4D attention matmuls. */
-    OpNode
-    matmulBmm(double batch, double mrows, double n, double k) const
+    void
+    matmulBmm(double batch, double mrows, double n, double k)
     {
-        std::string kname = "bmm_f16_" + num(batch) + "x" + num(mrows) +
-            "x" + num(n) + "x" + num(k);
-        std::vector<OpNode> kids;
-        kids.push_back(view("aten::expand"));
-        kids.push_back(
-            leaf("aten::bmm", kname, bmmWork(batch, mrows, n, k)));
-        return parent("aten::matmul", std::move(kids));
+        open("aten::matmul");
+        view("aten::expand");
+        leaf("aten::bmm",
+             kernel("bmm_f16_", batch, "x", mrows, "x", n, "x", k),
+             bmmWork(batch, mrows, n, k));
+        close();
     }
 
-    OpNode
-    elementwise(const std::string &aten, const std::string &tag,
-                KernelWork work, double elems) const
+    void
+    elementwise(std::string_view aten, std::string_view tag,
+                const KernelWork &work)
     {
-        (void)elems;
-        return leaf(aten, "elementwise_" + tag + variantSuffix(), work);
+        leaf(aten, kernel("elementwise_", tag, Variant{}), work);
     }
 
-    OpNode
-    contiguous(double elems) const
+    void
+    contiguous(double elems)
     {
-        std::vector<OpNode> kids;
-        kids.push_back(leaf("aten::clone",
-                            "copy_f16" + variantSuffix(),
-                            copyWork(elems)));
-        return parent("aten::contiguous", std::move(kids));
+        wrapped("aten::contiguous", "aten::clone",
+                kernel("copy_f16", Variant{}), copyWork(elems));
     }
 
-    OpNode
-    castTo(double elems, double from, double to) const
+    void
+    castTo(double elems, double from, double to)
     {
-        std::string tag = from < to ? "cast_f16f32" : "cast_f32f16";
-        return leaf("aten::to", tag + variantSuffix(),
-                    castWork(elems, from, to));
+        leaf("aten::to",
+             kernel(from < to ? "cast_f16f32" : "cast_f32f16", Variant{}),
+             castWork(elems, from, to));
     }
 
     /**
@@ -329,159 +496,153 @@ class GraphEmitter
      * upcast normalization to fp32.
      */
     void
-    emitNorm(std::vector<OpNode> &ops, double rows) const
+    emitNorm(double rows)
     {
         double elems = rows * H;
         if (m.norm == NormKind::LayerNorm) {
-            std::vector<OpNode> kids;
-            kids.push_back(castTo(elems, f16, f32));
-            kids.push_back(leaf("aten::native_layer_norm",
-                                "layer_norm_f32",
-                                normWork(rows, H, f32)));
-            kids.push_back(castTo(elems, f32, f16));
-            ops.push_back(parent("aten::layer_norm", std::move(kids)));
+            open("aten::layer_norm");
+            castTo(elems, f16, f32);
+            leaf("aten::native_layer_norm", "layer_norm_f32",
+                 normWork(rows, H, f32));
+            castTo(elems, f32, f16);
+            close();
         } else {
-            ops.push_back(castTo(elems, f16, f32));
-            ops.push_back(leaf("aten::mean", "reduce_variance_f32",
-                               reduceWork(elems, rows, f32)));
-            ops.push_back(elementwise("aten::mul", "rmsnorm_apply_f32",
-                                      ewWork(elems, 2, 1, f32), elems));
+            castTo(elems, f16, f32);
+            leaf("aten::mean", "reduce_variance_f32",
+                 reduceWork(elems, rows, f32));
+            elementwise("aten::mul", "rmsnorm_apply_f32",
+                        ewWork(elems, 2, 1, f32));
         }
+    }
+
+    /** All-reduce of a [rows, H] activation across the TP group. */
+    void
+    emitAllReduce(double rows)
+    {
+        if (TP <= 1)
+            return;
+        KernelWork w;
+        w.cls = KernelClass::Collective;
+        // Ring all-reduce wire volume per rank: 2 (TP-1)/TP x payload.
+        w.bytes = 2.0 * (TP - 1.0) / TP * rows * H * f16;
+        w.flops = rows * H;
+        wrapped("c10d::allreduce_", "nccl::all_reduce",
+                "nccl_all_reduce_f16", w);
     }
 
     /** @} */
 
     void
-    emitInputTransfer(std::vector<OpNode> &ops) const
+    emitInputTransfer()
     {
         // Token ids (+ attention mask for encoders) staged to the GPU.
         double bytes = B * S * idx64;
         if (m.family == ModelFamily::EncoderOnly)
             bytes *= 2.0;
-        OpNode node;
-        node.name = "aten::to";
-        node.cpuNs = cost(opLeafCpuNs);
-        KernelLaunch launch;
-        launch.kernelName = "memcpy_h2d";
-        launch.isMemcpy = true;
         KernelWork w;
         w.cls = KernelClass::Memcpy;
         w.bytes = bytes;
-        launch.work.push_back(w);
-        node.launches.push_back(std::move(launch));
-        ops.push_back(std::move(node));
+        open("aten::to", opLeafCpuNs);
+        out->launch("memcpy_h2d", {&w, 1}, true);
+        close();
     }
 
     // ---------------- Encoder (BERT / XLM-R) ----------------
 
     void
-    emitEncoderPrologue(std::vector<OpNode> &ops) const
+    emitEncoderPrologue()
     {
         double rows = B * S;
         double elems = rows * H;
         // Embedding gathers are distinct template instantiations per
         // table (word / position / token-type differ in table size).
-        auto gather = [&](const char *label, int table) {
-            return leaf(std::string("aten::embedding(") + label + ")",
-                        "embedding_gather_" + num(table) + "t_" +
-                            num(rows) + "x" + num(H),
-                        embeddingWork(rows, H));
+        auto gather = [&](std::string_view op, double table) {
+            leaf(op,
+                 kernel("embedding_gather_", table, "t_", rows, "x", H),
+                 embeddingWork(rows, H));
         };
-        ops.push_back(gather("word", m.vocab));
-        ops.push_back(gather("position", 512));
-        ops.push_back(gather("token_type", 2));
-        ops.push_back(elementwise("aten::add", "add_f16",
-                                  ewWork(elems, 2, 1), elems));
-        ops.push_back(elementwise("aten::add", "add_f16",
-                                  ewWork(elems, 2, 1), elems));
+        gather("aten::embedding(word)", m.vocab);
+        gather("aten::embedding(position)", 512);
+        gather("aten::embedding(token_type)", 2);
+        elementwise("aten::add", "add_f16", ewWork(elems, 2, 1));
+        elementwise("aten::add", "add_f16", ewWork(elems, 2, 1));
         // Embedding LayerNorm runs natively in fp16 in HF BERT.
-        ops.push_back(leaf("aten::native_layer_norm", "layer_norm_f16",
-                           normWork(rows, H, f16)));
+        leaf("aten::native_layer_norm", "layer_norm_f16",
+             normWork(rows, H, f16));
         // Extended attention mask: (1 - mask) * min_value, cast to f16.
         double mask_elems = B * S;
-        ops.push_back(elementwise("aten::rsub", "rsub_f32",
-                                  ewWork(mask_elems, 1, 1, f32),
-                                  mask_elems));
-        ops.push_back(elementwise("aten::mul", "mul_f32",
-                                  ewWork(mask_elems, 1, 1, f32),
-                                  mask_elems));
-        ops.push_back(castTo(mask_elems, f32, f16));
+        elementwise("aten::rsub", "rsub_f32",
+                    ewWork(mask_elems, 1, 1, f32));
+        elementwise("aten::mul", "mul_f32", ewWork(mask_elems, 1, 1, f32));
+        castTo(mask_elems, f32, f16);
     }
 
     void
-    emitEncoderLayer(std::vector<OpNode> &ops) const
+    emitFlashAttention()
+    {
+        wrapped("flash_attn::_flash_attn_forward", "flash_attn::fwd",
+                kernel("flash_fwd_kernel_f16_hd", HD),
+                flashAttentionWork(B, NH, S, HD, attnWidth()));
+        view("aten::view");
+    }
+
+    void
+    emitEncoderLayer()
     {
         double rows = B * S;
         double hid_elems = rows * H;
         double bheads = B * NH;
         double score_elems = bheads * S * S;
 
-        // Self-attention projections (column-parallel under TP).
+        // Self-attention projections (column-parallel under TP): Q, K, V.
         double attn_elems = rows * attnWidth();
-        for (const char *label : {"q", "k", "v"}) {
-            (void)label;
-            ops.push_back(linear(rows, H, attnWidth()));
-            ops.push_back(view("aten::view"));
-            ops.push_back(view("aten::permute"));
+        for (int i = 0; i < 3; ++i) {
+            linear(rows, H, attnWidth());
+            view("aten::view");
+            view("aten::permute");
             if (!flash())
-                ops.push_back(contiguous(attn_elems));
+                contiguous(attn_elems);
         }
 
         if (flash()) {
-            ops.push_back(parent(
-                "flash_attn::_flash_attn_forward",
-                {leaf("flash_attn::fwd",
-                      "flash_fwd_kernel_f16_hd" + num(HD),
-                      flashAttentionWork(B, NH, S, HD, attnWidth()))}));
-            ops.push_back(view("aten::view"));
+            emitFlashAttention();
         } else {
-            ops.push_back(matmulBmm(bheads, S, S, HD));
-            ops.push_back(elementwise("aten::div", "div_f16",
-                                      ewWork(score_elems, 1, 1),
-                                      score_elems));
-            ops.push_back(elementwise("aten::add", "add_f16",
-                                      ewWork(score_elems, 2, 1),
-                                      score_elems));
+            matmulBmm(bheads, S, S, HD);
+            elementwise("aten::div", "div_f16", ewWork(score_elems, 1, 1));
+            elementwise("aten::add", "add_f16", ewWork(score_elems, 2, 1));
             // BERT keeps softmax in fp16.
-            ops.push_back(parent(
-                "aten::softmax",
-                {leaf("aten::_softmax", "softmax_f16",
-                      softmaxWork(bheads * S, S, f16))}));
-            ops.push_back(matmulBmm(bheads, S, HD, S));
-            ops.push_back(view("aten::permute"));
-            ops.push_back(contiguous(attn_elems));
-            ops.push_back(view("aten::view"));
+            wrapped("aten::softmax", "aten::_softmax", "softmax_f16",
+                    softmaxWork(bheads * S, S, f16));
+            matmulBmm(bheads, S, HD, S);
+            view("aten::permute");
+            contiguous(attn_elems);
+            view("aten::view");
         }
 
         // Output projection (row-parallel) + residual + LN (fp32).
-        ops.push_back(linear(rows, attnWidth(), H));
-        emitAllReduce(ops, rows);
-        ops.push_back(elementwise("aten::add", "add_f16",
-                                  ewWork(hid_elems, 2, 1), hid_elems));
-        emitNorm(ops, rows);
+        linear(rows, attnWidth(), H);
+        emitAllReduce(rows);
+        elementwise("aten::add", "add_f16", ewWork(hid_elems, 2, 1));
+        emitNorm(rows);
 
         // MLP.
-        ops.push_back(linear(rows, H, I));
-        double mlp_elems = rows * I;
-        ops.push_back(elementwise("aten::gelu", "gelu_f16",
-                                  ewWork(mlp_elems, 1, 1), mlp_elems));
-        ops.push_back(linear(rows, I, H));
-        emitAllReduce(ops, rows);
-        ops.push_back(elementwise("aten::add", "add_f16",
-                                  ewWork(hid_elems, 2, 1), hid_elems));
-        emitNorm(ops, rows);
+        linear(rows, H, I);
+        elementwise("aten::gelu", "gelu_f16", ewWork(rows * I, 1, 1));
+        linear(rows, I, H);
+        emitAllReduce(rows);
+        elementwise("aten::add", "add_f16", ewWork(hid_elems, 2, 1));
+        emitNorm(rows);
     }
 
     void
-    emitEncoderEpilogue(std::vector<OpNode> &ops) const
+    emitEncoderEpilogue()
     {
         if (!m.pooler)
             return;
         // Pooler: dense over the [CLS] token + tanh.
-        ops.push_back(view("aten::select"));
-        ops.push_back(linear(B, H, H));
-        ops.push_back(elementwise("aten::tanh", "tanh_f16",
-                                  ewWork(B * H, 1, 1), B * H));
+        view("aten::select");
+        linear(B, H, H);
+        elementwise("aten::tanh", "tanh_f16", ewWork(B * H, 1, 1));
     }
 
     // ---------------- Decoder (GPT2 / Llama / Gemma / 7B) -------------
@@ -494,57 +655,45 @@ class GraphEmitter
     }
 
     void
-    emitDecoderPrologue(std::vector<OpNode> &ops) const
+    emitDecoderPrologue()
     {
         double rows = B * S;
         double elems = rows * H;
-        ops.push_back(leaf("aten::embedding(word)",
-                           "embedding_gather_" + num(m.vocab) + "t_" +
-                               num(rows) + "x" + num(H),
-                           embeddingWork(rows, H)));
+        leaf("aten::embedding(word)",
+             kernel("embedding_gather_", m.vocab, "t_", rows, "x", H),
+             embeddingWork(rows, H));
         if (gpt2Style()) {
-            ops.push_back(
-                leaf("aten::embedding(position)",
-                     "embedding_gather_1024t_" + num(S) + "x" + num(H),
-                     embeddingWork(S, H)));
-            ops.push_back(elementwise("aten::add", "add_f16",
-                                      ewWork(elems, 2, 1), elems));
+            leaf("aten::embedding(position)",
+                 kernel("embedding_gather_1024t_", S, "x", H),
+                 embeddingWork(S, H));
+            elementwise("aten::add", "add_f16", ewWork(elems, 2, 1));
         } else {
             // Rotary cache: cos/sin tables for the sequence.
             double rope_elems = S * HD;
-            ops.push_back(elementwise("aten::cos", "cos_f32",
-                                      ewWork(rope_elems, 1, 1, f32),
-                                      rope_elems));
-            ops.push_back(elementwise("aten::sin", "sin_f32",
-                                      ewWork(rope_elems, 1, 1, f32),
-                                      rope_elems));
+            elementwise("aten::cos", "cos_f32",
+                        ewWork(rope_elems, 1, 1, f32));
+            elementwise("aten::sin", "sin_f32",
+                        ewWork(rope_elems, 1, 1, f32));
             // Causal additive mask.
-            double mask_elems = S * S;
-            ops.push_back(elementwise("aten::full", "fill_f32",
-                                      ewWork(mask_elems, 0, 1, f32),
-                                      mask_elems));
+            elementwise("aten::full", "fill_f32",
+                        ewWork(S * S, 0, 1, f32));
         }
     }
 
     void
-    emitRope(std::vector<OpNode> &ops, double rows_heads) const
+    emitRope(double rows_heads)
     {
         // rotate_half + q*cos + rot*sin + add, for one of Q or K.
         double elems = rows_heads * HD;
-        ops.push_back(parent("aten::cat",
-                             {leaf("aten::neg",
-                                   "copy_rotate_half" + variantSuffix(),
-                                   copyWork(elems))}));
-        ops.push_back(elementwise("aten::mul", "mul_f16",
-                                  ewWork(elems, 2, 1), elems));
-        ops.push_back(elementwise("aten::mul", "mul_f16",
-                                  ewWork(elems, 2, 1), elems));
-        ops.push_back(elementwise("aten::add", "add_f16",
-                                  ewWork(elems, 2, 1), elems));
+        wrapped("aten::cat", "aten::neg",
+                kernel("copy_rotate_half", Variant{}), copyWork(elems));
+        elementwise("aten::mul", "mul_f16", ewWork(elems, 2, 1));
+        elementwise("aten::mul", "mul_f16", ewWork(elems, 2, 1));
+        elementwise("aten::add", "add_f16", ewWork(elems, 2, 1));
     }
 
     void
-    emitDecoderLayer(std::vector<OpNode> &ops) const
+    emitDecoderLayer()
     {
         double rows = B * S;
         double hid_elems = rows * H;
@@ -554,173 +703,134 @@ class GraphEmitter
         double score_rows = bheads * S;
 
         // Pre-attention norm.
-        emitNorm(ops, rows);
+        emitNorm(rows);
 
         double attn_elems = rows * attnWidth();
 
         // QKV projections.
         if (m.fusedQkv) {
-            double qkv_n = attnWidth() + 2.0 * kv_dim;
-            std::vector<OpNode> kids;
-            kids.push_back(view("aten::view"));
-            kids.push_back(leaf("aten::addmm",
-                                "gemm_f16_" + num(rows) + "x" +
-                                    num(qkv_n) + "x" + num(H),
-                                gemmWork(rows, qkv_n, H)));
-            ops.push_back(parent("transformers::Conv1D", std::move(kids)));
-            ops.push_back(view("aten::split"));
+            conv1d(rows, H, attnWidth() + 2.0 * kv_dim);
+            view("aten::split");
             for (int i = 0; i < 3; ++i)
-                ops.push_back(contiguous(
-                    rows * (i == 0 ? attnWidth() : kv_dim)));
-            ops.push_back(view("aten::view"));
-            ops.push_back(contiguous(attn_elems)); // head layout for bmm
+                contiguous(rows * (i == 0 ? attnWidth() : kv_dim));
+            view("aten::view");
+            contiguous(attn_elems); // head layout for bmm
         } else {
-            ops.push_back(linear(rows, H, attnWidth()));  // Q
-            ops.push_back(linear(rows, H, kv_dim));       // K
-            ops.push_back(linear(rows, H, kv_dim));       // V
-            ops.push_back(view("aten::view"));
-            ops.push_back(view("aten::transpose"));
+            linear(rows, H, attnWidth()); // Q
+            linear(rows, H, kv_dim);      // K
+            linear(rows, H, kv_dim);      // V
+            view("aten::view");
+            view("aten::transpose");
         }
 
         if (m.rotary) {
-            emitRope(ops, bheads * S);
-            emitRope(ops, B * KVH * S);
+            emitRope(bheads * S);
+            emitRope(B * KVH * S);
         }
 
         bool gqa = m.kvHeads < m.heads;
 
         if (flash()) {
-            ops.push_back(parent(
-                "flash_attn::_flash_attn_forward",
-                {leaf("flash_attn::fwd",
-                      "flash_fwd_kernel_f16_hd" + num(HD),
-                      flashAttentionWork(B, NH, S, HD, attnWidth()))}));
-            ops.push_back(view("aten::view"));
+            emitFlashAttention();
         } else {
             if (gqa) {
                 // repeat_kv expands grouped K/V to full head count.
                 double kv_elems = B * KVH * S * HD *
                     (static_cast<double>(m.heads) / m.kvHeads);
-                ops.push_back(contiguous(kv_elems));
-                ops.push_back(contiguous(kv_elems));
+                contiguous(kv_elems);
+                contiguous(kv_elems);
             }
-            ops.push_back(matmulBmm(bheads, S, S, HD));
-            ops.push_back(elementwise("aten::div", "div_f16",
-                                      ewWork(score_elems, 1, 1),
-                                      score_elems));
+            matmulBmm(bheads, S, S, HD);
+            elementwise("aten::div", "div_f16", ewWork(score_elems, 1, 1));
             if (gpt2Style()) {
-                ops.push_back(elementwise("aten::full_like",
-                                          "fill_f16",
-                                          ewWork(score_elems, 0, 1),
-                                          score_elems));
-                ops.push_back(parent(
-                    "aten::where",
-                    {leaf("aten::_s_where",
-                          "elementwise_where_f16" + variantSuffix(),
-                          whereWork(score_elems))}));
+                elementwise("aten::full_like", "fill_f16",
+                            ewWork(score_elems, 0, 1));
+                wrapped("aten::where", "aten::_s_where",
+                        kernel("elementwise_where_f16", Variant{}),
+                        whereWork(score_elems));
             } else {
-                ops.push_back(elementwise("aten::add", "add_f32",
-                                          ewWork(score_elems, 2, 1, f32),
-                                          score_elems));
+                elementwise("aten::add", "add_f32",
+                            ewWork(score_elems, 2, 1, f32));
             }
             // Decoder softmax upcasts to fp32 (HF GPT2/Llama).
-            ops.push_back(castTo(score_elems, f16, f32));
-            ops.push_back(parent(
-                "aten::softmax",
-                {leaf("aten::_softmax", "softmax_f32",
-                      softmaxWork(score_rows, S, f32))}));
-            ops.push_back(castTo(score_elems, f32, f16));
-            ops.push_back(matmulBmm(bheads, S, HD, S));
-            ops.push_back(view("aten::permute"));
-            ops.push_back(contiguous(attn_elems));
+            castTo(score_elems, f16, f32);
+            wrapped("aten::softmax", "aten::_softmax", "softmax_f32",
+                    softmaxWork(score_rows, S, f32));
+            castTo(score_elems, f32, f16);
+            matmulBmm(bheads, S, HD, S);
+            view("aten::permute");
+            contiguous(attn_elems);
         }
 
         // Output projection (row-parallel under TP) + residual.
-        if (m.fusedQkv) {
-            std::vector<OpNode> kids;
-            kids.push_back(view("aten::view"));
-            kids.push_back(leaf("aten::addmm",
-                                "gemm_f16_" + num(rows) + "x" + num(H) +
-                                    "x" + num(attnWidth()),
-                                gemmWork(rows, H, attnWidth())));
-            ops.push_back(parent("transformers::Conv1D", std::move(kids)));
-        } else {
-            ops.push_back(linear(rows, attnWidth(), H));
-        }
-        emitAllReduce(ops, rows);
-        ops.push_back(elementwise("aten::add", "add_f16",
-                                  ewWork(hid_elems, 2, 1), hid_elems));
+        if (m.fusedQkv)
+            conv1d(rows, attnWidth(), H);
+        else
+            linear(rows, attnWidth(), H);
+        emitAllReduce(rows);
+        elementwise("aten::add", "add_f16", ewWork(hid_elems, 2, 1));
 
         // Pre-MLP norm.
-        emitNorm(ops, rows);
+        emitNorm(rows);
 
         // MLP.
         double mlp_elems = rows * I;
         switch (m.activation) {
           case Activation::Gelu:
-            ops.push_back(linear(rows, H, I));
-            ops.push_back(elementwise("aten::gelu", "gelu_f16",
-                                      ewWork(mlp_elems, 1, 1), mlp_elems));
-            ops.push_back(linear(rows, I, H));
+            linear(rows, H, I);
+            elementwise("aten::gelu", "gelu_f16", ewWork(mlp_elems, 1, 1));
+            linear(rows, I, H);
             break;
           case Activation::GeluNew: {
-            ops.push_back(linear(rows, H, I));
+            linear(rows, H, I);
             // tanh-approximated GELU, expanded op-by-op as HF GPT2 does.
-            const char *stages[] = {"pow", "mul", "add", "mul",
-                                    "tanh", "add", "mul", "mul"};
-            for (const char *stage : stages) {
-                ops.push_back(elementwise(
-                    std::string("aten::") + stage, stage + std::string(
-                        "_f16"),
-                    ewWork(mlp_elems, 1, 1), mlp_elems));
-            }
-            ops.push_back(linear(rows, I, H));
+            static constexpr std::string_view stages[][2] = {
+                {"aten::pow", "pow_f16"},   {"aten::mul", "mul_f16"},
+                {"aten::add", "add_f16"},   {"aten::mul", "mul_f16"},
+                {"aten::tanh", "tanh_f16"}, {"aten::add", "add_f16"},
+                {"aten::mul", "mul_f16"},   {"aten::mul", "mul_f16"}};
+            for (const auto &[op, tag] : stages)
+                elementwise(op, tag, ewWork(mlp_elems, 1, 1));
+            linear(rows, I, H);
             break;
           }
           case Activation::SwiGlu:
           case Activation::GeGlu: {
-            ops.push_back(linear(rows, H, I)); // gate
-            ops.push_back(linear(rows, H, I)); // up
-            const char *act =
-                m.activation == Activation::SwiGlu ? "silu" : "gelu";
-            ops.push_back(elementwise(std::string("aten::") + act,
-                                      act + std::string("_f16"),
-                                      ewWork(mlp_elems, 1, 1), mlp_elems));
-            ops.push_back(elementwise("aten::mul", "mul_f16",
-                                      ewWork(mlp_elems, 2, 1), mlp_elems));
-            ops.push_back(linear(rows, I, H)); // down
+            linear(rows, H, I); // gate
+            linear(rows, H, I); // up
+            bool silu = m.activation == Activation::SwiGlu;
+            elementwise(silu ? "aten::silu" : "aten::gelu",
+                        silu ? "silu_f16" : "gelu_f16",
+                        ewWork(mlp_elems, 1, 1));
+            elementwise("aten::mul", "mul_f16", ewWork(mlp_elems, 2, 1));
+            linear(rows, I, H); // down
             break;
           }
         }
-        emitAllReduce(ops, rows);
-        ops.push_back(elementwise("aten::add", "add_f16",
-                                  ewWork(hid_elems, 2, 1), hid_elems));
+        emitAllReduce(rows);
+        elementwise("aten::add", "add_f16", ewWork(hid_elems, 2, 1));
     }
 
     void
-    emitDecoderEpilogue(std::vector<OpNode> &ops) const
+    emitDecoderEpilogue()
     {
         double rows = B * S;
-        emitNorm(ops, rows);
+        emitNorm(rows);
         // LM head over the full sequence (column-parallel under TP),
         // then last-position logits.
-        ops.push_back(linear(rows, H, m.vocab / TP));
+        linear(rows, H, m.vocab / TP);
         if (TP > 1) {
             KernelWork w;
             w.cls = KernelClass::Collective;
             w.bytes = (TP - 1.0) / TP * rows * m.vocab * f16;
             w.flops = 0.0;
-            ops.push_back(makeParentOp(
-                "c10d::allgather_", cost(opParentCpuNs),
-                {makeKernelOp("nccl::all_gather", cost(opLeafCpuNs),
-                              "nccl_all_gather_f16", w)}));
+            wrapped("c10d::allgather_", "nccl::all_gather",
+                    "nccl_all_gather_f16", w);
         }
-        ops.push_back(parent("aten::select",
-                             {leaf("aten::clone",
-                                   "copy_f16" + variantSuffix(),
-                                   copyWork(B * m.vocab))}));
-        ops.push_back(leaf("aten::argmax", "reduce_argmax",
-                           reduceWork(B * m.vocab, B, f16)));
+        wrapped("aten::select", "aten::clone", kernel("copy_f16", Variant{}),
+                copyWork(B * m.vocab));
+        leaf("aten::argmax", "reduce_argmax",
+             reduceWork(B * m.vocab, B, f16));
     }
 };
 
@@ -895,98 +1005,119 @@ class CompileTransform
     }
 };
 
-/**
- * Attention matmul and softmax work of a sequence-length-1 graph,
- * resized to cover a KV cache of `ctx` tokens (decode steps).
- */
-struct ContextPatch
-{
-    double b;      ///< batch
-    double nh;     ///< attention heads
-    double hd;     ///< head dimension
-    double ctx;    ///< context tokens
-    double hidden; ///< model width
 
-    void
-    apply(OpNode &node) const
-    {
-        for (auto &child : node.children)
-            apply(child);
-        for (auto &launch : node.launches) {
-            for (auto &w : launch.work) {
-                if (w.cls == KernelClass::Attention) {
-                    w.flops = 4.0 * b * nh * ctx * hd;
-                    w.bytes = 2.0 * b * ctx * hidden * 2.0;
-                }
-            }
-            if (contains(launch.kernelName, "bmm_f16_")) {
-                for (auto &w : launch.work) {
-                    w.flops = 2.0 * b * nh * ctx * hd;
-                    w.bytes = 2.0 * b * nh * (ctx * hd + ctx + hd);
-                }
-            }
-            if (contains(launch.kernelName, "softmax_")) {
-                for (auto &w : launch.work) {
-                    w.flops = 5.0 * b * nh * ctx;
-                    w.bytes = b * nh * ctx * 4.0 * 2.0;
-                }
-            }
-        }
+bool
+compiled(ExecMode mode)
+{
+    switch (mode) {
+      case ExecMode::Eager:
+      case ExecMode::FlashAttention2:
+        return false;
+      case ExecMode::CompileDefault:
+      case ExecMode::CompileReduceOverhead:
+      case ExecMode::CompileMaxAutotune:
+        return true;
     }
-};
+    panic("buildPrefillGraph: invalid ExecMode");
+}
+
+/**
+ * A compile mode's graph: the eager pass built as a tree and compiled.
+ * A decode step (@p ctx > 0) compiles the sequence-length-1 pass, then
+ * resizes the compiled kernels' attention to its context.
+ */
+OperatorGraph
+compiledGraph(const ModelConfig &model, const BuildOptions &opts, int ctx)
+{
+    BuildOptions eager_opts = opts;
+    eager_opts.mode = ExecMode::Eager;
+    if (ctx > 0)
+        eager_opts.seqLen = 1;
+    GraphEmitter emitter(model, eager_opts);
+    TreeSink eager;
+    emitter.emit(eager);
+    bool cuda_graph = opts.mode != ExecMode::CompileDefault;
+    bool autotune = opts.mode == ExecMode::CompileMaxAutotune;
+    CompileTransform transform(cuda_graph, autotune);
+    OperatorGraph graph = transform.run(eager.take(), opts.cpuCostScale);
+    if (ctx > 0) {
+        const ContextPatch patch = emitter.contextPatch(ctx);
+        for (auto &root : graph.roots)
+            patch.apply(root);
+    }
+    return graph;
+}
+
+/**
+ * Stream one pass into @p sink: the prefill, or with @p ctx > 0 a
+ * decode step, a sequence-length-1 pass over a KV cache of ctx tokens.
+ * Compile modes stream their compiled tree.
+ */
+void
+emitPass(const ModelConfig &model, const BuildOptions &opts, int ctx,
+         OpSink &sink)
+{
+    if (compiled(opts.mode)) {
+        compiledGraph(model, opts, ctx).emit(sink);
+        return;
+    }
+    BuildOptions shape = opts;
+    if (ctx > 0)
+        shape.seqLen = 1;
+    GraphEmitter emitter(model, shape);
+    if (ctx == 0) {
+        emitter.emit(sink);
+        return;
+    }
+    ContextSink resized(sink, emitter.contextPatch(ctx));
+    emitter.emit(resized);
+}
+
+OperatorGraph
+buildPass(const ModelConfig &model, const BuildOptions &opts, int ctx)
+{
+    if (compiled(opts.mode))
+        return compiledGraph(model, opts, ctx);
+    TreeSink tree;
+    emitPass(model, opts, ctx, tree);
+    return tree.take();
+}
+
+void
+requireContext(int context_len)
+{
+    if (context_len <= 0)
+        fatal("buildDecodeStepGraph: context_len must be positive");
+}
 
 } // namespace
+
+void
+emitPrefill(const ModelConfig &model, const BuildOptions &opts, OpSink &sink)
+{
+    emitPass(model, opts, 0, sink);
+}
+
+void
+emitDecodeStep(const ModelConfig &model, const BuildOptions &opts,
+               int context_len, OpSink &sink)
+{
+    requireContext(context_len);
+    emitPass(model, opts, context_len, sink);
+}
 
 OperatorGraph
 buildPrefillGraph(const ModelConfig &model, const BuildOptions &opts)
 {
-    switch (opts.mode) {
-      case ExecMode::Eager:
-      case ExecMode::FlashAttention2: {
-        GraphEmitter emitter(model, opts);
-        return emitter.buildPrefill();
-      }
-      case ExecMode::CompileDefault:
-      case ExecMode::CompileReduceOverhead:
-      case ExecMode::CompileMaxAutotune: {
-        BuildOptions eager_opts = opts;
-        eager_opts.mode = ExecMode::Eager;
-        GraphEmitter emitter(model, eager_opts);
-        OperatorGraph eager = emitter.buildPrefill();
-        bool cuda_graph = opts.mode != ExecMode::CompileDefault;
-        bool autotune = opts.mode == ExecMode::CompileMaxAutotune;
-        CompileTransform transform(cuda_graph, autotune);
-        return transform.run(eager, opts.cpuCostScale);
-      }
-    }
-    panic("buildPrefillGraph: invalid ExecMode");
+    return buildPass(model, opts, 0);
 }
 
 OperatorGraph
 buildDecodeStepGraph(const ModelConfig &model, const BuildOptions &opts,
                      int context_len)
 {
-    if (context_len <= 0)
-        fatal("buildDecodeStepGraph: context_len must be positive");
-    // A decode step is a sequence-length-1 forward over a KV cache of
-    // context_len tokens. Reuse the prefill emitter with S=1, then the
-    // attention matmuls see the full context; we approximate by
-    // building with S=1 and adding the KV-sized attention work via a
-    // dedicated graph. For the paper's prefill-centric evaluation this
-    // is an extension point; the dominant effects (per-token launch
-    // overhead, memory-bound attention) are captured.
-    BuildOptions step = opts;
-    step.seqLen = 1;
-    OperatorGraph graph = buildPrefillGraph(model, step);
-
-    const ContextPatch patch{static_cast<double>(opts.batch),
-                             static_cast<double>(model.heads),
-                             static_cast<double>(model.headDim()),
-                             static_cast<double>(context_len),
-                             static_cast<double>(model.hidden)};
-    for (auto &root : graph.roots)
-        patch.apply(root);
-    return graph;
+    requireContext(context_len);
+    return buildPass(model, opts, context_len);
 }
 
 OperatorGraph

@@ -8,6 +8,22 @@
  * attention upcasts to fp32 around softmax, while BERT's softmax stays
  * in fp16 — details that drive both kernel counts (K_eager) and the
  * memory traffic that separates the platforms.
+ *
+ * One emitter produces every pass as a stream of operators into an
+ * OpSink (op_graph.hh), in the order the simulator executes them.
+ * There are three entry points:
+ *  - buildPrefillGraph() and buildDecodeStepGraph() hand the stream to
+ *    a tree sink that builds the OperatorGraph in place; SKIP, the
+ *    fuzzer and the Kineto path read that tree;
+ *  - emitPrefill() and emitDecodeStep() hand it to any sink. A sink
+ *    that keeps no names (the simulator's trace-free walk) gets kernel
+ *    stems, so no shape or variant string is formatted, and no tree is
+ *    built: sim::Simulator::wallNs(model, opts[, ctx]) prices a pass
+ *    this way;
+ *  - the compile modes build the eager tree, compile it
+ *    (CompileTransform) and stream the compiled tree.
+ * A decode step is a sequence-length-1 pass whose attention work the
+ * one decode rule (ContextPatch) resizes to the KV cache, per rank.
  */
 
 #ifndef SKIPSIM_WORKLOAD_BUILDER_HH
@@ -68,11 +84,31 @@ OperatorGraph buildPrefillGraph(const ModelConfig &model,
 /**
  * Build a single autoregressive decode step with a KV cache holding
  * @p context_len tokens (extension beyond the paper's prefill-only
- * evaluation).
+ * evaluation). Under tensor parallelism the attention over the cache
+ * covers this rank's heads only, as in the prefill.
+ * @throws skipsim::FatalError on non-positive @p context_len, and as
+ *         buildPrefillGraph().
  */
 OperatorGraph buildDecodeStepGraph(const ModelConfig &model,
                                    const BuildOptions &opts,
                                    int context_len);
+
+/**
+ * Stream the prefill pass into @p sink: the operators
+ * buildPrefillGraph() would build, in the same order with the same
+ * costs and work. A sink that keeps no names gets kernel stems.
+ * @throws skipsim::FatalError as buildPrefillGraph().
+ */
+void emitPrefill(const ModelConfig &model, const BuildOptions &opts,
+                 OpSink &sink);
+
+/**
+ * Stream a decode step into @p sink, as emitPrefill() does for the
+ * prefill.
+ * @throws skipsim::FatalError as buildDecodeStepGraph().
+ */
+void emitDecodeStep(const ModelConfig &model, const BuildOptions &opts,
+                    int context_len, OpSink &sink);
 
 /**
  * Build the nullKernel microbenchmark graph: @p count back-to-back

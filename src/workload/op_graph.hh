@@ -11,7 +11,9 @@
 #define SKIPSIM_WORKLOAD_OP_GRAPH_HH
 
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hw/kernel_cost.hh"
@@ -42,6 +44,9 @@ struct KernelLaunch
     double totalBytes() const;
 };
 
+/** Default fraction of an operator's CPU cost spent before its work. */
+constexpr double defaultPreFraction = 0.6;
+
 /**
  * An operator node. Execution order within a node is: pre-dispatch CPU
  * work, children (in order, recursively), kernel launches (in order),
@@ -56,16 +61,61 @@ struct OpNode
     double cpuNs = 0.0;
 
     /** Fraction of cpuNs spent before children/launches (rest after). */
-    double preFraction = 0.6;
+    double preFraction = defaultPreFraction;
 
     std::vector<OpNode> children;
     std::vector<KernelLaunch> launches;
+};
+
+/**
+ * Receives a forward pass as a stream of operators in issue order, the
+ * order the simulator executes them: begin() opens an operator,
+ * launch() issues one kernel or copy of the innermost open operator,
+ * end() closes it. Operators opened between a begin() and its end()
+ * are its children; an operator's children all come before its
+ * launches. Names and work spans are valid only during the call.
+ */
+class OpSink
+{
+  public:
+    virtual ~OpSink() = default;
+
+    /**
+     * Whether the sink reads kernel names. A sink that returns false
+     * is handed each kernel's stem (the fixed prefix naming its kind,
+     * e.g. "bmm_f16_") so the emitter formats no shape or variant.
+     */
+    virtual bool keepsNames() const = 0;
+
+    /** Open an operator costing @p cpuNs at the reference CPU. */
+    virtual void begin(std::string_view name, double cpuNs,
+                       double preFraction) = 0;
+
+    /** Issue one kernel (or host-to-device copy) of the open operator. */
+    virtual void launch(std::string_view kernel,
+                        std::span<const hw::KernelWork> work,
+                        bool isMemcpy) = 0;
+
+    /** Close the innermost open operator. */
+    virtual void end() = 0;
 };
 
 /** A complete forward-pass operator graph (list of top-level ops). */
 struct OperatorGraph
 {
     std::vector<OpNode> roots;
+
+    /**
+     * Stream the tree into @p sink depth-first, in issue order. A
+     * template, so that the calls into a final sink bind statically.
+     */
+    template <typename Sink>
+    void
+    emit(Sink &sink) const
+    {
+        for (const auto &root : roots)
+            emitOp(root, sink);
+    }
 
     /** Total operator nodes (recursive). */
     std::size_t numOps() const;
@@ -94,6 +144,19 @@ struct OperatorGraph
     /** Visit every launch in execution order. */
     void
     forEachLaunch(const std::function<void(const KernelLaunch &)> &fn) const;
+
+  private:
+    template <typename Sink>
+    static void
+    emitOp(const OpNode &node, Sink &sink)
+    {
+        sink.begin(node.name, node.cpuNs, node.preFraction);
+        for (const auto &child : node.children)
+            emitOp(child, sink);
+        for (const auto &launch : node.launches)
+            sink.launch(launch.kernelName, launch.work, launch.isMemcpy);
+        sink.end();
+    }
 };
 
 /** @name Builder helpers

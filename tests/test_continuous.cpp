@@ -271,6 +271,24 @@ TEST(Continuous, MatchesTheEventDrivenOracle)
     EXPECT_TRUE(saw_chunked);
 }
 
+TEST(Continuous, AnArrivalOnAnIterationEndJoinsTheIterationItStarts)
+{
+    // Request 1 arrives exactly as request 0's prefill ends. The walk
+    // handles the arrival before the iteration end, so the iteration
+    // that end starts prefills request 1 (its TTFT is one batch-1
+    // prefill) rather than decoding request 0 ahead of it.
+    const double prefill = costModel().prefillNs(1);
+    const std::vector<double> arrivals = {0.0, prefill};
+    ContinuousConfig c = config(1.0, 4, 4);
+    c.horizonSec = 1.0;
+    ContinuousResult r = walkContinuous(costModel(), c, arrivals);
+    EXPECT_EQ(r.completed, 2u);
+    EXPECT_EQ(r.p50TtftNs, prefill);
+    EXPECT_EQ(r.p99TtftNs, prefill);
+    // The event-driven loop breaks the tie the same way, bit for bit.
+    EXPECT_EQ(check::diffContinuous(costModel(), c, arrivals), "");
+}
+
 // ---------------------------------------------------------- replica engine
 
 ReplicaEngine::Config

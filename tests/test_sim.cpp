@@ -2,8 +2,10 @@
  * @file
  * Unit tests for the discrete-event simulator: launch/queue timing
  * semantics (paper Fig. 4), determinism, memcpy handling on LC vs CC
- * platforms, trace well-formedness, and the trace-free walk
- * (Simulator::wallNs) held to the traced run bit for bit.
+ * platforms, trace well-formedness, the trace-free walk
+ * (Simulator::wallNs) held to the traced run bit for bit, and the
+ * graph-free walk (wallNs(model, opts[, ctx])) held to the walk of the
+ * built tree bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -407,6 +409,97 @@ TEST(Simulator, TraceFreeWallMatchesUnderCompileParallelismAndJitter)
             }
         }
     }
+}
+
+/**
+ * The graph-free walk (wallNs(model, opts[, ctx])) against the walk of
+ * the built tree, with exact double equality: every catalog model and
+ * platform, prefill and decode, batch 1-64, tensor-parallel 1 and 2
+ * where the model shards and the platform has a peer link, jitter off
+ * and at two seeds.
+ */
+void
+expectGraphFreeMatches(workload::ExecMode mode)
+{
+    const std::vector<hw::Platform> platforms = hw::platforms::all();
+    SimOptions seed3;
+    seed3.jitter = true;
+    seed3.seed = 3;
+    SimOptions seed1009 = seed3;
+    seed1009.seed = 1009;
+    for (const workload::ModelConfig &model : workload::allModels()) {
+        for (int tp : {1, 2}) {
+            if (model.heads % tp != 0 || model.intermediate % tp != 0 ||
+                model.vocab % tp != 0)
+                continue;
+            for (int batch : {1, 2, 4, 8, 16, 32, 64}) {
+                workload::BuildOptions build;
+                build.batch = batch;
+                build.seqLen = 128;
+                build.mode = mode;
+                build.tensorParallel = tp;
+                const int context = 96 + batch;
+                const OperatorGraph prefill =
+                    workload::buildPrefillGraph(model, build);
+                const OperatorGraph decode =
+                    workload::buildDecodeStepGraph(model, build, context);
+                for (const hw::Platform &platform : platforms) {
+                    if (tp > 1 && platform.gpu.nvlinkGBs <= 0.0)
+                        continue;
+                    for (const SimOptions &opts :
+                         {noJitter(), seed3, seed1009}) {
+                        const Simulator simulator(platform, opts);
+                        const std::string at = model.name + " " +
+                            workload::execModeName(mode) + " tp " +
+                            std::to_string(tp) + " batch " +
+                            std::to_string(batch) + " on " +
+                            platform.name + " seed " +
+                            std::to_string(opts.jitter ? opts.seed : 0);
+                        EXPECT_EQ(simulator.wallNs(model, build),
+                                  simulator.wallNs(prefill))
+                            << at << " prefill";
+                        EXPECT_EQ(simulator.wallNs(model, build, context),
+                                  simulator.wallNs(decode))
+                            << at << " decode";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Simulator, GraphFreeWallMatchesTheTreeWalkEager)
+{
+    expectGraphFreeMatches(workload::ExecMode::Eager);
+}
+
+TEST(Simulator, GraphFreeWallMatchesTheTreeWalkFlashAttention)
+{
+    expectGraphFreeMatches(workload::ExecMode::FlashAttention2);
+}
+
+TEST(Simulator, GraphFreeWallMatchesTheTreeWalkCompileDefault)
+{
+    expectGraphFreeMatches(workload::ExecMode::CompileDefault);
+}
+
+TEST(Simulator, GraphFreeWallMatchesTheTreeWalkReduceOverhead)
+{
+    expectGraphFreeMatches(workload::ExecMode::CompileReduceOverhead);
+}
+
+TEST(Simulator, GraphFreeWallMatchesTheTreeWalkMaxAutotune)
+{
+    expectGraphFreeMatches(workload::ExecMode::CompileMaxAutotune);
+}
+
+TEST(Simulator, GraphFreeWallRejectsWhatTheBuilderRejects)
+{
+    workload::BuildOptions bad;
+    bad.batch = 0;
+    const Simulator simulator(hw::platforms::gh200());
+    EXPECT_THROW(simulator.wallNs(workload::gpt2(), bad), FatalError);
+    EXPECT_THROW(simulator.wallNs(workload::gpt2(), {}, 0), FatalError);
 }
 
 TEST(Simulator, PlatformMetaRecorded)

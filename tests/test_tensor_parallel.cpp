@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "hw/catalog.hh"
@@ -64,6 +67,51 @@ TEST(TensorParallel, ShardsGpuWork)
     // and grouped KV replication keeps K/V projections whole).
     EXPECT_LT(flops4, 0.45 * flops1);
     EXPECT_GT(flops4, 0.2 * flops1);
+}
+
+/** Summed {flops, bytes} of a graph's launches whose kernel name
+ *  contains @p stem. */
+std::pair<double, double>
+workOf(const OperatorGraph &graph, const std::string &stem)
+{
+    std::pair<double, double> total{0.0, 0.0};
+    graph.forEachLaunch([&](const KernelLaunch &launch) {
+        if (contains(launch.kernelName, stem)) {
+            total.first += launch.totalFlops();
+            total.second += launch.totalBytes();
+        }
+    });
+    return total;
+}
+
+TEST(TensorParallel, ShardsDecodeAttentionOverTheContext)
+{
+    // A decode step's attention runs over the KV cache on this rank's
+    // heads only, as the prefill's does: half the heads at degree 2,
+    // so half the bmm, softmax and flash work over the context.
+    auto decode = [](int tp, ExecMode mode) {
+        BuildOptions opts;
+        opts.batch = 4;
+        opts.tensorParallel = tp;
+        opts.mode = mode;
+        return buildDecodeStepGraph(llama32_1b(), opts, 512);
+    };
+    const OperatorGraph eager1 = decode(1, ExecMode::Eager);
+    const OperatorGraph eager2 = decode(2, ExecMode::Eager);
+    for (const char *stem : {"bmm_f16_", "softmax_"}) {
+        auto [flops1, bytes1] = workOf(eager1, stem);
+        auto [flops2, bytes2] = workOf(eager2, stem);
+        EXPECT_GT(flops1, 0.0) << stem;
+        EXPECT_DOUBLE_EQ(flops2, 0.5 * flops1) << stem;
+        EXPECT_DOUBLE_EQ(bytes2, 0.5 * bytes1) << stem;
+    }
+    auto [flash_flops1, flash_bytes1] =
+        workOf(decode(1, ExecMode::FlashAttention2), "flash_fwd_");
+    auto [flash_flops2, flash_bytes2] =
+        workOf(decode(2, ExecMode::FlashAttention2), "flash_fwd_");
+    EXPECT_GT(flash_flops1, 0.0);
+    EXPECT_DOUBLE_EQ(flash_flops2, 0.5 * flash_flops1);
+    EXPECT_DOUBLE_EQ(flash_bytes2, 0.5 * flash_bytes1);
 }
 
 TEST(TensorParallel, CpuWorkDoesNotShrink)
