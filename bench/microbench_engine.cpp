@@ -177,22 +177,28 @@ BM_IterationCostModel(benchmark::State &state)
 BENCHMARK(BM_IterationCostModel)->Unit(benchmark::kMillisecond);
 
 void
-BM_PriceGraphFree(benchmark::State &state, bool decode)
+BM_PriceGraphFree(benchmark::State &state, bool decode,
+                  workload::ExecMode mode)
 {
     // One batch-32 point of BM_IterationCostModel's grid, priced
-    // graph-free: the builder's emitter streams straight into the
-    // trace-free walk, building no OperatorGraph.
+    // graph-free: the builder's pipeline streams straight into the
+    // trace-free walk, building no OperatorGraph. The compiled decode
+    // step is the pass the speculative-decoding analysis prices.
     const workload::ModelConfig model = workload::gpt2();
     workload::BuildOptions opts;
     opts.batch = 32;
     opts.seqLen = 128;
+    opts.mode = mode;
     sim::Simulator simulator(hw::platforms::gh200());
     for (auto _ : state)
         benchmark::DoNotOptimize(decode ? simulator.wallNs(model, opts, 128)
                                         : simulator.wallNs(model, opts));
 }
-BENCHMARK_CAPTURE(BM_PriceGraphFree, prefill, false);
-BENCHMARK_CAPTURE(BM_PriceGraphFree, decode, true);
+BENCHMARK_CAPTURE(BM_PriceGraphFree, prefill, false,
+                  workload::ExecMode::Eager);
+BENCHMARK_CAPTURE(BM_PriceGraphFree, decode, true, workload::ExecMode::Eager);
+BENCHMARK_CAPTURE(BM_PriceGraphFree, decode_reduce_overhead, true,
+                  workload::ExecMode::CompileReduceOverhead);
 
 void
 BM_SimulateNoJitterAblation(benchmark::State &state)

@@ -79,12 +79,6 @@ Runner::Runner(int jobs)
     _jobs = jobs == 0 ? Pool::hardwareWorkers() : jobs;
 }
 
-json::Value
-Runner::runOne(const RunSpec &spec, const std::string &analysis) const
-{
-    return analysisByName(analysis)(spec);
-}
-
 GridReport
 Runner::runGrid(const SweepSpec &spec, const std::string &analysis) const
 {

@@ -85,14 +85,6 @@ class Runner
     int jobs() const { return _jobs; }
 
     /**
-     * Run one point through a registered analysis.
-     * @throws skipsim::FatalError for unknown analysis names and
-     *         analysis failures (single-point runs surface errors).
-     */
-    json::Value runOne(const RunSpec &spec,
-                       const std::string &analysis) const;
-
-    /**
      * Fan a grid out across the workers. The analysis name resolves
      * once, up front (@throws skipsim::FatalError when unknown);
      * per-point analysis failures are recorded in the report instead.

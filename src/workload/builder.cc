@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -181,15 +182,6 @@ struct ContextPatch
             }
         }
     }
-
-    void
-    apply(OpNode &node) const
-    {
-        for (auto &child : node.children)
-            apply(child);
-        for (auto &launch : node.launches)
-            apply(launch.kernelName, launch.work);
-    }
 };
 
 /** Builds the operator tree of a stream in place. */
@@ -268,24 +260,29 @@ class ContextSink final : public OpSink
 class GraphEmitter
 {
   public:
-    GraphEmitter(const ModelConfig &model, const BuildOptions &opts)
+    /** @p entry names the builder entry point in error messages. */
+    GraphEmitter(const ModelConfig &model, const BuildOptions &opts,
+                 std::string_view entry)
         : m(model), o(opts),
           B(opts.batch), S(opts.seqLen), H(model.hidden),
           I(model.intermediate), NH(model.heads), KVH(model.kvHeads),
           HD(model.headDim()), TP(opts.tensorParallel)
     {
+        auto reject = [&](std::string_view what) {
+            fatal(std::string(entry) + ": " + std::string(what));
+        };
         if (opts.batch <= 0)
-            fatal("buildPrefillGraph: batch must be positive");
+            reject("batch must be positive");
         if (opts.seqLen <= 0)
-            fatal("buildPrefillGraph: seqLen must be positive");
+            reject("seqLen must be positive");
         if (TP < 1)
-            fatal("buildPrefillGraph: tensorParallel must be >= 1");
+            reject("tensorParallel must be >= 1");
         if (TP > 1) {
             if (model.heads % opts.tensorParallel != 0 ||
                 model.intermediate % opts.tensorParallel != 0 ||
                 model.vocab % opts.tensorParallel != 0) {
-                fatal("buildPrefillGraph: heads, intermediate and vocab "
-                      "must be divisible by the tensor-parallel degree");
+                reject("heads, intermediate and vocab must be divisible "
+                       "by the tensor-parallel degree");
             }
             // Per-rank shards: attention heads, grouped KV heads
             // (replicated when fewer than the degree) and MLP columns.
@@ -835,43 +832,51 @@ class GraphEmitter
 };
 
 /**
- * Inductor-style compile transform: drop layout copies, fuse runs of
- * memory-bound kernels into Triton kernels (reducing intermediate
- * round trips), optionally capture everything into one CUDA graph, and
- * optionally apply autotuned-GEMM speedups.
+ * Inductor-style compile stage over an eager stream: count the eager
+ * operators (each costs the compiled wrapper a guard), drop layout
+ * copies, keep memcpys and kernels. flush() fuses runs of memory-bound
+ * kernels into Triton kernels (reducing intermediate round trips),
+ * optionally applies autotuned-GEMM speedups, and streams the compiled
+ * pass into the inner sink: the memcpy roots, then one CUDA-graph
+ * replay or a compiled module launching each kernel.
  */
-class CompileTransform
+class CompileSink final : public OpSink
 {
   public:
-    CompileTransform(bool cuda_graph, bool autotune)
-        : cudaGraph(cuda_graph), autotune(autotune)
+    CompileSink(OpSink &inner, const BuildOptions &opts)
+        : inner(inner), named(inner.keepsNames()),
+          cudaGraph(opts.mode != ExecMode::CompileDefault),
+          autotune(opts.mode == ExecMode::CompileMaxAutotune),
+          scale(opts.cpuCostScale)
     {}
 
-    OperatorGraph
-    run(const OperatorGraph &eager, double cpu_cost_scale)
+    bool keepsNames() const override { return named; }
+
+    void begin(std::string_view, double, double) override { ++eagerOps; }
+
+    void
+    launch(std::string_view kernel, std::span<const KernelWork> work,
+           bool isMemcpy) override
     {
-        // 1. Flatten the eager launch list; drop copies; collect memcpys.
-        std::vector<KernelLaunch> kernels;
-        std::vector<KernelLaunch> memcpys;
-        eager.forEachLaunch([&](const KernelLaunch &launch) {
-            if (launch.isMemcpy) {
-                memcpys.push_back(launch);
-                return;
-            }
-            bool all_copies = true;
-            for (const auto &w : launch.work) {
-                if (w.cls != KernelClass::Copy)
-                    all_copies = false;
-            }
-            if (all_copies)
-                return; // layout copies are compiled away
-            kernels.push_back(launch);
-        });
+        bool all_copies =
+            std::ranges::all_of(work, [](const KernelWork &w) {
+                return w.cls == KernelClass::Copy;
+            });
+        if (!isMemcpy && all_copies)
+            return; // layout copies are compiled away
+        KernelLaunch &launch =
+            (isMemcpy ? memcpys : kernels).emplace_back();
+        launch.kernelName = kernel;
+        launch.work.assign(work.begin(), work.end());
+    }
 
-        // 2. Fuse consecutive memory-bound kernels.
-        std::vector<KernelLaunch> fused = fuseRuns(kernels);
+    void end() override {}
 
-        // 3. Autotune: faster GEMM/attention kernels.
+    /** Stream the compiled pass into the inner sink (once). */
+    void
+    flush()
+    {
+        std::vector<KernelLaunch> fused = fuseRuns();
         if (autotune) {
             for (auto &launch : fused) {
                 for (auto &w : launch.work) {
@@ -883,52 +888,49 @@ class CompileTransform
             }
         }
 
-        // 4. Rebuild the operator graph.
-        OperatorGraph out;
         for (const auto &mc : memcpys) {
-            OpNode node;
-            node.name = "aten::to";
-            node.cpuNs = opLeafCpuNs * cpu_cost_scale;
-            node.launches.push_back(mc);
-            out.roots.push_back(std::move(node));
+            inner.begin("aten::to", opLeafCpuNs * scale, defaultPreFraction);
+            inner.launch(mc.kernelName, mc.work, true);
+            inner.end();
         }
 
         double wrapper_cpu =
-            static_cast<double>(eager.numOps()) * wrapperPerOpCpuNs;
+            static_cast<double>(eagerOps) * wrapperPerOpCpuNs;
 
         if (cudaGraph) {
-            OpNode node;
-            node.name = "CUDAGraph::replay";
-            node.cpuNs =
-                (graphReplayCpuNs + wrapper_cpu) * cpu_cost_scale;
-            KernelLaunch graph_launch;
-            graph_launch.kernelName = "cuda_graph_exec";
-            for (const auto &launch : fused) {
-                for (const auto &w : launch.work)
-                    graph_launch.work.push_back(w);
-            }
-            node.launches.push_back(std::move(graph_launch));
-            out.roots.push_back(std::move(node));
+            std::vector<KernelWork> replayed;
+            for (const auto &launch : fused)
+                replayed.insert(replayed.end(), launch.work.begin(),
+                                launch.work.end());
+            inner.begin("CUDAGraph::replay",
+                        (graphReplayCpuNs + wrapper_cpu) * scale,
+                        defaultPreFraction);
+            inner.launch("cuda_graph_exec", replayed, false);
+            inner.end();
         } else {
-            OpNode root;
-            root.name = "CompiledModule::forward";
-            root.cpuNs =
-                (compiledRootCpuNs + wrapper_cpu) * cpu_cost_scale;
+            inner.begin("CompiledModule::forward",
+                        (compiledRootCpuNs + wrapper_cpu) * scale,
+                        defaultPreFraction);
             for (const auto &launch : fused) {
-                OpNode node;
-                node.name = "inductor::launch";
-                node.cpuNs = opCompiledCpuNs * cpu_cost_scale;
-                node.launches.push_back(launch);
-                root.children.push_back(std::move(node));
+                inner.begin("inductor::launch", opCompiledCpuNs * scale,
+                            defaultPreFraction);
+                inner.launch(launch.kernelName, launch.work, false);
+                inner.end();
             }
-            out.roots.push_back(std::move(root));
+            inner.end();
         }
-        return out;
     }
 
   private:
+    OpSink &inner;
+    bool named;
     bool cudaGraph;
     bool autotune;
+    double scale; ///< cpuCostScale
+
+    std::size_t eagerOps = 0;
+    std::vector<KernelLaunch> kernels; ///< eager kernels, copies dropped
+    std::vector<KernelLaunch> memcpys;
 
     static constexpr double fusionByteSaving = 0.30; ///< fused-run bytes x
     static constexpr double autotuneGemmSpeedup = 1.15;
@@ -961,15 +963,16 @@ class CompileTransform
         return true;
     }
 
+    /** The kept kernels with each fusable run of two or more merged. */
     std::vector<KernelLaunch>
-    fuseRuns(const std::vector<KernelLaunch> &kernels)
+    fuseRuns()
     {
         std::vector<KernelLaunch> out;
         std::size_t i = 0;
         int fused_id = 0;
         while (i < kernels.size()) {
             if (!fusable(kernels[i])) {
-                out.push_back(kernels[i]);
+                out.push_back(std::move(kernels[i]));
                 ++i;
                 continue;
             }
@@ -989,15 +992,17 @@ class CompileTransform
                 ++j;
             }
             if (j - i == 1) {
-                out.push_back(kernels[i]);
+                out.push_back(std::move(kernels[i]));
             } else {
                 merged.bytes *= fusionByteSaving;
-                KernelLaunch launch;
-                launch.kernelName =
-                    "triton_fused_" + std::to_string(fused_id++) + "_n" +
-                    std::to_string(j - i);
+                KernelLaunch &launch = out.emplace_back();
+                launch.kernelName = "triton_fused_";
+                if (named) {
+                    launch.kernelName += std::to_string(fused_id) + "_n" +
+                        std::to_string(j - i);
+                }
+                ++fused_id;
                 launch.work.push_back(merged);
-                out.push_back(std::move(launch));
             }
             i = j;
         }
@@ -1005,9 +1010,8 @@ class CompileTransform
     }
 };
 
-
 bool
-compiled(ExecMode mode)
+compiled(ExecMode mode, std::string_view entry)
 {
     switch (mode) {
       case ExecMode::Eager:
@@ -1018,76 +1022,36 @@ compiled(ExecMode mode)
       case ExecMode::CompileMaxAutotune:
         return true;
     }
-    panic("buildPrefillGraph: invalid ExecMode");
-}
-
-/**
- * A compile mode's graph: the eager pass built as a tree and compiled.
- * A decode step (@p ctx > 0) compiles the sequence-length-1 pass, then
- * resizes the compiled kernels' attention to its context.
- */
-OperatorGraph
-compiledGraph(const ModelConfig &model, const BuildOptions &opts, int ctx)
-{
-    BuildOptions eager_opts = opts;
-    eager_opts.mode = ExecMode::Eager;
-    if (ctx > 0)
-        eager_opts.seqLen = 1;
-    GraphEmitter emitter(model, eager_opts);
-    TreeSink eager;
-    emitter.emit(eager);
-    bool cuda_graph = opts.mode != ExecMode::CompileDefault;
-    bool autotune = opts.mode == ExecMode::CompileMaxAutotune;
-    CompileTransform transform(cuda_graph, autotune);
-    OperatorGraph graph = transform.run(eager.take(), opts.cpuCostScale);
-    if (ctx > 0) {
-        const ContextPatch patch = emitter.contextPatch(ctx);
-        for (auto &root : graph.roots)
-            patch.apply(root);
-    }
-    return graph;
+    panic(std::string(entry) + ": invalid ExecMode");
 }
 
 /**
  * Stream one pass into @p sink: the prefill, or with @p ctx > 0 a
  * decode step, a sequence-length-1 pass over a KV cache of ctx tokens.
- * Compile modes stream their compiled tree.
+ * Every mode runs one pipeline: the emitter, then the decode rule
+ * (decode steps), then the compile stage (compile modes), then @p sink.
  */
 void
 emitPass(const ModelConfig &model, const BuildOptions &opts, int ctx,
          OpSink &sink)
 {
-    if (compiled(opts.mode)) {
-        compiledGraph(model, opts, ctx).emit(sink);
-        return;
-    }
+    const std::string_view entry =
+        ctx > 0 ? "buildDecodeStepGraph" : "buildPrefillGraph";
+    std::optional<CompileSink> compile;
+    if (compiled(opts.mode, entry))
+        compile.emplace(sink, opts);
+    OpSink &stage = compile ? static_cast<OpSink &>(*compile) : sink;
+
     BuildOptions shape = opts;
     if (ctx > 0)
         shape.seqLen = 1;
-    GraphEmitter emitter(model, shape);
-    if (ctx == 0) {
-        emitter.emit(sink);
-        return;
-    }
-    ContextSink resized(sink, emitter.contextPatch(ctx));
-    emitter.emit(resized);
-}
-
-OperatorGraph
-buildPass(const ModelConfig &model, const BuildOptions &opts, int ctx)
-{
-    if (compiled(opts.mode))
-        return compiledGraph(model, opts, ctx);
-    TreeSink tree;
-    emitPass(model, opts, ctx, tree);
-    return tree.take();
-}
-
-void
-requireContext(int context_len)
-{
-    if (context_len <= 0)
-        fatal("buildDecodeStepGraph: context_len must be positive");
+    GraphEmitter emitter(model, shape, entry);
+    std::optional<ContextSink> resized;
+    if (ctx > 0)
+        resized.emplace(stage, emitter.contextPatch(ctx));
+    emitter.emit(resized ? static_cast<OpSink &>(*resized) : stage);
+    if (compile)
+        compile->flush();
 }
 
 } // namespace
@@ -1102,22 +1066,26 @@ void
 emitDecodeStep(const ModelConfig &model, const BuildOptions &opts,
                int context_len, OpSink &sink)
 {
-    requireContext(context_len);
+    if (context_len <= 0)
+        fatal("buildDecodeStepGraph: context_len must be positive");
     emitPass(model, opts, context_len, sink);
 }
 
 OperatorGraph
 buildPrefillGraph(const ModelConfig &model, const BuildOptions &opts)
 {
-    return buildPass(model, opts, 0);
+    TreeSink tree;
+    emitPrefill(model, opts, tree);
+    return tree.take();
 }
 
 OperatorGraph
 buildDecodeStepGraph(const ModelConfig &model, const BuildOptions &opts,
                      int context_len)
 {
-    requireContext(context_len);
-    return buildPass(model, opts, context_len);
+    TreeSink tree;
+    emitDecodeStep(model, opts, context_len, tree);
+    return tree.take();
 }
 
 OperatorGraph

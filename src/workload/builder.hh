@@ -9,21 +9,24 @@
  * in fp16 — details that drive both kernel counts (K_eager) and the
  * memory traffic that separates the platforms.
  *
- * One emitter produces every pass as a stream of operators into an
- * OpSink (op_graph.hh), in the order the simulator executes them.
- * There are three entry points:
- *  - buildPrefillGraph() and buildDecodeStepGraph() hand the stream to
- *    a tree sink that builds the OperatorGraph in place; SKIP, the
+ * Every pass, in every mode, runs one pipeline of operator sinks
+ * (OpSink, op_graph.hh), in the order the simulator executes them:
+ *  1. one emitter streams the eager (or FlashAttention2) pass;
+ *  2. a decode step is a sequence-length-1 pass whose attention work
+ *     the one decode rule (ContextPatch) resizes to the KV cache, per
+ *     rank;
+ *  3. a compile mode's stage (CompileSink) drops layout copies, fuses
+ *     memory-bound runs and streams the compiled pass at the end;
+ *  4. the caller's sink.
+ * There are two kinds of entry point:
+ *  - buildPrefillGraph() and buildDecodeStepGraph() end the pipeline
+ *    in a tree sink that builds the OperatorGraph in place; SKIP, the
  *    fuzzer and the Kineto path read that tree;
- *  - emitPrefill() and emitDecodeStep() hand it to any sink. A sink
+ *  - emitPrefill() and emitDecodeStep() end it in any sink. A sink
  *    that keeps no names (the simulator's trace-free walk) gets kernel
  *    stems, so no shape or variant string is formatted, and no tree is
  *    built: sim::Simulator::wallNs(model, opts[, ctx]) prices a pass
- *    this way;
- *  - the compile modes build the eager tree, compile it
- *    (CompileTransform) and stream the compiled tree.
- * A decode step is a sequence-length-1 pass whose attention work the
- * one decode rule (ContextPatch) resizes to the KV cache, per rank.
+ *    this way.
  */
 
 #ifndef SKIPSIM_WORKLOAD_BUILDER_HH
@@ -86,8 +89,9 @@ OperatorGraph buildPrefillGraph(const ModelConfig &model,
  * @p context_len tokens (extension beyond the paper's prefill-only
  * evaluation). Under tensor parallelism the attention over the cache
  * covers this rank's heads only, as in the prefill.
- * @throws skipsim::FatalError on non-positive @p context_len, and as
- *         buildPrefillGraph().
+ * @throws skipsim::FatalError on non-positive @p context_len, and on
+ *         the options buildPrefillGraph() rejects; every message names
+ *         buildDecodeStepGraph.
  */
 OperatorGraph buildDecodeStepGraph(const ModelConfig &model,
                                    const BuildOptions &opts,

@@ -147,15 +147,6 @@ makeKernelOp(std::string op_name, double cpu_ns, std::string kernel_name,
 }
 
 OpNode
-makeCpuOp(std::string op_name, double cpu_ns)
-{
-    OpNode node;
-    node.name = std::move(op_name);
-    node.cpuNs = cpu_ns;
-    return node;
-}
-
-OpNode
 makeParentOp(std::string op_name, double cpu_ns,
              std::vector<OpNode> children)
 {

@@ -167,9 +167,6 @@ struct OperatorGraph
 OpNode makeKernelOp(std::string op_name, double cpu_ns,
                     std::string kernel_name, hw::KernelWork work);
 
-/** CPU-only operator (views, reshapes, metadata ops). */
-OpNode makeCpuOp(std::string op_name, double cpu_ns);
-
 /** Parent operator wrapping children. */
 OpNode makeParentOp(std::string op_name, double cpu_ns,
                     std::vector<OpNode> children);

@@ -500,6 +500,19 @@ TEST(Simulator, GraphFreeWallRejectsWhatTheBuilderRejects)
     const Simulator simulator(hw::platforms::gh200());
     EXPECT_THROW(simulator.wallNs(workload::gpt2(), bad), FatalError);
     EXPECT_THROW(simulator.wallNs(workload::gpt2(), {}, 0), FatalError);
+    // A decode step's errors name the decode entry point.
+    for (bool graph_free : {false, true}) {
+        try {
+            if (graph_free)
+                simulator.wallNs(workload::gpt2(), bad, 16);
+            else
+                workload::buildDecodeStepGraph(workload::gpt2(), bad, 16);
+            ADD_FAILURE() << "accepted batch 0";
+        } catch (const FatalError &err) {
+            EXPECT_STREQ(err.what(),
+                         "buildDecodeStepGraph: batch must be positive");
+        }
+    }
 }
 
 TEST(Simulator, PlatformMetaRecorded)

@@ -12,6 +12,8 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "hw/catalog.hh"
+#include "sim/simulator.hh"
 #include "workload/builder.hh"
 #include "workload/compile_model.hh"
 #include "workload/exec_mode.hh"
@@ -398,6 +400,38 @@ TEST(Builder, DecodeStepScalesWithContext)
         buildDecodeStepGraph(gpt2(), opts(), 4096);
     EXPECT_GT(long_ctx.totalFlops(), short_ctx.totalFlops());
     EXPECT_THROW(buildDecodeStepGraph(gpt2(), opts(), 0), FatalError);
+}
+
+TEST(Builder, CompiledDecodeCoversTheKvCache)
+{
+    // The decode rule resizes the eager stream before compilation, so
+    // a compiled step prices its attention over the whole KV cache:
+    // fusion sums FLOPs and the layout copies it drops carry none.
+    const ModelConfig model = llama2_7b();
+    const sim::Simulator simulator(hw::platforms::intelH100());
+    for (ExecMode mode :
+         {ExecMode::CompileDefault, ExecMode::CompileReduceOverhead,
+          ExecMode::CompileMaxAutotune}) {
+        const BuildOptions compiled = opts(8, 512, mode);
+        const std::string at = execModeName(mode);
+        // Max-autotune divides GEMM and attention FLOPs by its speedup.
+        if (mode != ExecMode::CompileMaxAutotune) {
+            for (int ctx : {1, 512, 4096}) {
+                double eager =
+                    buildDecodeStepGraph(model, opts(8), ctx).totalFlops();
+                EXPECT_NEAR(
+                    buildDecodeStepGraph(model, compiled, ctx).totalFlops(),
+                    eager, 1e-12 * eager)
+                    << at << " context " << ctx;
+            }
+        }
+        EXPECT_GT(buildDecodeStepGraph(model, compiled, 4096).totalBytes(),
+                  buildDecodeStepGraph(model, compiled, 1).totalBytes())
+            << at;
+        EXPECT_GT(simulator.wallNs(model, compiled, 4096),
+                  simulator.wallNs(model, compiled, 1))
+            << at;
+    }
 }
 
 // ----------------------------------------------------------- compile times
