@@ -10,11 +10,13 @@
 #include <mutex>
 
 #include "analysis/sweep.hh"
+#include "check/append_recorder.hh"
 #include "check/chrome_oracle.hh"
 #include "check/closure_queue.hh"
 #include "check/event_batcher.hh"
 #include "check/event_continuous.hh"
 #include "check/invariants.hh"
+#include "check/map_dep_graph.hh"
 #include "check/scan_router.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -897,6 +899,18 @@ Fuzzer::runCase(const FuzzCase &c) const
                     "oracle: trace-free wallNs %.17g != traced %.17g",
                     wall, result.wallNs));
 
+            // Recorder differential: the time-ordered recording equals
+            // the append-then-sort recorder it replaced, field by field.
+            std::string recorded = diffSimResults(
+                result, appendSortRun(platform, opts, c.graph));
+            if (!recorded.empty())
+                problems.push_back("oracle: " + recorded);
+            // Dependency-graph differential: the flat builder equals
+            // the map-based one it replaced.
+            std::string linked = diffDependencyGraphs(result.trace);
+            if (!linked.empty())
+                problems.push_back("oracle: " + linked);
+
             TraceCheckReport report = validateTrace(result.trace);
             for (const Violation &v : report.violations)
                 problems.push_back("invariant: [" + v.code + "] " +
@@ -1108,6 +1122,14 @@ Fuzzer::runCase(const FuzzCase &c) const
                 problems.push_back(
                     "oracle: trace ingestion is non-deterministic "
                     "on identical bytes");
+            // A trace that parses builds the same dependency graph, or
+            // the same error, as the map-based builder.
+            if (first.first) {
+                std::string linked = diffDependencyGraphs(
+                    trace::fromChromeText(c.chromeText));
+                if (!linked.empty())
+                    problems.push_back("oracle: " + linked);
+            }
             // Codec parity: the streaming readers and writers match
             // the DOM code they replaced, errors included.
             std::string parity = diffChromeCodec(c.chromeText);

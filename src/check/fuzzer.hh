@@ -15,7 +15,12 @@
  *  - result sanity: percentile ordering, utilization in [0,1],
  *    offered == completed + lost, goodput <= throughput;
  *  - sim cases: the trace-free walk (sim::Simulator::wallNs) ends at
- *    the traced run's wall time bit for bit;
+ *    the traced run's wall time bit for bit; the traced run's trace
+ *    equals the append-then-sort recorder's field by field
+ *    (diffSimResults); and the dependency graph of the trace equals
+ *    the map-based builder's (diffDependencyGraphs);
+ *  - trace cases: a trace that parses builds the same dependency
+ *    graph, or the same error, as the map-based builder;
  *  - serving cases: the closed-form batcher against its event-driven
  *    loop (diffServing), and a continuous-batching config drawn from
  *    the case seed on a stream of its own, whose arrival walk is held

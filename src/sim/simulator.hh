@@ -15,8 +15,8 @@
  * operator's pre-dispatch CPU cost, launch() issues a kernel or copy,
  * end() pays the post-dispatch cost. Every entry point feeds that one
  * sink, so the timing and the jitter draws exist once:
- *  - run(graph) streams a tree and records the trace (SKIP, the
- *    fuzzer, the Kineto path);
+ *  - run(graph) streams a tree and records the trace, already in
+ *    time order (SKIP, the fuzzer, the Kineto path);
  *  - wallNs(graph) streams a tree and records nothing: the same draws
  *    in the same order on the same CPU clock and GPU stream, so it
  *    returns run().wallNs bit for bit. It is the oracle of
@@ -25,6 +25,7 @@
  *    kernel name formatted, no event recorded. Callers that read only
  *    the wall time (the serving cost model, the generation and
  *    speculative-decoding analyses) price passes this way.
+ * The walk itself (sim::Runner) is in sim/runner.hh.
  */
 
 #ifndef SKIPSIM_SIM_SIMULATOR_HH

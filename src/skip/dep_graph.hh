@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/trace.hh"
@@ -46,9 +47,12 @@ struct KernelLink
 
 /**
  * The dependency graph over one trace. Owns the trace, sorted by time;
- * all ids refer to TraceEvent::id. Building it costs one time sort plus
- * two linear passes; parentOf and childrenOf are O(1), rootAncestorOf
- * walks the containment chain.
+ * all ids refer to TraceEvent::id. Building it checks the time order
+ * (sorting only a trace that is out of order), makes one pass over the
+ * events and one over the kernels, and allocates flat tables only: a
+ * parent per id, the children of every id in one array (CSR), and
+ * open-addressing indexes of correlation ids and threads. parentOf and
+ * childrenOf are O(1), rootAncestorOf walks the containment chain.
  */
 class DependencyGraph
 {
@@ -66,8 +70,11 @@ class DependencyGraph
     /** Containment parent of a CPU event (nullopt for roots). */
     std::optional<std::uint64_t> parentOf(std::uint64_t id) const;
 
-    /** Direct children of a CPU event. */
-    const std::vector<std::uint64_t> &childrenOf(std::uint64_t id) const;
+    /**
+     * Direct children of a CPU event, in the order the build visits
+     * them: by begin time, and by end descending among equal begins.
+     */
+    std::span<const std::uint64_t> childrenOf(std::uint64_t id) const;
 
     /** Topmost ancestor of a CPU event (itself when already a root). */
     std::uint64_t rootAncestorOf(std::uint64_t id) const;
@@ -85,8 +92,10 @@ class DependencyGraph
     DependencyGraph() = default;
 
     trace::Trace _trace;
-    std::vector<std::optional<std::uint64_t>> _parents;
-    std::vector<std::vector<std::uint64_t>> _children;
+    std::vector<std::uint64_t> _parents; ///< by id; kNoParent for roots
+    /** Children of id: _childIds[_childBegin[id], _childBegin[id + 1]). */
+    std::vector<std::size_t> _childBegin;
+    std::vector<std::uint64_t> _childIds;
     std::vector<std::uint64_t> _rootOps;
     std::vector<KernelLink> _kernels;
 };

@@ -1,7 +1,8 @@
 #include "skip/metrics.hh"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -105,7 +106,9 @@ computeMetrics(const DependencyGraph &graph)
         }
     }
 
-    std::map<std::string, KernelStat> stats;
+    // Per-kernel statistics in first-seen order, found by a view of
+    // the trace's names: each distinct name is copied once.
+    std::unordered_map<std::string_view, std::size_t> slot_of;
     std::int64_t last_kernel_end = 0;
     bool have_kernel = false;
     std::vector<double> launch_latencies;
@@ -122,8 +125,11 @@ computeMetrics(const DependencyGraph &graph)
         last_kernel_end = std::max(last_kernel_end, k.tsEndNs());
         have_kernel = true;
 
-        KernelStat &stat = stats[k.name];
-        stat.name = k.name;
+        auto [slot, fresh] =
+            slot_of.try_emplace(k.name, report.byKernel.size());
+        if (fresh)
+            report.byKernel.emplace_back().name = k.name;
+        KernelStat &stat = report.byKernel[slot->second];
         ++stat.count;
         stat.totalDurNs += static_cast<double>(k.durNs);
         stat.totalLaunchNs += static_cast<double>(link.launchToStartNs);
@@ -161,15 +167,14 @@ computeMetrics(const DependencyGraph &graph)
         report.cpuIdleNs = std::max(0.0, report.ilNs - report.cpuBusyNs);
     }
 
-    report.byKernel.reserve(stats.size());
-    for (auto &[name, stat] : stats) {
-        (void)name;
-        report.byKernel.push_back(stat);
-    }
-    std::stable_sort(report.byKernel.begin(), report.byKernel.end(),
-                     [](const KernelStat &a, const KernelStat &b) {
-                         return a.count > b.count;
-                     });
+    // Count descending, then name ascending: names are distinct, so
+    // the order is total.
+    std::sort(report.byKernel.begin(), report.byKernel.end(),
+              [](const KernelStat &a, const KernelStat &b) {
+                  if (a.count != b.count)
+                      return a.count > b.count;
+                  return a.name < b.name;
+              });
     return report;
 }
 

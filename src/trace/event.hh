@@ -43,7 +43,10 @@ EventKind kindFromName(const std::string &name);
  */
 struct TraceEvent
 {
-    /** Dense id assigned by the owning Trace (insertion order). */
+    /**
+     * Dense id: assigned by the owning Trace in insertion order
+     * (Trace::add), or carried in (Trace::adopt).
+     */
     std::uint64_t id = 0;
 
     EventKind kind = EventKind::Operator;

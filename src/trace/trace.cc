@@ -15,14 +15,15 @@ namespace
 
 /**
  * Positions of `events` in (tsBeginNs, id) order: a stable LSD radix
- * sort of the begin timestamps, 11 bits a pass. Events that share a
- * timestamp already sit in id order (add() appends the largest id last
- * and a sort leaves ties in id order), so stability gives the id
- * tie-break. Linear in the event count; the pass count grows with
- * log2 of the time span.
+ * sort of the begin timestamps, 11 bits a pass, over keys laid out in
+ * id order (`pos_of_id[id]` is the position of event `id`), so
+ * stability gives the id tie-break whatever order the events are in.
+ * Linear in the event count; the pass count grows with log2 of the
+ * time span.
  */
 std::vector<std::size_t>
-timeOrder(const std::vector<TraceEvent> &events)
+timeOrder(const std::vector<TraceEvent> &events,
+          const std::vector<std::size_t> &pos_of_id)
 {
     const std::size_t n = events.size();
     if (n == 0)
@@ -41,8 +42,10 @@ timeOrder(const std::vector<TraceEvent> &events)
     using Key = std::pair<std::uint64_t, std::size_t>; // (offset, pos)
     std::vector<Key> keys(n);
     std::vector<Key> next(n);
-    for (std::size_t pos = 0; pos < n; ++pos)
-        keys[pos] = {offset(events[pos].tsBeginNs), pos};
+    for (std::size_t id = 0; id < n; ++id) {
+        std::size_t pos = pos_of_id[id];
+        keys[id] = {offset(events[pos].tsBeginNs), pos};
+    }
 
     constexpr unsigned kBits = 11;
     constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
@@ -101,6 +104,25 @@ Trace::add(TraceEvent event)
 }
 
 void
+Trace::adopt(std::vector<TraceEvent> events)
+{
+    const std::size_t n = events.size();
+    std::vector<std::size_t> pos_of_id(n, n); // n: id not seen yet
+    for (std::size_t pos = 0; pos < n; ++pos) {
+        const std::uint64_t id = events[pos].id;
+        if (id >= n || pos_of_id[id] != n)
+            fatal(strprintf(
+                "Trace::adopt: event at position %zu has %s id %llu; "
+                "ids must be a permutation of 0..n-1 (n = %zu)",
+                pos, id >= n ? "out-of-range" : "duplicate",
+                static_cast<unsigned long long>(id), n));
+        pos_of_id[id] = pos;
+    }
+    _events = std::move(events);
+    _posOfId = std::move(pos_of_id);
+}
+
+void
 Trace::reserve(std::size_t events)
 {
     _events.reserve(events);
@@ -131,7 +153,7 @@ Trace::sortByTime()
         // Move every event once, in the order the compact keys give.
         std::vector<TraceEvent> sorted;
         sorted.reserve(_events.size());
-        for (std::size_t pos : timeOrder(_events))
+        for (std::size_t pos : timeOrder(_events, _posOfId))
             sorted.push_back(std::move(_events[pos]));
         _events = std::move(sorted);
         for (std::size_t i = 0; i < _events.size(); ++i)

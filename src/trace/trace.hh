@@ -1,8 +1,11 @@
 /**
  * @file
- * Trace container: owns TraceEvents in insertion order, assigns ids,
- * keeps an id -> position index, and offers kind-filtered views and
- * basic integrity validation.
+ * Trace container: owns TraceEvents with dense ids, keeps an id ->
+ * position index, and offers kind-filtered views and basic integrity
+ * validation. Events enter one at a time through add(), which assigns
+ * ids in insertion order, or all at once through adopt(), which takes
+ * the ids they carry (the simulator records its trace already in time
+ * order this way).
  */
 
 #ifndef SKIPSIM_TRACE_TRACE_HH
@@ -17,8 +20,8 @@ namespace skipsim::trace
 {
 
 /**
- * An execution trace. Events keep their insertion ids; sortByTime()
- * orders them by (tsBeginNs, id) which downstream consumers (SKIP's
+ * An execution trace. Events keep their ids; sortByTime() orders them
+ * by (tsBeginNs, id) which downstream consumers (SKIP's
  * dependency-graph builder) rely on.
  */
 class Trace
@@ -46,6 +49,14 @@ class Trace
      */
     std::uint64_t add(TraceEvent event);
 
+    /**
+     * Replace the events with @p events, keeping the ids they carry.
+     * @throws skipsim::FatalError naming Trace::adopt when the ids are
+     *         not a permutation of 0..n-1 (one out of range or
+     *         repeated).
+     */
+    void adopt(std::vector<TraceEvent> events);
+
     /** Make room for @p events events without reallocating. */
     void reserve(std::size_t events);
 
@@ -68,8 +79,10 @@ class Trace
     }
 
     /**
-     * Stable-sort events by (tsBeginNs, id); counters and instants
-     * stable-sort by timestamp. Rebuilds the id index in one pass.
+     * Sort events by (tsBeginNs, id), whatever their current order;
+     * counters and instants stable-sort by timestamp. An already
+     * ordered trace is checked in one pass and left as it is; otherwise
+     * the events are radix-sorted and the id index rebuilt.
      */
     void sortByTime();
 

@@ -5,11 +5,14 @@
  * platforms, trace well-formedness, the trace-free walk
  * (Simulator::wallNs) held to the traced run bit for bit, and the
  * graph-free walk (wallNs(model, opts[, ctx])) held to the walk of the
- * built tree bit for bit.
+ * built tree bit for bit, and the time-ordered recorder of run() held
+ * to the append-then-sort recorder it replaced (check::appendSortRun)
+ * field by field.
  */
 
 #include <gtest/gtest.h>
 
+#include "check/append_recorder.hh"
 #include "check/invariants.hh"
 #include "common/logging.hh"
 #include "hw/catalog.hh"
@@ -512,6 +515,117 @@ TEST(Simulator, GraphFreeWallRejectsWhatTheBuilderRejects)
             EXPECT_STREQ(err.what(),
                          "buildDecodeStepGraph: batch must be positive");
         }
+    }
+}
+
+/**
+ * run() against the append-then-sort recorder, every field of every
+ * event: every catalog model and platform, prefill and decode, batch
+ * 1-64, jitter off and at two seeds, in one exec mode.
+ */
+void
+expectRecordersMatch(workload::ExecMode mode)
+{
+    const std::vector<hw::Platform> platforms = hw::platforms::all();
+    SimOptions seed3;
+    seed3.jitter = true;
+    seed3.seed = 3;
+    SimOptions seed1009 = seed3;
+    seed1009.seed = 1009;
+    for (const workload::ModelConfig &model : workload::allModels()) {
+        for (int batch : {1, 4, 16, 64}) {
+            workload::BuildOptions build;
+            build.batch = batch;
+            build.seqLen = 128;
+            build.mode = mode;
+            const std::pair<const char *, OperatorGraph> graphs[] = {
+                {"prefill", workload::buildPrefillGraph(model, build)},
+                {"decode",
+                 workload::buildDecodeStepGraph(model, build, 128)},
+            };
+            for (const hw::Platform &platform : platforms) {
+                for (const SimOptions &opts :
+                     {noJitter(), seed3, seed1009}) {
+                    for (const auto &[pass, graph] : graphs) {
+                        EXPECT_EQ(check::diffSimResults(
+                                      Simulator(platform, opts).run(graph),
+                                      check::appendSortRun(platform, opts,
+                                                           graph)),
+                                  "")
+                            << model.name << " "
+                            << workload::execModeName(mode) << " " << pass
+                            << " batch " << batch << " on "
+                            << platform.name << " seed "
+                            << (opts.jitter ? opts.seed : 0);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Simulator, TimeOrderedRecorderMatchesTheOracleEager)
+{
+    expectRecordersMatch(workload::ExecMode::Eager);
+}
+
+TEST(Simulator, TimeOrderedRecorderMatchesTheOracleFlashAttention)
+{
+    expectRecordersMatch(workload::ExecMode::FlashAttention2);
+}
+
+TEST(Simulator, TimeOrderedRecorderMatchesTheOracleCompileDefault)
+{
+    expectRecordersMatch(workload::ExecMode::CompileDefault);
+}
+
+TEST(Simulator, TimeOrderedRecorderMatchesTheOracleReduceOverhead)
+{
+    expectRecordersMatch(workload::ExecMode::CompileReduceOverhead);
+}
+
+TEST(Simulator, TimeOrderedRecorderMatchesTheOracleMaxAutotune)
+{
+    expectRecordersMatch(workload::ExecMode::CompileMaxAutotune);
+}
+
+TEST(Simulator, ParentBeginningWithItsChildFallsBackToTheSort)
+{
+    // The outer operator spends nothing before its child, so both
+    // begin on the same ns; the outer one is issued first but takes
+    // its id last, so the merged recording breaks (begin, id) order and
+    // the trace is sorted as the append-then-sort recorder sorted it.
+    OperatorGraph graph;
+    hw::KernelWork w;
+    w.cls = hw::KernelClass::Null;
+    OpNode outer = workload::makeParentOp(
+        "aten::outer", 8000.0,
+        {workload::makeKernelOp("aten::inner", 4000.0, "k_inner", w)});
+    outer.preFraction = 0.0;
+    outer.launches.push_back({"k_outer", {w}, false});
+    graph.roots.push_back(singleKernelGraph().roots.front());
+    graph.roots.push_back(outer);
+    for (const SimOptions &opts : {noJitter(), SimOptions{7, true, 0.02}}) {
+        SimResult result = Simulator(toyPlatform(), opts).run(graph);
+        EXPECT_EQ(check::diffSimResults(
+                      result, check::appendSortRun(toyPlatform(), opts,
+                                                   graph)),
+                  "");
+        // The tie the sort had to break: inner (smaller id) first.
+        const auto &events = result.trace.events();
+        auto at = [&](const std::string &name) {
+            for (std::size_t i = 0; i < events.size(); ++i) {
+                if (events[i].name == name)
+                    return i;
+            }
+            ADD_FAILURE() << "no event " << name;
+            return std::size_t{0};
+        };
+        const trace::TraceEvent &inner = events[at("aten::inner")];
+        const trace::TraceEvent &outer_ev = events[at("aten::outer")];
+        EXPECT_EQ(inner.tsBeginNs, outer_ev.tsBeginNs);
+        EXPECT_LT(inner.id, outer_ev.id);
+        EXPECT_EQ(at("aten::inner") + 1, at("aten::outer"));
     }
 }
 

@@ -3,13 +3,15 @@
  * Unit tests for the SKIP core: dependency-graph construction (time
  * containment + correlation linkage, paper Sec. IV-A) and the metric
  * definitions TKLQT/AKD/IL/idle times (Eqs. 1-5) on hand-built traces
- * with known answers.
+ * with known answers. The flat dependency-graph builder is also held
+ * to the map-based builder it replaced (check::diffDependencyGraphs).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "check/map_dep_graph.hh"
 #include "common/logging.hh"
 #include "hw/catalog.hh"
 #include "json/writer.hh"
@@ -187,6 +189,120 @@ TEST(DepGraph, MemcpyExcludedFromKernelsOnly)
     EXPECT_EQ(graph.computeKernelsOnly().size(), 3u);
 }
 
+/** The children of @p id as a vector, in order. */
+std::vector<std::uint64_t>
+kidsOf(const DependencyGraph &graph, std::uint64_t id)
+{
+    std::span<const std::uint64_t> kids = graph.childrenOf(id);
+    return {kids.begin(), kids.end()};
+}
+
+TEST(DepGraph, ReusedCorrelationIdResolvesToTheLatestLaunch)
+{
+    Trace trace;
+    trace.add(ev(EventKind::Operator, "aten::a", 0, 20));           // 0
+    trace.add(ev(EventKind::Runtime, "cudaLaunchKernel", 5, 5, 9)); // 1
+    trace.add(ev(EventKind::Kernel, "k_first", 12, 4, 9));          // 2
+    trace.add(ev(EventKind::Operator, "aten::b", 30, 20));          // 3
+    trace.add(ev(EventKind::Runtime, "cudaLaunchKernel", 35, 5, 9)); // 4
+    trace.add(ev(EventKind::Kernel, "k_second", 42, 4, 9));         // 5
+    EXPECT_EQ(check::diffDependencyGraphs(trace), "");
+    DependencyGraph graph = DependencyGraph::build(std::move(trace));
+    ASSERT_EQ(graph.kernels().size(), 2u);
+    // Both kernels link to the launch registered last, as before.
+    for (const KernelLink &link : graph.kernels()) {
+        EXPECT_EQ(link.runtimeId, 4u);
+        EXPECT_EQ(link.leafOpId, std::optional<std::uint64_t>(3));
+    }
+    EXPECT_EQ(graph.kernels()[0].launchToStartNs, 12 - 35);
+}
+
+TEST(DepGraph, ThreeThreadsNestIndependently)
+{
+    Trace trace;
+    auto on = [](int tid, TraceEvent event) {
+        event.tid = tid;
+        return event;
+    };
+    trace.add(on(1, ev(EventKind::Operator, "t1-outer", 0, 100)));  // 0
+    trace.add(on(2, ev(EventKind::Operator, "t2-outer", 5, 50)));   // 1
+    trace.add(on(3, ev(EventKind::Operator, "t3-outer", 6, 10)));   // 2
+    trace.add(on(1, ev(EventKind::Operator, "t1-inner", 10, 20)));  // 3
+    trace.add(on(2, ev(EventKind::Operator, "t2-inner", 12, 5)));   // 4
+    trace.add(on(3, ev(EventKind::Operator, "t3-later", 20, 5)));   // 5
+    trace.add(on(2, ev(EventKind::Runtime, "cudaLaunchKernel", 13, 2,
+                       4)));                                        // 6
+    trace.add(ev(EventKind::Kernel, "k", 30, 5, 4));                // 7
+    EXPECT_EQ(check::diffDependencyGraphs(trace), "");
+    DependencyGraph graph = DependencyGraph::build(std::move(trace));
+    EXPECT_EQ(graph.parentOf(3), std::optional<std::uint64_t>(0));
+    EXPECT_EQ(graph.parentOf(4), std::optional<std::uint64_t>(1));
+    EXPECT_EQ(graph.parentOf(6), std::optional<std::uint64_t>(4));
+    EXPECT_FALSE(graph.parentOf(2).has_value());
+    EXPECT_FALSE(graph.parentOf(5).has_value());
+    EXPECT_EQ(graph.rootOps(), (std::vector<std::uint64_t>{0, 1, 2, 5}));
+    EXPECT_EQ(kidsOf(graph, 0), std::vector<std::uint64_t>{3});
+    EXPECT_EQ(kidsOf(graph, 1), std::vector<std::uint64_t>{4});
+    EXPECT_TRUE(kidsOf(graph, 2).empty());
+    ASSERT_EQ(graph.kernels().size(), 1u);
+    EXPECT_EQ(graph.kernels()[0].rootOpId, std::optional<std::uint64_t>(1));
+}
+
+TEST(DepGraph, EqualBeginRunsVisitByEndDescending)
+{
+    // Four CPU events begin on one ns, recorded shortest first: the
+    // longest is visited first, and the two with equal ends keep their
+    // id order, so each nests in the one visited before it.
+    Trace trace;
+    trace.add(ev(EventKind::Operator, "a", 10, 10)); // 0: ends 20
+    trace.add(ev(EventKind::Operator, "b", 10, 30)); // 1: ends 40
+    trace.add(ev(EventKind::Operator, "c", 10, 20)); // 2: ends 30
+    trace.add(ev(EventKind::Operator, "d", 10, 20)); // 3: ends 30
+    trace.add(ev(EventKind::Operator, "e", 25, 2));  // 4: after a, in d
+    EXPECT_EQ(check::diffDependencyGraphs(trace), "");
+    DependencyGraph graph = DependencyGraph::build(std::move(trace));
+    EXPECT_EQ(graph.rootOps(), std::vector<std::uint64_t>{1});
+    EXPECT_EQ(kidsOf(graph, 1), std::vector<std::uint64_t>{2});
+    EXPECT_EQ(kidsOf(graph, 2), std::vector<std::uint64_t>{3});
+    EXPECT_EQ(kidsOf(graph, 3), (std::vector<std::uint64_t>{0, 4}));
+    EXPECT_TRUE(kidsOf(graph, 0).empty());
+    EXPECT_EQ(graph.rootAncestorOf(0), 1u);
+}
+
+TEST(DepGraph, CorrelationIdZeroLinksNothing)
+{
+    // A runtime call with correlation id 0 is no launch, so a kernel
+    // carrying id 0 has none, and the error matches the reference's.
+    Trace trace;
+    trace.add(ev(EventKind::Operator, "aten::op", 0, 50));
+    trace.add(ev(EventKind::Runtime, "cudaLaunchKernel", 10, 5, 0));
+    trace.add(ev(EventKind::Kernel, "k0", 20, 5, 0));
+    EXPECT_EQ(check::diffDependencyGraphs(trace), "");
+    try {
+        DependencyGraph::build(std::move(trace));
+        ADD_FAILURE() << "a kernel with correlation id 0 was linked";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "dependency graph: kernel 'k0' (id 2) has no runtime "
+                     "launch with correlation id 0");
+    }
+}
+
+TEST(DepGraph, MatchesTheMapBasedReferenceOnSimulatedTraces)
+{
+    for (const auto &model : {workload::gpt2(), workload::llama32_1b()}) {
+        for (const hw::Platform &platform : hw::platforms::paperTrio()) {
+            for (int batch : {1, 16}) {
+                ProfileResult run =
+                    profilePrefill(model, platform, batch, 128);
+                EXPECT_EQ(check::diffDependencyGraphs(run.trace), "")
+                    << model.name << " on " << platform.name
+                    << " batch " << batch;
+            }
+        }
+    }
+}
+
 /**
  * Re-add a trace's events in the given order, so ids follow that order.
  * @param[out] old_id old_id[new id] = the event's id in `events`.
@@ -244,6 +360,7 @@ TEST(DepGraph, KinetoTrackOrderMatchesTimeOrderAfterRemap)
             out_of_order |= to_time[id] != id;
         ASSERT_TRUE(out_of_order);
 
+        EXPECT_EQ(check::diffDependencyGraphs(kineto), "");
         DependencyGraph a = DependencyGraph::build(by_time);
         DependencyGraph b = DependencyGraph::build(kineto);
         ASSERT_EQ(a.trace().size(), b.trace().size());
@@ -257,7 +374,10 @@ TEST(DepGraph, KinetoTrackOrderMatchesTimeOrderAfterRemap)
             std::vector<std::uint64_t> kids;
             for (std::uint64_t child : b.childrenOf(k))
                 kids.push_back(to_time[child]);
-            EXPECT_EQ(a.childrenOf(id), kids);
+            std::span<const std::uint64_t> a_kids = a.childrenOf(id);
+            EXPECT_EQ(std::vector<std::uint64_t>(a_kids.begin(),
+                                                 a_kids.end()),
+                      kids);
         }
 
         std::vector<std::uint64_t> roots;
@@ -360,6 +480,30 @@ TEST(Metrics, ByKernelAggregation)
     EXPECT_EQ(report.byKernel[0].count, 2u);
     EXPECT_DOUBLE_EQ(report.byKernel[0].totalDurNs, 70.0);
     EXPECT_DOUBLE_EQ(report.byKernel[0].meanDurNs(), 35.0);
+}
+
+TEST(Metrics, ByKernelTiesBreakByName)
+{
+    // Count descending, then name ascending, whatever order the
+    // kernels ran in.
+    Trace trace;
+    trace.add(ev(EventKind::Operator, "op", 0, 1000));
+    std::uint64_t corr = 1;
+    std::int64_t at = 10;
+    for (const char *name : {"zeta", "beta", "alpha", "mid", "beta"}) {
+        trace.add(ev(EventKind::Runtime, "l", at, 2, corr));
+        trace.add(ev(EventKind::Kernel, name, at + 5, 3, corr));
+        ++corr;
+        at += 20;
+    }
+    MetricsReport report =
+        computeMetrics(DependencyGraph::build(std::move(trace)));
+    std::vector<std::string> names;
+    for (const KernelStat &stat : report.byKernel)
+        names.push_back(stat.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"beta", "alpha", "mid",
+                                               "zeta"}));
+    EXPECT_EQ(report.byKernel[0].count, 2u);
 }
 
 TEST(Metrics, TopKByCriteria)

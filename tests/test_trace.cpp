@@ -150,6 +150,63 @@ TEST(Trace, ByIdSurvivesCopyAndLaterAdds)
     EXPECT_THROW(trace.byId(added), FatalError);
 }
 
+/** Events carrying the given ids, begins and names, in that order. */
+std::vector<TraceEvent>
+withIds(const std::vector<std::pair<std::uint64_t, std::int64_t>> &spec)
+{
+    std::vector<TraceEvent> events;
+    for (const auto &[id, begin] : spec) {
+        std::string name = "e";
+        name += std::to_string(id);
+        TraceEvent ev = makeEvent(EventKind::Operator, name, begin, 1);
+        ev.id = id;
+        events.push_back(ev);
+    }
+    return events;
+}
+
+TEST(Trace, AdoptKeepsIdsAndSortsTiesById)
+{
+    // Position order breaks the (begin, id) order on a tie: id 2 sits
+    // before id 0 at begin 5. The sort must still break ties by id.
+    Trace trace;
+    trace.adopt(withIds({{1, 0}, {2, 5}, {0, 5}, {3, 9}}));
+    ASSERT_EQ(trace.size(), 4u);
+    EXPECT_EQ(trace.byId(2).name, "e2");
+    EXPECT_EQ(trace.byId(0).tsBeginNs, 5);
+    trace.sortByTime();
+    std::vector<std::uint64_t> order;
+    for (const TraceEvent &ev : trace.events())
+        order.push_back(ev.id);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 0, 2, 3}));
+    for (std::uint64_t id = 0; id < 4; ++id)
+        EXPECT_EQ(trace.byId(id).id, id);
+    // Later adds continue the dense ids.
+    EXPECT_EQ(trace.add(makeEvent(EventKind::Operator, "x", 1, 1)), 4u);
+}
+
+TEST(Trace, AdoptRejectsIdsThatAreNotAPermutation)
+{
+    auto message = [](std::vector<TraceEvent> events) -> std::string {
+        Trace trace;
+        try {
+            trace.adopt(std::move(events));
+        } catch (const FatalError &err) {
+            return err.what();
+        }
+        return "accepted";
+    };
+    const std::string repeated = message(withIds({{0, 0}, {1, 1}, {1, 2}}));
+    EXPECT_NE(repeated.find("Trace::adopt"), std::string::npos) << repeated;
+    EXPECT_NE(repeated.find("duplicate id 1"), std::string::npos)
+        << repeated;
+    const std::string outside = message(withIds({{0, 0}, {3, 1}, {1, 2}}));
+    EXPECT_NE(outside.find("Trace::adopt"), std::string::npos) << outside;
+    EXPECT_NE(outside.find("out-of-range id 3"), std::string::npos)
+        << outside;
+    EXPECT_EQ(message({}), "accepted");
+}
+
 TEST(Trace, ByIdUnknownThrows)
 {
     Trace trace;
