@@ -163,18 +163,22 @@ BM_SimulateWallOnly(benchmark::State &state)
 BENCHMARK(BM_SimulateWallOnly)->Arg(1)->Arg(32);
 
 void
-BM_IterationCostModel(benchmark::State &state)
+BM_IterationCostModel(benchmark::State &state,
+                      const workload::ModelConfig &model)
 {
-    // The cluster workloads' cost model: GPT2 on GH200 at a 128-token
-    // prompt, 14 grid points priced per construction.
-    const workload::ModelConfig model = workload::gpt2();
+    // The cluster workloads' cost model on GH200 at a 128-token prompt,
+    // 14 grid points priced per construction: GPT2 (12 layers, the
+    // cluster workloads' model) and Llama-2-7B (32 layers).
     const hw::Platform platform = hw::platforms::gh200();
     for (auto _ : state) {
         serving::IterationCostModel cost(model, platform, 128);
         benchmark::DoNotOptimize(cost.decodeNs(1));
     }
 }
-BENCHMARK(BM_IterationCostModel)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IterationCostModel, gpt2, workload::gpt2())
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_IterationCostModel, llama2_7b, workload::llama2_7b())
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_PriceGraphFree(benchmark::State &state, bool decode,

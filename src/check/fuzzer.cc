@@ -26,6 +26,7 @@
 #include "hw/catalog.hh"
 #include "json/writer.hh"
 #include "serving/latency_model.hh"
+#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "skip/dep_graph.hh"
 #include "skip/metrics.hh"
@@ -182,25 +183,82 @@ diffGraphFree(std::uint64_t caseSeed)
     sim_opts.jitter = rng.below(2) == 0;
     sim_opts.seed = rng.next();
     const bool decode = rng.below(2) == 0;
+    // The layer count draws from a stream of its own, so the draws
+    // above keep their bytes: the catalog's count, or the fold's edges
+    // 1, 2 and 3, or up to 200 layers.
+    workload::ModelConfig stack = model;
+    Rng layr(mixSeed(caseSeed, 0x6c617972)); // "layr"
+    if (std::uint64_t edge = layr.below(5); edge == 4)
+        stack.layers = 1 + static_cast<int>(layr.below(200));
+    else if (edge != 0)
+        stack.layers = static_cast<int>(edge);
 
     const sim::Simulator simulator(platform, sim_opts);
     const double graph_free = decode
-        ? simulator.wallNs(model, opts, opts.seqLen)
-        : simulator.wallNs(model, opts);
+        ? simulator.wallNs(stack, opts, opts.seqLen)
+        : simulator.wallNs(stack, opts);
     const double tree = simulator.wallNs(
-        decode ? workload::buildDecodeStepGraph(model, opts, opts.seqLen)
-               : workload::buildPrefillGraph(model, opts));
+        decode ? workload::buildDecodeStepGraph(stack, opts, opts.seqLen)
+               : workload::buildPrefillGraph(stack, opts));
     if (std::bit_cast<std::uint64_t>(graph_free) ==
         std::bit_cast<std::uint64_t>(tree))
         return {};
-    return strprintf("graph-free wallNs %.17g != tree walk %.17g (%s %s "
-                     "%s, batch %d, %s %d, tp %d, on %s, jitter %s)",
-                     graph_free, tree, model.name.c_str(),
+    return strprintf("graph-free wallNs %.17g != tree walk %.17g (%s, %d "
+                     "layers, %s %s, batch %d, %s %d, tp %d, on %s, "
+                     "jitter %s)",
+                     graph_free, tree, stack.name.c_str(), stack.layers,
                      workload::execModeName(opts.mode),
                      decode ? "decode" : "prefill", opts.batch,
                      decode ? "context" : "seq", opts.seqLen,
                      opts.tensorParallel, platform.name.c_str(),
                      sim_opts.jitter ? "on" : "off");
+}
+
+/**
+ * The fold check a generated sim case also runs: one root of the
+ * case's graph, drawn from a stream of the case seed, repeated as a
+ * block of 1-40 layers between the roots before it (the prologue,
+ * which may leave the stream unused) and those after it. The trace-free
+ * walk streams the block marked (OpSink::repeat), so it may fold it;
+ * the tree walk streams every layer.
+ * @return empty when the two agree bit for bit, else the difference.
+ */
+std::string
+diffFoldedBlock(const hw::Platform &platform, const sim::SimOptions &opts,
+                const workload::OperatorGraph &graph,
+                std::uint64_t caseSeed)
+{
+    if (graph.roots.empty())
+        return {};
+    Rng rng(mixSeed(caseSeed, 0x666f6c64)); // "fold"
+    const std::size_t at = rng.below(graph.roots.size());
+    const int layers = 1 + static_cast<int>(rng.below(40));
+    const auto layer = graph.roots.begin() + static_cast<long>(at);
+    workload::OperatorGraph prologue, block, epilogue, tree;
+    prologue.roots.assign(graph.roots.begin(), layer);
+    block.roots.assign(layer, layer + 1);
+    epilogue.roots.assign(layer + 1, graph.roots.end());
+    tree.roots = prologue.roots;
+    tree.roots.insert(tree.roots.end(), static_cast<std::size_t>(layers),
+                      *layer);
+    tree.roots.insert(tree.roots.end(), epilogue.roots.begin(),
+                      epilogue.roots.end());
+
+    sim::Runner<sim::NoTrace> runner(platform, opts);
+    prologue.emit(runner);
+    for (int i = runner.repeat(layers); i > 0; --i)
+        block.emit(runner);
+    runner.endRepeat();
+    epilogue.emit(runner);
+    runner.deviceSynchronize();
+    const double folded = runner.wallNs();
+    const double walked = sim::Simulator(platform, opts).wallNs(tree);
+    if (std::bit_cast<std::uint64_t>(folded) ==
+        std::bit_cast<std::uint64_t>(walked))
+        return {};
+    return strprintf("folded wallNs %.17g != tree walk %.17g (root %zu "
+                     "of %zu repeated %d times)",
+                     folded, walked, at, graph.roots.size(), layers);
 }
 
 json::Value
@@ -665,6 +723,20 @@ Fuzzer::generate(std::uint64_t index) const
             }
             c.graph.roots.push_back(std::move(node));
         }
+        // One operator in eight each spends all of its CPU cost before
+        // its work (preFraction 1) or none (0: a parent then begins on
+        // its first child's ns, and the recorder's merge falls back to
+        // the sort). A stream of its own keeps the draws above.
+        Rng edges(mixSeed(c.seed, 0x70726566)); // "pref"
+        auto edge = [&edges](workload::OpNode &node) {
+            if (std::uint64_t roll = edges.below(8); roll < 2)
+                node.preFraction = static_cast<double>(roll);
+        };
+        for (workload::OpNode &root : c.graph.roots) {
+            edge(root);
+            for (workload::OpNode &child : root.children)
+                edge(child);
+        }
         break;
     }
     case FuzzKind::Serving: {
@@ -780,8 +852,17 @@ Fuzzer::generate(std::uint64_t index) const
         trace::Trace t;
         std::size_t ops = 1 + rng.below(_options.quick ? 4 : 8);
         std::int64_t now = 0;
+        // Correlation ids come from a stream of their own, so the draws
+        // here keep their bytes: they are not sequential, and one
+        // launch in three reuses an earlier launch's id (every kernel
+        // with that id then links to the id's latest launch).
+        Rng ids(mixSeed(c.seed, 0x636f7272)); // "corr"
+        std::vector<std::uint64_t> used;
         for (std::size_t i = 0; i < ops; ++i) {
-            std::uint64_t corr = i + 1;
+            std::uint64_t corr = !used.empty() && ids.below(3) == 0
+                ? used[ids.below(used.size())]
+                : 1 + ids.below(1ULL << 40);
+            used.push_back(corr);
             trace::TraceEvent op;
             op.kind = trace::EventKind::Operator;
             op.name = "aten::op_" + std::to_string(rng.below(5));
@@ -898,6 +979,13 @@ Fuzzer::runCase(const FuzzCase &c) const
                 problems.push_back(strprintf(
                     "oracle: trace-free wallNs %.17g != traced %.17g",
                     wall, result.wallNs));
+
+            // Fold differential: a block of repeated roots priced
+            // folded equals the walk of every layer.
+            std::string folded =
+                diffFoldedBlock(platform, opts, c.graph, c.seed);
+            if (!folded.empty())
+                problems.push_back("oracle: " + folded);
 
             // Recorder differential: the time-ordered recording equals
             // the append-then-sort recorder it replaced, field by field.

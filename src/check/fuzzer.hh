@@ -15,19 +15,24 @@
  *  - result sanity: percentile ordering, utilization in [0,1],
  *    offered == completed + lost, goodput <= throughput;
  *  - sim cases: the trace-free walk (sim::Simulator::wallNs) ends at
- *    the traced run's wall time bit for bit; the traced run's trace
- *    equals the append-then-sort recorder's field by field
- *    (diffSimResults); and the dependency graph of the trace equals
- *    the map-based builder's (diffDependencyGraphs);
+ *    the traced run's wall time bit for bit; one root of the graph
+ *    repeated as a block of layers ends at the same wall time whether
+ *    the trace-free walk folds the block or walks every copy; the
+ *    traced run's trace equals the append-then-sort recorder's field
+ *    by field (diffSimResults); and the dependency graph of the trace
+ *    equals the map-based builder's (diffDependencyGraphs). One
+ *    operator in four has preFraction 0 or 1;
  *  - trace cases: a trace that parses builds the same dependency
- *    graph, or the same error, as the map-based builder;
+ *    graph, or the same error, as the map-based builder; correlation
+ *    ids are not sequential, and some launches reuse one;
  *  - serving cases: the closed-form batcher against its event-driven
  *    loop (diffServing), and a continuous-batching config drawn from
  *    the case seed on a stream of its own, whose arrival walk is held
  *    to its event-driven loop (diffContinuous), and one forward pass
- *    drawn from another stream of the case seed, priced graph-free
- *    (sim::Simulator::wallNs(model, opts[, ctx])) and by the walk of
- *    the tree the builder makes, bit for bit;
+ *    drawn from another stream of the case seed (its layer count from
+ *    a fourth), priced graph-free (sim::Simulator::wallNs(model,
+ *    opts[, ctx]), which may fold its layers) and by the walk of the
+ *    tree the builder makes, bit for bit;
  *  - cluster cases: at most one arrival event pending at once, and
  *    the differential oracles of the router (diffRouters) and of the
  *    event queue (diffEventQueues) replayed at the case's seed.

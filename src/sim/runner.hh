@@ -20,6 +20,28 @@
  * it closes, a runtime call and then its kernel at launch, the final
  * cudaDeviceSynchronize last. The walk never sets an id. A returned
  * reference is valid until the recorder's next call.
+ *
+ * The trace-free walk (Runner<NoTrace>) folds a block of N equal
+ * layers (workload::OpSink::repeat) when jitter is off, N >= 2 and the
+ * stream has been used before the block. It walks the first layer and
+ * prices the other N - 1 in closed form. With jitter off a layer adds
+ * fixed integer ns to the CPU cursor c, which never waits on the
+ * stream, and each stream item i of the layer ends at
+ * max(e_i, previous end + gap) + d_i, where e_i is its earliest start.
+ * So one layer maps the cursors (c, g) to (c + A, max(g + B, c + C)):
+ *  - A is the layer's CPU advance;
+ *  - B is the sum of gap + d_i over its stream items;
+ *  - C is where the stream would end had it been free at -inf, minus
+ *    the layer's starting c.
+ * After the first layer, at (c1, g1), the other N - 1 layers give
+ *   c = c1 + (N-1)A,
+ *   g = max(g1 + (N-1)B, c1 + C + (N-2)max(A, B)),
+ * since the later layers' C terms peak at the first or the last layer.
+ * Every term is an integer number of ns below 2^53, so the fold is the
+ * unfolded walk bit for bit. The stream must be used at the block so
+ * that the first layer's first item pays the gap, as every later
+ * layer's does. A recording walk never folds: it must emit every
+ * event.
  */
 
 #ifndef SKIPSIM_SIM_RUNNER_HH
@@ -27,6 +49,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string_view>
 #include <type_traits>
@@ -149,6 +172,33 @@ class Runner final : public workload::OpSink
             rec.close().durNs = cpuNowI() - frame.beginNs;
     }
 
+    /** Fold the block when the walk may (see the file comment). */
+    int
+    repeat(int layers) override
+    {
+        if (kRecords || o.jitter || layers < 2 || !stream.everUsed())
+            return layers;
+        fold = {layers, cpu.nowNs(), 0.0, kFreeAtMinusInf};
+        return 1;
+    }
+
+    /** Price the block's other layers from the one walked. */
+    void
+    endRepeat() override
+    {
+        if (fold.layers == 0)
+            return;
+        const double rest = fold.layers - 1;
+        const double a = cpu.nowNs() - fold.cpuBegin;
+        const double c = fold.freeEnd - fold.cpuBegin;
+        const double g = std::max(
+            stream.freeNs() + rest * fold.busy,
+            cpu.nowNs() + c + (rest - 1.0) * std::max(a, fold.busy));
+        cpu.advanceBy(rest * a);
+        stream.occupyUntil(g);
+        fold = {};
+    }
+
     void
     launch(std::string_view kernel, std::span<const hw::KernelWork> work,
            bool isMemcpy) override
@@ -179,6 +229,18 @@ class Runner final : public workload::OpSink
         double postNs = 0.0;
     };
 
+    static constexpr double kFreeAtMinusInf =
+        -std::numeric_limits<double>::infinity();
+
+    /** The layer block being folded: its first layer's A, B and C. */
+    struct Fold
+    {
+        int layers = 0;          ///< N; 0 when no block folds
+        double cpuBegin = 0.0;   ///< c at the block's start
+        double busy = 0.0;       ///< B: summed gap + duration
+        double freeEnd = kFreeAtMinusInf; ///< c0 + C
+    };
+
     const hw::Platform &p;
     const SimOptions &o;
     Rng rng;
@@ -189,6 +251,7 @@ class Runner final : public workload::OpSink
 
     Recorder rec;
     std::uint64_t nextCorrelation = 1;
+    Fold fold;
 
     /** Sum of one field over a launch's work, in component order. */
     static double
@@ -216,25 +279,6 @@ class Runner final : public workload::OpSink
     }
 
     /**
-     * Start time for the next kernel: the launch-to-start latency on
-     * an idle stream, or the previous kernel's end plus the GPU's
-     * inter-kernel scheduling gap when the stream is backed up — the
-     * observed launch-to-start latency t_l stretches into queuing
-     * time, exactly what TKLQT accumulates.
-     */
-    std::int64_t
-    kernelStart(std::int64_t launch_begin)
-    {
-        double earliest = static_cast<double>(
-            launch_begin + jitter(p.cpu.launchOverheadNs));
-        // The gap draw happens only on a backed-up stream, as before.
-        double gap = stream.everUsed()
-            ? static_cast<double>(jitter(p.gpu.interKernelGapNs))
-            : 0.0;
-        return static_cast<std::int64_t>(stream.startFor(earliest, gap));
-    }
-
-    /**
      * The runtime call that enqueues a kernel or copy: the CPU is busy
      * for the call, then the stream places the work. @p work_ns draws
      * the work's duration once its start is known.
@@ -249,9 +293,26 @@ class Runner final : public workload::OpSink
         std::int64_t call_dur = jitter(p.cpu.launchCpuNs);
         cpu.advanceBy(static_cast<double>(call_dur));
 
-        std::int64_t start = kernelStart(call_begin);
+        // The work starts after the launch-to-start latency on an idle
+        // stream, or at the previous item's end plus the GPU's
+        // inter-kernel gap when the stream is backed up: the observed
+        // launch-to-start latency t_l stretches into queuing time,
+        // exactly what TKLQT accumulates. The gap is drawn only once
+        // the stream has been used.
+        double earliest = static_cast<double>(
+            call_begin + jitter(p.cpu.launchOverheadNs));
+        double gap = stream.everUsed()
+            ? static_cast<double>(jitter(p.gpu.interKernelGapNs))
+            : 0.0;
+        std::int64_t start =
+            static_cast<std::int64_t>(stream.startFor(earliest, gap));
         std::int64_t dur = work_ns();
         stream.occupyUntil(static_cast<double>(start + dur));
+        if (!kRecords && fold.layers != 0) {
+            const double d = static_cast<double>(dur);
+            fold.busy += gap + d;
+            fold.freeEnd = std::max(earliest, fold.freeEnd + gap) + d;
+        }
 
         if constexpr (kRecords) {
             std::uint64_t corr = nextCorrelation++;

@@ -128,7 +128,8 @@ traceFreeWall(const hw::Platform &platform, const SimOptions &opts,
 Simulator::Simulator(const hw::Platform &platform, SimOptions opts)
     : _platform(platform), _opts(opts)
 {
-    if (_opts.jitterFrac < 0.0 || _opts.jitterFrac > 0.25)
+    // Written so that NaN fails too: every comparison with it is false.
+    if (!(_opts.jitterFrac >= 0.0 && _opts.jitterFrac <= 0.25))
         fatal("Simulator: jitterFrac must be within [0, 0.25]");
 }
 

@@ -250,6 +250,10 @@ class ContextSink final : public OpSink
 
     void end() override { inner.end(); }
 
+    int repeat(int layers) override { return inner.repeat(layers); }
+
+    void endRepeat() override { inner.endRepeat(); }
+
   private:
     OpSink &inner;
     ContextPatch patch;
@@ -301,13 +305,15 @@ class GraphEmitter
         emitInputTransfer();
         if (m.family == ModelFamily::EncoderOnly) {
             emitEncoderPrologue();
-            for (int i = 0; i < m.layers; ++i)
+            for (int i = out->repeat(m.layers); i > 0; --i)
                 emitEncoderLayer();
+            out->endRepeat();
             emitEncoderEpilogue();
         } else {
             emitDecoderPrologue();
-            for (int i = 0; i < m.layers; ++i)
+            for (int i = out->repeat(m.layers); i > 0; --i)
                 emitDecoderLayer();
+            out->endRepeat();
             emitDecoderEpilogue();
         }
     }

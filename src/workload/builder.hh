@@ -27,6 +27,11 @@
  *    stems, so no shape or variant string is formatted, and no tree is
  *    built: sim::Simulator::wallNs(model, opts[, ctx]) prices a pass
  *    this way.
+ * The emitter marks the encoder or decoder layer stack with
+ * OpSink::repeat()/endRepeat(). The decode rule forwards the mark; the
+ * compile stage and the tree sink keep the default and see every
+ * layer. The trace-free walk may stream one layer and fold the others
+ * in closed form (sim/runner.hh).
  */
 
 #ifndef SKIPSIM_WORKLOAD_BUILDER_HH

@@ -74,6 +74,16 @@ struct OpNode
  * end() closes it. Operators opened between a begin() and its end()
  * are its children; an operator's children all come before its
  * launches. Names and work spans are valid only during the call.
+ *
+ * The builder's emitter also brackets a pass's stack of equal
+ * transformer layers: repeat(n) opens the block, the emitter streams
+ * as many layers as it returns, and endRepeat() closes it. The default
+ * streams all n and does nothing at the end, so a sink that does not
+ * override the pair sees every layer. A sink that returns fewer must
+ * account for the layers it skipped itself at endRepeat(), and must
+ * keep no names: a skipped layer draws no kernel-variant suffixes.
+ * Only the simulator's trace-free walk folds (sim/runner.hh);
+ * OperatorGraph::emit() never marks a block.
  */
 class OpSink
 {
@@ -98,6 +108,15 @@ class OpSink
 
     /** Close the innermost open operator. */
     virtual void end() = 0;
+
+    /**
+     * Open a block of @p layers equal layers.
+     * @return how many of them the emitter streams (default: all).
+     */
+    virtual int repeat(int layers) { return layers; }
+
+    /** Close the block repeat() opened. */
+    virtual void endRepeat() {}
 };
 
 /** A complete forward-pass operator graph (list of top-level ops). */

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -116,6 +117,25 @@ TEST(RunSpec, FluentBuilderSetsEveryField)
     EXPECT_EQ(spec.seed(), 7u);
     EXPECT_TRUE(spec.simOptions().jitter);
     EXPECT_DOUBLE_EQ(spec.opt("rate", 0.0), 80.0);
+}
+
+TEST(RunSpec, NonFiniteJitterFractionFailsTheRun)
+{
+    // RunSpec::jitter() stores any fraction; the simulator an analysis
+    // runs rejects a non-finite one with its FatalError.
+    for (double frac : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+        const RunSpec spec =
+            RunSpec::of("GPT2").on("GH200").batch(1).seqLen(8).jitter(
+                true, frac);
+        try {
+            analysisByName("profile")(spec);
+            ADD_FAILURE() << "accepted jitterFrac " << frac;
+        } catch (const FatalError &err) {
+            EXPECT_STREQ(err.what(),
+                         "Simulator: jitterFrac must be within [0, 0.25]");
+        }
+    }
 }
 
 TEST(RunSpec, ConvertsToLegacyConfigs)

@@ -5,17 +5,21 @@
  * platforms, trace well-formedness, the trace-free walk
  * (Simulator::wallNs) held to the traced run bit for bit, and the
  * graph-free walk (wallNs(model, opts[, ctx])) held to the walk of the
- * built tree bit for bit, and the time-ordered recorder of run() held
- * to the append-then-sort recorder it replaced (check::appendSortRun)
- * field by field.
+ * built tree bit for bit, with its layer stack folded in closed form
+ * (1-200 layers, and hand-made layers), and the time-ordered recorder
+ * of run() held to the append-then-sort recorder it replaced
+ * (check::appendSortRun) field by field.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "check/append_recorder.hh"
 #include "check/invariants.hh"
 #include "common/logging.hh"
 #include "hw/catalog.hh"
+#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "workload/builder.hh"
 #include "workload/op_graph.hh"
@@ -269,6 +273,27 @@ TEST(Simulator, InvalidJitterFractionThrows)
     EXPECT_THROW(Simulator(toyPlatform(), opts), FatalError);
 }
 
+TEST(Simulator, NonFiniteJitterFractionThrows)
+{
+    for (double frac : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()}) {
+        for (bool on : {false, true}) {
+            SimOptions opts;
+            opts.jitter = on;
+            opts.jitterFrac = frac;
+            try {
+                Simulator(toyPlatform(), opts)
+                    .wallNs(workload::gpt2(), {1, 8});
+                ADD_FAILURE() << "accepted jitterFrac " << frac;
+            } catch (const FatalError &err) {
+                EXPECT_STREQ(err.what(), "Simulator: jitterFrac must be "
+                                         "within [0, 0.25]");
+            }
+        }
+    }
+}
+
 TEST(Simulator, JitterStaysBounded)
 {
     SimOptions opts;
@@ -494,6 +519,182 @@ TEST(Simulator, GraphFreeWallMatchesTheTreeWalkReduceOverhead)
 TEST(Simulator, GraphFreeWallMatchesTheTreeWalkMaxAutotune)
 {
     expectGraphFreeMatches(workload::ExecMode::CompileMaxAutotune);
+}
+
+/**
+ * The folded graph-free walk against the tree walk, which walks every
+ * layer, with exact double equality: every catalog model and platform,
+ * batch 1-64, tensor-parallel 1 and 2 where the model shards and the
+ * platform has a peer link, layer counts from 1 to 200; jitter off,
+ * and at seeds 3 and 1009 (which never fold) on the shorter stacks.
+ */
+void
+expectFoldMatches(workload::ExecMode mode, bool decode)
+{
+    const std::vector<hw::Platform> platforms = hw::platforms::all();
+    SimOptions seed3;
+    seed3.jitter = true;
+    seed3.seed = 3;
+    SimOptions seed1009 = seed3;
+    seed1009.seed = 1009;
+    for (workload::ModelConfig model : workload::allModels()) {
+        for (int tp : {1, 2}) {
+            if (model.heads % tp != 0 || model.intermediate % tp != 0 ||
+                model.vocab % tp != 0)
+                continue;
+            for (int batch : {1, 4, 16, 64}) {
+                for (int layers : {1, 2, 3, 5, 12, 40, 200}) {
+                    model.layers = layers;
+                    workload::BuildOptions build;
+                    build.batch = batch;
+                    build.seqLen = 128;
+                    build.mode = mode;
+                    build.tensorParallel = tp;
+                    const int context = 96 + batch;
+                    const OperatorGraph graph = decode
+                        ? workload::buildDecodeStepGraph(model, build,
+                                                         context)
+                        : workload::buildPrefillGraph(model, build);
+                    for (const hw::Platform &platform : platforms) {
+                        if (tp > 1 && platform.gpu.nvlinkGBs <= 0.0)
+                            continue;
+                        for (const SimOptions &opts :
+                             {noJitter(), seed3, seed1009}) {
+                            if (opts.jitter && layers > 12)
+                                continue;
+                            const Simulator simulator(platform, opts);
+                            EXPECT_EQ(decode
+                                          ? simulator.wallNs(model, build,
+                                                             context)
+                                          : simulator.wallNs(model, build),
+                                      simulator.wallNs(graph))
+                                << model.name << " "
+                                << workload::execModeName(mode)
+                                << (decode ? " decode" : " prefill")
+                                << " layers " << layers << " tp " << tp
+                                << " batch " << batch << " on "
+                                << platform.name << " seed "
+                                << (opts.jitter ? opts.seed : 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Simulator, FoldedLayersMatchTheTreeWalkEagerPrefill)
+{
+    expectFoldMatches(workload::ExecMode::Eager, false);
+}
+
+TEST(Simulator, FoldedLayersMatchTheTreeWalkEagerDecode)
+{
+    expectFoldMatches(workload::ExecMode::Eager, true);
+}
+
+TEST(Simulator, FoldedLayersMatchTheTreeWalkFlashAttentionPrefill)
+{
+    expectFoldMatches(workload::ExecMode::FlashAttention2, false);
+}
+
+TEST(Simulator, FoldedLayersMatchTheTreeWalkFlashAttentionDecode)
+{
+    expectFoldMatches(workload::ExecMode::FlashAttention2, true);
+}
+
+/** One hand-made layer: an operator and its launches. */
+struct ToyLayer
+{
+    double cpuNs;
+    std::vector<double> kernelBytes; ///< one elementwise kernel each
+    bool memcpy = false;             ///< also stage a host copy
+
+    void
+    emit(workload::OpSink &sink) const
+    {
+        sink.begin("layer", cpuNs, 0.3);
+        for (double bytes : kernelBytes) {
+            hw::KernelWork w;
+            w.cls = hw::KernelClass::Elementwise;
+            w.bytes = bytes;
+            sink.launch("k", {&w, 1}, false);
+        }
+        if (memcpy) {
+            hw::KernelWork w;
+            w.cls = hw::KernelClass::Memcpy;
+            w.bytes = 4096.0;
+            sink.launch("memcpy_h2d", {&w, 1}, true);
+        }
+        sink.end();
+    }
+};
+
+/**
+ * Trace-free wall time of a prologue kernel, @p layers layers (marked
+ * as a block when @p fold) and a sync.
+ */
+double
+toyWall(const SimOptions &opts, const ToyLayer &layer, int layers,
+        bool fold)
+{
+    // A Runner keeps references to its platform and options.
+    const hw::Platform platform = toyPlatform();
+    Runner<NoTrace> runner(platform, opts);
+    ToyLayer{2000.0, {1e6}}.emit(runner);
+    int streamed = fold ? runner.repeat(layers) : layers;
+    for (int i = 0; i < streamed; ++i)
+        layer.emit(runner);
+    if (fold)
+        runner.endRepeat();
+    runner.deviceSynchronize();
+    return runner.wallNs();
+}
+
+TEST(Simulator, FoldedLayersMatchTheWalkOnHandMadeLayers)
+{
+    // CPU-bound (A > B) and GPU-bound (B > A) layers, a layer that
+    // launches nothing (C is -inf), one whose stream items queue
+    // behind each other, and one that stages a copy.
+    const ToyLayer shapes[] = {
+        {40000.0, {1e6}},
+        {2000.0, {5e7, 1e6}},
+        {5000.0, {}},
+        {9000.0, {1e6, 1e6, 3e7}},
+        {7000.0, {2e6}, true},
+    };
+    for (const ToyLayer &layer : shapes) {
+        for (int layers : {1, 2, 3, 7, 64}) {
+            EXPECT_EQ(toyWall(noJitter(), layer, layers, true),
+                      toyWall(noJitter(), layer, layers, false))
+                << layer.cpuNs << " ns CPU, " << layer.kernelBytes.size()
+                << " kernels, " << layers << " layers";
+        }
+    }
+}
+
+TEST(Simulator, TraceFreeWalkFoldsOnlyWhenItMay)
+{
+    const ToyLayer layer{4000.0, {1e6}};
+    const hw::Platform platform = toyPlatform();
+    auto streamed = [&](const SimOptions &opts, int layers,
+                        bool prologue) {
+        Runner<NoTrace> runner(platform, opts);
+        if (prologue)
+            layer.emit(runner);
+        return runner.repeat(layers);
+    };
+    EXPECT_EQ(streamed(noJitter(), 12, true), 1);
+    EXPECT_EQ(streamed(noJitter(), 2, true), 1);
+    // One layer, an unused stream or a jittered walk: every layer.
+    EXPECT_EQ(streamed(noJitter(), 1, true), 1);
+    EXPECT_EQ(streamed(noJitter(), 12, false), 12);
+    EXPECT_EQ(streamed(SimOptions{7, true, 0.02}, 12, true), 12);
+    // A recording walk never folds.
+    const SimOptions options = noJitter();
+    Runner<check::AppendRecorder> recording(platform, options);
+    layer.emit(recording);
+    EXPECT_EQ(recording.repeat(12), 12);
 }
 
 TEST(Simulator, GraphFreeWallRejectsWhatTheBuilderRejects)
