@@ -533,13 +533,11 @@ BM_EngineEventChurn(benchmark::State &state)
     for (auto _ : state) {
         core::Engine engine;
         int remaining = n;
-        core::EventKind step = 0;
-        step = engine.addHandler([&](const core::Event &) {
+        engine.at(0.0, 0, 0);
+        engine.run([&](const core::Event &) {
             if (--remaining > 0)
-                engine.at(engine.nowNs() + 1.0, 0, step);
+                engine.at(engine.nowNs() + 1.0, 0, 0);
         });
-        engine.at(0.0, 0, step);
-        engine.run();
         benchmark::DoNotOptimize(engine.processed());
     }
     state.SetItemsProcessed(

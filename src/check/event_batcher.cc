@@ -42,17 +42,15 @@ eventDrivenServing(const serving::LatencyModel &latency,
     // is full. Three event kinds can create that instant, in
     // tie-break order at equal timestamps: an arrival (may fill the
     // batch), the server coming free, and a wait-deadline wake.
-    enum
+    // Each kind is queued at its own value as priority.
+    enum Kind : core::EventKind
     {
-        PrioArrival = 0,
-        PrioServerFree = 1,
-        PrioWake = 2,
+        Arrival = 0,
+        ServerFree = 1,
+        Wake = 2,
     };
 
     core::Engine engine;
-    core::EventKind arrive = 0;
-    core::EventKind server_free = 0;
-    core::EventKind wake = 0;
 
     // tryDispatch runs at each candidate instant; dispatch times are
     // monotone, so the first candidate past the horizon means no
@@ -90,31 +88,33 @@ eventDrivenServing(const serving::LatencyModel &latency,
 
         next += count;
         server_busy = true;
-        engine.at(done, PrioServerFree, server_free);
+        engine.at(done, ServerFree, ServerFree);
     };
 
-    server_free = engine.addHandler([&](const core::Event &ev) {
-        server_busy = false;
+    engine.at(arrivals.front(), Arrival, Arrival, 0, 0);
+    engine.run([&](const core::Event &ev) {
+        switch (ev.kind) {
+        case ServerFree:
+            server_busy = false;
+            break;
+        case Arrival: {
+            // Arrivals are chained: each one schedules the next
+            // arrival and its own wake before it dispatches, so one
+            // arrival is pending at a time. Arrivals tie on (time,
+            // priority) only with arrivals and wakes only with wakes,
+            // and both are still scheduled in request order, so the
+            // pops follow the pre-scheduled order.
+            const std::size_t i = ev.payload;
+            if (i + 1 < arrivals.size())
+                engine.at(arrivals[i + 1], Arrival, Arrival, 0, i + 1);
+            // The wake fires when this request, as the oldest waiting
+            // one, has waited out the batching window.
+            engine.at(arrivals[i] + config.maxWaitNs, Wake, Wake);
+            break;
+        }
+        }
         try_dispatch(ev.timeNs);
     });
-    // Arrivals are chained: each one schedules the next arrival and
-    // its own wake before it dispatches, so one arrival is pending at
-    // a time. Arrivals tie on (time, priority) only with arrivals and
-    // wakes only with wakes, and both are still scheduled in request
-    // order, so the pops follow the pre-scheduled order.
-    arrive = engine.addHandler([&](const core::Event &ev) {
-        const std::size_t i = ev.payload;
-        if (i + 1 < arrivals.size())
-            engine.at(arrivals[i + 1], PrioArrival, arrive, 0, i + 1);
-        // The wake fires when this request, as the oldest waiting one,
-        // has waited out the batching window.
-        engine.at(arrivals[i] + config.maxWaitNs, PrioWake, wake);
-        try_dispatch(ev.timeNs);
-    });
-    wake = engine.addHandler(
-        [&](const core::Event &ev) { try_dispatch(ev.timeNs); });
-    engine.at(arrivals.front(), PrioArrival, arrive, 0, 0);
-    engine.run();
 
     result.completed = latencies.size();
     result.leftInQueue = arrivals.size() - next;

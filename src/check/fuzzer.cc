@@ -25,7 +25,9 @@
 #include "exec/pool.hh"
 #include "hw/catalog.hh"
 #include "json/writer.hh"
+#include "serving/arrival.hh"
 #include "serving/latency_model.hh"
+#include "serving/replica_engine.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "skip/dep_graph.hh"
@@ -145,6 +147,63 @@ continuousConfig(std::uint64_t caseSeed, bool quick)
             kContinuousChunks[rng.below(std::size(kContinuousChunks))];
     c.seed = rng.next();
     return c;
+}
+
+/**
+ * The continuous tie check a generated serving case also runs: the
+ * case's Poisson arrivals plus one arrival placed exactly on an
+ * iteration end of their unperturbed walk, walked by walkContinuous and
+ * by the event-driven loop (diffContinuous). Both must handle the
+ * arrival first, so it can join the iteration that end starts. The end
+ * (one below the horizon) is drawn from a stream of its own, so every
+ * other draw keeps its bytes.
+ * @return empty when the two agree, else the difference.
+ */
+std::string
+diffContinuousTie(std::uint64_t caseSeed,
+                  const serving::ContinuousConfig &config)
+{
+    const serving::IterationCostModel &cost = clusterCosts().get("GH200");
+    const double horizon_ns = config.horizonSec * 1e9;
+    std::vector<double> arrivals = serving::poissonTimesNs(
+        config.arrivalRatePerSec, horizon_ns, config.seed);
+
+    // The unperturbed walk, recording its iteration ends.
+    struct EndLog final : serving::ReplicaHost
+    {
+        double horizonNs = 0.0;
+        std::vector<double> ends;
+
+        void
+        onIteration(std::size_t, const serving::IterationInfo &info) override
+        {
+            if (info.endNs < horizonNs)
+                ends.push_back(info.endNs);
+        }
+    } log;
+    log.horizonNs = horizon_ns;
+    serving::ReplicaEngine replica({.cost = &cost,
+                                    .maxActive = config.maxActive,
+                                    .genTokens = config.genTokens,
+                                    .chunkTokens = config.chunkTokens,
+                                    .horizonNs = horizon_ns},
+                                   log);
+    for (std::size_t next = 0; next < arrivals.size() || replica.busy();) {
+        if (next < arrivals.size() &&
+            (!replica.busy() || arrivals[next] <= replica.iterEndNs())) {
+            replica.enqueue(next, arrivals[next]);
+            replica.maybeStart(arrivals[next++]);
+        } else {
+            replica.finishIteration(replica.iterEndNs());
+        }
+    }
+    if (log.ends.empty())
+        return {};
+    Rng rng(mixSeed(caseSeed, 0x746965)); // "tie"
+    const double end = log.ends[rng.below(log.ends.size())];
+    arrivals.insert(std::upper_bound(arrivals.begin(), arrivals.end(), end),
+                    end);
+    return diffContinuous(cost, config, arrivals);
 }
 
 /**
@@ -891,9 +950,14 @@ Fuzzer::generate(std::uint64_t index) const
         c.chromeText = trace::toChromeText(t);
 
         // Seeded byte-level corruption: bit flips, inserts, deletes
-        // and truncation, anywhere in the document.
-        std::size_t mutations =
-            1 + rng.below(_options.quick ? 6 : 16);
+        // and truncation, anywhere in the document. One case in four
+        // (drawn from a stream of its own) stays intact, so it parses
+        // and reaches the dependency-graph oracle and its
+        // correlation-id rule.
+        Rng pure(mixSeed(c.seed, 0x70757265)); // "pure"
+        std::size_t mutations = pure.below(4) == 0
+            ? 0
+            : 1 + rng.below(_options.quick ? 6 : 16);
         for (std::size_t m = 0; m < mutations; ++m) {
             if (c.chromeText.empty())
                 break;
@@ -1102,6 +1166,9 @@ Fuzzer::runCase(const FuzzCase &c) const
                                _options.continuousMutator);
             if (!continuous.empty())
                 problems.push_back("oracle: continuous " + continuous);
+            std::string tie = diffContinuousTie(c.seed, c.continuous);
+            if (!tie.empty())
+                problems.push_back("oracle: continuous tie " + tie);
 
             std::string graph_free = diffGraphFree(c.seed);
             if (!graph_free.empty())

@@ -24,15 +24,18 @@
  *    operator in four has preFraction 0 or 1;
  *  - trace cases: a trace that parses builds the same dependency
  *    graph, or the same error, as the map-based builder; correlation
- *    ids are not sequential, and some launches reuse one;
+ *    ids are not sequential, some launches reuse one, and one case in
+ *    four is left uncorrupted, so it mostly reaches that builder;
  *  - serving cases: the closed-form batcher against its event-driven
  *    loop (diffServing), and a continuous-batching config drawn from
  *    the case seed on a stream of its own, whose arrival walk is held
- *    to its event-driven loop (diffContinuous), and one forward pass
- *    drawn from another stream of the case seed (its layer count from
- *    a fourth), priced graph-free (sim::Simulator::wallNs(model,
- *    opts[, ctx]), which may fold its layers) and by the walk of the
- *    tree the builder makes, bit for bit;
+ *    to its event-driven loop (diffContinuous), also with one arrival
+ *    placed exactly on an iteration end (the tie rule), and one
+ *    forward pass drawn from another stream of the case seed (its
+ *    layer count from a fourth), priced graph-free
+ *    (sim::Simulator::wallNs(model, opts[, ctx]), which may fold its
+ *    layers) and by the walk of the tree the builder makes, bit for
+ *    bit;
  *  - cluster cases: at most one arrival event pending at once, and
  *    the differential oracles of the router (diffRouters) and of the
  *    event queue (diffEventQueues) replayed at the case's seed.
@@ -132,8 +135,9 @@ struct FuzzCase
      *  @{ */
     /**
      * Chrome-JSON bytes fed to trace::fromChromeText — a valid export
-     * corrupted by seeded byte-level mutations (bit flips, inserts,
-     * deletes, truncation; in one case of four also an args member
+     * corrupted, in three cases of four, by seeded byte-level
+     * mutations (bit flips, inserts, deletes, truncation; in one case
+     * of four also an args member
      * nested in balanced brackets around the parser's depth cap). The
      * ingestion oracle
      * accepts success or a clean FatalError; anything else (crash,

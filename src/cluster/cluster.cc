@@ -297,8 +297,9 @@ namespace
 
 /** Discrete-event kinds, in tie-break order at equal timestamps.
  *  Append-only: reordering would change equal-timestamp tie-breaks
- *  and break every locked report golden. */
-enum EventType
+ *  and break every locked report golden. An event's kind is its
+ *  type (Sim::onEvent switches on it). */
+enum EventType : core::EventKind
 {
     EvFault = 0,
     EvDetect = 1,
@@ -308,6 +309,9 @@ enum EventType
     EvKvXfer = 5,  ///< a KV handoff transfer reached the far side
     EvDeliver = 6, ///< a routed request reached its replica (dispatchUs)
     EvStage = 7,   ///< staged-dispatch prompt transfer landed
+    /** A prefill replica's KV finished paging out. A kind only: it is
+     *  queued at EvKvXfer's priority. */
+    EvHandoff = 8,
 };
 
 /**
@@ -372,8 +376,11 @@ struct ReplicaRt
     ReplicaStats stats;
 };
 
-/** The whole simulation, so handlers share state without globals. */
-class Sim
+/**
+ * The whole simulation, so event handlers share state without
+ * globals; also the one host of every replica's engine.
+ */
+class Sim final : public serving::ReplicaHost
 {
   public:
     Sim(const ClusterSpec &spec, const CostCache &costs,
@@ -415,7 +422,6 @@ class Sim
             _obsStopNs = static_cast<std::int64_t>(_horizonNs) +
                 _obs->intervalNs() - 1;
         }
-        addHandlers();
         _reps.resize(spec.replicas.size());
         _lanes.resize(spec.replicas.size());
         _stores.resize(spec.replicas.size());
@@ -454,111 +460,51 @@ class Sim
             ec.maxActive = rt.spec->maxActive;
             ec.genTokens = spec.genTokens;
             ec.horizonNs = _horizonNs;
-            ec.kvAdmit = [this, r](std::size_t id, double now,
-                                   bool decode_entry) {
-                return admitKv(r, id, now, decode_entry);
-            };
-            ec.kvRelease = [this, r](std::size_t id, double now) {
-                releaseKv(r, id, now);
-            };
             ec.prefillOnly = rt.spec->role == ReplicaRole::Prefill;
-
-            serving::ReplicaEngine::Callbacks cb;
-            cb.onFirstToken = [this](std::size_t id, double ttft,
-                                     double now) {
-                _requests[id].ttftNs = ttft;
-                _windowTtftNs += ttft;
-                ++_windowTtftCount;
-                if (_spans != nullptr)
-                    _spans->onFirstToken(id, now);
-            };
-            cb.onComplete = [this, r](std::size_t id, double now) {
-                ReplicaRt &rep = _reps[r];
-                if (_disagg &&
-                    rep.spec->role == ReplicaRole::Prefill &&
-                    _spec.genTokens > 1) {
-                    // First token served; the sequence's KV pages out
-                    // over this replica's link, then re-dispatches
-                    // into the decode pool.
-                    if (_spans != nullptr)
-                        _spans->onHandoffStart(id, now);
-                    ++rep.stats.handoffs;
-                    _router.onSettled(r);
-                    _requests[id].decodeReady = true;
-                    // The transfer-done event is a routing decision:
-                    // it re-dispatches into the decode pool.
-                    double end = chargeLane(r, _kvPerSeqBytes, now);
-                    _engine.at(end, eventPriority(EvKvXfer, id),
-                               _evHandoffDone, 0, id);
-                    return;
-                }
-                _requests[id].doneNs = now;
-                ++rep.stats.completed;
-                ++_windowCompleted;
-                _router.onSettled(r);
-                if (_spans != nullptr)
-                    _spans->onComplete(id, now);
-            };
-            if (_spans != nullptr)
-                cb.onAdmitRequest = [this](std::size_t id, double now,
-                                           double stall_ns,
-                                           bool decode_entry) {
-                    _spans->onAdmit(id, now, stall_ns, decode_entry);
-                };
-            cb.onIteration =
-                [this, r](const serving::IterationInfo &info) {
-                    if (_obs != nullptr) {
-                        const int batch = info.prefill
-                            ? info.prefillBatch
-                            : info.decodeBatch;
-                        _obs->span((info.prefill ? "prefill b="
-                                                 : "decode b=") +
-                                       std::to_string(batch),
-                                   static_cast<int>(r),
-                                   std::llround(info.beginNs),
-                                   std::llround(info.endNs -
-                                                info.beginNs));
-                    }
-                    if (_spans != nullptr && !info.prefill &&
-                        info.decodeBatch > 0 &&
-                        info.activeIds != nullptr) {
-                        for (const auto &[id, left] : *info.activeIds)
-                            _spans->onDecodeIter(id, info.beginNs,
-                                                 info.endNs,
-                                                 info.decodeBatch);
-                    }
-                };
-            cb.scaleDuration = [this, r](double base_ns) {
-                ReplicaRt &rep = _reps[r];
-                double dur_ns =
-                    base_ns * rep.slowFactor / rep.spec->clock;
-                if (_spec.jitterFrac > 0.0)
-                    dur_ns *= std::max(
-                        0.05,
-                        rep.jitterRng.gaussian(1.0, _spec.jitterFrac));
-                return dur_ns;
-            };
-            rt.engine = std::make_unique<serving::ReplicaEngine>(
-                ec, std::move(cb));
+            rt.engine =
+                std::make_unique<serving::ReplicaEngine>(ec, *this, r);
         }
     }
 
     ClusterResult run();
 
-    const core::Engine &engine() const { return _engine; }
-
-    /** Most arrival events ever pending at once. */
-    std::size_t peakPendingArrivals() const
+    /** The run's counters. */
+    core::ShardStats
+    shardStats() const
     {
-        return _engine.peakPending(_evArrival);
+        return {.events = _engine.processed(),
+                .peakPending = _engine.peakPending(),
+                .peakPendingArrivals = _peakPendingArrivals};
     }
+
+    /**
+     * Reserve request @p id's sequence on replica @p r against the
+     * flat budget or the tier store, with the share of its prompt a
+     * prefix-cache hit leaves to prefill.
+     */
+    KvAdmission admit(std::size_t r, std::size_t id, double now,
+                      bool decodeEntry) override;
+    /** Request @p id finished on replica @p r: free its KV. */
+    void release(std::size_t r, std::size_t id, double now) override;
+    void onAdmit(std::size_t r, std::size_t id, double now,
+                 double stallNs, bool decodeEntry) override;
+    void onIteration(std::size_t r,
+                     const serving::IterationInfo &info) override;
+    void onFirstToken(std::size_t r, std::size_t id, double ttftNs,
+                      double now) override;
+    /** Request @p id finished on replica @p r, or (a prefill replica
+     *  of a disaggregated fleet) starts its KV handoff. */
+    void onComplete(std::size_t r, std::size_t id, double now) override;
+    /** Clock scaling, fault slowdown and timing jitter. */
+    double scaleDuration(std::size_t r, double baseNs) override;
 
   private:
     static std::vector<double> makeWeights(const ClusterSpec &spec,
                                            const CostCache &costs);
 
-    /** Register the handler of every event kind the cluster owns. */
-    void addHandlers();
+    /** Handle one popped event: flush probes, then switch on its
+     *  EventType (payload = request id, target = replica or fault). */
+    void onEvent(const core::Event &ev);
     /** Schedule request @p id's arrival event. */
     void scheduleArrival(std::size_t id);
     void onArrival(std::size_t id, double now);
@@ -572,22 +518,12 @@ class Sim
     {
         if (started)
             _engine.at(_reps[r].engine->iterEndNs(),
-                       eventPriority(EvIterEnd, r), _evIterEnd,
+                       eventPriority(EvIterEnd, r), EvIterEnd,
                        static_cast<std::uint32_t>(r));
     }
     void restartAndReroute(std::size_t r,
                            std::vector<std::size_t> &ids, double now);
     void drainBacklog(double now);
-
-    /**
-     * Replica @p r's KV admission hook: reserve request @p id's
-     * sequence against the flat budget or the tier store, with the
-     * share of its prompt a prefix-cache hit leaves to prefill.
-     */
-    serving::ReplicaEngine::Config::KvAdmission
-    admitKv(std::size_t r, std::size_t id, double now, bool decodeEntry);
-    /** Request @p id finished on replica @p r: free its KV. */
-    void releaseKv(std::size_t r, std::size_t id, double now);
 
     /** FIFO-queue @p bytes onto replica @p r's CPU-GPU link; returns
      *  the transfer's completion instant. */
@@ -601,7 +537,8 @@ class Sim
     void onDetect(std::size_t faultIdx, double tNs);
     void onHeal(std::size_t faultIdx, double tNs);
 
-    /** Sample every unvisited probe boundary up to @p nowNs. */
+    /** Sample every unvisited probe boundary up to @p nowNs (obs
+     *  on). */
     void flushObs(double nowNs);
     /** One boundary sample of the current cluster state. */
     void sampleObs(std::int64_t t);
@@ -617,17 +554,9 @@ class Sim
     bool _disagg = false; ///< any replica has a non-Mixed role
     bool _kvOn = false;   ///< spec.kvTier enables the two-tier store
     core::Engine _engine;
-    /** The cluster's event kinds (payload = request id, target =
-     *  replica or fault index). */
-    core::EventKind _evArrival = 0;
-    core::EventKind _evIterEnd = 0;
-    core::EventKind _evFault = 0;
-    core::EventKind _evDetect = 0;
-    core::EventKind _evHeal = 0;
-    core::EventKind _evDeliver = 0;
-    core::EventKind _evStaged = 0;
-    core::EventKind _evHandoffDone = 0; ///< prefill KV paged out
-    core::EventKind _evKvArrive = 0;    ///< KV landed on a decode replica
+    /** Arrival events pending now, and at most. */
+    std::size_t _pendingArrivals = 0;
+    std::size_t _peakPendingArrivals = 0;
     double _dispatchNs = 0.0; ///< spec.dispatchUs, in ns
     /** Interconnect lanes and tier stores, one per replica; lanes are
      *  live (staging + handoff traffic) whenever tiering or
@@ -652,36 +581,46 @@ class Sim
 };
 
 void
-Sim::addHandlers()
+Sim::onEvent(const core::Event &ev)
 {
-    _evArrival = _engine.addHandler([this](const core::Event &ev) {
+    // Sample every probe boundary up to (and including) the event's
+    // instant before applying it: boundary samples see the state as
+    // of the boundary, never a partially applied event.
+    if (_obs != nullptr)
+        flushObs(ev.timeNs);
+    switch (static_cast<EventType>(ev.kind)) {
+    case EvArrival:
+        --_pendingArrivals;
         onArrival(ev.payload, ev.timeNs);
-    });
-    _evFault = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvFault:
         onFault(ev.target, ev.timeNs);
-    });
-    _evDetect = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvDetect:
         onDetect(ev.target, ev.timeNs);
-    });
-    _evHeal = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvHeal:
         onHeal(ev.target, ev.timeNs);
-    });
-    _evDeliver = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvDeliver:
         deliver(ev.payload, ev.target, ev.timeNs);
-    });
-    _evStaged = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvStage:
         onStaged(ev.payload, ev.target, ev.timeNs);
-    });
-    _evHandoffDone = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvHandoff:
         dispatch(ev.payload, ev.timeNs);
-    });
-    _evKvArrive = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvKvXfer:
         onKvArrive(ev.payload, ev.target, ev.timeNs);
-    });
-    _evIterEnd = _engine.addHandler([this](const core::Event &ev) {
+        return;
+    case EvIterEnd:
         onStarted(ev.target,
                   _reps[ev.target].engine->finishIteration(ev.timeNs));
-    });
+        return;
+    default:
+        panic(strprintf("cluster: unknown event kind %u", ev.kind));
+    }
 }
 
 std::vector<double>
@@ -755,7 +694,7 @@ Sim::dispatch(std::size_t id, double now)
             // Routing latency: the request reaches its replica one
             // explicit delivery event after the decision.
             _engine.at(now + _dispatchNs, eventPriority(EvDeliver, id),
-                       _evDeliver, static_cast<std::uint32_t>(r), id);
+                       EvDeliver, static_cast<std::uint32_t>(r), id);
             return;
         }
         deliver(id, r, now);
@@ -767,7 +706,9 @@ void
 Sim::scheduleArrival(std::size_t id)
 {
     _engine.at(_requests[id].arrivalNs, eventPriority(EvArrival, id),
-               _evArrival, 0, id);
+               EvArrival, 0, id);
+    _peakPendingArrivals =
+        std::max(_peakPendingArrivals, ++_pendingArrivals);
 }
 
 void
@@ -802,7 +743,7 @@ Sim::deliver(std::size_t id, std::size_t r, double now)
         // transfer, so KV paging and handoffs on the same lane delay
         // it — the bandwidth-contention coupling.
         double end = chargeLane(r, _stageBytes, now);
-        _engine.at(end, eventPriority(EvStage, id), _evStaged,
+        _engine.at(end, eventPriority(EvStage, id), EvStage,
                    static_cast<std::uint32_t>(r), id);
         return;
     }
@@ -829,11 +770,10 @@ Sim::onStaged(std::size_t id, std::size_t r, double now)
     onStarted(r, rt.engine->maybeStart(now));
 }
 
-serving::ReplicaEngine::Config::KvAdmission
-Sim::admitKv(std::size_t r, std::size_t id, double now,
-             bool decodeEntry)
+serving::ReplicaHost::KvAdmission
+Sim::admit(std::size_t r, std::size_t id, double now, bool decodeEntry)
 {
-    serving::ReplicaEngine::Config::KvAdmission out;
+    KvAdmission out;
     const Request &req = _requests[id];
     if (_kvOn) {
         // Two-tier store: admission pages retained entries per policy
@@ -862,13 +802,87 @@ Sim::admitKv(std::size_t r, std::size_t id, double now,
 }
 
 void
-Sim::releaseKv(std::size_t r, std::size_t id, double now)
+Sim::release(std::size_t r, std::size_t id, double now)
 {
     if (_kvOn)
         _stores[r]->release(_requests[id].session, _kvPerSeqBytes, now,
                             _reps[r].spec->role != ReplicaRole::Prefill);
     else
         _reps[r].kvBytes -= _kvPerSeqBytes;
+}
+
+void
+Sim::onAdmit(std::size_t, std::size_t id, double now, double stallNs,
+             bool decodeEntry)
+{
+    if (_spans != nullptr)
+        _spans->onAdmit(id, now, stallNs, decodeEntry);
+}
+
+void
+Sim::onIteration(std::size_t r, const serving::IterationInfo &info)
+{
+    if (_obs != nullptr) {
+        const int batch =
+            info.prefill ? info.prefillBatch : info.decodeBatch;
+        _obs->span((info.prefill ? "prefill b=" : "decode b=") +
+                       std::to_string(batch),
+                   static_cast<int>(r), std::llround(info.beginNs),
+                   std::llround(info.endNs - info.beginNs));
+    }
+    if (_spans != nullptr && !info.prefill && info.decodeBatch > 0) {
+        for (const auto &[id, left] : *info.activeIds)
+            _spans->onDecodeIter(id, info.beginNs, info.endNs,
+                                 info.decodeBatch);
+    }
+}
+
+void
+Sim::onFirstToken(std::size_t, std::size_t id, double ttftNs, double now)
+{
+    _requests[id].ttftNs = ttftNs;
+    _windowTtftNs += ttftNs;
+    ++_windowTtftCount;
+    if (_spans != nullptr)
+        _spans->onFirstToken(id, now);
+}
+
+void
+Sim::onComplete(std::size_t r, std::size_t id, double now)
+{
+    ReplicaRt &rt = _reps[r];
+    if (_disagg && rt.spec->role == ReplicaRole::Prefill &&
+        _spec.genTokens > 1) {
+        // First token served; the sequence's KV pages out over this
+        // replica's link, then re-dispatches into the decode pool.
+        if (_spans != nullptr)
+            _spans->onHandoffStart(id, now);
+        ++rt.stats.handoffs;
+        _router.onSettled(r);
+        _requests[id].decodeReady = true;
+        // The transfer-done event is a routing decision: it
+        // re-dispatches into the decode pool.
+        double end = chargeLane(r, _kvPerSeqBytes, now);
+        _engine.at(end, eventPriority(EvKvXfer, id), EvHandoff, 0, id);
+        return;
+    }
+    _requests[id].doneNs = now;
+    ++rt.stats.completed;
+    ++_windowCompleted;
+    _router.onSettled(r);
+    if (_spans != nullptr)
+        _spans->onComplete(id, now);
+}
+
+double
+Sim::scaleDuration(std::size_t r, double baseNs)
+{
+    ReplicaRt &rt = _reps[r];
+    double dur_ns = baseNs * rt.slowFactor / rt.spec->clock;
+    if (_spec.jitterFrac > 0.0)
+        dur_ns *= std::max(0.05,
+                           rt.jitterRng.gaussian(1.0, _spec.jitterFrac));
+    return dur_ns;
 }
 
 double
@@ -885,7 +899,7 @@ void
 Sim::startHandoffInto(std::size_t id, std::size_t r, double now)
 {
     double end = chargeLane(r, _kvPerSeqBytes, now);
-    _engine.at(end, eventPriority(EvKvXfer, id), _evKvArrive,
+    _engine.at(end, eventPriority(EvKvXfer, id), EvKvXfer,
                static_cast<std::uint32_t>(r), id);
 }
 
@@ -907,8 +921,6 @@ Sim::onKvArrive(std::size_t id, std::size_t r, double now)
 void
 Sim::flushObs(double nowNs)
 {
-    if (_obs == nullptr)
-        return;
     _ticker.advanceTo(std::min(nowNs,
                                static_cast<double>(_obsStopNs)),
                       [this](std::int64_t t) { sampleObs(t); });
@@ -1009,7 +1021,7 @@ Sim::onFault(std::size_t faultIdx, double tNs)
                            rt.limbo.end());
         rt.limbo.clear();
         _engine.at(tNs + _spec.detectDelaySec * 1e9,
-                   eventPriority(EvDetect, faultIdx), _evDetect,
+                   eventPriority(EvDetect, faultIdx), EvDetect,
                    static_cast<std::uint32_t>(faultIdx));
         return;
     }
@@ -1021,11 +1033,11 @@ Sim::onFault(std::size_t faultIdx, double tNs)
             return;
         rt.partitioned = true;
         _engine.at(tNs + _spec.detectDelaySec * 1e9,
-                   eventPriority(EvDetect, faultIdx), _evDetect,
+                   eventPriority(EvDetect, faultIdx), EvDetect,
                    static_cast<std::uint32_t>(faultIdx));
         if (f.healSec >= 0.0)
             _engine.at(f.healSec * 1e9, eventPriority(EvHeal, faultIdx),
-                       _evHeal, static_cast<std::uint32_t>(faultIdx));
+                       EvHeal, static_cast<std::uint32_t>(faultIdx));
         return;
     }
 }
@@ -1117,13 +1129,8 @@ Sim::run()
         scheduleArrival(0);
     for (std::size_t i = 0; i < _spec.faults.size(); ++i)
         _engine.at(_spec.faults[i].atSec * 1e9, eventPriority(EvFault, i),
-                   _evFault, static_cast<std::uint32_t>(i));
-
-    // Sample every probe boundary up to (and including) each event's
-    // instant before applying it: boundary samples see the state as
-    // of the boundary, never a partially applied event.
-    _engine.onBeforeEvent([this](double tNs) { flushObs(tNs); });
-    _engine.run();
+                   EvFault, static_cast<std::uint32_t>(i));
+    _engine.run([this](const core::Event &ev) { onEvent(ev); });
 
     ClusterResult result;
     result.arrivalRatePerSec = _spec.traffic != nullptr
@@ -1338,12 +1345,8 @@ simulateCluster(const ClusterSpec &spec, const CostCache &costs,
               "first");
     Sim sim(spec, costs, obs, spans);
     ClusterResult result = sim.run();
-    if (shardStats != nullptr) {
-        *shardStats = core::ShardStats{};
-        shardStats->events = sim.engine().processed();
-        shardStats->peakPending = sim.engine().peakPending();
-        shardStats->peakPendingArrivals = sim.peakPendingArrivals();
-    }
+    if (shardStats != nullptr)
+        *shardStats = sim.shardStats();
     return result;
 }
 

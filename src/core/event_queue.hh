@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic discrete-event queue. An event is a typed record
- * {kind, target, payload} — which handler runs, on which entity, with
+ * {kind, target, payload} — what the host does, on which entity, with
  * one word of data — held in a slot array. The heap itself is a
  * 4-ary heap of 16-byte keys (timeNs, priority, slot) ordered by an
  * inlinable comparator, so a sift moves two words, never a callable.
@@ -25,7 +25,7 @@
 namespace skipsim::core
 {
 
-/** Index into an engine's handler table (core::Engine::addHandler). */
+/** An event's kind: a value of the host's own event enum. */
 using EventKind = std::uint32_t;
 
 /** One popped event: its ordering key and its typed record. */
@@ -35,7 +35,7 @@ struct Event
     int priority = 0;
     std::uint64_t seq = 0;
 
-    /** Which handler runs the event. */
+    /** What the host does with the event. */
     EventKind kind = 0;
     /** The entity the event addresses (replica, fault, ...). */
     std::uint32_t target = 0;

@@ -112,98 +112,116 @@ simulateContinuous(const IterationCostModel &cost,
                           obs);
 }
 
+namespace
+{
+
+/** The host of the single replica: records the run for its result. */
+struct Recorder final : ReplicaHost
+{
+    obs::Collector *obs = nullptr;
+    std::size_t completed = 0;
+    std::vector<double> ttfts;
+    // Recorded only for obs: one admission instant per request, the
+    // iterations, and (first-token instant, TTFT) pairs.
+    std::vector<double> admits;
+    std::vector<IterationRecord> iters;
+    std::vector<std::pair<double, double>> obsTtfts;
+
+    void
+    onAdmit(std::size_t, std::size_t, double nowNs, double, bool) override
+    {
+        if (obs != nullptr)
+            admits.push_back(nowNs);
+    }
+
+    void
+    onIteration(std::size_t, const IterationInfo &info) override
+    {
+        if (obs == nullptr)
+            return;
+        std::string label;
+        int active = 0;
+        if (info.prefill) {
+            label = "prefill b=" + std::to_string(info.prefillBatch);
+            active = info.prefillBatch;
+        } else if (info.chunk && info.decodeBatch > 0) {
+            label =
+                "chunk+decode b=" + std::to_string(info.decodeBatch + 1);
+            active = info.decodeBatch + 1;
+        } else if (info.chunk) {
+            label = "chunk b=1";
+            active = 1;
+        } else {
+            label = "decode b=" + std::to_string(info.decodeBatch);
+            active = info.decodeBatch;
+        }
+        iters.push_back({info.beginNs, info.endNs, active, info.tokens,
+                         std::move(label)});
+    }
+
+    void
+    onFirstToken(std::size_t, std::size_t, double ttftNs,
+                 double nowNs) override
+    {
+        ttfts.push_back(ttftNs);
+        if (obs != nullptr)
+            obsTtfts.emplace_back(nowNs, ttftNs);
+    }
+
+    void
+    onComplete(std::size_t, std::size_t, double) override
+    {
+        ++completed;
+    }
+};
+
+} // namespace
+
 ContinuousResult
-walkContinuous(const IterationCostModel &cost,
-               const ContinuousConfig &config,
-               const std::vector<double> &arrivals, obs::Collector *obs)
+recordContinuous(const IterationCostModel &cost,
+                 const ContinuousConfig &config,
+                 const std::vector<double> &arrivals, obs::Collector *obs,
+                 const std::function<double(ReplicaEngine &)> &deliver)
 {
     double horizon_ns = config.horizonSec * 1e9;
-    ContinuousResult result;
-    std::vector<double> obs_admits; // one admission instant per request
-    std::vector<IterationRecord> obs_iters;
-    std::vector<std::pair<double, double>> obs_ttfts;
-    std::vector<double> ttfts;
-
-    ReplicaEngine::Config rc;
-    rc.cost = &cost;
-    rc.maxActive = config.maxActive;
-    rc.genTokens = config.genTokens;
-    rc.chunkTokens = config.chunkTokens;
-    rc.horizonNs = horizon_ns;
-
-    ReplicaEngine::Callbacks cb;
-    if (obs != nullptr)
-        cb.onAdmitRequest = [&](std::size_t, double now, double, bool) {
-            obs_admits.push_back(now);
-        };
-    cb.onFirstToken = [&](std::size_t, double ttft, double now) {
-        ttfts.push_back(ttft);
-        if (obs != nullptr)
-            obs_ttfts.emplace_back(now, ttft);
-    };
-    cb.onComplete = [&](std::size_t, double) { ++result.completed; };
-    if (obs != nullptr)
-        cb.onIteration = [&](const IterationInfo &info) {
-            std::string label;
-            int active = 0;
-            if (info.prefill) {
-                label = "prefill b=" + std::to_string(info.prefillBatch);
-                active = info.prefillBatch;
-            } else if (info.chunk && info.decodeBatch > 0) {
-                label = "chunk+decode b=" +
-                    std::to_string(info.decodeBatch + 1);
-                active = info.decodeBatch + 1;
-            } else if (info.chunk) {
-                label = "chunk b=1";
-                active = 1;
-            } else {
-                label = "decode b=" + std::to_string(info.decodeBatch);
-                active = info.decodeBatch;
-            }
-            obs_iters.push_back({info.beginNs, info.endNs, active,
-                                 info.tokens, std::move(label)});
-        };
-
-    ReplicaEngine replica(rc, std::move(cb));
-    // Walk the arrivals against the iteration end; an arrival that
-    // ties one goes first, so it can join the iteration that end starts.
-    double now = 0.0; // the last instant handled
-    for (std::size_t next = 0; next < arrivals.size() || replica.busy();) {
-        if (next < arrivals.size() &&
-            (!replica.busy() || arrivals[next] <= replica.iterEndNs())) {
-            now = arrivals[next];
-            replica.enqueue(next++, now);
-            replica.maybeStart(now);
-        } else {
-            replica.finishIteration(now = replica.iterEndNs());
-        }
-    }
+    Recorder rec;
+    rec.obs = obs;
+    ReplicaEngine replica({.cost = &cost,
+                           .maxActive = config.maxActive,
+                           .genTokens = config.genTokens,
+                           .chunkTokens = config.chunkTokens,
+                           .horizonNs = horizon_ns},
+                          rec);
+    const double last_ns = deliver(replica);
 
     if (obs != nullptr) {
         obs::Registry &metrics = obs->metrics();
         metrics.counter("continuous.requests_offered")
             .add(static_cast<double>(arrivals.size()));
         metrics.counter("continuous.requests_completed")
-            .add(static_cast<double>(result.completed));
+            .add(static_cast<double>(rec.completed));
         metrics.counter("continuous.tokens")
             .add(static_cast<double>(replica.tokensEmitted()));
         metrics.counter("continuous.iterations")
-            .add(static_cast<double>(obs_iters.size()));
+            .add(static_cast<double>(rec.iters.size()));
         obs::Histogram &ttft_hist = metrics.histogram(
             "continuous.ttft_ms", obs::defaultLatencyBucketsMs());
-        for (const auto &ttft : obs_ttfts)
+        for (const auto &ttft : rec.obsTtfts)
             ttft_hist.observe(ttft.second / 1e6);
         replayProbes(*obs,
                      {"continuous.queue_depth", "continuous.batch_active",
                       "continuous.tokens_per_sec", "continuous.ttft_ms"},
-                     arrivals, obs_admits, obs_iters, obs_ttfts,
+                     arrivals, rec.admits, rec.iters, rec.obsTtfts,
                      horizon_ns);
     }
 
+    ContinuousResult result;
+    result.completed = rec.completed;
     result.unfinished = replica.pendingCount() + replica.activeCount() +
         (replica.chunkHeadInFlight() ? 1 : 0);
-    if (!ttfts.empty()) {
-        std::vector<double> ps = stats::percentiles(ttfts, {50.0, 99.0});
+    if (!rec.ttfts.empty()) {
+        std::vector<double> ps =
+            stats::percentiles(rec.ttfts, {50.0, 99.0});
         result.p50TtftNs = ps[0];
         result.p99TtftNs = ps[1];
     }
@@ -212,11 +230,38 @@ walkContinuous(const IterationCostModel &cost,
     // Chunked single-token runs time chunk iterations but never decode.
     if (replica.activeSizes().count() > 0)
         result.meanActive = replica.activeSizes().mean();
-    double elapsed_s = std::min(now, horizon_ns) / 1e9;
+    double elapsed_s = std::min(last_ns, horizon_ns) / 1e9;
     if (elapsed_s > 0.0)
         result.tokensPerSec =
             static_cast<double>(replica.tokensEmitted()) / elapsed_s;
     return result;
+}
+
+ContinuousResult
+walkContinuous(const IterationCostModel &cost,
+               const ContinuousConfig &config,
+               const std::vector<double> &arrivals, obs::Collector *obs)
+{
+    return recordContinuous(
+        cost, config, arrivals, obs, [&](ReplicaEngine &replica) {
+            // Walk the arrivals against the iteration end; an arrival
+            // that ties one goes first, so it can join the iteration
+            // that end starts.
+            double now = 0.0; // the last instant handled
+            for (std::size_t next = 0;
+                 next < arrivals.size() || replica.busy();) {
+                if (next < arrivals.size() &&
+                    (!replica.busy() ||
+                     arrivals[next] <= replica.iterEndNs())) {
+                    now = arrivals[next];
+                    replica.enqueue(next++, now);
+                    replica.maybeStart(now);
+                } else {
+                    replica.finishIteration(now = replica.iterEndNs());
+                }
+            }
+            return now;
+        });
 }
 
 } // namespace skipsim::serving

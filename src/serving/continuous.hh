@@ -13,6 +13,7 @@
 #define SKIPSIM_SERVING_CONTINUOUS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -28,6 +29,8 @@ class Collector;
 
 namespace skipsim::serving
 {
+
+class ReplicaEngine;
 
 /**
  * Iteration cost model: prefill and single-decode-step latencies as a
@@ -152,6 +155,21 @@ ContinuousResult walkContinuous(const IterationCostModel &cost,
                                 const ContinuousConfig &config,
                                 const std::vector<double> &arrivalsNs,
                                 obs::Collector *obs = nullptr);
+
+/**
+ * One continuous-batching replica over @p arrivalsNs, around a loop:
+ * @p deliver hands the replica its arrivals (ids are indices into
+ * @p arrivalsNs) and iteration ends, and returns the last instant it
+ * handled. The replica's host records TTFTs, admission instants and
+ * iterations, then the obs probes and the result are assembled here,
+ * so walkContinuous and check::eventDrivenContinuous keep only their
+ * loops. @p config is not validated.
+ */
+ContinuousResult
+recordContinuous(const IterationCostModel &cost,
+                 const ContinuousConfig &config,
+                 const std::vector<double> &arrivalsNs, obs::Collector *obs,
+                 const std::function<double(ReplicaEngine &)> &deliver);
 
 } // namespace skipsim::serving
 

@@ -7,8 +7,9 @@
 namespace skipsim::serving
 {
 
-ReplicaEngine::ReplicaEngine(const Config &config, Callbacks callbacks)
-    : _cfg(config), _cb(std::move(callbacks))
+ReplicaEngine::ReplicaEngine(const Config &config, ReplicaHost &host,
+                             std::size_t index)
+    : _cfg(config), _host(host), _index(index)
 {
     if (_cfg.cost == nullptr)
         fatal("ReplicaEngine: cost model is required");
@@ -18,13 +19,9 @@ ReplicaEngine::ReplicaEngine(const Config &config, Callbacks callbacks)
         fatal("ReplicaEngine: genTokens must be positive");
     if (_cfg.chunkTokens < 0)
         fatal("ReplicaEngine: chunkTokens must be non-negative");
-    if (static_cast<bool>(_cfg.kvAdmit) !=
-        static_cast<bool>(_cfg.kvRelease))
-        fatal("ReplicaEngine: kvAdmit and kvRelease must be set "
-              "together");
-    if (_cfg.chunkTokens > 0 && (_cfg.kvAdmit || _cfg.prefillOnly))
-        fatal("ReplicaEngine: chunked prefill does not compose with a KV "
-              "admission hook or prefill-only mode");
+    if (_cfg.chunkTokens > 0 && _cfg.prefillOnly)
+        fatal("ReplicaEngine: chunked prefill does not compose with "
+              "prefill-only mode");
 }
 
 void
@@ -90,7 +87,7 @@ ReplicaEngine::maybeStart(double nowNs)
         _pendingDecode.pop_front();
     }
 
-    // Admit pending prefills while batch slots and the KV hook allow;
+    // Admit pending prefills while batch slots and the host allow;
     // what does not fit stays queued until completions release KV.
     while (!_pending.empty() &&
            _active.size() + _prefilling.size() <
@@ -127,14 +124,16 @@ ReplicaEngine::maybeStart(double nowNs)
 std::optional<double>
 ReplicaEngine::admit(std::size_t id, double nowNs, bool decodeEntry)
 {
-    const Config::KvAdmission kv = _cfg.kvAdmit
-        ? _cfg.kvAdmit(id, nowNs, decodeEntry)
-        : Config::KvAdmission{true};
+    const ReplicaHost::KvAdmission kv =
+        _host.admit(_index, id, nowNs, decodeEntry);
     if (!kv.admitted)
         return std::nullopt;
+    if (_cfg.chunkTokens > 0 &&
+        (kv.stallNs != 0.0 || kv.prefillShare != 1.0))
+        fatal("ReplicaEngine: chunked prefill does not compose with KV "
+              "admission (a stall or a prefill share other than 1)");
     _pendingStallNs += kv.stallNs;
-    if (_cb.onAdmitRequest)
-        _cb.onAdmitRequest(id, nowNs, kv.stallNs, decodeEntry);
+    _host.onAdmit(_index, id, nowNs, kv.stallNs, decodeEntry);
     return kv.prefillShare;
 }
 
@@ -145,7 +144,7 @@ ReplicaEngine::startIteration(double nowNs, double baseNs)
     // admitted into: the GPU waits on the interconnect.
     baseNs += _pendingStallNs;
     _pendingStallNs = 0.0;
-    double dur = _cb.scaleDuration ? _cb.scaleDuration(baseNs) : baseNs;
+    double dur = _host.scaleDuration(_index, baseNs);
     _busy = true;
     _iterBeginNs = nowNs;
     _iterEndNs = nowNs + dur;
@@ -156,10 +155,8 @@ ReplicaEngine::startIteration(double nowNs, double baseNs)
 void
 ReplicaEngine::completeSeq(std::size_t id, double nowNs)
 {
-    if (_cfg.kvRelease)
-        _cfg.kvRelease(id, nowNs);
-    if (_cb.onComplete)
-        _cb.onComplete(id, nowNs);
+    _host.release(_index, id, nowNs);
+    _host.onComplete(_index, id, nowNs);
 }
 
 bool
@@ -189,13 +186,11 @@ ReplicaEngine::finishIteration(double tNs)
     }
     _tokensEmitted += static_cast<std::size_t>(info.tokens);
     info.activeIds = &_active; // unmutated until after the callback
-    if (_cb.onIteration)
-        _cb.onIteration(info);
+    _host.onIteration(_index, info);
 
     if (info.prefill) {
         for (const auto &[id, arrival] : _prefilling) {
-            if (_cb.onFirstToken)
-                _cb.onFirstToken(id, tNs - arrival, tNs);
+            _host.onFirstToken(_index, id, tNs - arrival, tNs);
             if (_cfg.genTokens == 1 || _cfg.prefillOnly)
                 completeSeq(id, tNs);
             else
@@ -219,8 +214,8 @@ ReplicaEngine::finishIteration(double tNs)
             _active.erase(kept, _active.end());
         }
         if (head_done) {
-            if (_cb.onFirstToken)
-                _cb.onFirstToken(_headId, tNs - _headArrivalNs, tNs);
+            _host.onFirstToken(_index, _headId, tNs - _headArrivalNs,
+                               tNs);
             if (_cfg.genTokens == 1)
                 completeSeq(_headId, tNs);
             else

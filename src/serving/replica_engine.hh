@@ -7,22 +7,22 @@
  * TTFT/TPOT bookkeeping, written once.
  *
  * A ReplicaEngine is passive: it owns the replica's queues, schedules
- * nothing, and reports request milestones through callbacks so the
- * host keeps its own notion of a request (the cluster reroutes ids
- * across replicas; the single-replica server just counts). The host
- * delivers each iteration end (iterEndNs()) back to finishIteration().
- * KV memory belongs to the host: every admission goes through the
- * host's kvAdmit hook, which reserves the sequence's KV (a flat budget
- * or a two-tier store), may refuse, and returns the share of the
- * prompt left to prefill. Without a hook the engine admits up to
- * maxActive and prefills every prompt in full.
+ * nothing, and calls its ReplicaHost directly, with its replica index,
+ * for KV admission and release, iteration scaling and request
+ * milestones, so the host keeps its own notion of a request (the
+ * cluster reroutes ids across replicas; the single-replica server
+ * just counts). The host delivers each iteration end (iterEndNs())
+ * back to finishIteration(). KV memory belongs to the host: every
+ * admission goes through ReplicaHost::admit, which reserves the
+ * sequence's KV (a flat budget or a two-tier store), may refuse, and
+ * returns the share of the prompt left to prefill. The default host
+ * admits up to maxActive and prefills every prompt in full.
  */
 
 #ifndef SKIPSIM_SERVING_REPLICA_ENGINE_HH
 #define SKIPSIM_SERVING_REPLICA_ENGINE_HH
 
 #include <deque>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -33,7 +33,7 @@
 namespace skipsim::serving
 {
 
-/** One finished batching iteration, reported via Callbacks. */
+/** One finished batching iteration, reported to ReplicaHost. */
 struct IterationInfo
 {
     double beginNs = 0.0;
@@ -61,6 +61,108 @@ struct IterationInfo
     const std::vector<std::pair<std::size_t, int>> *activeIds = nullptr;
 };
 
+/**
+ * What a ReplicaEngine calls: its host, implemented once per server
+ * (the cluster, the single-replica recorder). Every method receives
+ * the calling engine's replica index. The defaults admit everything
+ * with share 1 and no stall, release nothing, scale by identity, and
+ * ignore milestones.
+ *
+ * Call order: onAdmit follows each accepted admit, in queue order. At
+ * an iteration end onIteration fires first, then the milestones in
+ * batch order; release precedes onComplete for every completion.
+ * scaleDuration runs once per started iteration, so a host drawing
+ * jitter there keeps its RNG stream position a pure function of the
+ * iteration sequence.
+ */
+class ReplicaHost
+{
+  public:
+    /** Outcome of a KV admission (see admit). */
+    struct KvAdmission
+    {
+        bool admitted = false;
+
+        /** Synchronous transfer time (KV paging/prefix fetch) added
+         *  to the admitting iteration's duration, ns. */
+        double stallNs = 0.0;
+
+        /**
+         * Share of the prompt left to prefill, below 1 when a
+         * prefix-cache hit covers the rest; the prefill iteration
+         * scales by the batch's mean share, each clamped to
+         * [0.05, 1]. Decode entrants ignore it.
+         */
+        double prefillShare = 1.0;
+    };
+
+    // Engines hold the host's address: it is neither copied nor moved.
+    ReplicaHost() = default;
+    ReplicaHost(const ReplicaHost &) = delete;
+    ReplicaHost &operator=(const ReplicaHost &) = delete;
+
+    /**
+     * Reserve request @p id's KV (paging other entries out to make
+     * room, if the host tiers its store), or refuse and leave it
+     * queued until a release. @p decodeEntry marks a decode-pool
+     * entry joining the batch directly. A chunked replica accepts
+     * only a stall of 0 and a share of 1: chunked prefill does not
+     * compose with KV admission.
+     */
+    virtual KvAdmission
+    admit(std::size_t /*replica*/, std::size_t /*id*/, double /*nowNs*/,
+          bool /*decodeEntry*/)
+    {
+        return {true};
+    }
+
+    /** Release request @p id's KV reservation (completion). */
+    virtual void
+    release(std::size_t /*replica*/, std::size_t /*id*/, double /*nowNs*/)
+    {
+    }
+
+    /**
+     * Request @p id was admitted, charging @p stallNs of synchronous
+     * KV transfer. Used for lifecycle spans and queue-depth probes.
+     */
+    virtual void
+    onAdmit(std::size_t /*replica*/, std::size_t /*id*/, double /*nowNs*/,
+            double /*stallNs*/, bool /*decodeEntry*/)
+    {
+    }
+
+    /** One iteration finished (reported before milestones). */
+    virtual void
+    onIteration(std::size_t /*replica*/, const IterationInfo & /*info*/)
+    {
+    }
+
+    /** Request @p id got its first token (TTFT measured). */
+    virtual void
+    onFirstToken(std::size_t /*replica*/, std::size_t /*id*/,
+                 double /*ttftNs*/, double /*nowNs*/)
+    {
+    }
+
+    /** Request @p id finished generating (KV already released). */
+    virtual void
+    onComplete(std::size_t /*replica*/, std::size_t /*id*/,
+               double /*nowNs*/)
+    {
+    }
+
+    /**
+     * Map a base iteration latency (pending stall included) to
+     * simulated time — clock scaling, fault slowdown, timing jitter.
+     */
+    virtual double
+    scaleDuration(std::size_t /*replica*/, double baseNs)
+    {
+        return baseNs;
+    }
+};
+
 /** Continuous-batching engine for one replica; see file comment. */
 class ReplicaEngine
 {
@@ -83,39 +185,6 @@ class ReplicaEngine
         /** No iteration starts at or past this instant. */
         double horizonNs = 0.0;
 
-        /** Outcome of a KV admission (see kvAdmit). */
-        struct KvAdmission
-        {
-            bool admitted = false;
-
-            /** Synchronous transfer time (KV paging/prefix fetch)
-             *  added to the admitting iteration's duration, ns. */
-            double stallNs = 0.0;
-
-            /**
-             * Share of the prompt left to prefill, below 1 when a
-             * prefix-cache hit covers the rest; the prefill iteration
-             * scales by the batch's mean share, each clamped to
-             * [0.05, 1]. Decode entrants ignore it.
-             */
-            double prefillShare = 1.0;
-        };
-
-        /**
-         * The host's KV admission: reserve request @p id's KV (paging
-         * other entries out to make room, if the host tiers its
-         * store), or refuse and leave it queued until a release.
-         * Unset admits every request up to maxActive with share 1.
-         * kvRelease must be set with it; chunked prefill does not
-         * compose with it.
-         */
-        std::function<KvAdmission(std::size_t id, double nowNs,
-                                  bool decodeEntry)>
-            kvAdmit;
-
-        /** Release request @p id's KV reservation (completion). */
-        std::function<void(std::size_t id, double nowNs)> kvRelease;
-
         /**
          * Prefill-pool mode (disaggregated serving): sequences
          * complete right after their first token — the host ships the
@@ -125,47 +194,11 @@ class ReplicaEngine
     };
 
     /**
-     * Host hooks, all optional. Milestone callbacks fire inside
-     * iteration-end processing, in admission order per iteration;
-     * onIteration fires first (before any milestone), matching the
-     * span-then-bookkeeping order of the pre-refactor cluster.
+     * Replica @p index of @p host, which must outlive the engine.
+     * @throws skipsim::FatalError on an invalid @p config.
      */
-    struct Callbacks
-    {
-        /**
-         * Request @p id was admitted (fired per request, right after
-         * the admission decision). @p stallNs is the synchronous
-         * KV transfer the admission charged (0 without a
-         * kvAdmit hook); @p decodeEntry marks a decode-pool entry
-         * joining the batch directly. Used for lifecycle spans and
-         * queue-depth probes.
-         */
-        std::function<void(std::size_t id, double nowNs,
-                           double stallNs, bool decodeEntry)>
-            onAdmitRequest;
-
-        /** Request @p id got its first token (TTFT measured). */
-        std::function<void(std::size_t id, double ttftNs, double nowNs)>
-            onFirstToken;
-
-        /** Request @p id finished generating (KV already released). */
-        std::function<void(std::size_t id, double nowNs)> onComplete;
-
-        /** One iteration finished (reported before milestones). */
-        std::function<void(const IterationInfo &)> onIteration;
-
-        /**
-         * Map a base iteration latency to simulated time — clock
-         * scaling, fault slowdown, timing jitter. Identity when unset.
-         * Called once per started iteration, so a host drawing jitter
-         * here keeps its RNG stream position a pure function of the
-         * iteration sequence.
-         */
-        std::function<double(double baseNs)> scaleDuration;
-    };
-
-    /** @throws skipsim::FatalError on an invalid @p config. */
-    ReplicaEngine(const Config &config, Callbacks callbacks);
+    ReplicaEngine(const Config &config, ReplicaHost &host,
+                  std::size_t index = 0);
 
     /**
      * Queue request @p id (arrived at @p arrivalNs) for admission.
@@ -224,7 +257,7 @@ class ReplicaEngine
     bool busy() const { return _busy; }
     bool halted() const { return _halted; }
 
-    /** Busy time, after scaleDuration. */
+    /** Busy time, after ReplicaHost::scaleDuration. */
     double busyNs() const { return _busyNs; }
     std::size_t tokensEmitted() const { return _tokensEmitted; }
 
@@ -239,9 +272,11 @@ class ReplicaEngine
 
   private:
     /**
-     * Admit request @p id through kvAdmit (unbounded without one),
-     * charging its stall and reporting onAdmitRequest. @return its
-     * prefill share, or nothing when the hook refuses.
+     * Admit request @p id through the host, charging its stall and
+     * reporting onAdmit. @return its prefill share, or nothing when
+     * the host refuses.
+     * @throws skipsim::FatalError when a chunked replica's host
+     *         charges a stall or a share other than 1.
      */
     std::optional<double> admit(std::size_t id, double nowNs,
                                 bool decodeEntry);
@@ -250,7 +285,8 @@ class ReplicaEngine
     void completeSeq(std::size_t id, double nowNs);
 
     Config _cfg;
-    Callbacks _cb;
+    ReplicaHost &_host;
+    std::size_t _index;
 
     std::deque<std::pair<std::size_t, double>> _pending;
     std::deque<std::pair<std::size_t, double>> _pendingDecode;

@@ -210,7 +210,8 @@ TEST(Continuous, InvalidConfigsThrow)
     rc.maxActive = 4;
     rc.genTokens = 4;
     rc.chunkTokens = -1;
-    EXPECT_THROW(ReplicaEngine(rc, {}), FatalError);
+    ReplicaHost host;
+    EXPECT_THROW(ReplicaEngine(rc, host), FatalError);
 }
 
 TEST(Continuous, RunawayArrivalCountsHitTheWorkBudget)
@@ -302,39 +303,52 @@ engineConfig(int max_active = 4)
     return c;
 }
 
-/** A hook admitting every request with share @p shares[id]. */
-void
-admitWithShares(ReplicaEngine::Config &c,
-                const std::vector<double> &shares)
+/** A host admitting request id with share shares[id]. */
+struct ShareHost : ReplicaHost
 {
-    c.kvAdmit = [shares](std::size_t id, double, bool) {
-        ReplicaEngine::Config::KvAdmission kv;
-        kv.admitted = true;
-        kv.prefillShare = shares[id];
-        return kv;
-    };
-    c.kvRelease = [](std::size_t, double) {};
-}
+    std::vector<double> shares;
+    /** Duration of the last finished iteration. */
+    double iterNs = -1.0;
+
+    KvAdmission
+    admit(std::size_t, std::size_t id, double, bool) override
+    {
+        return {true, 0.0, shares[id]};
+    }
+
+    void
+    onIteration(std::size_t, const IterationInfo &info) override
+    {
+        EXPECT_TRUE(info.prefill);
+        iterNs = info.endNs - info.beginNs;
+    }
+};
 
 TEST(ReplicaEngine, RefusedAdmissionKeepsTheRequestQueued)
 {
-    ReplicaEngine::Config c = engineConfig();
-    int asked = 0;
-    c.kvAdmit = [&](std::size_t, double, bool) {
-        ++asked;
-        return ReplicaEngine::Config::KvAdmission{};
-    };
-    c.kvRelease = [](std::size_t, double) {};
-    ReplicaEngine::Callbacks cb;
-    int admitted = 0;
-    cb.onAdmitRequest = [&](std::size_t, double, double, bool) {
-        ++admitted;
-    };
-    ReplicaEngine replica(c, std::move(cb));
+    struct RefusingHost : ReplicaHost
+    {
+        int asked = 0;
+        int admitted = 0;
+
+        KvAdmission
+        admit(std::size_t, std::size_t, double, bool) override
+        {
+            ++asked;
+            return {};
+        }
+
+        void
+        onAdmit(std::size_t, std::size_t, double, double, bool) override
+        {
+            ++admitted;
+        }
+    } host;
+    ReplicaEngine replica(engineConfig(), host);
     replica.enqueue(0, 0.0);
     EXPECT_FALSE(replica.maybeStart(0.0)); // no iteration to end
-    EXPECT_EQ(asked, 1);
-    EXPECT_EQ(admitted, 0);
+    EXPECT_EQ(host.asked, 1);
+    EXPECT_EQ(host.admitted, 0);
     EXPECT_EQ(replica.pendingCount(), 1u);
     EXPECT_EQ(replica.prefillingCount(), 0u);
     EXPECT_FALSE(replica.busy());
@@ -344,22 +358,16 @@ TEST(ReplicaEngine, HookShareScalesThePrefillClampedBelow)
 {
     // Iteration durations for one prefill batch with the given shares.
     auto prefill_ns = [](const std::vector<double> &shares) {
-        ReplicaEngine::Config c = engineConfig();
-        admitWithShares(c, shares);
-        ReplicaEngine::Callbacks cb;
-        double dur = -1.0;
-        cb.onIteration = [&](const IterationInfo &info) {
-            EXPECT_TRUE(info.prefill);
-            dur = info.endNs - info.beginNs;
-        };
-        ReplicaEngine replica(c, std::move(cb));
+        ShareHost host;
+        host.shares = shares;
+        ReplicaEngine replica(engineConfig(), host);
         for (std::size_t id = 0; id < shares.size(); ++id)
             replica.enqueue(id, 0.0);
         EXPECT_TRUE(replica.maybeStart(0.0));
         const double end = replica.iterEndNs();
         replica.finishIteration(end);
-        EXPECT_DOUBLE_EQ(dur, end);
-        return dur;
+        EXPECT_DOUBLE_EQ(host.iterNs, end);
+        return host.iterNs;
     };
     const IterationCostModel &cost = costModel();
     EXPECT_DOUBLE_EQ(prefill_ns({1.0}), cost.prefillNs(1));
@@ -372,19 +380,25 @@ TEST(ReplicaEngine, HookShareScalesThePrefillClampedBelow)
 
 TEST(ReplicaEngine, WithoutAHookAdmitsUpToMaxActive)
 {
-    ReplicaEngine::Callbacks cb;
-    std::vector<std::size_t> admitted;
-    cb.onAdmitRequest = [&](std::size_t id, double, double stall_ns,
-                            bool decode_entry) {
-        admitted.push_back(id);
-        EXPECT_EQ(stall_ns, 0.0);
-        EXPECT_FALSE(decode_entry);
-    };
-    ReplicaEngine replica(engineConfig(3), std::move(cb));
+    // Only onAdmit is overridden: admission is the default host's.
+    struct AdmitLog : ReplicaHost
+    {
+        std::vector<std::size_t> admitted;
+
+        void
+        onAdmit(std::size_t, std::size_t id, double, double stall_ns,
+                bool decode_entry) override
+        {
+            admitted.push_back(id);
+            EXPECT_EQ(stall_ns, 0.0);
+            EXPECT_FALSE(decode_entry);
+        }
+    } host;
+    ReplicaEngine replica(engineConfig(3), host);
     for (std::size_t id = 0; id < 5; ++id)
         replica.enqueue(id, 0.0);
     EXPECT_TRUE(replica.maybeStart(0.0));
-    EXPECT_EQ(admitted, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(host.admitted, (std::vector<std::size_t>{0, 1, 2}));
     EXPECT_EQ(replica.prefillingCount(), 3u);
     EXPECT_EQ(replica.pendingCount(), 2u);
     EXPECT_TRUE(replica.busy());
@@ -393,26 +407,65 @@ TEST(ReplicaEngine, WithoutAHookAdmitsUpToMaxActive)
 
 TEST(ReplicaEngine, ConstructorRejectsHookMisuse)
 {
+    ReplicaHost plain;
     ReplicaEngine::Config chunked = engineConfig();
     chunked.chunkTokens = 16;
-    admitWithShares(chunked, {1.0});
-    EXPECT_THROW(ReplicaEngine(chunked, {}), FatalError);
+    ReplicaEngine::Config pool = chunked;
+    pool.prefillOnly = true;
+    EXPECT_THROW(ReplicaEngine(pool, plain), FatalError);
 
-    ReplicaEngine::Config half = engineConfig();
-    half.kvAdmit = [](std::size_t, double, bool) {
-        return ReplicaEngine::Config::KvAdmission{true};
-    };
-    EXPECT_THROW(ReplicaEngine(half, {}), FatalError);
+    // Chunked prefill does not compose with KV admission: the engine
+    // constructs, and the first admission with a share below 1 (or a
+    // stall) throws.
+    ShareHost half;
+    half.shares = {0.5};
+    ReplicaEngine replica(chunked, half);
+    replica.enqueue(0, 0.0);
+    EXPECT_THROW(replica.maybeStart(0.0), FatalError);
+
+    struct StallHost : ReplicaHost
+    {
+        KvAdmission
+        admit(std::size_t, std::size_t, double, bool) override
+        {
+            return {true, 10.0, 1.0};
+        }
+    } stall;
+    ReplicaEngine stalled(chunked, stall);
+    stalled.enqueue(0, 0.0);
+    EXPECT_THROW(stalled.maybeStart(0.0), FatalError);
+
+    // Full share and no stall is the default host: chunking runs.
+    ReplicaEngine fine(chunked, plain);
+    fine.enqueue(0, 0.0);
+    EXPECT_TRUE(fine.maybeStart(0.0));
 }
 
 TEST(ReplicaEngine, HaltedReplicaIgnoresItsInFlightIterationEnd)
 {
-    ReplicaEngine::Callbacks cb;
-    int fired = 0;
-    cb.onIteration = [&](const IterationInfo &) { ++fired; };
-    cb.onFirstToken = [&](std::size_t, double, double) { ++fired; };
-    cb.onComplete = [&](std::size_t, double) { ++fired; };
-    ReplicaEngine replica(engineConfig(), std::move(cb));
+    struct CountingHost : ReplicaHost
+    {
+        int fired = 0;
+
+        void
+        onIteration(std::size_t, const IterationInfo &) override
+        {
+            ++fired;
+        }
+
+        void
+        onFirstToken(std::size_t, std::size_t, double, double) override
+        {
+            ++fired;
+        }
+
+        void
+        onComplete(std::size_t, std::size_t, double) override
+        {
+            ++fired;
+        }
+    } host;
+    ReplicaEngine replica(engineConfig(), host);
     replica.enqueue(0, 0.0);
     ASSERT_TRUE(replica.maybeStart(0.0));
     const double end = replica.iterEndNs();
@@ -420,12 +473,113 @@ TEST(ReplicaEngine, HaltedReplicaIgnoresItsInFlightIterationEnd)
 
     replica.halt();
     EXPECT_FALSE(replica.finishIteration(end));
-    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(host.fired, 0);
     EXPECT_EQ(replica.tokensEmitted(), tokens);
     EXPECT_FALSE(replica.busy());
     // The crash is permanent: the queued prefill never starts again.
     EXPECT_FALSE(replica.maybeStart(end));
     EXPECT_EQ(replica.prefillingCount(), 1u);
+}
+
+TEST(ReplicaEngine, CallsItsHostInContractOrder)
+{
+    // A host that logs every call. Admission charges a stall of
+    // 100 (id + 1) ns, refuses request 2 the first time it is asked,
+    // and doubles every iteration's duration.
+    struct RecordingHost : ReplicaHost
+    {
+        std::vector<std::string> log;
+        std::vector<double> scaled; ///< bases passed to scaleDuration
+        bool refused2 = false;
+
+        KvAdmission
+        admit(std::size_t replica, std::size_t id, double,
+              bool) override
+        {
+            EXPECT_EQ(replica, 7u);
+            log.push_back("admit " + std::to_string(id));
+            if (id == 2 && !refused2) {
+                refused2 = true;
+                return {};
+            }
+            return {true, 100.0 * static_cast<double>(id + 1), 1.0};
+        }
+
+        void
+        release(std::size_t, std::size_t id, double) override
+        {
+            log.push_back("release " + std::to_string(id));
+        }
+
+        void
+        onAdmit(std::size_t, std::size_t id, double, double stall_ns,
+                bool) override
+        {
+            EXPECT_EQ(stall_ns, 100.0 * static_cast<double>(id + 1));
+            log.push_back("onAdmit " + std::to_string(id));
+        }
+
+        void
+        onIteration(std::size_t, const IterationInfo &info) override
+        {
+            log.push_back(info.prefill ? "prefill" : "decode");
+        }
+
+        void
+        onFirstToken(std::size_t, std::size_t id, double, double) override
+        {
+            log.push_back("first " + std::to_string(id));
+        }
+
+        void
+        onComplete(std::size_t, std::size_t id, double) override
+        {
+            log.push_back("complete " + std::to_string(id));
+        }
+
+        double
+        scaleDuration(std::size_t, double base_ns) override
+        {
+            log.push_back("scale");
+            scaled.push_back(base_ns);
+            return 2.0 * base_ns;
+        }
+    } host;
+
+    ReplicaEngine::Config c = engineConfig(3);
+    c.genTokens = 2;
+    ReplicaEngine replica(c, host, 7);
+    for (std::size_t id = 0; id < 3; ++id)
+        replica.enqueue(id, 0.0);
+    int iterations = 0;
+    for (bool busy = replica.maybeStart(0.0); busy; ++iterations) {
+        const double end = replica.iterEndNs();
+        busy = replica.finishIteration(end);
+    }
+
+    const std::vector<std::string> expected = {
+        // Queue order; request 2 is refused, so no onAdmit.
+        "admit 0", "onAdmit 0", "admit 1", "onAdmit 1", "admit 2",
+        "scale",
+        // Iteration first, then first tokens; 2 is asked again.
+        "prefill", "first 0", "first 1", "admit 2", "onAdmit 2",
+        "scale",
+        "prefill", "first 2", "scale",
+        // Every completion releases its KV first.
+        "decode", "release 0", "complete 0", "release 1",
+        "complete 1", "release 2", "complete 2"};
+    EXPECT_EQ(host.log, expected);
+    EXPECT_EQ(iterations, 3);
+
+    // Once per started iteration, each with its pending stall added.
+    const IterationCostModel &cost = costModel();
+    const std::vector<double> bases = {cost.prefillNs(2) + 300.0,
+                                       cost.prefillNs(1) + 300.0,
+                                       cost.decodeNs(3)};
+    EXPECT_EQ(host.scaled, bases);
+    // The engine runs on the host's durations.
+    EXPECT_DOUBLE_EQ(replica.busyNs(),
+                     2.0 * (bases[0] + bases[1] + bases[2]));
 }
 
 } // namespace

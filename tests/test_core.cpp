@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -519,24 +520,30 @@ TEST(CoreEngine, RunsEventsInOrderWithPreEventHook)
 {
     core::Engine engine;
     std::vector<std::pair<char, double>> log;
-    engine.onBeforeEvent(
-        [&](double t) { log.emplace_back('h', t); });
 
-    // Handlers are registered per kind; the payload carries the tag.
-    const core::EventKind record =
-        engine.addHandler([&](const core::Event &ev) {
+    // Kinds are the host's own; the payload carries the tag.
+    enum Kind : core::EventKind
+    {
+        Record,
+        Spawn,
+    };
+    engine.at(10.0, 1, Spawn);
+    engine.at(10.0, 0, Record, 0, 'b');
+
+    EXPECT_EQ(engine.run([&](const core::Event &ev) {
+        // The host's pre-event step (the cluster flushes its probe
+        // boundaries here) runs first, with the clock already at the
+        // event.
+        log.emplace_back('h', engine.nowNs());
+        if (ev.kind == Record) {
             log.emplace_back(static_cast<char>(ev.payload), ev.timeNs);
-        });
-    const core::EventKind spawn =
-        engine.addHandler([&](const core::Event &ev) {
-            log.emplace_back('a', ev.timeNs);
-            // Handlers schedule follow-ups through the same engine.
-            engine.at(engine.nowNs() + 5.0, 0, record, 0, 'c');
-        });
-    engine.at(10.0, 1, spawn);
-    engine.at(10.0, 0, record, 0, 'b');
-
-    EXPECT_EQ(engine.run(), 3u);
+            return;
+        }
+        log.emplace_back('a', ev.timeNs);
+        // The host schedules follow-ups through the same engine.
+        engine.at(engine.nowNs() + 5.0, 0, Record, 0, 'c');
+    }),
+              3u);
     EXPECT_EQ(engine.nowNs(), 15.0);
     EXPECT_EQ(engine.processed(), 3u);
 
@@ -550,39 +557,29 @@ TEST(CoreEngine, RunsEventsInOrderWithPreEventHook)
 
 TEST(CoreEngine, CountsPeakPendingPerKind)
 {
+    // The engine counts its whole queue; a host that needs one kind's
+    // peak counts it itself (the cluster's pending arrivals).
     core::Engine engine;
-    const core::EventKind noop =
-        engine.addHandler([](const core::Event &) {});
-    const core::EventKind other =
-        engine.addHandler([](const core::Event &) {});
+    std::size_t pending_other = 0;
+    std::size_t peak_other = 0;
+    auto other_at = [&](double t) {
+        engine.at(t, 0, 1);
+        peak_other = std::max(peak_other, ++pending_other);
+    };
+    auto dispatch = [&](const core::Event &ev) {
+        if (ev.kind == 1)
+            --pending_other;
+    };
     for (int i = 0; i < 3; ++i)
-        engine.at(static_cast<double>(i), 0, noop);
-    engine.at(0.5, 0, other);
-    engine.run();
-    engine.at(10.0, 0, other);
-    engine.run();
+        engine.at(static_cast<double>(i), 0, 0);
+    other_at(0.5);
+    EXPECT_EQ(engine.run(dispatch), 4u);
+    other_at(10.0);
+    EXPECT_EQ(engine.run(dispatch), 1u);
     EXPECT_EQ(engine.peakPending(), 4u);
-    EXPECT_EQ(engine.peakPending(noop), 3u);
-    EXPECT_EQ(engine.peakPending(other), 1u);
+    EXPECT_EQ(peak_other, 1u);
+    EXPECT_EQ(pending_other, 0u);
     EXPECT_EQ(engine.processed(), 5u);
-}
-
-TEST(CoreEngine, RejectsUnknownKindsAndLateHandlers)
-{
-    core::Engine engine;
-    EXPECT_THROW(engine.at(1.0, 0, 0), PanicError);
-    EXPECT_THROW(engine.addHandler(nullptr), PanicError);
-    core::EventKind late = 0;
-    const core::EventKind grow =
-        engine.addHandler([&](const core::Event &) {
-            // The table must not grow under a running handler.
-            late = engine.addHandler([](const core::Event &) {});
-        });
-    engine.at(1.0, 0, grow);
-    EXPECT_THROW(engine.run(), PanicError);
-    EXPECT_EQ(late, 0u);
-    // The guard resets: set-up may resume after the throw.
-    EXPECT_EQ(engine.addHandler([](const core::Event &) {}), 1u);
 }
 
 } // namespace
