@@ -92,9 +92,7 @@ constexpr int kContinuousChunks[] = {1, 7, 16, 64, 65};
  * Cluster and continuous fuzz cases pin model (GPT2), prompt length
  * and platform (GH200) so every case shares one calibrated cost model;
  * the fuzzed degrees of freedom are the queueing/fault knobs, which is
- * where the engines' logic lives. The model's chunk costs are priced
- * here too: chunkNs fills a cache on first use, which concurrent cases
- * must only read.
+ * where the engines' logic lives.
  */
 const cluster::CostCache &
 clusterCosts()
@@ -109,8 +107,6 @@ clusterCosts()
         replica.platform = hw::platforms::gh200();
         spec.replicas = {replica};
         cache.build(spec);
-        for (int chunk : kContinuousChunks)
-            cache.get(replica.platform.name).chunkNs(chunk);
     });
     return cache;
 }
@@ -903,6 +899,28 @@ Fuzzer::generate(std::uint64_t index) const
                 c.cluster.replicas[i].role =
                     cluster::ReplicaRole::Decode;
         }
+        // Dispatch hops, staged dispatch and partitions come from a
+        // stream of their own, so the draws above keep their bytes.
+        Rng disp(mixSeed(c.seed, 0x64697370)); // "disp"
+        if (disp.below(2) == 0)
+            c.cluster.dispatchUs = 1.0 + 49.0 * disp.uniform();
+        // Staging only gates delivery when the lanes are live.
+        if ((c.cluster.kvTier.enabled() || c.cluster.disaggregated()) &&
+            disp.below(2) == 0)
+            c.cluster.stagedDispatch = true;
+        if (disp.below(4) == 0) {
+            cluster::FaultSpec partition;
+            partition.kind = cluster::FaultKind::Partition;
+            partition.atSec =
+                disp.uniform() * 0.5 * c.cluster.horizonSec;
+            partition.replica = disp.below(replicas);
+            // Half heal before the horizon; the rest never do.
+            if (disp.below(2) == 0)
+                partition.healSec = partition.atSec +
+                    (0.05 + 0.4 * disp.uniform()) *
+                        c.cluster.horizonSec;
+            c.cluster.faults.push_back(partition);
+        }
         break;
     }
     case FuzzKind::Trace: {
@@ -1489,6 +1507,13 @@ proposeEdits(const FuzzCase &c)
             if (t.cluster.jitterFrac == 0.0)
                 return false;
             t.cluster.jitterFrac = 0.0;
+            return true;
+        });
+        edits.push_back([](FuzzCase &t) {
+            if (t.cluster.dispatchUs == 0.0 && !t.cluster.stagedDispatch)
+                return false;
+            t.cluster.dispatchUs = 0.0;
+            t.cluster.stagedDispatch = false;
             return true;
         });
         edits.push_back([](FuzzCase &t) {

@@ -412,7 +412,9 @@ struct ClusterResult
  * Shared per-platform iteration-cost models. Building an
  * IterationCostModel simulates the workload across a batch grid, so
  * sweeps build the cache once (serially) and share it across
- * scenarios; lookups after build() are const and thread-safe.
+ * scenarios. After build() the cache and its models are read-only
+ * (IterationCostModel never changes after construction), so scenario
+ * workers on any number of threads may read them at once.
  */
 class CostCache
 {

@@ -124,7 +124,7 @@ Router::treeKey(std::size_t replica, unsigned klass) const
 }
 
 Router::MinTree &
-Router::treeFor(unsigned klass) const
+Router::treeFor(unsigned klass)
 {
     if (klass == kAnyClass || _classes.empty())
         return _trees.front();
@@ -177,7 +177,7 @@ Router::refresh(std::size_t replica)
 
 std::size_t
 Router::leastLoaded(const std::vector<std::size_t> &exclude,
-                    unsigned klass) const
+                    unsigned klass)
 {
     MinTree &tree = treeFor(klass);
     std::size_t n = _weights.size();
@@ -198,7 +198,7 @@ Router::leastLoaded(const std::vector<std::size_t> &exclude,
 
 std::size_t
 Router::pick(int session, const std::vector<std::size_t> &exclude,
-             unsigned klass) const
+             unsigned klass)
 {
     std::size_t n = _weights.size();
     switch (_policy) {

@@ -53,9 +53,10 @@ std::vector<std::string> routerPolicyNames();
 /**
  * The router's view of a replica fleet. Health and outstanding counts
  * are updated by the cluster simulator as it learns about completions
- * and (delayed) fault detections; pick() is a pure function of that
- * view plus the round-robin cursor, so routing is deterministic for a
- * given arrival sequence regardless of host thread count.
+ * and (delayed) fault detections; pick() reads only that view and
+ * the round-robin cursor (which it advances), so routing is
+ * deterministic for a given arrival sequence regardless of host
+ * thread count.
  */
 class Router
 {
@@ -70,7 +71,6 @@ class Router
      */
     Router(RouterPolicy policy, std::vector<double> weights);
 
-    std::size_t replicaCount() const { return _weights.size(); }
     RouterPolicy policy() const { return _policy; }
 
     /**
@@ -92,7 +92,7 @@ class Router
      */
     std::size_t pick(int session,
                      const std::vector<std::size_t> &exclude,
-                     unsigned klass = kAnyClass) const;
+                     unsigned klass = kAnyClass);
 
     /** Sentinel returned by pick() when every replica is ineligible. */
     static std::size_t npos();
@@ -108,7 +108,6 @@ class Router
     void markUp(std::size_t replica);
     /** @} */
 
-    bool isDown(std::size_t replica) const { return _down.at(replica); }
     std::size_t outstanding(std::size_t replica) const
     {
         return _outstanding.at(replica);
@@ -142,23 +141,23 @@ class Router
                   unsigned klass) const;
     /** Load of @p replica, or +inf when it does not serve @p klass. */
     double treeKey(std::size_t replica, unsigned klass) const;
-    MinTree &treeFor(unsigned klass) const;
+    MinTree &treeFor(unsigned klass);
     void buildTree(MinTree &tree) const;
     /** Recompute @p replica's leaf in every tree after a state change. */
     void refresh(std::size_t replica);
     std::size_t leastLoaded(const std::vector<std::size_t> &exclude,
-                            unsigned klass) const;
+                            unsigned klass);
 
     RouterPolicy _policy;
     std::vector<double> _weights;
     std::vector<unsigned> _classes; ///< empty = no role filtering
     std::vector<std::size_t> _outstanding;
     std::vector<bool> _down;
-    mutable std::size_t _rrCursor = 0;
+    std::size_t _rrCursor = 0;
     /** One tree per dispatch class asked for so far; trees[0] is the
      *  class-blind one. Empty under round-robin. Picks mask and
-     *  restore excluded leaves, hence mutable. */
-    mutable std::vector<MinTree> _trees;
+     *  restore excluded leaves. */
+    std::vector<MinTree> _trees;
 };
 
 } // namespace skipsim::cluster

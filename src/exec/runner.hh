@@ -108,8 +108,6 @@ class Runner
         _tracer = tracer;
     }
 
-    obs::HarnessTracer *harnessTracer() const { return _tracer; }
-
   private:
     int _jobs = 1;
     obs::HarnessTracer *_tracer = nullptr;

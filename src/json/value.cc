@@ -234,22 +234,6 @@ Value::asObject() const
     return std::get<Object>(_data);
 }
 
-Value::Array &
-Value::mutableArray()
-{
-    if (!isArray())
-        _data = Array{};
-    return std::get<Array>(_data);
-}
-
-Object &
-Value::mutableObject()
-{
-    if (!isObject())
-        _data = Object{};
-    return std::get<Object>(_data);
-}
-
 std::uint64_t
 uint64Member(const Object &obj, const std::string &key)
 {

@@ -135,10 +135,6 @@ class Value
     const Array &asArray() const;
     const Object &asObject() const;
 
-    /** Mutable access for building documents in place. */
-    Array &mutableArray();
-    Object &mutableObject();
-
   private:
     std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
         _data;

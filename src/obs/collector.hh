@@ -11,8 +11,10 @@
  * events ("X" spans, "C" counters, "i" instants) so the probes open in
  * Perfetto on the same timeline as a Kineto-style op/kernel trace.
  *
- * A Collector is written by one simulation at a time (per-scenario
- * collectors for sweeps); the Registry inside stays thread-safe.
+ * A Collector has one writer: the simulation it was handed to (sweeps
+ * build one collector per scenario). Nothing inside it locks; a
+ * collector written on an exec::Pool worker is read after Pool::run
+ * returns.
  */
 
 #ifndef SKIPSIM_OBS_COLLECTOR_HH

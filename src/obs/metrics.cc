@@ -30,17 +30,6 @@ metricKey(const std::string &name, const Labels &labels)
     return key;
 }
 
-void
-Counter::add(double delta)
-{
-    // CAS loop instead of fetch_add(double): portable to pre-C++20
-    // atomic implementations and contention here is negligible.
-    double cur = _value.load(std::memory_order_relaxed);
-    while (!_value.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : _bounds(std::move(bounds))
 {
@@ -50,10 +39,7 @@ Histogram::Histogram(std::vector<double> bounds)
         if (_bounds[i] <= _bounds[i - 1])
             fatal("obs::Histogram: bounds must be strictly ascending");
     }
-    _buckets = std::make_unique<std::atomic<std::uint64_t>[]>(
-        _bounds.size() + 1);
-    for (std::size_t i = 0; i <= _bounds.size(); ++i)
-        _buckets[i].store(0, std::memory_order_relaxed);
+    _buckets.assign(_bounds.size() + 1, 0);
 }
 
 void
@@ -62,21 +48,9 @@ Histogram::observe(double v)
     std::size_t bucket = std::lower_bound(_bounds.begin(), _bounds.end(),
                                           v) -
         _bounds.begin();
-    _buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-    _count.fetch_add(1, std::memory_order_relaxed);
-    double cur = _sum.load(std::memory_order_relaxed);
-    while (!_sum.compare_exchange_weak(cur, cur + v,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
-std::vector<std::uint64_t>
-Histogram::bucketCounts() const
-{
-    std::vector<std::uint64_t> counts(_bounds.size() + 1);
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i] = _buckets[i].load(std::memory_order_relaxed);
-    return counts;
+    ++_buckets[bucket];
+    ++_count;
+    _sum += v;
 }
 
 std::vector<double>
@@ -86,34 +60,32 @@ defaultLatencyBucketsMs()
             100., 250., 500., 1000., 2500., 5000., 10000.};
 }
 
+template <class T, class... Args>
+T &
+Registry::findOrCreate(const std::string &key, const char *kind,
+                       const Args &...args)
+{
+    auto it = _instruments.find(key);
+    if (it == _instruments.end())
+        it = _instruments.try_emplace(key, std::in_place_type<T>, args...)
+                 .first;
+    T *instrument = std::get_if<T>(&it->second);
+    if (instrument == nullptr)
+        fatal(strprintf("obs: '%s' is already a non-%s metric",
+                        key.c_str(), kind));
+    return *instrument;
+}
+
 Counter &
 Registry::counter(const std::string &name, const Labels &labels)
 {
-    const std::string key = metricKey(name, labels);
-    std::lock_guard<std::mutex> lock(_mutex);
-    Instrument &slot = _instruments[key];
-    if (!slot.counter) {
-        if (slot.gauge || slot.histogram)
-            fatal(strprintf("obs: '%s' is already a non-counter metric",
-                            key.c_str()));
-        slot.counter = std::make_unique<Counter>();
-    }
-    return *slot.counter;
+    return findOrCreate<Counter>(metricKey(name, labels), "counter");
 }
 
 Gauge &
 Registry::gauge(const std::string &name, const Labels &labels)
 {
-    const std::string key = metricKey(name, labels);
-    std::lock_guard<std::mutex> lock(_mutex);
-    Instrument &slot = _instruments[key];
-    if (!slot.gauge) {
-        if (slot.counter || slot.histogram)
-            fatal(strprintf("obs: '%s' is already a non-gauge metric",
-                            key.c_str()));
-        slot.gauge = std::make_unique<Gauge>();
-    }
-    return *slot.gauge;
+    return findOrCreate<Gauge>(metricKey(name, labels), "gauge");
 }
 
 Histogram &
@@ -122,50 +94,35 @@ Registry::histogram(const std::string &name,
                     const Labels &labels)
 {
     const std::string key = metricKey(name, labels);
-    std::lock_guard<std::mutex> lock(_mutex);
-    Instrument &slot = _instruments[key];
-    if (!slot.histogram) {
-        if (slot.counter || slot.gauge)
-            fatal(strprintf("obs: '%s' is already a non-histogram metric",
-                            key.c_str()));
-        slot.histogram = std::make_unique<Histogram>(bounds);
-    } else if (slot.histogram->bounds() != bounds) {
+    Histogram &hist = findOrCreate<Histogram>(key, "histogram", bounds);
+    if (hist.bounds() != bounds)
         fatal(strprintf("obs: histogram '%s' re-registered with "
                         "different bounds",
                         key.c_str()));
-    }
-    return *slot.histogram;
-}
-
-std::size_t
-Registry::size() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _instruments.size();
+    return hist;
 }
 
 json::Value
 Registry::toJson() const
 {
-    std::lock_guard<std::mutex> lock(_mutex);
     json::Object counters;
     json::Object gauges;
     json::Object histograms;
     // std::map iteration is key-sorted, so the dump is byte-stable.
     for (const auto &[key, slot] : _instruments) {
-        if (slot.counter) {
-            counters.set(key, slot.counter->value());
-        } else if (slot.gauge) {
-            gauges.set(key, slot.gauge->value());
-        } else if (slot.histogram) {
+        if (const Counter *counter = std::get_if<Counter>(&slot)) {
+            counters.set(key, counter->value());
+        } else if (const Gauge *gauge = std::get_if<Gauge>(&slot)) {
+            gauges.set(key, gauge->value());
+        } else {
+            const Histogram &histogram = std::get<Histogram>(slot);
             json::Object hist;
-            hist.set("count", static_cast<unsigned long long>(
-                                  slot.histogram->count()));
-            hist.set("sum", slot.histogram->sum());
+            hist.set("count",
+                     static_cast<unsigned long long>(histogram.count()));
+            hist.set("sum", histogram.sum());
             json::Value::Array buckets;
-            std::vector<std::uint64_t> counts =
-                slot.histogram->bucketCounts();
-            const std::vector<double> &bounds = slot.histogram->bounds();
+            std::vector<std::uint64_t> counts = histogram.bucketCounts();
+            const std::vector<double> &bounds = histogram.bounds();
             for (std::size_t i = 0; i < counts.size(); ++i) {
                 json::Object bucket;
                 if (i < bounds.size())

@@ -1,25 +1,26 @@
 /**
  * @file
- * Thread-safe metrics registry: labeled counters, gauges, and
- * fixed-bucket histograms with deterministic JSON export. Instruments
- * are created (or found) under a registry mutex and then updated
- * lock-free through atomics, so exec::Pool workers can hammer the same
- * counter without serializing on the registry. The naming scheme is
- * Prometheus-flavoured: `subsystem.metric{label="value",...}` with
- * labels sorted, so a metric's identity — and therefore the JSON dump
- * order — is independent of which thread touched it first.
+ * Metrics registry: labeled counters, gauges, and fixed-bucket
+ * histograms with deterministic JSON export. A registry has one
+ * writer: the simulation that owns its obs::Collector. Instruments are
+ * plain values, so a registry created on one thread, written by one
+ * exec::Pool worker and read after Pool::run returns needs no lock
+ * (the join orders those accesses); concurrent writers would also
+ * make a histogram's floating-point sum depend on their interleaving.
+ * The naming scheme is Prometheus-flavoured:
+ * `subsystem.metric{label="value",...}` with labels sorted, so a
+ * metric's identity — and therefore the JSON dump order — is
+ * independent of the order instruments were created in.
  */
 
 #ifndef SKIPSIM_OBS_METRICS_HH
 #define SKIPSIM_OBS_METRICS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "json/value.hh"
@@ -37,31 +38,31 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
  */
 std::string metricKey(const std::string &name, const Labels &labels);
 
-/** Monotonically increasing value (lock-free add). */
+/** Monotonically increasing value. */
 class Counter
 {
   public:
-    void add(double delta = 1.0);
-    double value() const { return _value.load(std::memory_order_relaxed); }
+    void add(double delta = 1.0) { _value += delta; }
+    double value() const { return _value; }
 
   private:
-    std::atomic<double> _value{0.0};
+    double _value = 0.0;
 };
 
-/** Last-write-wins scalar (lock-free set). */
+/** Last-write-wins scalar. */
 class Gauge
 {
   public:
-    void set(double v) { _value.store(v, std::memory_order_relaxed); }
-    double value() const { return _value.load(std::memory_order_relaxed); }
+    void set(double v) { _value = v; }
+    double value() const { return _value; }
 
   private:
-    std::atomic<double> _value{0.0};
+    double _value = 0.0;
 };
 
 /**
  * Fixed-bucket histogram: cumulative-style upper bounds plus an
- * implicit +inf overflow bucket, with lock-free observation.
+ * implicit +inf overflow bucket.
  */
 class Histogram
 {
@@ -77,20 +78,17 @@ class Histogram
     const std::vector<double> &bounds() const { return _bounds; }
 
     /** Per-bucket counts; the extra last entry is the +inf bucket. */
-    std::vector<std::uint64_t> bucketCounts() const;
+    std::vector<std::uint64_t> bucketCounts() const { return _buckets; }
 
-    std::uint64_t count() const
-    {
-        return _count.load(std::memory_order_relaxed);
-    }
+    std::uint64_t count() const { return _count; }
 
-    double sum() const { return _sum.load(std::memory_order_relaxed); }
+    double sum() const { return _sum; }
 
   private:
     std::vector<double> _bounds;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> _buckets;
-    std::atomic<std::uint64_t> _count{0};
-    std::atomic<double> _sum{0.0};
+    std::vector<std::uint64_t> _buckets;
+    std::uint64_t _count = 0;
+    double _sum = 0.0;
 };
 
 /** Default latency bucket bounds in milliseconds (0.1 .. 10000). */
@@ -98,10 +96,10 @@ std::vector<double> defaultLatencyBucketsMs();
 
 /**
  * The instrument registry. counter()/gauge()/histogram() find or
- * create an instrument under a mutex and return a reference that stays
- * valid for the registry's lifetime; updates through the reference are
- * lock-free. toJson() dumps every instrument sorted by key, so the
- * export is byte-stable regardless of creation or update order.
+ * create an instrument and return a reference that stays valid for the
+ * registry's lifetime (map nodes never move). toJson() dumps every
+ * instrument sorted by key, so the export is byte-stable regardless of
+ * creation or update order.
  */
 class Registry
 {
@@ -123,7 +121,7 @@ class Registry
                          const Labels &labels = {});
 
     /** Number of registered instruments. */
-    std::size_t size() const;
+    std::size_t size() const { return _instruments.size(); }
 
     /**
      * Deterministic dump:
@@ -133,14 +131,17 @@ class Registry
     json::Value toJson() const;
 
   private:
-    struct Instrument
-    {
-        std::unique_ptr<Counter> counter;
-        std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
-    };
+    using Instrument = std::variant<Counter, Gauge, Histogram>;
 
-    mutable std::mutex _mutex;
+    /**
+     * The instrument under @p key, created from @p args when absent.
+     * @throws skipsim::FatalError when @p key names an instrument of
+     *         another type (@p kind names T in the message).
+     */
+    template <class T, class... Args>
+    T &findOrCreate(const std::string &key, const char *kind,
+                    const Args &...args);
+
     std::map<std::string, Instrument> _instruments;
 };
 

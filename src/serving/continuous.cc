@@ -69,15 +69,10 @@ IterationCostModel::chunkNs(int chunk_tokens) const
 {
     if (chunk_tokens <= 0)
         fatal("IterationCostModel::chunkNs: chunk must be positive");
-    auto it = _chunkCache.find(chunk_tokens);
-    if (it != _chunkCache.end())
-        return it->second;
     workload::BuildOptions opts;
     opts.batch = 1;
     opts.seqLen = chunk_tokens;
-    double ns = _simulator.wallNs(_model, opts);
-    _chunkCache.emplace(chunk_tokens, ns);
-    return ns;
+    return _simulator.wallNs(_model, opts);
 }
 
 ContinuousResult

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "hw/platform.hh"
@@ -38,7 +37,8 @@ class ReplicaEngine;
  * grid point and reading stats::Series::extrapolate in between and
  * past the grid. Every grid point and chunk is priced with
  * sim::Simulator::wallNs: the model reads only wall times, so no
- * trace is recorded.
+ * trace is recorded. The model never changes after construction, so
+ * one model may be read from many threads at once.
  */
 class IterationCostModel
 {
@@ -59,8 +59,8 @@ class IterationCostModel
 
     /**
      * Latency of prefilling one chunk of @p chunk_tokens prompt tokens
-     * (Sarathi-style chunked prefill), ns. Simulated lazily and cached
-     * per distinct chunk size.
+     * (Sarathi-style chunked prefill), ns. Simulated on every call:
+     * callers that chunk price their chunk size once and keep it.
      * @throws skipsim::FatalError on non-positive chunk size.
      */
     double chunkNs(int chunk_tokens) const;
@@ -74,7 +74,6 @@ class IterationCostModel
     sim::Simulator _simulator;
     stats::Series _prefill;
     stats::Series _decode;
-    mutable std::map<int, double> _chunkCache;
 };
 
 /** Continuous-batching server configuration. */

@@ -22,6 +22,8 @@ ReplicaEngine::ReplicaEngine(const Config &config, ReplicaHost &host,
     if (_cfg.chunkTokens > 0 && _cfg.prefillOnly)
         fatal("ReplicaEngine: chunked prefill does not compose with "
               "prefill-only mode");
+    if (_cfg.chunkTokens > 0)
+        _chunkNs = _cfg.cost->chunkNs(_cfg.chunkTokens);
 }
 
 void
@@ -67,7 +69,7 @@ ReplicaEngine::maybeStart(double nowNs)
         }
         _iterChunkSched = _headChunksLeft > 0;
         if (_headChunksLeft > 0) {
-            base += _cfg.cost->chunkNs(_cfg.chunkTokens);
+            base += _chunkNs;
             --_headChunksLeft;
         }
         // Chunked mode: every iteration latency counts towards TPOT

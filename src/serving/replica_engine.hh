@@ -314,6 +314,9 @@ class ReplicaEngine
     std::size_t _tokensEmitted = 0;
     stats::Summary _activeSizes;
     stats::Summary _iterLatency;
+
+    /** Cost of one prompt chunk, priced once; 0 when not chunking. */
+    double _chunkNs = 0.0;
 };
 
 } // namespace skipsim::serving

@@ -4,17 +4,20 @@
  * JSON round trips, the determinism contract (byte-identical reports
  * at any worker count), KV-cache admission control, the
  * fault-injection envelope (a crashed replica degrades the tail but
- * the router re-routes and most of the work still completes), and the
- * staged-dispatch bandwidth contention coupling.
+ * the router re-routes and most of the work still completes), the
+ * staged-dispatch bandwidth contention coupling, and the shared cost
+ * model's read-only contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -34,6 +37,7 @@
 #include "obs/span.hh"
 #include "scenario/registry.hh"
 #include "serving/arrival.hh"
+#include "serving/continuous.hh"
 #include "workload/memory.hh"
 #include "workload/model_config.hh"
 
@@ -852,6 +856,45 @@ TEST(ClusterAnalysis, CostCacheRefusesMismatchedSpecs)
     other.promptLen = 256;
     EXPECT_THROW(costs.build(other), FatalError);
     EXPECT_THROW(costs.get("not-a-platform"), FatalError);
+}
+
+TEST(CostCache, SharedModelPricesChunksConcurrently)
+{
+    // Scenario workers share one model read-only: pricing chunks from
+    // several pool workers at once must neither race nor change a bit.
+    cluster::ClusterSpec spec = smallSpec(1);
+    spec.promptLen = 64;
+    cluster::CostCache costs;
+    costs.build(spec);
+    const serving::IterationCostModel &shared = costs.get("GH200");
+
+    const std::vector<int> chunks = {1, 7, 16, 64, 65};
+    constexpr std::size_t kWorkers = 4;
+    std::vector<std::vector<double>> priced(kWorkers);
+    std::atomic<std::size_t> started{0};
+    exec::Pool pool(static_cast<int>(kWorkers));
+    pool.run(kWorkers, [&](std::size_t worker) {
+        // One task per worker, held at a start line so every worker
+        // prices at once, each walking the sizes from its own offset.
+        started.fetch_add(1);
+        while (started.load() < kWorkers)
+            std::this_thread::yield();
+        for (std::size_t k = 0; k < chunks.size(); ++k)
+            priced[worker].push_back(
+                shared.chunkNs(chunks[(worker + k) % chunks.size()]));
+    });
+
+    serving::IterationCostModel serial(spec.model,
+                                       spec.replicas[0].platform,
+                                       spec.promptLen);
+    for (std::size_t worker = 0; worker < kWorkers; ++worker) {
+        ASSERT_EQ(priced[worker].size(), chunks.size());
+        for (std::size_t k = 0; k < chunks.size(); ++k) {
+            const int chunk = chunks[(worker + k) % chunks.size()];
+            EXPECT_EQ(priced[worker][k], serial.chunkNs(chunk))
+                << "worker " << worker << " chunk " << chunk;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

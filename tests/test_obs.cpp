@@ -1,8 +1,8 @@
 /**
  * @file
  * Observability tests: metrics registry (keys, instruments, JSON
- * shape, lock-free updates under exec::Pool), the simulated-time probe
- * collector and its determinism contract (byte-identical obs JSON at
+ * shape), the simulated-time probe collector and its determinism
+ * contract (one collector per simulation, byte-identical obs JSON at
  * any worker count), trace probes, serving/continuous/cluster probe
  * wiring, and harness self-tracing.
  */
@@ -163,39 +163,6 @@ TEST(Registry, JsonDumpIsKeySorted)
     const auto &buckets = hist.at("buckets").asArray();
     ASSERT_EQ(buckets.size(), 2u);
     EXPECT_EQ(buckets[1].asObject().at("le").asString(), "+inf");
-}
-
-TEST(Registry, ConcurrentUpdatesFromPoolWorkers)
-{
-    obs::Registry registry;
-    // Pre-create so workers only take the lock-free update path.
-    obs::Counter &hits = registry.counter("hits");
-    obs::Histogram &hist =
-        registry.histogram("obs_ms", obs::defaultLatencyBucketsMs());
-
-    constexpr std::size_t kTasks = 64;
-    constexpr int kPerTask = 250;
-    exec::Pool pool(8);
-    pool.run(kTasks, [&](std::size_t i) {
-        for (int k = 0; k < kPerTask; ++k) {
-            hits.add();
-            hist.observe(static_cast<double>(i % 7));
-            registry.counter("lane",
-                             {{"lane", std::to_string(i % 3)}})
-                .add();
-        }
-    });
-
-    EXPECT_DOUBLE_EQ(hits.value(),
-                     static_cast<double>(kTasks * kPerTask));
-    EXPECT_EQ(hist.count(),
-              static_cast<std::uint64_t>(kTasks * kPerTask));
-    double lanes = 0.0;
-    for (int lane = 0; lane < 3; ++lane)
-        lanes += registry
-                     .counter("lane", {{"lane", std::to_string(lane)}})
-                     .value();
-    EXPECT_DOUBLE_EQ(lanes, static_cast<double>(kTasks * kPerTask));
 }
 
 // ---------------------------------------------------------------- ticker
