@@ -546,6 +546,62 @@ BM_EngineEventChurn(benchmark::State &state)
 BENCHMARK(BM_EngineEventChurn)->Arg(1 << 16);
 
 void
+BM_EngineReplicaChurn(benchmark::State &state, bool slots)
+{
+    // The cluster's pending set at fleet size N: every replica keeps
+    // one iteration end pending and schedules its next when it pops,
+    // and one chained arrival stream runs beside them at half the
+    // fleet's iteration rate (fleet_lor's mix). Iteration ends go
+    // through Engine::at (the heap; the comparison row) or atSlot
+    // (one keyed slot per replica). Durations come from a fixed Rng,
+    // drawn before the timing.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    constexpr std::size_t kEvents = 1 << 16;
+    constexpr std::size_t kDraws = 4096;
+    constexpr double kIterNs = 16e6;
+    constexpr int kIterPriority = 3 << 20;
+    constexpr int kArrivalPriority = 4 << 20;
+    std::vector<double> iterNs(kDraws), gapNs(kDraws);
+    Rng rng(36);
+    for (std::size_t i = 0; i < kDraws; ++i) {
+        iterNs[i] = rng.uniform(0.5 * kIterNs, 1.5 * kIterNs);
+        gapNs[i] = rng.uniform(0.0, 4.0 * kIterNs / static_cast<double>(n));
+    }
+    std::uint64_t processed = 0;
+    for (auto _ : state) {
+        core::Engine engine(slots ? n : 0);
+        std::size_t draw = 0;
+        auto endIteration = [&](std::size_t r, double now) {
+            const double t = now + iterNs[draw++ % kDraws];
+            const int priority = kIterPriority + static_cast<int>(r);
+            if (slots)
+                engine.atSlot(r, t, priority, 0,
+                              static_cast<std::uint32_t>(r));
+            else
+                engine.at(t, priority, 0, static_cast<std::uint32_t>(r));
+        };
+        for (std::size_t r = 0; r < n; ++r)
+            endIteration(r, 0.0);
+        engine.at(gapNs[0], kArrivalPriority, 1);
+        std::size_t left = kEvents;
+        engine.run([&](const core::Event &ev) {
+            if (left == 0)
+                return;
+            --left;
+            if (ev.kind == 0)
+                endIteration(ev.target, ev.timeNs);
+            else
+                engine.at(ev.timeNs + gapNs[draw++ % kDraws],
+                          kArrivalPriority, 1);
+        });
+        processed += engine.processed();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+}
+BENCHMARK_CAPTURE(BM_EngineReplicaChurn, heap, false)->Arg(16)->Arg(1024);
+BENCHMARK_CAPTURE(BM_EngineReplicaChurn, slots, true)->Arg(16)->Arg(1024);
+
+void
 BM_RouterPick(benchmark::State &state)
 {
     // One least-outstanding dispatch per iteration at fleet size N:
@@ -636,6 +692,7 @@ main(int argc, char **argv)
         "BM_ClosureQueueThroughput|"
         "BM_ClusterSpanOverhead|"
         "BM_RouterPick/1024$|"
+        "BM_EngineReplicaChurn/(heap|slots)/1024$|"
         "BM_DependencyGraphBuild/(8192|65536)$|"
         "BM_ChromeIngest(Dom)?/65536$|"
         "BM_SpanChromeRoundTrip|"

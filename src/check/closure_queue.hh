@@ -4,8 +4,9 @@
  * queue the key heap replaced: a binary heap of whole events, each
  * carrying its handler as a std::function, ordered by the same
  * (timeNs, priority, seq) contract through std::push_heap/pop_heap.
- * diffEventQueues() replays one seeded sequence of pushes, pops and
- * clears on both and reports the first step where they disagree.
+ * diffEventQueues() replays seeded sequences of pushes, pops and
+ * clears on both, first through the heap alone and then with keyed
+ * slots, and reports the first step where they disagree.
  */
 
 #ifndef SKIPSIM_CHECK_CLOSURE_QUEUE_HH
@@ -69,13 +70,25 @@ class ClosureEventQueue
  * colliding times (±0 and +inf among them) and priorities, pops, rare
  * clear()s, NaN pushes and pops of an empty queue. After every step
  * the sizes and head (time, priority) must agree; every pop must
- * return the same (time, priority, seq) and the typed record must
- * name the push whose closure the oracle runs; NaN pushes and empty
- * pops must panic in both.
+ * return the same (time, priority, seq), sign of zero included, and
+ * the typed record must name the push whose closure the oracle runs;
+ * NaN pushes and empty pops must panic in both. The heap-only replay
+ * runs first, then diffKeyedEventQueues() at the same arguments.
  * @return empty when both queues agree throughout, else a
  *         description of the first divergence.
  */
 std::string diffEventQueues(std::uint64_t seed, std::size_t steps);
+
+/**
+ * The keyed half of diffEventQueues(): the same replay on a queue
+ * with a few keyed slots. Half the pushes schedule a random slot that
+ * holds no pending event, interleaved with heap pushes on the same
+ * colliding times and priorities; a slot event that pops re-keys its
+ * slot at once half the time; a push to a taken slot, or to one past
+ * the last, must panic with the slot's name and change nothing, and a
+ * NaN slot push must panic as the oracle's NaN push does.
+ */
+std::string diffKeyedEventQueues(std::uint64_t seed, std::size_t steps);
 
 } // namespace skipsim::check
 

@@ -389,6 +389,7 @@ class Sim final : public serving::ReplicaHost
           _streams(spec.seed),
           _router(spec.router, makeWeights(spec, costs)),
           _disagg(spec.disaggregated()), _kvOn(spec.kvTier.enabled()),
+          _engine(spec.replicas.size()),
           _dispatchNs(spec.dispatchUs * 1e3), _obs(obs), _spans(spans)
     {
         if (_disagg) {
@@ -513,13 +514,14 @@ class Sim final : public serving::ReplicaHost
     void deliver(std::size_t id, std::size_t r, double now);
     /** Staged dispatch: @p id's prompt landed on replica @p r. */
     void onStaged(std::size_t id, std::size_t r, double now);
-    /** Schedule replica @p r's iteration end when @p started. */
+    /** Schedule replica @p r's iteration end, into its keyed slot,
+     *  when @p started. */
     void onStarted(std::size_t r, bool started)
     {
         if (started)
-            _engine.at(_reps[r].engine->iterEndNs(),
-                       eventPriority(EvIterEnd, r), EvIterEnd,
-                       static_cast<std::uint32_t>(r));
+            _engine.atSlot(r, _reps[r].engine->iterEndNs(),
+                           eventPriority(EvIterEnd, r), EvIterEnd,
+                           static_cast<std::uint32_t>(r));
     }
     void restartAndReroute(std::size_t r,
                            std::vector<std::size_t> &ids, double now);

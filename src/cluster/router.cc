@@ -1,7 +1,6 @@
 #include "cluster/router.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -69,10 +68,8 @@ Router::Router(RouterPolicy policy, std::vector<double> weights)
     }
     _outstanding.assign(_weights.size(), 0);
     _down.assign(_weights.size(), false);
-    if (_policy != RouterPolicy::RoundRobin) {
-        _trees.emplace_back();
-        buildTree(_trees.back());
-    }
+    if (_policy != RouterPolicy::RoundRobin)
+        _trees.push_back(makeTree(kAnyClass));
 }
 
 std::size_t
@@ -123,75 +120,56 @@ Router::treeKey(std::size_t replica, unsigned klass) const
     return load;
 }
 
-Router::MinTree &
+Router::ClassTree &
 Router::treeFor(unsigned klass)
 {
     if (klass == kAnyClass || _classes.empty())
         return _trees.front();
-    for (MinTree &tree : _trees) {
+    for (ClassTree &tree : _trees) {
         if (tree.klass == klass)
             return tree;
     }
-    _trees.emplace_back();
-    _trees.back().klass = klass;
-    buildTree(_trees.back());
+    _trees.push_back(makeTree(klass));
     return _trees.back();
 }
 
-void
-Router::MinTree::pull(std::size_t node)
+Router::ClassTree
+Router::makeTree(unsigned klass) const
 {
-    std::uint32_t left = win[2 * node];
-    std::uint32_t right = win[2 * node + 1];
-    win[node] = keys[right] < keys[left] ? right : left;
-}
-
-void
-Router::MinTree::setLeaf(std::size_t leaf, double key)
-{
-    keys[leaf] = key;
-    for (std::size_t node = (keys.size() + leaf) / 2; node >= 1; node /= 2)
-        pull(node);
-}
-
-void
-Router::buildTree(MinTree &tree) const
-{
-    std::size_t width = std::bit_ceil(_weights.size());
-    tree.keys.assign(width, kIneligible);
-    for (std::size_t r = 0; r < _weights.size(); ++r)
-        tree.keys[r] = treeKey(r, tree.klass);
-    tree.win.assign(2 * width, 0);
-    for (std::size_t leaf = 0; leaf < width; ++leaf)
-        tree.win[width + leaf] = static_cast<std::uint32_t>(leaf);
-    for (std::size_t node = width - 1; node >= 1; --node)
-        tree.pull(node);
+    std::vector<double> keys(_weights.size());
+    for (std::size_t r = 0; r < keys.size(); ++r)
+        keys[r] = treeKey(r, klass);
+    ClassTree tree;
+    tree.klass = klass;
+    tree.loads.assign(keys, kIneligible);
+    return tree;
 }
 
 void
 Router::refresh(std::size_t replica)
 {
-    for (MinTree &tree : _trees)
-        tree.setLeaf(replica, treeKey(replica, tree.klass));
+    for (ClassTree &tree : _trees)
+        tree.loads.setLeaf(replica, treeKey(replica, tree.klass));
 }
 
 std::size_t
 Router::leastLoaded(const std::vector<std::size_t> &exclude,
                     unsigned klass)
 {
-    MinTree &tree = treeFor(klass);
+    ClassTree &tree = treeFor(klass);
     std::size_t n = _weights.size();
     for (std::size_t r : exclude) {
         if (r < n)
-            tree.setLeaf(r, kIneligible);
+            tree.loads.setLeaf(r, kIneligible);
     }
-    std::uint32_t best = tree.win[1];
-    std::size_t picked = tree.keys[best] < kIneligible ? best : npos();
+    std::uint32_t best = tree.loads.top();
+    std::size_t picked =
+        tree.loads.key(best) < kIneligible ? best : npos();
     // Restoring recomputes each leaf from the router state, so a
     // replica excluded twice comes back correctly in any order.
     for (std::size_t r : exclude) {
         if (r < n)
-            tree.setLeaf(r, treeKey(r, tree.klass));
+            tree.loads.setLeaf(r, treeKey(r, tree.klass));
     }
     return picked;
 }

@@ -7,6 +7,9 @@
  * health marks that appear one detection delay after a fault. The
  * router never peeks at replica-internal state, which is what makes
  * routing skew and detection-delay tail amplification reproducible.
+ * The load-based policies read the root of a core::MinTree of loads
+ * per dispatch class, the indexed min-tree the event queue's keyed
+ * slots also use.
  */
 
 #ifndef SKIPSIM_CLUSTER_ROUTER_HH
@@ -16,6 +19,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "core/min_tree.hh"
 
 namespace skipsim::cluster
 {
@@ -115,23 +120,16 @@ class Router
 
   private:
     /**
-     * Tournament tree over one dispatch class: leaf r holds replica
-     * r's load, or +inf when it is down or misses the class (and in
-     * the padding up to a power of two). Each inner node stores the
-     * leaf that wins its subtree, ties going to the left child, so
-     * the root is the lowest-index replica of least load — exactly
-     * what a scan taking only strictly smaller loads returns.
+     * One dispatch class's tree: leaf r holds replica r's load, or
+     * +inf when it is down or misses the class (and in the padding).
+     * core::MinTree's root is then the lowest-index replica of least
+     * load, exactly what a scan taking only strictly smaller loads
+     * returns.
      */
-    struct MinTree
+    struct ClassTree
     {
         unsigned klass = kAnyClass;
-        std::vector<double> keys;       ///< leaf keys, padded
-        std::vector<std::uint32_t> win;   ///< node -> winning leaf
-
-        /** Recompute @p node's winner from its two children. */
-        void pull(std::size_t node);
-        /** Set one leaf and replay its path to the root. */
-        void setLeaf(std::size_t leaf, double key);
+        core::MinTree<double> loads;
     };
 
     /** Up, and its class mask (if any) meets @p klass. */
@@ -141,8 +139,9 @@ class Router
                   unsigned klass) const;
     /** Load of @p replica, or +inf when it does not serve @p klass. */
     double treeKey(std::size_t replica, unsigned klass) const;
-    MinTree &treeFor(unsigned klass);
-    void buildTree(MinTree &tree) const;
+    ClassTree &treeFor(unsigned klass);
+    /** A tree over @p klass built from the current router state. */
+    ClassTree makeTree(unsigned klass) const;
     /** Recompute @p replica's leaf in every tree after a state change. */
     void refresh(std::size_t replica);
     std::size_t leastLoaded(const std::vector<std::size_t> &exclude,
@@ -157,7 +156,7 @@ class Router
     /** One tree per dispatch class asked for so far; trees[0] is the
      *  class-blind one. Empty under round-robin. Picks mask and
      *  restore excluded leaves. */
-    std::vector<MinTree> _trees;
+    std::vector<ClassTree> _trees;
 };
 
 } // namespace skipsim::cluster

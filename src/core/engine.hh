@@ -4,15 +4,18 @@
  * loop of its one host, the cluster, which schedules the iteration
  * ends its passive serving::ReplicaEngines report (check/ oracles keep
  * replaced loops on it). Events are typed records whose kind is the
- * host's own enum. The loop pops events in (time, priority, seq)
- * order, advances the clock, and hands each event to the host's
- * dispatch callable, which switches on the kind (the cluster first
- * flushes its probe boundaries there, so a boundary sample always
- * sees the state *as of* the boundary, never a partially applied
- * event — the sample-then-update contract). The host schedules
- * follow-up events through the same engine; determinism follows from
- * the queue's total order and from drawing randomness out of
- * core::RngStreams.
+ * host's own enum. at() schedules into the queue's heap; atSlot()
+ * schedules into one of the queue's keyed slots, each of which holds
+ * at most one pending event (the cluster gives each replica one for
+ * its iteration end), and both pop in the same (time, priority, seq)
+ * order. The loop pops events, advances the clock, and hands each
+ * event to the host's dispatch callable, which switches on the kind
+ * (the cluster first flushes its probe boundaries there, so a
+ * boundary sample always sees the state *as of* the boundary, never a
+ * partially applied event — the sample-then-update contract). The
+ * host schedules follow-up events through the same engine;
+ * determinism follows from the queue's total order and from drawing
+ * randomness out of core::RngStreams.
  */
 
 #ifndef SKIPSIM_CORE_ENGINE_HH
@@ -30,7 +33,8 @@ namespace skipsim::core
 class Engine
 {
   public:
-    Engine() = default;
+    /** An engine whose queue has @p slots keyed slots. */
+    explicit Engine(std::size_t slots = 0) : _queue(slots) {}
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
@@ -46,8 +50,19 @@ class Engine
        std::uint64_t payload = 0)
     {
         _queue.schedule(tNs, priority, kind, target, payload);
-        if (_queue.size() > _peakPending)
-            _peakPending = _queue.size();
+        notePending();
+    }
+
+    /**
+     * at() into keyed slot @p slot, which must hold no pending event
+     * (EventQueue::scheduleSlot panics otherwise).
+     */
+    void
+    atSlot(std::size_t slot, double tNs, int priority, EventKind kind,
+           std::uint32_t target = 0, std::uint64_t payload = 0)
+    {
+        _queue.scheduleSlot(slot, tNs, priority, kind, target, payload);
+        notePending();
     }
 
     /**
@@ -71,11 +86,18 @@ class Engine
     /** Events processed across all run() calls. */
     std::uint64_t processed() const { return _processed; }
 
-    /** Most events ever pending at once (a run counter, never part of
-     *  any report). */
+    /** Most events ever pending at once, heap and live slots (a run
+     *  counter, never part of any report). */
     std::size_t peakPending() const { return _peakPending; }
 
   private:
+    void
+    notePending()
+    {
+        if (_queue.size() > _peakPending)
+            _peakPending = _queue.size();
+    }
+
     Clock _clock;
     EventQueue _queue;
     std::uint64_t _processed = 0;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "common/strutil.hh"
 
 namespace skipsim::core
 {
@@ -48,7 +49,7 @@ EventQueue::siftDown(std::size_t hole, Key key)
     // climbs far, and the descent saves one comparison per level.
     const Later after = later();
     Key *heap = keys();
-    const std::size_t n = size();
+    const std::size_t n = heapSize();
     while (true) {
         const std::size_t first = hole * kArity + 1;
         if (first >= n)
@@ -71,6 +72,16 @@ EventQueue::siftDown(std::size_t hole, Key key)
     siftUp(hole, key);
 }
 
+EventQueue::EventQueue(std::size_t slots)
+    : _slotRecords(slots < kNoSlot ? slots + 1 : 0,
+                   SlotRecord{0, 0, 0, kVacantSeq}),
+      _slots(SlotEarlier{_slotRecords.data()})
+{
+    if (slots >= kNoSlot)
+        panic("core::EventQueue: more than 2^32 - 2 keyed slots");
+    _slots.assign(std::vector<SlotKey>(slots, vacant()), vacant());
+}
+
 void
 EventQueue::schedule(double timeNs, int priority, EventKind kind,
                      std::uint32_t target, std::uint64_t payload)
@@ -78,59 +89,116 @@ EventQueue::schedule(double timeNs, int priority, EventKind kind,
     if (std::isnan(timeNs))
         panic("core::EventQueue: NaN event time");
     const Record rec{kind, target, payload, _nextSeq++};
-    std::uint32_t slot;
-    if (!_freeSlots.empty()) {
-        slot = _freeSlots.back();
-        _freeSlots.pop_back();
-        _slots[slot] = rec;
+    std::uint32_t record;
+    if (!_freeRecords.empty()) {
+        record = _freeRecords.back();
+        _freeRecords.pop_back();
+        _records[record] = rec;
     } else {
-        if (_slots.size() > std::numeric_limits<std::uint32_t>::max())
+        if (_records.size() > std::numeric_limits<std::uint32_t>::max())
             panic("core::EventQueue: more than 2^32 pending events");
-        slot = static_cast<std::uint32_t>(_slots.size());
-        _slots.push_back(rec);
+        record = static_cast<std::uint32_t>(_records.size());
+        _records.push_back(rec);
     }
     _heap.emplace_back();
-    siftUp(size() - 1, Key{timeNs, priority, slot});
+    siftUp(heapSize() - 1, Key{timeNs, priority, record});
+}
+
+void
+EventQueue::scheduleSlot(std::size_t slot, double timeNs, int priority,
+                         EventKind kind, std::uint32_t target,
+                         std::uint64_t payload)
+{
+    if (slot >= slotCount())
+        panic(strprintf("core::EventQueue: slot %zu out of range (%zu "
+                        "slots)",
+                        slot, slotCount()));
+    if (std::isnan(timeNs))
+        panic("core::EventQueue: NaN event time");
+    if (slot == _popped) {
+        // The event that just popped from this slot re-schedules it:
+        // one walk re-keys the leaf it still holds.
+        _popped = kNoSlot;
+    } else {
+        if (_slotRecords[slot].seq != kVacantSeq)
+            panic(strprintf("core::EventQueue: slot %zu already holds a "
+                            "pending event",
+                            slot));
+        settle();
+    }
+    _slotRecords[slot] = SlotRecord{kind, target, payload, _nextSeq++};
+    _slots.setLeaf(slot, SlotKey{timeNs, priority,
+                                 static_cast<std::uint32_t>(slot)});
+    ++_liveSlots;
+}
+
+bool
+EventQueue::slotFirst(const char *what)
+{
+    settle();
+    if (_liveSlots == 0) {
+        if (heapSize() == 0)
+            panic(strprintf("core::EventQueue: %s", what));
+        return false;
+    }
+    if (heapSize() == 0)
+        return true;
+    const SlotKey &root = _slots.key(_slots.top());
+    const Key &top = keys()[0];
+    return after(top.timeNs, top.priority, _records[top.record].seq,
+                 root.timeNs, root.priority, _slotRecords[root.slot].seq);
 }
 
 double
-EventQueue::nextTimeNs() const
+EventQueue::nextTimeNs()
 {
-    if (empty())
-        panic("core::EventQueue: nextTimeNs on empty queue");
-    return keys()[0].timeNs;
+    return slotFirst("nextTimeNs on empty queue")
+        ? _slots.key(_slots.top()).timeNs
+        : keys()[0].timeNs;
 }
 
 int
-EventQueue::nextPriority() const
+EventQueue::nextPriority()
 {
-    if (empty())
-        panic("core::EventQueue: nextPriority on empty queue");
-    return keys()[0].priority;
+    return slotFirst("nextPriority on empty queue")
+        ? _slots.key(_slots.top()).priority
+        : keys()[0].priority;
 }
 
 Event
 EventQueue::pop()
 {
-    if (empty())
-        panic("core::EventQueue: pop from empty queue");
+    Event ev;
+    if (slotFirst("pop from empty queue")) {
+        const std::uint32_t slot = _slots.top();
+        const SlotKey &key = _slots.key(slot);
+        const SlotRecord &rec = _slotRecords[slot];
+        ev.timeNs = key.timeNs;
+        ev.priority = key.priority;
+        ev.seq = rec.seq;
+        ev.kind = rec.kind;
+        ev.target = rec.target;
+        ev.payload = rec.payload;
+        _popped = slot;
+        --_liveSlots;
+        return ev;
+    }
     const Key top = keys()[0];
     const Key tail = _heap.back();
     _heap.pop_back();
-    if (!empty()) {
+    if (heapSize() != 0) {
         siftDown(0, tail);
         // The next pop reads the new head's record.
-        prefetch(&_slots[keys()[0].slot]);
+        prefetch(&_records[keys()[0].record]);
     }
-    const Record &rec = _slots[top.slot];
-    Event ev;
+    const Record &rec = _records[top.record];
     ev.timeNs = top.timeNs;
     ev.priority = top.priority;
     ev.seq = rec.seq;
     ev.kind = rec.kind;
     ev.target = rec.target;
     ev.payload = rec.payload;
-    _freeSlots.push_back(top.slot);
+    _freeRecords.push_back(top.record);
     return ev;
 }
 
@@ -138,8 +206,13 @@ void
 EventQueue::clear()
 {
     _heap.resize(kOffset);
-    _slots.clear();
-    _freeSlots.clear();
+    _records.clear();
+    _freeRecords.clear();
+    for (SlotRecord &rec : _slotRecords)
+        rec.seq = kVacantSeq;
+    _slots.assign(std::vector<SlotKey>(slotCount(), vacant()), vacant());
+    _liveSlots = 0;
+    _popped = kNoSlot;
 }
 
 } // namespace skipsim::core

@@ -73,22 +73,52 @@ Summary::stddev() const
 namespace
 {
 
-/** Percentile of an already-sorted sample vector. */
-double
-sortedPercentile(const std::vector<double> &xs, double p)
+void
+checkPercentile(double p)
 {
     // Negated form so NaN (every comparison false) is rejected too,
     // instead of flowing into the rank arithmetic as UB.
     if (!(p >= 0.0 && p <= 100.0))
         fatal("percentile p must be within [0, 100]");
-    if (xs.size() == 1)
-        return xs[0];
-    double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
+
+/**
+ * Interpolated percentiles of one sample vector, asked for in
+ * ascending order of p. Each rank selects its lower order statistic
+ * with nth_element and takes the upper one as the least sample above
+ * it, which are the two values a full sort puts at lo and lo + 1.
+ */
+class RankSelector
+{
+  public:
+    explicit RankSelector(std::vector<double> &xs) : _xs(xs) {}
+
+    double
+    at(double p)
+    {
+        if (_xs.size() == 1)
+            return _xs[0];
+        double rank = p / 100.0 * static_cast<double>(_xs.size() - 1);
+        std::size_t lo = static_cast<std::size_t>(rank);
+        std::size_t hi = std::min(lo + 1, _xs.size() - 1);
+        double frac = rank - static_cast<double>(lo);
+        // [_from, end) holds every order statistic not yet placed; a
+        // rank below _from repeats the last one placed.
+        if (lo >= _from) {
+            std::nth_element(_xs.begin() + _from, _xs.begin() + lo,
+                             _xs.end());
+            _from = lo + 1;
+        }
+        double upper = hi == lo
+            ? _xs[lo]
+            : *std::min_element(_xs.begin() + hi, _xs.end());
+        return _xs[lo] * (1.0 - frac) + upper * frac;
+    }
+
+  private:
+    std::vector<double> &_xs;
+    std::size_t _from = 0;
+};
 
 } // namespace
 
@@ -97,8 +127,8 @@ percentile(std::vector<double> xs, double p)
 {
     if (xs.empty())
         fatal("percentile on empty sample set");
-    std::sort(xs.begin(), xs.end());
-    return sortedPercentile(xs, p);
+    checkPercentile(p);
+    return RankSelector(xs).at(p);
 }
 
 std::vector<double>
@@ -106,11 +136,17 @@ percentiles(std::vector<double> xs, const std::vector<double> &ps)
 {
     if (xs.empty())
         fatal("percentiles on empty sample set");
-    std::sort(xs.begin(), xs.end());
-    std::vector<double> out;
-    out.reserve(ps.size());
     for (double p : ps)
-        out.push_back(sortedPercentile(xs, p));
+        checkPercentile(p);
+    std::vector<std::size_t> order(ps.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&ps](std::size_t a, std::size_t b) { return ps[a] < ps[b]; });
+    RankSelector select(xs);
+    std::vector<double> out(ps.size());
+    for (std::size_t i : order)
+        out[i] = select.at(ps[i]);
     return out;
 }
 

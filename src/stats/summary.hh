@@ -49,7 +49,10 @@ class Summary
 };
 
 /**
- * Percentile with linear interpolation between order statistics.
+ * Percentile with linear interpolation between order statistics. The
+ * two order statistics are selected (nth_element, then the least
+ * sample above), not sorted for, and equal a full sort's bit for bit
+ * (samples that compare equal, such as -0 and +0, may trade places).
  * @param xs samples (not required to be sorted; copied internally).
  * @param p percentile in [0, 100].
  * @throws skipsim::FatalError on empty input or p outside [0, 100].
@@ -57,9 +60,10 @@ class Summary
 double percentile(std::vector<double> xs, double p);
 
 /**
- * Several percentiles of one sample set, sorting the samples once
- * (percentile() re-copies and re-sorts per call; result code asking
- * for p50/p95/p99 of the same latency vector should use this).
+ * Several percentiles of one sample set, copying the samples once
+ * (percentile() copies per call; result code asking for p50/p95/p99
+ * of the same latency vector should use this). Ranks are selected in
+ * ascending order, each within the samples above the last.
  * @param xs samples (not required to be sorted; copied internally).
  * @param ps percentiles, each in [0, 100], in any order.
  * @return one value per entry of @p ps, in the same order.

@@ -11,13 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -40,6 +38,8 @@
 #include "serving/continuous.hh"
 #include "workload/memory.hh"
 #include "workload/model_config.hh"
+
+#include "start_line.hh"
 
 using namespace skipsim;
 
@@ -643,7 +643,9 @@ TEST(ClusterSim, RateSweepIsByteIdenticalAtAnyWorkerCount)
     auto sweep = [&](int workers) {
         std::vector<std::string> out(spec.scenarioCount());
         exec::Pool pool(workers);
+        testutil::StartLine line(pool, out.size());
         pool.run(out.size(), [&](std::size_t i) {
+            line.arrive();
             out[i] = reportText(
                 cluster::simulateCluster(spec.scenarioAt(i), costs));
         });
@@ -871,14 +873,12 @@ TEST(CostCache, SharedModelPricesChunksConcurrently)
     const std::vector<int> chunks = {1, 7, 16, 64, 65};
     constexpr std::size_t kWorkers = 4;
     std::vector<std::vector<double>> priced(kWorkers);
-    std::atomic<std::size_t> started{0};
     exec::Pool pool(static_cast<int>(kWorkers));
+    testutil::StartLine line(pool, kWorkers);
     pool.run(kWorkers, [&](std::size_t worker) {
         // One task per worker, held at a start line so every worker
         // prices at once, each walking the sizes from its own offset.
-        started.fetch_add(1);
-        while (started.load() < kWorkers)
-            std::this_thread::yield();
+        line.arrive();
         for (std::size_t k = 0; k < chunks.size(); ++k)
             priced[worker].push_back(
                 shared.chunkNs(chunks[(worker + k) % chunks.size()]));
@@ -1002,7 +1002,9 @@ TEST(JobsMatrix, ReportObsSpansIdenticalAcrossJobs)
             spans[i] = std::make_unique<obs::SpanLog>();
         }
         exec::Pool pool(jobs);
+        testutil::StartLine line(pool, n);
         pool.run(n, [&](std::size_t i) {
+            line.arrive();
             results[i] = cluster::simulateCluster(
                 spec.scenarioAt(i), costs, collectors[i].get(),
                 spans[i].get());

@@ -52,6 +52,8 @@
 #include "workload/builder.hh"
 #include "workload/model_config.hh"
 
+#include "start_line.hh"
+
 #ifndef SKIPSIM_TESTS_DATA_DIR
 #define SKIPSIM_TESTS_DATA_DIR "tests/data"
 #endif
@@ -329,7 +331,9 @@ clusterSweepText(const cluster::ClusterSpec &spec,
         collectors[i] = std::make_unique<obs::Collector>(100.0);
 
     exec::Pool pool(jobs);
+    testutil::StartLine line(pool, n);
     pool.run(n, [&](std::size_t i) {
+        line.arrive();
         results[i] = cluster::simulateCluster(spec.scenarioAt(i), costs,
                                               collectors[i].get());
     });
@@ -469,6 +473,70 @@ TEST(CoreEventQueue, MatchesClosureQueueOracle)
         std::string problem = check::diffEventQueues(seed, 2000);
         EXPECT_TRUE(problem.empty()) << problem;
     }
+}
+
+/**
+ * The two-level pending set against the same oracle: keyed-slot
+ * pushes (never to a taken slot) interleave with heap pushes on
+ * colliding times and priorities, slots re-key right after they pop,
+ * and every pop must be the closure heap's.
+ */
+TEST(CoreEventQueue, KeyedSlotsMatchClosureQueueOracle)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        std::string problem = check::diffKeyedEventQueues(seed, 2000);
+        EXPECT_TRUE(problem.empty()) << problem;
+    }
+}
+
+TEST(CoreEventQueue, SlotHoldsOnePendingEvent)
+{
+    core::EventQueue queue(3);
+    queue.scheduleSlot(1, 5.0, 0, 0, 0, 1);
+    EXPECT_EQ(panicMessage([&] { queue.scheduleSlot(1, 6.0, 0, 0); }),
+              "core::EventQueue: slot 1 already holds a pending event");
+    EXPECT_EQ(panicMessage([&] { queue.scheduleSlot(3, 6.0, 0, 0); }),
+              "core::EventQueue: slot 3 out of range (3 slots)");
+    EXPECT_EQ(panicMessage([&] { queue.scheduleSlot(0, std::nan(""), 0,
+                                                    0); }),
+              "core::EventQueue: NaN event time");
+    // The refused pushes took no push serial and left one event.
+    EXPECT_EQ(queue.size(), 1u);
+    queue.schedule(5.0, 0, 0, 0, 2);
+    core::Event first = queue.pop();
+    EXPECT_EQ(first.payload, 1u);
+    EXPECT_EQ(first.seq, 0u);
+    EXPECT_EQ(queue.pop().seq, 1u);
+    // Popped, the slot takes a new event, re-keyed at once or later.
+    queue.scheduleSlot(1, 1.0, 0, 0, 0, 3);
+    queue.scheduleSlot(0, 0.5, 0, 0, 0, 4);
+    EXPECT_EQ(queue.pop().payload, 4u);
+    queue.scheduleSlot(2, 0.75, 0, 0, 0, 5);
+    EXPECT_EQ(queue.pop().payload, 5u);
+    EXPECT_EQ(queue.pop().payload, 3u);
+    EXPECT_TRUE(queue.empty());
+}
+
+TEST(CoreEngine, PeakPendingCountsLiveSlots)
+{
+    core::Engine engine(2);
+    engine.at(3.0, 0, 0);
+    engine.atSlot(0, 1.0, 0, 1, 0);
+    engine.atSlot(1, 2.0, 0, 1, 1);
+    EXPECT_EQ(engine.peakPending(), 3u);
+    // Each slot event re-schedules its slot once: the pending set
+    // never grows past three, and each popped slot is counted free.
+    std::vector<std::uint32_t> slots;
+    engine.run([&](const core::Event &ev) {
+        if (ev.kind != 1)
+            return;
+        slots.push_back(ev.target);
+        if (slots.size() <= 2)
+            engine.atSlot(ev.target, ev.timeNs + 10.0, 0, 1, ev.target);
+    });
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{0, 1, 0, 1}));
+    EXPECT_EQ(engine.peakPending(), 3u);
+    EXPECT_EQ(engine.processed(), 5u);
 }
 
 TEST(CoreClock, AdvancesMonotonically)

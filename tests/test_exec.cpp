@@ -28,6 +28,8 @@
 #include "json/writer.hh"
 #include "workload/model_config.hh"
 
+#include "start_line.hh"
+
 namespace skipsim::exec
 {
 namespace
@@ -44,7 +46,11 @@ TEST(Pool, RunsEveryIndexExactlyOnce)
 {
     Pool pool(4);
     std::vector<std::atomic<int>> hits(100);
-    pool.run(100, [&](std::size_t i) { hits[i].fetch_add(1); });
+    testutil::StartLine line(pool, hits.size());
+    pool.run(100, [&](std::size_t i) {
+        line.arrive();
+        hits[i].fetch_add(1);
+    });
     for (const auto &hit : hits)
         EXPECT_EQ(hit.load(), 1);
 }
@@ -69,7 +75,9 @@ TEST(Pool, StealsUnderSkewedPointCosts)
     // still runs exactly once.
     Pool pool(4);
     std::vector<std::atomic<int>> hits(16);
+    testutil::StartLine line(pool, hits.size());
     pool.run(16, [&](std::size_t i) {
+        line.arrive();
         if (i % 4 == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
         hits[i].fetch_add(1);
@@ -82,8 +90,10 @@ TEST(Pool, PropagatesFirstException)
 {
     Pool pool(4);
     std::atomic<int> completed{0};
+    testutil::StartLine line(pool, 32);
     EXPECT_THROW(pool.run(32,
                           [&](std::size_t i) {
+                              line.arrive();
                               if (i == 5)
                                   fatal("exec test: point 5 exploded");
                               completed.fetch_add(1);

@@ -30,6 +30,8 @@
 #include "trace/chrome.hh"
 #include "workload/model_config.hh"
 
+#include "start_line.hh"
+
 using namespace skipsim;
 
 namespace
@@ -490,7 +492,9 @@ TEST(ClusterObs, ObsJsonByteIdenticalAcrossWorkerCounts)
         for (std::size_t i = 0; i < n; ++i)
             collectors[i] = std::make_unique<obs::Collector>(100.0);
         exec::Pool pool(jobs);
+        testutil::StartLine line(pool, n);
         pool.run(n, [&](std::size_t i) {
+            line.arrive();
             cluster::simulateCluster(spec.scenarioAt(i), costs,
                                      collectors[i].get());
         });
@@ -720,7 +724,9 @@ TEST(HarnessTracer, TracksPoolWorkersSeparately)
 {
     obs::HarnessTracer tracer;
     exec::Pool pool(4);
+    testutil::StartLine line(pool, 16);
     pool.run(16, [&](std::size_t i) {
+        line.arrive();
         auto span = tracer.scope("task " + std::to_string(i));
     });
     EXPECT_EQ(tracer.spanCount(), 16u);

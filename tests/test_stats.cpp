@@ -4,11 +4,15 @@
  * percentiles, linear fits, series and knee detection.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "stats/knee.hh"
 #include "stats/series.hh"
 #include "stats/summary.hh"
@@ -145,6 +149,66 @@ TEST(Percentiles, InvalidInputsThrow)
     EXPECT_THROW(percentiles({}, {50.0}), FatalError);
     EXPECT_THROW(percentiles({1.0}, {50.0, 101.0}), FatalError);
     EXPECT_THROW(percentiles({1.0}, {-0.5}), FatalError);
+}
+
+/** The sort-based percentile the selecting one replaced. */
+double
+sortedReference(std::vector<double> xs, double p)
+{
+    std::sort(xs.begin(), xs.end());
+    if (xs.size() == 1)
+        return xs[0];
+    double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(rank);
+    std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    double frac = rank - static_cast<double>(lo);
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+/** Bit-for-bit equality, so NaN results (inf * 0) compare too. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Percentiles, SelectionMatchesTheSortReferenceBitForBit)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    // Unsorted, with a repeat, so ranks are selected out of order.
+    const std::vector<double> ps = {99.0, 0.0, 50.0, 10.0, 100.0,
+                                    95.0, 50.0};
+    std::vector<std::vector<double>> sets = {
+        {3.5},
+        {2.0, -1.0},
+        {7.0, 7.0, 1.0},
+        {inf, 1.0, -inf},
+        {-inf, -inf, 2.0},
+        {inf, inf},
+    };
+    Rng rng(36);
+    std::vector<double> uniform(1000), duplicated(1000), infinite(1000);
+    for (std::size_t i = 0; i < 1000; ++i) {
+        uniform[i] = rng.uniform(-50.0, 50.0);
+        duplicated[i] = static_cast<double>(rng.below(12));
+        infinite[i] = rng.below(10) == 0 ? (rng.below(2) ? inf : -inf)
+                                         : rng.uniform(0.0, 1.0);
+    }
+    sets.push_back(uniform);
+    sets.push_back(duplicated);
+    sets.push_back(infinite);
+    for (const std::vector<double> &xs : sets) {
+        std::vector<double> batch = percentiles(xs, ps);
+        ASSERT_EQ(batch.size(), ps.size());
+        for (std::size_t i = 0; i < ps.size(); ++i) {
+            const double want = sortedReference(xs, ps[i]);
+            EXPECT_TRUE(sameBits(batch[i], want))
+                << "n " << xs.size() << " p " << ps[i] << ": "
+                << batch[i] << " vs " << want;
+            EXPECT_TRUE(sameBits(percentile(xs, ps[i]), want))
+                << "n " << xs.size() << " p " << ps[i];
+        }
+    }
 }
 
 // ---------------------------------------------------------------- geomean
